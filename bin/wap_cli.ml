@@ -51,15 +51,28 @@ let jobs_arg =
 
 let no_cache_arg =
   Arg.(value & flag
-       & info [ "no-cache" ] ~doc:"Disable the incremental scan result cache.")
+       & info [ "no-cache" ]
+           ~doc:"Disable the incremental scan result cache, even with \
+                 --cache-dir.")
 
 let cache_dir_arg =
   Arg.(value & opt (some string) None
        & info [ "cache-dir" ] ~docv:"DIR"
-           ~doc:"Persist cached scan results under $(docv) between runs.")
+           ~doc:"Persist cached scan results under $(docv) between runs.  \
+                 $(b,analyze) and $(b,lint) use a cache only when this is \
+                 given.")
 
+(* [experiments] caches in memory even without --cache-dir: its v2.1
+   pass reads the parse entries of the WAPe pass *)
 let make_cache ~no_cache ~cache_dir =
   if no_cache then None else Some (Wap_engine.Cache.create ?dir:cache_dir ())
+
+(* One-shot commands never read back within a run what they store, so
+   they cache only when the cache persists. *)
+let disk_cache ~no_cache ~cache_dir =
+  match cache_dir with
+  | Some dir when not no_cache -> Some (Wap_engine.Cache.create ~dir ())
+  | _ -> None
 
 let no_fuse_arg =
   Arg.(value & flag
@@ -365,7 +378,7 @@ let analyze_cmd =
     let tool = Wap_core.Tool.create ~seed ~weapons ~extra_sanitizers ?dataset version in
     let paths = expand_php_paths files in
     let sources = List.map (fun p -> (p, read_file p)) paths in
-    let cache = make_cache ~no_cache ~cache_dir in
+    let cache = disk_cache ~no_cache ~cache_dir in
     let outcome =
       Wap_core.Scan.run tool
         (Wap_core.Scan.request ~jobs ?cache
@@ -380,10 +393,9 @@ let analyze_cmd =
         ~fields:
           [ ("workers", string_of_int outcome.Wap_core.Scan.jobs_used);
             ( "cache",
-              match (cache, cache_dir) with
-              | None, _ -> "off"
-              | Some _, Some dir -> "on (" ^ dir ^ ")"
-              | Some _, None -> "on (memory)" );
+              match cache_dir with
+              | Some dir when Option.is_some cache -> "on (" ^ dir ^ ")"
+              | _ -> "off" );
             ("hits", string_of_int outcome.Wap_core.Scan.cache_hits);
             ("misses", string_of_int outcome.Wap_core.Scan.cache_misses) ]
         "scan finished";
@@ -540,7 +552,7 @@ let lint_cmd =
                  (fun (r : Wap_lint.Rule.t) -> List.mem r.Wap_lint.Rule.id ids)
                  all)
       in
-      let cache = make_cache ~no_cache ~cache_dir in
+      let cache = disk_cache ~no_cache ~cache_dir in
       (* lint is per-file, so its diagnostics cache honestly keys on the
          file digest plus the active rule set alone *)
       let rule_ids =

@@ -12,7 +12,8 @@ type t = {
   weapons : Wap_weapon.Weapon.t list;
 }
 
-(** Create a tool instance.
+(** Create a tool instance.  The predictor trains at its first
+    classification, not here.
 
     [weapons] adds weapon detectors (and their dynamic symptoms);
     [extra_sanitizers] registers user sanitization functions for

@@ -10,15 +10,19 @@ type t = {
   weapons : Wap_weapon.Weapon.t list;
 }
 
-(** Create a tool instance; trains the false-positive predictor
-    deterministically from the seed.
+(** Create a tool instance.  Its false-positive predictor trains,
+    deterministically from the seed, at the first classification —
+    inside the [phase.predict] of the first {!Scan.run} that has
+    candidates — so a scan without candidates never trains it.  The
+    training set is {!Training.dataset_for}[ ~seed], which at the
+    default seed is parsed from the frozen CSV instead of generated.
 
     [weapons] adds weapon detectors (and their dynamic symptoms);
     [extra_sanitizers] registers user sanitization functions — the §V-A
     "escape" extensibility mechanism ([(None, fn)] applies to every
     detector, [(Some cls, fn)] to one class); [dataset] supplies an
     external training set (the "trained data sets" input of Fig. 1)
-    instead of generating one. *)
+    instead of the built-in one. *)
 val create :
   ?seed:int ->
   ?weapons:Wap_weapon.Weapon.t list ->

@@ -36,7 +36,20 @@ val build_dataset :
   unit ->
   Wap_mining.Dataset.t
 
-(** The data set of a tool version: 256 balanced instances for WAPe;
-    for WAP v2.1 the paper's unbalanced split (32 false positives,
-    44 real vulnerabilities, as available). *)
+(** The seed whose data sets ship frozen with the library: the default
+    of {!dataset_for}, {!Tool.create} and every [wap] subcommand. *)
+val frozen_seed : int
+
+(** Generate the data set of a tool version: 256 balanced instances for
+    WAPe; for WAP v2.1 the paper's unbalanced split (32 false positives,
+    44 real vulnerabilities, as available).  This generates, parses and
+    taint-analyzes thousands of training programs. *)
+val generate : seed:int -> Version.t -> Wap_mining.Dataset.t
+
+(** [generate ~seed v], the "trained data sets" input of Fig. 1.  At
+    {!frozen_seed} it is parsed from the CSV checked in under
+    [lib/core/frozen_sets/] (the format [wap train --out] writes), so no
+    process pays for generating it; [dune runtest] fails when that CSV
+    and [generate] disagree, and [dune promote] refreshes it.  Other
+    seeds generate. *)
 val dataset_for : ?seed:int -> Version.t -> Wap_mining.Dataset.t

@@ -14,9 +14,11 @@ type t = {
   n_evictions : int Atomic.t;
 }
 
-let m_hits = lazy (Wap_obs.Metrics.counter "engine.cache.hits")
-let m_misses = lazy (Wap_obs.Metrics.counter "engine.cache.misses")
-let m_evictions = lazy (Wap_obs.Metrics.counter "engine.cache.evictions")
+(* plain values: a [lazy] forced from two worker domains at once raises
+   [CamlinternalLazy.Undefined] *)
+let m_hits = Wap_obs.Metrics.counter "engine.cache.hits"
+let m_misses = Wap_obs.Metrics.counter "engine.cache.misses"
+let m_evictions = Wap_obs.Metrics.counter "engine.cache.evictions"
 
 let create ?dir ?max_entries () =
   let dir =
@@ -136,7 +138,7 @@ let evict_over_cap t =
         if Hashtbl.mem t.mem victim then begin
           Hashtbl.remove t.mem victim;
           Atomic.incr t.n_evictions;
-          Wap_obs.Metrics.incr (Lazy.force m_evictions)
+          Wap_obs.Metrics.incr m_evictions
         end
       done
 
@@ -166,7 +168,7 @@ let invalidate t ~key:k =
 
 let count_miss t k =
   Atomic.incr t.n_misses;
-  Wap_obs.Metrics.incr (Lazy.force m_misses);
+  Wap_obs.Metrics.incr m_misses;
   Wap_obs.Trace.instant ~cat:"cache" "cache.miss"
     ~args:[ ("key", String.sub k 0 (min 12 (String.length k))) ]
 
@@ -181,7 +183,7 @@ let find t ~key:k : 'a option =
       match (Marshal.from_string s 0 : 'a) with
       | v ->
           Atomic.incr t.n_hits;
-          Wap_obs.Metrics.incr (Lazy.force m_hits);
+          Wap_obs.Metrics.incr m_hits;
           Wap_obs.Trace.instant ~cat:"cache" "cache.hit"
             ~args:[ ("key", String.sub k 0 (min 12 (String.length k))) ];
           Some v

@@ -3,10 +3,11 @@
 (* Queue wait is the time from pool start (every item is enqueued up
    front) to the moment a worker dequeues the item; run time is the
    application of [f] itself.  Striped atomics, so recording from every
-   worker domain is lock-free. *)
-let m_queue_wait = lazy (Wap_obs.Metrics.histogram "engine.pool.queue_wait_seconds")
-let m_task_run = lazy (Wap_obs.Metrics.histogram "engine.pool.task_run_seconds")
-let m_tasks = lazy (Wap_obs.Metrics.counter "engine.pool.tasks")
+   worker domain is lock-free.  Plain values, not [lazy]: forcing one
+   lazy from two domains at once raises [CamlinternalLazy.Undefined]. *)
+let m_queue_wait = Wap_obs.Metrics.histogram "engine.pool.queue_wait_seconds"
+let m_task_run = Wap_obs.Metrics.histogram "engine.pool.task_run_seconds"
+let m_tasks = Wap_obs.Metrics.counter "engine.pool.tasks"
 
 (* ------------------------------------------------------------------ *)
 (* Mutex-protected deque of work-item indices.                         *)
@@ -48,12 +49,12 @@ let map ?(jobs = Config.default_jobs ()) (f : 'a -> 'b) (xs : 'a array) :
   let t_start = Wap_obs.Clock.now_ns () in
   let timed_apply x =
     let t0 = Wap_obs.Clock.now_ns () in
-    Wap_obs.Metrics.observe (Lazy.force m_queue_wait)
+    Wap_obs.Metrics.observe m_queue_wait
       (Wap_obs.Clock.ns_to_s (t0 - t_start));
     let y = f x in
-    Wap_obs.Metrics.observe (Lazy.force m_task_run)
+    Wap_obs.Metrics.observe m_task_run
       (Wap_obs.Clock.ns_to_s (Wap_obs.Clock.elapsed_ns t0));
-    Wap_obs.Metrics.incr (Lazy.force m_tasks);
+    Wap_obs.Metrics.incr m_tasks;
     y
   in
   if jobs <= 1 then Array.map timed_apply xs

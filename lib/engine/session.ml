@@ -25,10 +25,10 @@ module An = Wap_taint.Analyzer
    digest (and the IR path itself), so v2 entries must not be reused. *)
 let cache_format_version = "wap-engine-3"
 
-let m_files_parsed = lazy (Wap_obs.Metrics.counter "engine.files_parsed")
-
-let m_parse_recoveries =
-  lazy (Wap_obs.Metrics.counter "engine.parse_error_recoveries")
+(* plain values, bumped from the parse workers: a [lazy] forced from two
+   domains at once raises [CamlinternalLazy.Undefined] *)
+let m_files_parsed = Wap_obs.Metrics.counter "engine.files_parsed"
+let m_parse_recoveries = Wap_obs.Metrics.counter "engine.parse_error_recoveries"
 
 let m_candidates spec_label =
   Wap_obs.Metrics.counter ("engine.candidates." ^ spec_label)
@@ -209,7 +209,11 @@ let dead_of (program : Ast.program) =
      Wap_flow.Reach.add_program d program;
      d)
 
-let parse_file t path src =
+let src_digest src = Digest.to_hex (Digest.string src)
+
+(* [digest] is [src_digest src], computed once by the caller, which also
+   keeps it as the entry's [ent_src_digest] *)
+let parse_file t path ~digest src =
   (* no span of its own: the nested php "parse" span already covers this
      per-file work at the same granularity *)
   let t0 = Unix.gettimeofday () in
@@ -219,27 +223,23 @@ let parse_file t path src =
     | Some c ->
         (* parsing depends only on the file itself, not on the active
            spec set, so the key deliberately omits the fingerprint *)
-        let k =
-          Cache.key
-            [ cache_format_version; "parse"; path;
-              Digest.to_hex (Digest.string src) ]
-        in
+        let k = Cache.key [ cache_format_version; "parse"; path; digest ] in
         Cache.memoize c ~key:k compute
     | None -> (compute (), false)
   in
-  Wap_obs.Metrics.incr (Lazy.force m_files_parsed);
+  Wap_obs.Metrics.incr m_files_parsed;
   if errs <> [] then
-    Wap_obs.Metrics.incr ~by:(List.length errs)
-      (Lazy.force m_parse_recoveries);
+    Wap_obs.Metrics.incr ~by:(List.length errs) m_parse_recoveries;
   ( program,
     { fr_path = path; fr_seconds = Unix.gettimeofday () -. t0;
       fr_cached = cached; fr_errors = errs } )
 
 let make_entry t path src =
-  let program, report = parse_file t path src in
+  let digest = src_digest src in
+  let program, report = parse_file t path ~digest src in
   {
     ent_path = path;
-    ent_src_digest = Digest.to_hex (Digest.string src);
+    ent_src_digest = digest;
     ent_unit = { An.path; program };
     ent_report = report;
     ent_decl = lazy (decl_of program);
@@ -250,9 +250,10 @@ let make_entry t path src =
   }
 
 let refresh_entry t e src =
-  let program, report = parse_file t e.ent_path src in
+  let digest = src_digest src in
+  let program, report = parse_file t e.ent_path ~digest src in
   emit t (File_parsed { path = e.ent_path; cached = report.fr_cached });
-  e.ent_src_digest <- Digest.to_hex (Digest.string src);
+  e.ent_src_digest <- digest;
   e.ent_unit <- { An.path = e.ent_path; program };
   e.ent_report <- report;
   e.ent_decl <- lazy (decl_of program);

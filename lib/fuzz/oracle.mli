@@ -16,8 +16,8 @@ val case_of_source : string -> case
 
 type verdict = Pass | Fail of string
 
-(** Shared scan context.  The tool is expensive to build (it trains the
-    FP predictor), so it is created lazily and shared across the run. *)
+(** Shared scan context.  The tool is created lazily and shared across
+    the run, so its FP predictor trains at most once. *)
 type ctx = { tool : Wap_core.Tool.t Lazy.t }
 
 type t = {

@@ -18,36 +18,35 @@ let normalize = String.lowercase_ascii
 (* ------------------------------------------------------------------ *)
 (* Catalog-derived vocabularies.                                       *)
 
+(* Plain values, not [lazy]: [wap lint --jobs N] runs the rules from
+   several domains, and forcing one lazy from two domains at once raises
+   [CamlinternalLazy.Undefined]. *)
 let all_specs =
-  lazy (Cat.specs_for VC.all_builtin @ [ Wap_catalog.Wordpress.wpsqli_spec () ])
+  Cat.specs_for VC.all_builtin @ [ Wap_catalog.Wordpress.wpsqli_spec () ]
 
 let sanitizer_fns =
-  lazy
-    (List.filter_map
-       (function Cat.San_fn f -> Some (normalize f) | Cat.San_method _ -> None)
-       (List.concat_map (fun (s : Cat.spec) -> s.Cat.sanitizers) (Lazy.force all_specs)))
+  List.filter_map
+    (function Cat.San_fn f -> Some (normalize f) | Cat.San_method _ -> None)
+    (List.concat_map (fun (s : Cat.spec) -> s.Cat.sanitizers) all_specs)
 
 let sanitizer_methods =
-  lazy
-    (List.filter_map
-       (function
-         | Cat.San_method (o, m) -> Some (normalize o, normalize m)
-         | Cat.San_fn _ -> None)
-       (List.concat_map (fun (s : Cat.spec) -> s.Cat.sanitizers) (Lazy.force all_specs)))
+  List.filter_map
+    (function
+      | Cat.San_method (o, m) -> Some (normalize o, normalize m)
+      | Cat.San_fn _ -> None)
+    (List.concat_map (fun (s : Cat.spec) -> s.Cat.sanitizers) all_specs)
 
 let sink_fns =
-  lazy
-    (List.filter_map
-       (function Cat.Sink_fn (f, _) -> Some (normalize f) | _ -> None)
-       (List.concat_map (fun (s : Cat.spec) -> s.Cat.sinks) (Lazy.force all_specs)))
+  List.filter_map
+    (function Cat.Sink_fn (f, _) -> Some (normalize f) | _ -> None)
+    (List.concat_map (fun (s : Cat.spec) -> s.Cat.sinks) all_specs)
 
 let sink_methods =
-  lazy
-    (List.filter_map
-       (function
-         | Cat.Sink_method (o, m) -> Some (normalize o, normalize m)
-         | _ -> None)
-       (List.concat_map (fun (s : Cat.spec) -> s.Cat.sinks) (Lazy.force all_specs)))
+  List.filter_map
+    (function
+      | Cat.Sink_method (o, m) -> Some (normalize o, normalize m)
+      | _ -> None)
+    (List.concat_map (fun (s : Cat.spec) -> s.Cat.sinks) all_specs)
 
 (* ------------------------------------------------------------------ *)
 (* Shared helpers.                                                     *)
@@ -196,13 +195,14 @@ let unreachable : Rule.t =
 
 let sanitizer_call_name (e : Ast.expr) : string option =
   match e.Ast.e with
-  | Ast.Call (Ast.F_ident f, _) when List.mem (normalize f) (Lazy.force sanitizer_fns)
-    ->
+  | Ast.Call (Ast.F_ident f, _) when List.mem (normalize f) sanitizer_fns ->
       Some (normalize f)
   | Ast.Call (Ast.F_method ({ e = Ast.Var obj; _ }, Ast.Mem_ident m), _) ->
       let key = (normalize obj, normalize m) in
-      let meths = Lazy.force sanitizer_methods in
-      if List.mem key meths || List.mem ("*", normalize m) meths then
+      if
+        List.mem key sanitizer_methods
+        || List.mem ("*", normalize m) sanitizer_methods
+      then
         Some (normalize obj ^ "->" ^ normalize m)
       else None
   | _ -> None
@@ -334,7 +334,6 @@ let dead_sink : Rule.t =
     doc = "sensitive sink inside unreachable code";
     check =
       (fun ctx ->
-        let fns = Lazy.force sink_fns and meths = Lazy.force sink_methods in
         let diags = ref [] in
         let flag loc name (si : Rule.scope_info) =
           diags :=
@@ -353,11 +352,11 @@ let dead_sink : Rule.t =
           Visitor.fold_expr
             (fun () (e1 : Ast.expr) ->
               match e1.Ast.e with
-              | Ast.Call (Ast.F_ident f, _) when List.mem (normalize f) fns ->
+              | Ast.Call (Ast.F_ident f, _) when List.mem (normalize f) sink_fns ->
                   flag e1.Ast.eloc (normalize f ^ "()") si
               | Ast.Call (Ast.F_method ({ e = Ast.Var obj; _ }, Ast.Mem_ident m), _)
-                when List.mem (normalize obj, normalize m) meths
-                     || List.mem ("*", normalize m) meths ->
+                when List.mem (normalize obj, normalize m) sink_methods
+                     || List.mem ("*", normalize m) sink_methods ->
                   flag e1.Ast.eloc
                     (Printf.sprintf "$%s->%s()" (normalize obj) (normalize m))
                     si

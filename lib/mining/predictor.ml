@@ -33,35 +33,45 @@ let with_dynamic_symptoms config map =
 
 type t = {
   config : config;
-  models : Classifier.model list;
+  models : Classifier.model list Lazy.t;
+  lock : Mutex.t;  (** serializes forcing [models] *)
 }
 
-(** Train the ensemble on a labelled data set (must be in the same
-    attribute mode as the config). *)
+(** Check the data set's attribute mode now; train the ensemble the
+    first time a classification needs it. *)
 let train ?(seed = 42) (config : config) (d : Dataset.t) : t =
-  Wap_obs.Trace.with_span ~cat:"mining" "predictor.train"
-    ~args:[ ("instances", string_of_int (Dataset.size d)) ]
-  @@ fun () ->
   if d.Dataset.mode <> config.mode then
     invalid_arg "Predictor.train: dataset attribute mode mismatch";
-  { config; models = List.map (fun a -> a.Classifier.train ~seed d) config.algorithms }
+  let models =
+    lazy
+      (Wap_obs.Trace.with_span ~cat:"mining" "predictor.train"
+         ~args:[ ("instances", string_of_int (Dataset.size d)) ]
+       @@ fun () -> List.map (fun a -> a.Classifier.train ~seed d) config.algorithms)
+  in
+  { config; models; lock = Mutex.create () }
+
+(* OCaml 5 raises [CamlinternalLazy.Undefined] when a second domain
+   forces a lazy that another one is still forcing; under the lock the
+   second one waits for the first training instead. *)
+let models (p : t) = Mutex.protect p.lock (fun () -> Lazy.force p.models)
 
 (** Majority vote of the top-3 ensemble: is the candidate a false
     positive? *)
 let is_false_positive (p : t) (c : Wap_taint.Trace.candidate) : bool =
+  let models = models p in
   Wap_obs.Trace.with_span ~cat:"mining" "predictor.classify" @@ fun () ->
   let ev = Evidence.collect ~dynamic:p.config.dynamic_symptoms c in
   let x = Attributes.vector_of_evidence p.config.mode ev in
   let votes =
-    List.length (List.filter (fun m -> Classifier.predict m x) p.models)
+    List.length (List.filter (fun m -> Classifier.predict m x) models)
   in
-  votes * 2 > List.length p.models
+  votes * 2 > List.length models
 
 (** Ensemble confidence that the candidate is a false positive. *)
 let fp_score (p : t) (c : Wap_taint.Trace.candidate) : float =
   let ev = Evidence.collect ~dynamic:p.config.dynamic_symptoms c in
   let x = Attributes.vector_of_evidence p.config.mode ev in
-  match p.models with
+  match models p with
   | [] -> 0.5
   | models ->
       List.fold_left (fun acc m -> acc +. Classifier.score m x) 0.0 models

@@ -19,7 +19,12 @@ val with_dynamic_symptoms : config -> Symptom.dynamic_map -> config
 
 type t
 
-(** Train the ensemble on a labelled data set.
+(** The ensemble for a labelled data set.  The data set's attribute mode
+    is checked now; the classifiers train the first time
+    {!is_false_positive} or {!fp_score} needs them, under the
+    [predictor.train] span, so a process that classifies nothing never
+    trains.  The predictor may be shared across domains: the first
+    classifications of concurrent domains wait for one training.
 
     @raise Invalid_argument when the data set's attribute mode does not
     match the config. *)

@@ -43,14 +43,27 @@ let test_v21_dataset () =
   | i :: _ -> Alcotest.(check int) "15 attributes" 15 (Array.length i.DS.features)
   | [] -> Alcotest.fail "empty dataset"
 
+(* the frozen seed reads a checked-in CSV, so generate at another one *)
 let test_training_deterministic () =
-  let a = Wap_core.Training.dataset_for ~seed V.Wape in
-  let b = Wap_core.Training.dataset_for ~seed V.Wape in
+  let a = Wap_core.Training.dataset_for ~seed:(seed + 1) V.Wape in
+  let b = Wap_core.Training.dataset_for ~seed:(seed + 1) V.Wape in
   Alcotest.(check bool) "same dataset" true
     (List.for_all2
        (fun (x : DS.instance) (y : DS.instance) ->
          x.DS.label = y.DS.label && x.DS.features = y.DS.features)
        a.DS.instances b.DS.instances)
+
+(* The frozen CSVs parse losslessly: printing the parsed sets gives the
+   embedded text back byte for byte.  (The dune diff rule in
+   lib/core/frozen_sets checks the text against [Training.generate].) *)
+let test_frozen_sets_round_trip () =
+  List.iter
+    (fun (v, csv) ->
+      Alcotest.(check string)
+        (V.name v ^ " round trip")
+        csv
+        (DS.to_csv (Wap_core.Training.dataset_for ~seed v)))
+    [ (V.Wape, Wap_core.Frozen_sets.wape); (V.Wap_v21, Wap_core.Frozen_sets.v21) ]
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline on corpus packages.                                        *)
@@ -215,6 +228,8 @@ let () =
           Alcotest.test_case "WAPe dataset" `Slow test_wape_dataset;
           Alcotest.test_case "v2.1 dataset" `Slow test_v21_dataset;
           Alcotest.test_case "training deterministic" `Slow test_training_deterministic;
+          Alcotest.test_case "frozen sets round trip" `Quick
+            test_frozen_sets_round_trip;
         ] );
       ( "pipeline",
         [

@@ -69,6 +69,53 @@ let test_pool_map_list_empty () =
   Alcotest.(check (list int)) "empty in, empty out" []
     (Pool.map_list ~jobs:4 (fun x -> x) [])
 
+(* The first [Pool.map] of a process is where its worker domains first
+   touch process-wide handles such as the engine's metrics, so only
+   fresh processes show a race there (a lazy forced by two domains at
+   once raises [CamlinternalLazy.Undefined]).  The binary is built as a
+   dependency of this suite. *)
+let test_fresh_processes_parallel () =
+  let wap = "../bin/wap_cli.exe" in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "wap_engine_fresh_%d" (Unix.getpid ()))
+  in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  List.iter
+    (fun (name, src) ->
+      let flat = String.map (function '/' -> '_' | c -> c) name in
+      Out_channel.with_open_bin (Filename.concat dir flat) (fun oc ->
+          output_string oc src))
+    (acp_files ());
+  (* the children must not inherit WAP_TRACE_OUT or WAP_JOBS *)
+  let env =
+    Unix.environment () |> Array.to_list
+    |> List.filter (fun kv -> not (String.starts_with ~prefix:"WAP_" kv))
+    |> Array.of_list
+  in
+  let err = Filename.concat dir "stderr" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  for run = 1 to 20 do
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let errfd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+    let pid =
+      Unix.create_process_env wap
+        [| wap; "analyze"; "--jobs"; "4"; "--no-cache"; dir |]
+        env Unix.stdin null errfd
+    in
+    Unix.close null;
+    Unix.close errfd;
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ ->
+        Alcotest.failf "run %d of wap analyze --jobs 4 failed: %s" run
+          (In_channel.with_open_bin err In_channel.input_all)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Determinism across worker counts.                                   *)
 
@@ -364,6 +411,8 @@ let () =
             test_pool_deterministic_failure;
           Alcotest.test_case "WAP_JOBS default" `Quick test_config_default_jobs;
           Alcotest.test_case "empty map_list" `Quick test_pool_map_list_empty;
+          Alcotest.test_case "20 fresh wap processes at jobs=4" `Slow
+            test_fresh_processes_parallel;
         ] );
       ( "determinism",
         [

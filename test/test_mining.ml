@@ -350,6 +350,27 @@ let test_predictor_triage () =
   Alcotest.(check bool) "justification mentions the guard" true
     (List.mem "is_numeric" (Wap_mining.Predictor.justification p fp_cand))
 
+(* The ensemble trains at the first classification.  Four domains making
+   that first classification on one shared predictor must each get the
+   sequential verdicts; with a bare [lazy], a domain arriving while
+   another one trains raises [CamlinternalLazy.Undefined]. *)
+let test_predictor_concurrent_first_use () =
+  let cands =
+    [ candidate_of
+        "$v = $_GET['v'];\nif (!is_numeric($v)) { die('x'); }\n$v = intval($v);\nmysql_query('SELECT * FROM t WHERE v = ' . $v);";
+      candidate_of "$v = $_GET['v'];\nmysql_query(\"SELECT * FROM t WHERE v = '$v'\");" ]
+  in
+  let d = Wap_core.Training.dataset_for Wap_core.Version.Wape in
+  let fresh () = Wap_mining.Predictor.train Wap_mining.Predictor.extended_config d in
+  let verdicts p = List.map (Wap_mining.Predictor.is_false_positive p) cands in
+  let expected = verdicts (fresh ()) in
+  let shared = fresh () in
+  List.init 4 (fun _ -> Domain.spawn (fun () -> verdicts shared))
+  |> List.iteri (fun i dom ->
+         Alcotest.(check (list bool))
+           (Printf.sprintf "domain %d verdicts" i)
+           expected (Domain.join dom))
+
 let test_predictor_mode_mismatch () =
   let d = DS.make ~mode:At.Original [ mk_instance [ 1 ] true ] in
   Alcotest.check_raises "mode mismatch"
@@ -448,6 +469,8 @@ let () =
       ( "predictor",
         [
           Alcotest.test_case "triage" `Slow test_predictor_triage;
+          Alcotest.test_case "concurrent first classification" `Quick
+            test_predictor_concurrent_first_use;
           Alcotest.test_case "mode mismatch" `Quick test_predictor_mode_mismatch;
         ] );
       ( "properties",

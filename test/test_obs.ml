@@ -181,6 +181,33 @@ let test_tracing_disabled_is_noop () =
   Alcotest.(check int) "thunk result returned" 42 r;
   Trace.instant ~cat:"test" "ambient-instant"
 
+(* The predictor trains at its first classification, inside a scan's
+   [phase.predict]: a scan without candidates never trains it, and two
+   scans with candidates train it once. *)
+let test_predictor_trains_on_first_use () =
+  let trainings t =
+    List.length
+      (List.filter
+         (fun (e : Trace.event) -> e.Trace.ev_name = "predictor.train")
+         (Trace.events t))
+  in
+  with_tracer (fun t ->
+      let tool = Wap_core.Tool.create Wap_core.Version.Wape in
+      let scan src =
+        let o =
+          Wap_core.Scan.run tool
+            (Wap_core.Scan.request ~jobs:1 [ ("t.php", "<?php\n" ^ src) ])
+        in
+        List.length o.Wap_core.Scan.result.Wap_core.Tool.candidates
+      in
+      Alcotest.(check int) "clean file: no candidate" 0 (scan "echo 'hello';\n");
+      Alcotest.(check int) "no candidate: no training" 0 (trainings t);
+      Alcotest.(check int) "XSS: one candidate" 1 (scan "echo $_GET['q'];\n");
+      Alcotest.(check int) "SQLI: one candidate" 1
+        (scan "mysql_query($_GET['q']);\n");
+      Alcotest.(check int) "two scans with candidates: one training" 1
+        (trainings t))
+
 let test_chrome_json_well_formed () =
   let json =
     with_tracer (fun t ->
@@ -571,6 +598,8 @@ let () =
           Alcotest.test_case "per-domain buffers" `Quick test_trace_multi_domain;
           Alcotest.test_case "ring overflow evicts oldest" `Quick
             test_ring_overflow_eviction;
+          Alcotest.test_case "predictor trains at first classification"
+            `Quick test_predictor_trains_on_first_use;
         ] );
       ( "metrics",
         [
