@@ -61,8 +61,7 @@ let print_tables ~quick () =
 (* ------------------------------------------------------------------ *)
 (* Scan-engine kernel: parallel speedup and warm-cache rescan.         *)
 
-let run_scan_engine ?(check_fused = false) ?(check_ir = false)
-    ?(check_obs = false) ?(check_parse = false) () =
+let run_scan_engine ?(check_obs = false) ?(check_parse = false) () =
   (* merge several packages into one large application so the scan has
      enough files and spec-tasks to spread over the workers *)
   let profiles =
@@ -81,8 +80,8 @@ let run_scan_engine ?(check_fused = false) ?(check_ir = false)
       profiles
   in
   let tool = Wap_core.Tool.create ~seed Wap_core.Version.Wape in
-  let scan ?cache ?(fuse = true) jobs =
-    Wap_core.Scan.run tool (Wap_core.Scan.request ~jobs ?cache ~fuse files)
+  let scan ?cache jobs =
+    Wap_core.Scan.run tool (Wap_core.Scan.request ~jobs ?cache files)
   in
   print_string "== Scan engine (lib/engine) ==\n";
   Printf.printf "corpus: %d files from %d packages, %d detector specs\n"
@@ -98,13 +97,6 @@ let run_scan_engine ?(check_fused = false) ?(check_ir = false)
   let wp = opar.Wap_core.Scan.result.Wap_core.Tool.analysis_seconds in
   Printf.printf "cold scan, jobs=1: %6.2fs wall  (%.2fs cpu)\n" w1
     o1.Wap_core.Scan.result.Wap_core.Tool.analysis_cpu_seconds;
-  (* fused vs per-spec: same scan, same jobs=1, only the fusion differs *)
-  let ons = scan ~fuse:false 1 in
-  let wns = ons.Wap_core.Scan.result.Wap_core.Tool.analysis_seconds in
-  let fused_speedup = if w1 > 0. then wns /. w1 else 0. in
-  Printf.printf
-    "cold scan, jobs=1, --no-fuse: %6.2fs wall — fused speedup %.2fx\n" wns
-    fused_speedup;
   (* on a 1-core host jobs=1 vs jobs=1 is pure noise, not a parallel
      speedup: report it as not-measured instead of as a regression *)
   let par_speedup =
@@ -126,60 +118,12 @@ let run_scan_engine ?(check_fused = false) ?(check_ir = false)
     Printf.printf
       "  (host reports %d core(s); speedup measured at jobs=%d, not 4)\n"
       cores par_jobs;
-  (* IR vs AST walker: the retargeted pass alone — pass 3, the per-file
-     top-level sweep — at jobs=1.  Parse, digest, summaries and merge
-     are byte-for-byte shared between the two modes, so timing the
-     whole analyze phase would gate on noise in work that cannot
-     differ.  min-of-3 per side; the IR side runs with its per-file
-     lowering memo, i.e. the steady state of repeated scans. *)
-  let keyed_units =
-    List.map
-      (fun (path, src) ->
-        ( {
-            Wap_taint.Analyzer.path;
-            program = fst (Wap_php.Parser.parse_string_tolerant ~file:path src);
-          },
-          (* path alone is ambiguous: the merged corpus repeats file
-             names across packages, so the memo key carries the source
-             digest exactly like the engine's does *)
-          String.concat "\x01"
-            [ "bench"; path; Digest.to_hex (Digest.string src) ] ))
-      files
-  in
-  let units = List.map fst keyed_units in
-  let st =
-    Wap_taint.Analyzer.project_state ~specs:tool.Wap_core.Tool.specs ()
-  in
-  List.iter (Wap_taint.Analyzer.summarize_file st) units;
-  let pass3_wall one =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      List.iter (fun ku -> ignore (one ku)) keyed_units;
-      let w = Unix.gettimeofday () -. t0 in
-      if w < !best then best := w
-    done;
-    !best
-  in
-  let w_ast =
-    pass3_wall (fun (u, _) ->
-        Wap_taint.Analyzer.analyze_file_toplevel st ~units u)
-  in
-  let w_ir =
-    pass3_wall (fun (u, memo_key) ->
-        Wap_ir.Exec.analyze_file_toplevel ~memo_key st ~units u)
-  in
-  let ir_speedup = if w_ir > 0. then w_ast /. w_ir else 0. in
-  Printf.printf
-    "fused pass 3, jobs=1 (min of 3): AST walker %6.3fs, lowered IR %6.3fs \
-     (memo warm) — IR speedup %.2fx\n"
-    w_ast w_ir ir_speedup;
   (* parse kernel: the full lex+parse of the corpus, old list pipeline vs
      the buffer scanner.  The old side is the retained reference lexer
      plus the compat bridge into the buffer parser — the same
      list-then-array shape the pre-buffer parser built.  min-of-3 per
-     side, like the pass-3 kernel; same rule as above, time only the
-     phase that differs. *)
+     side, timing only the phase that differs: the rest of the scan is
+     shared work that would only add noise to the ratio. *)
   let parse_wall one =
     let best = ref infinity in
     for _ = 1 to 3 do
@@ -369,16 +313,10 @@ let run_scan_engine ?(check_fused = false) ?(check_ir = false)
           J.Float opar.Wap_core.Scan.result.Wap_core.Tool.analysis_cpu_seconds );
         ( "speedup",
           match par_speedup with Some s -> J.Float s | None -> J.Null );
-        ("per_spec_jobs1_wall_seconds", J.Float wns);
-        ("fused_speedup", J.Float fused_speedup);
-        ("ast_pass3_jobs1_wall_seconds", J.Float w_ast);
-        ("ir_pass3_jobs1_wall_seconds", J.Float w_ir);
-        ("ir_speedup", J.Float ir_speedup);
         ("parse_ref_jobs1_wall_seconds", J.Float w_parse_ref);
         ("parse_jobs1_wall_seconds", J.Float w_parse);
         ("parse_speedup", J.Float parse_speedup);
         ("phases_fused_jobs1", phase_obj o1);
-        ("phases_per_spec_jobs1", phase_obj ons);
         ("deterministic", J.Bool same);
         ( "candidates",
           J.Int (List.length o4.Wap_core.Scan.result.Wap_core.Tool.candidates) );
@@ -405,18 +343,6 @@ let run_scan_engine ?(check_fused = false) ?(check_ir = false)
   close_out oc;
   print_string "wrote BENCH_scan.json\n";
   print_newline ();
-  if check_fused && fused_speedup < 1.0 then begin
-    Printf.eprintf
-      "FAIL: fused scan slower than the per-spec pipeline (speedup %.2fx < 1.0)\n"
-      fused_speedup;
-    exit 1
-  end;
-  if check_ir && ir_speedup < 1.0 then begin
-    Printf.eprintf
-      "FAIL: IR analyze slower than the AST walker (speedup %.2fx < 1.0)\n"
-      ir_speedup;
-    exit 1
-  end;
   if check_obs && obs_ratio > 1.05 then begin
     Printf.eprintf
       "FAIL: telemetry overhead above the 5%% budget (ratio %.3fx > 1.05)\n"
@@ -628,8 +554,7 @@ let substrate_tests () =
     Test.make ~name:"taint-clientside-submodule"
       (staged (fun () -> Wap_taint.Analyzer.analyze_project ~spec:xss_spec unit_));
     (* fused_vs_per_spec: the same full-catalog analysis, one fused pass
-       vs one single-spec pass per spec — the micro view of the scan
-       engine's fused_speedup *)
+       vs the analyzer reference of one single-spec pass per spec *)
     Test.make ~name:"taint-full-catalog-fused"
       (staged (fun () ->
            Wap_taint.Analyzer.analyze_with_specs ~specs:catalog_specs unit_));
@@ -748,18 +673,16 @@ let () =
   let tables_only = List.mem "--tables-only" args in
   let bench_only = List.mem "--bench-only" args in
   let engine_only = List.mem "--engine-only" args in
-  let check_fused = List.mem "--check-fused" args in
-  let check_ir = List.mem "--check-ir" args in
   let check_obs = List.mem "--check-obs" args in
   let check_fleet = List.mem "--check-fleet" args in
   let check_parse = List.mem "--check-parse" args in
   if engine_only then begin
-    run_scan_engine ~check_fused ~check_ir ~check_obs ~check_parse ();
+    run_scan_engine ~check_obs ~check_parse ();
     run_fleet ~check_fleet ()
   end
   else begin
     if not bench_only then print_tables ~quick ();
-    run_scan_engine ~check_fused ~check_ir ~check_obs ~check_parse ();
+    run_scan_engine ~check_obs ~check_parse ();
     run_fleet ~check_fleet ();
     if not tables_only then run_bechamel ()
   end

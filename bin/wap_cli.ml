@@ -10,8 +10,6 @@
     - [experiments] regenerate the paper's tables and figures;
     - [train]       build and export the predictor's training data set;
     - [symptoms]    list the symptom/attribute catalog (Table I);
-    - [ir]          dump the three-address IR a PHP file lowers to
-                    (block structure, temporaries, taint annotations);
     - [fuzz]        generate random PHP programs and check the pipeline
                     against differential oracles, shrinking and saving
                     any violation as a reproducer;
@@ -74,24 +72,6 @@ let disk_cache ~no_cache ~cache_dir =
   | Some dir when not no_cache -> Some (Wap_engine.Cache.create ~dir ())
   | _ -> None
 
-let no_fuse_arg =
-  Arg.(value & flag
-       & info [ "no-fuse" ]
-           ~doc:"Run one taint pass per detector spec instead of the fused \
-                 multi-spec pass.  Slower; the output is byte-identical — \
-                 this is the escape hatch used to differentially check the \
-                 fused analyzer (the WAP_FUSE=0 environment variable has the \
-                 same effect).")
-
-let no_ir_arg =
-  Arg.(value & flag
-       & info [ "no-ir" ]
-           ~doc:"Run the fused taint pass as the original AST walker instead \
-                 of over the lowered three-address IR.  Slower; the output is \
-                 byte-identical — this is the differential reference the \
-                 scan-ir-equiv fuzz oracle checks against (the WAP_IR=0 \
-                 environment variable has the same effect).")
-
 (* observability flags (Wap_obs), shared by analyze / lint / experiments *)
 
 let log_level_conv =
@@ -127,7 +107,7 @@ let log_level_arg =
   Arg.(value & opt log_level_conv Wap_obs.Log.Info
        & info [ "log-level" ] ~docv:"LEVEL"
            ~doc:"Diagnostics verbosity on stderr: debug, info, warn, error or \
-                 quiet.  debug logs per-file/per-spec progress.")
+                 quiet.  debug logs per-file progress.")
 
 let log_format_arg =
   Arg.(value & opt log_format_conv Wap_obs.Log.Text
@@ -154,7 +134,7 @@ let setup_obs trace_out log_level log_format =
               ("events", string_of_int (Wap_obs.Trace.event_count tracer)) ]
           "wrote trace"
 
-(* Per-file/per-spec progress, logged at debug level only. *)
+(* Per-file progress, logged at debug level only. *)
 let progress_logger () =
   if not (Wap_obs.Log.enabled Wap_obs.Log.Debug) then None
   else
@@ -164,10 +144,6 @@ let progress_logger () =
           Wap_obs.Log.debug
             ~fields:[ ("file", path); ("cached", string_of_bool cached) ]
             "parsed"
-      | Wap_engine.Scan.Spec_analyzed { spec; cached } ->
-          Wap_obs.Log.debug
-            ~fields:[ ("spec", spec); ("cached", string_of_bool cached) ]
-            "analyzed"
       | Wap_engine.Scan.File_analyzed { path; cached } ->
           Wap_obs.Log.debug
             ~fields:[ ("file", path); ("cached", string_of_bool cached) ]
@@ -240,14 +216,13 @@ let print_scan_stats (outcome : Wap_core.Scan.outcome) =
         [
           s.Wap_engine.Scan.sr_spec;
           string_of_int s.Wap_engine.Scan.sr_candidates;
-          Printf.sprintf "%.4f" s.Wap_engine.Scan.sr_seconds;
           (if s.Wap_engine.Scan.sr_cached then "yes" else "no");
         ])
       outcome.Wap_core.Scan.spec_timings
   in
   let t3 =
     Tbl.make ~title:"per-detector breakdown"
-      ~header:[ "detector"; "candidates"; "seconds"; "cached" ]
+      ~header:[ "detector"; "candidates"; "cached" ]
       spec_rows
   in
   (* every latency histogram in the registry, with interpolated
@@ -351,7 +326,7 @@ let analyze_cmd =
     Arg.(value & opt (some string) None
          & info [ "html" ] ~docv:"FILE" ~doc:"Also write a standalone HTML report.")
   in
-  let run files fix version weapons weapon_dir sanitizers seed verbose confirm json training_set html_out jobs no_cache cache_dir no_fuse no_ir trace_out stats log_level log_format =
+  let run files fix version weapons weapon_dir sanitizers seed verbose confirm json training_set html_out jobs no_cache cache_dir trace_out stats log_level log_format =
     let finish_obs = setup_obs trace_out log_level log_format in
     let weapons =
       List.map
@@ -381,10 +356,8 @@ let analyze_cmd =
     let cache = disk_cache ~no_cache ~cache_dir in
     let outcome =
       Wap_core.Scan.run tool
-        (Wap_core.Scan.request ~jobs ?cache
-           ?fuse:(if no_fuse then Some false else None)
-           ?ir:(if no_ir then Some false else None)
-           ?on_progress:(progress_logger ()) sources)
+        (Wap_core.Scan.request ~jobs ?cache ?on_progress:(progress_logger ())
+           sources)
     in
     let result = outcome.Wap_core.Scan.result in
     let parse_errors = outcome.Wap_core.Scan.parse_errors in
@@ -496,7 +469,7 @@ let analyze_cmd =
     Term.(ret (const run $ files $ fix $ version $ weapons $ weapon_dir
                $ sanitizers $ seed_arg $ verbose $ confirm $ json $ training_set
                $ html_out $ jobs_arg $ no_cache_arg $ cache_dir_arg
-               $ no_fuse_arg $ no_ir_arg $ trace_out_arg $ stats_arg
+               $ trace_out_arg $ stats_arg
                $ log_level_arg $ log_format_arg))
 
 (* ------------------------------------------------------------------ *)
@@ -972,62 +945,6 @@ let symptoms_cmd =
   Cmd.v (Cmd.info "symptoms" ~doc) Term.(ret (const run $ const ()))
 
 (* ------------------------------------------------------------------ *)
-(* ir                                                                  *)
-
-let ir_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None
-         & info [] ~docv:"FILE" ~doc:"PHP file to lower.")
-  in
-  let dump =
-    Arg.(value & flag
-         & info [ "dump" ]
-             ~doc:"Print the lowered blocks, temporaries and per-instruction \
-                   taint annotations (the default — and currently only — \
-                   mode).")
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Emit the dump as JSON instead of text.")
-  in
-  let version =
-    Arg.(value & opt version_conv Wap_core.Version.Wape
-         & info [ "tool-version" ] ~docv:"V"
-             ~doc:"Detector set whose catalog facts annotate the IR: wape or \
-                   v21.")
-  in
-  let run file _dump json version =
-    let src = read_file file in
-    let program, errs = Wap_php.Parser.parse_string_tolerant ~file src in
-    List.iter
-      (fun (e : Wap_php.Parser.recovered_error) ->
-        Wap_obs.Log.warn
-          ~fields:
-            [ ("file", file);
-              ("loc", Wap_php.Loc.to_string e.Wap_php.Parser.err_loc) ]
-          (Printf.sprintf "parse error recovered: %s" e.Wap_php.Parser.err_msg))
-      errs;
-    let specs =
-      Wap_catalog.Catalog.specs_for (Wap_core.Version.classes version)
-    in
-    let body =
-      Wap_ir.Lower.program ~specs:(Array.of_list specs)
-        ~lookup:(Wap_catalog.Catalog.Lookup.of_specs specs)
-        program
-    in
-    if json then
-      print_endline (Wap_report.Json.to_string (Wap_ir.Dump.to_json body))
-    else print_string (Wap_ir.Dump.to_string body);
-    `Ok ()
-  in
-  let doc =
-    "Dump the three-address IR a PHP file lowers to: basic-block structure, \
-     temporary numbering and the source/sink/sanitizer annotations resolved \
-     from the detector catalog at lowering time."
-  in
-  Cmd.v (Cmd.info "ir" ~doc) Term.(ret (const run $ file $ dump $ json $ version))
-
-(* ------------------------------------------------------------------ *)
 (* serve                                                               *)
 
 let serve_cmd =
@@ -1485,10 +1402,10 @@ let fuzz_cmd =
   let oracle =
     Arg.(value & opt_all string []
          & info [ "oracle" ] ~docv:"NAME"
-             ~doc:"Oracle to check (repeatable; default: all of \
-                   lexer-totality, printer-fixpoint, scan-determinism, \
-                   scan-fused-equiv, scan-ir-equiv, sanitizer-monotonicity, \
-                   fixer-soundness).")
+             ~doc:
+               ("Oracle to check (repeatable; default: all of "
+               ^ String.concat ", " Wap_fuzz.Oracle.names
+               ^ ")."))
   in
   let out_seed_dir =
     Arg.(value & opt string "fuzz-seeds"
@@ -1570,10 +1487,8 @@ let fuzz_cmd =
     end
   in
   let doc =
-    "Fuzz the pipeline with random PHP programs against differential \
-     oracles (lexer totality, printer/parser fixpoint, scan determinism, \
-     fused/per-spec and IR/AST scan equivalence, sanitizer monotonicity, \
-     fixer soundness)."
+    "Fuzz the pipeline with random PHP programs against the differential \
+     oracles listed under $(b,--oracle)."
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(ret (const run $ iterations $ fuzz_seed $ oracle $ out_seed_dir
@@ -1585,7 +1500,7 @@ let main =
   let info = Cmd.info "wap" ~version:"3.0-repro" ~doc in
   Cmd.group info
     [ analyze_cmd; lint_cmd; weapon_gen_cmd; corpus_gen_cmd; fleet_cmd;
-      experiments_cmd; train_cmd; symptoms_cmd; ir_cmd; fuzz_cmd; serve_cmd;
+      experiments_cmd; train_cmd; symptoms_cmd; fuzz_cmd; serve_cmd;
       top_cmd ]
 
 (* hidden fleet-worker mode: when spawned by the coordinator as

@@ -126,8 +126,6 @@ module Scan = struct
     files : (string * string) list;  (** [(path, source)], one app *)
     jobs : int;  (** worker domains *)
     cache : Wap_engine.Cache.t option;
-    fuse : bool;  (** fused multi-spec analysis (default) vs per-spec *)
-    ir : bool;  (** fused pass 3 over lowered IR (default) vs AST walker *)
     summary_store : bool;
         (** content-addressed cross-project summary store (fleet
             workers); see {!Wap_engine.Scan.request} *)
@@ -137,22 +135,20 @@ module Scan = struct
             synthesized from [files] when absent *)
   }
 
-  let request ?jobs ?cache ?fuse ?ir ?(summary_store = false) ?on_progress
-      ?package files =
+  let request ?jobs ?cache ?(summary_store = false) ?on_progress ?package
+      files =
     {
       files;
       jobs = Wap_engine.Config.jobs jobs;
       cache;
-      fuse = Wap_engine.Config.fuse fuse;
-      ir = Wap_engine.Config.ir ir;
       summary_store;
       on_progress;
       package;
     }
 
-  let request_of_package ?jobs ?cache ?fuse ?ir ?summary_store ?on_progress
+  let request_of_package ?jobs ?cache ?summary_store ?on_progress
       (pkg : Wap_corpus.Appgen.package) =
-    request ?jobs ?cache ?fuse ?ir ?summary_store ?on_progress ~package:pkg
+    request ?jobs ?cache ?summary_store ?on_progress ~package:pkg
       (List.map
          (fun (f : Wap_corpus.Appgen.file) ->
            (f.Wap_corpus.Appgen.f_name, f.Wap_corpus.Appgen.f_source))
@@ -197,9 +193,8 @@ module Scan = struct
     let engine =
       Wap_engine.Scan.run
         (Wap_engine.Scan.request ~jobs:req.jobs ?cache:req.cache
-           ~fingerprint:(fingerprint t) ~fuse:req.fuse ~ir:req.ir
-           ~summary_store:req.summary_store ?on_progress:req.on_progress
-           ~specs:t.specs req.files)
+           ~fingerprint:(fingerprint t) ~summary_store:req.summary_store
+           ?on_progress:req.on_progress ~specs:t.specs req.files)
     in
     let t0_predict = Unix.gettimeofday () in
     let candidates, findings =

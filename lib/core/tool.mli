@@ -74,8 +74,7 @@ val parse_package :
     parallel engine ({!Wap_engine.Scan}, a one-shot
     {!Wap_engine.Session}): tolerant parsing fans out over [jobs]
     worker domains, one fused taint pass covers all detector specs
-    (per-file fan-out in its top-level stage; [fuse:false] or
-    [WAP_FUSE=0] restores the per-spec pipeline), candidates merge
+    (per-file fan-out in its top-level stage), candidates merge
     deterministically, and an optional digest-keyed cache skips
     unchanged work.  Long-lived callers (the [wap serve] LSP daemon)
     drive {!Wap_engine.Session} directly for incremental re-analysis
@@ -85,8 +84,6 @@ module Scan : sig
     files : (string * string) list;  (** [(path, source)], one app *)
     jobs : int;  (** worker domains *)
     cache : Wap_engine.Cache.t option;
-    fuse : bool;  (** fused multi-spec analysis (default) vs per-spec *)
-    ir : bool;  (** fused pass 3 over lowered IR (default) vs AST walker *)
     summary_store : bool;
         (** persist pass-1 summary deltas in the cache under
             content-addressed chained prefix keys, shared across
@@ -99,15 +96,12 @@ module Scan : sig
             synthesized from [files] when absent *)
   }
 
-  (** Build a request.  [jobs], [fuse] and [ir] resolve through
-      {!Wap_engine.Config} (environment gates [WAP_JOBS], [WAP_FUSE],
-      [WAP_IR], flag-beats-env); omitting [cache] disables caching;
-      [summary_store] defaults to off. *)
+  (** Build a request.  [jobs] resolves through {!Wap_engine.Config}
+      (environment gate [WAP_JOBS], flag-beats-env); omitting [cache]
+      disables caching; [summary_store] defaults to off. *)
   val request :
     ?jobs:int ->
     ?cache:Wap_engine.Cache.t ->
-    ?fuse:bool ->
-    ?ir:bool ->
     ?summary_store:bool ->
     ?on_progress:(Wap_engine.Scan.progress -> unit) ->
     ?package:Wap_corpus.Appgen.package ->
@@ -118,8 +112,6 @@ module Scan : sig
   val request_of_package :
     ?jobs:int ->
     ?cache:Wap_engine.Cache.t ->
-    ?fuse:bool ->
-    ?ir:bool ->
     ?summary_store:bool ->
     ?on_progress:(Wap_engine.Scan.progress -> unit) ->
     Wap_corpus.Appgen.package ->

@@ -4,14 +4,6 @@
    flag always beats the environment, the environment beats the
    built-in default. *)
 
-let bool_gate name =
-  match Sys.getenv_opt name with
-  | Some ("0" | "false" | "off") -> false
-  | _ -> true
-
-let default_fuse () = bool_gate "WAP_FUSE"
-let default_ir () = bool_gate "WAP_IR"
-
 let default_jobs () =
   match Sys.getenv_opt "WAP_JOBS" with
   | Some s -> (
@@ -25,8 +17,6 @@ let default_trace_out () =
   | Some "" | None -> None
   | Some path -> Some path
 
-let fuse flag = match flag with Some b -> b | None -> default_fuse ()
-let ir flag = match flag with Some b -> b | None -> default_ir ()
 let jobs flag = match flag with Some n -> max 1 n | None -> default_jobs ()
 
 let trace_out flag =

@@ -5,7 +5,6 @@
 
 type progress = Session.progress =
   | File_parsed of { path : string; cached : bool }
-  | Spec_analyzed of { spec : string; cached : bool }
   | File_analyzed of { path : string; cached : bool }
 
 type request = Session.request = {
@@ -15,8 +14,6 @@ type request = Session.request = {
   cache : Cache.t option;
   fingerprint : string;
   interprocedural : bool;
-  fuse : bool;
-  ir : bool;
   summary_store : bool;
   on_progress : (progress -> unit) option;
 }
@@ -30,7 +27,6 @@ type file_report = Session.file_report = {
 
 type spec_report = Session.spec_report = {
   sr_spec : string;
-  sr_seconds : float;
   sr_cached : bool;
   sr_candidates : int;
 }

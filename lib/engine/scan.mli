@@ -1,8 +1,7 @@
 (** The batch scan entry point.
 
     [run] opens a one-shot {!Session} and exports it: parse fan-out
-    over the {!Pool}, fused multi-spec taint analysis (or the per-spec
-    escape hatch behind [fuse:false]/[WAP_FUSE=0]), optional
+    over the {!Pool}, fused multi-spec taint analysis, optional
     digest-keyed {!Cache}, deterministic merge — see {!Session} for
     the pipeline's semantics and {!Config} for the environment gates.
     Long-lived callers that want incremental re-analysis after edits
@@ -23,17 +22,14 @@
 
 open Wap_php
 
-(** Bumped whenever the marshalled shape of cached values changes;
-    part of every cache key. *)
+(** Part of every cache key; bumped whenever the marshalled shape of a
+    cached value or the layout of a key changes. *)
 val cache_format_version : string
 
 type progress = Session.progress =
   | File_parsed of { path : string; cached : bool }
-  | Spec_analyzed of { spec : string; cached : bool }
-      (** per-spec pipeline only ([fuse:false]) *)
   | File_analyzed of { path : string; cached : bool }
-      (** fused pipeline only: one per file once its analysis (or cache
-          assembly) is done *)
+      (** one per file once its analysis (or cache assembly) is done *)
 
 type request = Session.request = {
   files : (string * string) list;  (** [(path, source)], scanned as one app *)
@@ -45,11 +41,6 @@ type request = Session.request = {
           active spec set, so changing either invalidates analysis
           entries *)
   interprocedural : bool;
-  fuse : bool;  (** fused multi-spec analysis (default) vs per-spec *)
-  ir : bool;
-      (** fused pass 3 runs over lowered three-address IR (default)
-          instead of the AST walker; both produce byte-identical merged
-          output, which is what the [scan-ir-equiv] fuzz oracle checks *)
   summary_store : bool;
       (** persist pass-1 summary deltas in the cache under
           content-addressed chained prefix keys, shared across projects
@@ -59,16 +50,14 @@ type request = Session.request = {
       (** invoked in the calling domain, once per finished work item *)
 }
 
-(** [request ~specs files] with defaults: [jobs], [fuse] and [ir]
-    resolved through {!Config} ([WAP_JOBS], [WAP_FUSE], [WAP_IR]), no
-    cache, empty fingerprint, interprocedural on. *)
+(** [request ~specs files] with defaults: [jobs] resolved through
+    {!Config} ([WAP_JOBS]), no cache, empty fingerprint,
+    interprocedural on. *)
 val request :
   ?jobs:int ->
   ?cache:Cache.t ->
   ?fingerprint:string ->
   ?interprocedural:bool ->
-  ?fuse:bool ->
-  ?ir:bool ->
   ?summary_store:bool ->
   ?on_progress:(progress -> unit) ->
   specs:Wap_catalog.Catalog.spec list ->
@@ -84,9 +73,6 @@ type file_report = Session.file_report = {
 
 type spec_report = Session.spec_report = {
   sr_spec : string;  (** submodule/class label *)
-  sr_seconds : float;
-      (** wall clock spent on this detector; [0.] in the fused pipeline,
-          where the specs share one pass (see [phases]) *)
   sr_cached : bool;
   sr_candidates : int;
 }

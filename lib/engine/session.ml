@@ -10,10 +10,9 @@
     [diagnostics] finalize and merge deterministically.  {!Scan.run}
     is a thin wrapper: open a one-shot session, export it.
 
-    The batch pipeline semantics live here unchanged: fused multi-spec
-    analysis (pass 1 summaries, pass 2 function bodies, pass 3
-    parallel top-level sweep on the lowered IR) with the per-spec and
-    AST escape hatches, digest-keyed caching, deterministic merge. *)
+    The batch pipeline semantics live here: fused multi-spec analysis
+    (pass 1 summaries, pass 2 function bodies, pass 3 parallel
+    top-level sweep), digest-keyed caching, deterministic merge. *)
 
 open Wap_php
 module Cat = Wap_catalog.Catalog
@@ -21,9 +20,11 @@ module Trace = Wap_taint.Trace
 module Obs = Wap_obs.Trace
 module An = Wap_taint.Analyzer
 
-(* v3: the fused analyze-file entries gained the IR/AST mode in their
-   digest (and the IR path itself), so v2 entries must not be reused. *)
-let cache_format_version = "wap-engine-3"
+(* Part of every cache key.  Bump it whenever a cached value's
+   marshalled shape or a key's layout changes, so entries written by an
+   older engine are never read back.  v4: the analyze-file keys lost
+   the IR/AST mode bit, and the per-spec "analyze" entries are gone. *)
+let cache_format_version = "wap-engine-4"
 
 (* plain values, bumped from the parse workers: a [lazy] forced from two
    domains at once raises [CamlinternalLazy.Undefined] *)
@@ -35,7 +36,6 @@ let m_candidates spec_label =
 
 type progress =
   | File_parsed of { path : string; cached : bool }
-  | Spec_analyzed of { spec : string; cached : bool }
   | File_analyzed of { path : string; cached : bool }
 
 type request = {
@@ -45,8 +45,6 @@ type request = {
   cache : Cache.t option;
   fingerprint : string;
   interprocedural : bool;
-  fuse : bool;
-  ir : bool;  (** fused pass 3 on the lowered IR (default) or the AST *)
   summary_store : bool;
       (** persist pass-1 summary deltas under content-addressed chained
           keys, shared across projects through the cache *)
@@ -54,12 +52,10 @@ type request = {
 }
 
 let request ?(jobs = Config.default_jobs ()) ?cache ?(fingerprint = "")
-    ?(interprocedural = true) ?fuse ?ir ?(summary_store = false) ?on_progress
-    ~specs files =
-  let fuse = Config.fuse fuse in
-  let ir = Config.ir ir in
-  { files; specs; jobs; cache; fingerprint; interprocedural; fuse; ir;
-    summary_store; on_progress }
+    ?(interprocedural = true) ?(summary_store = false) ?on_progress ~specs
+    files =
+  { files; specs; jobs; cache; fingerprint; interprocedural; summary_store;
+    on_progress }
 
 type file_report = {
   fr_path : string;
@@ -70,7 +66,6 @@ type file_report = {
 
 type spec_report = {
   sr_spec : string;
-  sr_seconds : float;
   sr_cached : bool;
   sr_candidates : int;
 }
@@ -143,19 +138,6 @@ type entry = {
   mutable ent_pass3 : (int * Trace.candidate) list;
 }
 
-type fused_state = {
-  mutable fs_st : An.project_state option;
-      (* [None] until first needed: an all-cache-hit open never builds
-         the analyzer state at all *)
-  mutable fs_cached : bool;  (* every pass served from cache, no recompute *)
-}
-
-type per_spec_state = {
-  mutable ps_results : (int * Trace.candidate list * spec_report) list;
-}
-
-type analysis = Fused of fused_state | Per_spec of per_spec_state
-
 type event = { generation : int; progress : progress }
 
 type t = {
@@ -164,8 +146,6 @@ type t = {
   s_cache : Cache.t option;
   s_fingerprint : string;
   s_interprocedural : bool;
-  s_fuse : bool;
-  s_ir : bool;
   s_summary_store : bool;
   s_on_progress : (progress -> unit) option;
   s_on_event : (event -> unit) option;
@@ -173,7 +153,11 @@ type t = {
   s_misses0 : int;
   mutable s_entries : entry list;  (* project order *)
   mutable s_generation : int;
-  s_analysis : analysis;
+  mutable s_state : An.project_state option;
+      (* passes 1–2 over the current entries; [None] until first needed
+         (an all-cache-hit open never builds it) and whenever an edit
+         makes the shared summary table stale *)
+  mutable s_cached : bool;  (* every pass served from cache, no recompute *)
   mutable s_phases : (string * float) list;  (* parse/digest/analyze of open *)
   mutable s_wall : float;  (* wall spent in open + mutations + exports *)
   mutable s_cpu : float;
@@ -275,21 +259,21 @@ let project_digest t =
           t.s_entries
        |> List.sort String.compare))
 
-(* [ir] is part of the digest so the IR and AST modes never share
-   entries — a shared entry would mask exactly the divergences the
-   [scan-ir-equiv] differential oracle exists to catch. *)
-let fuse_digest t ~project_digest =
+(* Everything a file's analysis entry depends on besides the file
+   itself: the whole source set, the active specs and the
+   interprocedural switch. *)
+let analysis_digest t ~project_digest =
   Cache.key
     [ cache_format_version; project_digest; Cat.set_fingerprint t.s_specs;
-      string_of_bool t.s_interprocedural; string_of_bool t.s_ir ]
+      string_of_bool t.s_interprocedural ]
 
 (* per-file keys carry the file's own source digest, not just its
    path: a request may legally repeat a path with different contents
    (merged corpora do), and path-only keys would hand the second file
    the first one's entry *)
-let file_key ~fuse_digest e =
+let file_key ~analysis_digest e =
   Cache.key
-    [ cache_format_version; "analyze-file"; fuse_digest; e.ent_path;
+    [ cache_format_version; "analyze-file"; analysis_digest; e.ent_path;
       e.ent_src_digest ]
 
 (* ------------------------------------------------------------------ *)
@@ -327,94 +311,56 @@ let summarize_entries t st =
   | _ -> List.iter (fun e -> An.summarize_file st e.ent_unit) t.s_entries
 
 (* ------------------------------------------------------------------ *)
-(* Fused pass runners.                                                 *)
+(* The pass runner.                                                    *)
 
-(* pass 3 per-file work item: lower once and sweep the flat
-   instruction arrays (default), or walk the AST ([ir:false]).  The
-   memo key is [fuse_digest] (covers every spliced source and the spec
-   set) plus the file's own path AND source digest — path alone is not
-   enough, see [file_key] — so rescans of an unchanged project skip
-   lowering entirely. *)
-let toplevel_map t ~st ~fuse_digest ~units (es : entry array) =
-  let one i =
-    let e = es.(i) in
-    if t.s_ir then
-      Wap_ir.Exec.analyze_file_toplevel
-        ~memo_key:
-          (String.concat "\x01" [ fuse_digest; e.ent_path; e.ent_src_digest ])
-        st ~units e.ent_unit
-    else An.analyze_file_toplevel st ~units e.ent_unit
-  in
-  Pool.map ~jobs:t.s_jobs one (Array.init (Array.length es) Fun.id)
-
-(* Rebuild the analyzer state by replaying passes 1 and 2 over the
-   current project — needed when an all-cache-hit open skipped them.
-   The replayed pass-2 candidate output is identical to the cached
-   per-entry results, so it is discarded. *)
-let ensure_state t (fs : fused_state) =
-  match fs.fs_st with
-  | Some st -> st
-  | None ->
-      let st =
-        An.project_state ~interprocedural:t.s_interprocedural
-          ~specs:t.s_specs ()
-      in
-      let units = units_of t in
-      if t.s_interprocedural then summarize_entries t st;
-      List.iter (fun u -> ignore (An.analyze_file_functions st u)) units;
-      fs.fs_st <- Some st;
-      st
-
-(* Full fused recompute over the current entries: fresh state, passes
-   1–3, one [File_analyzed] per file.  The fallback of every mutation
-   that can change the shared summary table. *)
-let reanalyze_all t (fs : fused_state) =
-  fs.fs_cached <- false;
-  let st =
-    An.project_state ~interprocedural:t.s_interprocedural ~specs:t.s_specs ()
-  in
-  fs.fs_st <- Some st;
-  let units = units_of t in
-  (* passes 1 and 2 are sequential by design (summaries build up
-     across files); pass 3 is pure per file and fans out *)
-  if t.s_interprocedural then
-    Obs.with_span ~cat:"engine" "fused.summaries" (fun () ->
-        summarize_entries t st);
-  Obs.with_span ~cat:"engine" "fused.functions" (fun () ->
-      List.iter
-        (fun e -> e.ent_pass2 <- An.analyze_file_functions st e.ent_unit)
-        t.s_entries);
-  let fd = fuse_digest t ~project_digest:(project_digest t) in
-  let arr = Array.of_list t.s_entries in
-  let pass3 =
-    Obs.with_span ~cat:"engine" "fused.toplevel" (fun () ->
-        toplevel_map t ~st ~fuse_digest:fd ~units arr)
-  in
-  Array.iteri (fun i e -> e.ent_pass3 <- pass3.(i)) arr;
-  List.iter
-    (fun e -> emit t (File_analyzed { path = e.ent_path; cached = false }))
-    t.s_entries;
-  paths t
-
-(* Re-run pass 3 only, for the given entries. *)
-let rerun_toplevel t (fs : fused_state) (es : entry list) =
+(* Re-run pass 3 over [es] (project order) and report them analyzed.
+   Passes 1 and 2 run first, over every entry, when no analyzer state
+   is retained ([s_state = None]: the open, an all-cache-hit open's
+   first edit, or an edit that made the summary table stale).  Passes
+   1 and 2 are sequential by design (summaries build up across files);
+   pass 3 is pure per file and fans out.  Returns the paths of [es]. *)
+let run_passes t (es : entry list) =
   if es = [] then []
   else begin
-    fs.fs_cached <- false;
-    let st = ensure_state t fs in
-    let units = units_of t in
-    let fd = fuse_digest t ~project_digest:(project_digest t) in
-    let arr = Array.of_list es in
-    let res =
-      Obs.with_span ~cat:"engine" "fused.toplevel" (fun () ->
-          toplevel_map t ~st ~fuse_digest:fd ~units arr)
+    t.s_cached <- false;
+    let st =
+      match t.s_state with
+      | Some st -> st
+      | None ->
+          let st =
+            An.project_state ~interprocedural:t.s_interprocedural
+              ~specs:t.s_specs ()
+          in
+          t.s_state <- Some st;
+          if t.s_interprocedural then
+            Obs.with_span ~cat:"engine" "fused.summaries" (fun () ->
+                summarize_entries t st);
+          Obs.with_span ~cat:"engine" "fused.functions" (fun () ->
+              List.iter
+                (fun e -> e.ent_pass2 <- An.analyze_file_functions st e.ent_unit)
+                t.s_entries);
+          st
     in
-    Array.iteri (fun i e -> e.ent_pass3 <- res.(i)) arr;
+    let units = units_of t in
+    let arr = Array.of_list es in
+    let pass3 =
+      Obs.with_span ~cat:"engine" "fused.toplevel" (fun () ->
+          Pool.map ~jobs:t.s_jobs
+            (fun e -> An.analyze_file_toplevel st ~units e.ent_unit)
+            arr)
+    in
+    Array.iteri (fun i e -> e.ent_pass3 <- pass3.(i)) arr;
     List.iter
       (fun e -> emit t (File_analyzed { path = e.ent_path; cached = false }))
       es;
     List.map (fun e -> e.ent_path) es
   end
+
+(* Full recompute over the current entries: the fallback of every
+   mutation that can change the shared summary table. *)
+let reanalyze_all t =
+  t.s_state <- None;
+  run_passes t t.s_entries
 
 (* Pass 2 of one file in isolation — sound only when interprocedural
    analysis is off: candidate de-duplication keys are file-scoped and
@@ -454,16 +400,13 @@ let dependents t ~base ~excluding =
   List.filter (fun e -> e != excluding && reaches e) t.s_entries
 
 (* ------------------------------------------------------------------ *)
-(* Stage runners shared by open and (full-recompute) mutations.        *)
+(* The analyze stage of an open.                                       *)
 
-let fused_stage t ~project_digest =
-  let fs =
-    match t.s_analysis with Fused fs -> fs | Per_spec _ -> assert false
-  in
-  let fd = fuse_digest t ~project_digest in
-  (* all-or-nothing probe (every key is probed even after a miss, so
-     hit/miss counts stay deterministic): assembling a partial set
-     would not be cheaper — the passes are whole-project anyway *)
+(* All-or-nothing cache probe (every key is probed even after a miss,
+   so hit/miss counts stay deterministic): assembling a partial set
+   would not be cheaper — the passes are whole-project anyway. *)
+let analyze_stage t ~project_digest =
+  let ad = analysis_digest t ~project_digest in
   let probed =
     List.map
       (fun e ->
@@ -471,96 +414,34 @@ let fused_stage t ~project_digest =
             ((int * Trace.candidate) list * (int * Trace.candidate) list)
             option =
           match t.s_cache with
-          | Some c -> Cache.find c ~key:(file_key ~fuse_digest:fd e)
+          | Some c -> Cache.find c ~key:(file_key ~analysis_digest:ad e)
           | None -> None
         in
         (e, entry))
       t.s_entries
   in
-  let all_hit =
-    t.s_entries <> [] && List.for_all (fun (_, x) -> x <> None) probed
-  in
-  fs.fs_cached <- all_hit;
-  if all_hit then
+  if t.s_entries <> [] && List.for_all (fun (_, x) -> x <> None) probed
+  then begin
+    t.s_cached <- true;
     List.iter
       (fun (e, x) ->
         let p2, p3 = Option.get x in
         e.ent_pass2 <- p2;
-        e.ent_pass3 <- p3)
+        e.ent_pass3 <- p3;
+        emit t (File_analyzed { path = e.ent_path; cached = true }))
       probed
+  end
   else begin
-    let st =
-      An.project_state ~interprocedural:t.s_interprocedural ~specs:t.s_specs
-        ()
-    in
-    fs.fs_st <- Some st;
-    let units = units_of t in
-    if t.s_interprocedural then
-      Obs.with_span ~cat:"engine" "fused.summaries" (fun () ->
-          summarize_entries t st);
-    Obs.with_span ~cat:"engine" "fused.functions" (fun () ->
-        List.iter
-          (fun e -> e.ent_pass2 <- An.analyze_file_functions st e.ent_unit)
-          t.s_entries);
-    let arr = Array.of_list t.s_entries in
-    let pass3 =
-      Obs.with_span ~cat:"engine" "fused.toplevel" (fun () ->
-          toplevel_map t ~st ~fuse_digest:fd ~units arr)
-    in
-    Array.iteri (fun i e -> e.ent_pass3 <- pass3.(i)) arr;
+    ignore (run_passes t t.s_entries);
     match t.s_cache with
     | Some c ->
         List.iter
           (fun e ->
-            Cache.store c ~key:(file_key ~fuse_digest:fd e)
+            Cache.store c ~key:(file_key ~analysis_digest:ad e)
               (e.ent_pass2, e.ent_pass3))
           t.s_entries
     | None -> ()
-  end;
-  List.iter
-    (fun e -> emit t (File_analyzed { path = e.ent_path; cached = all_hit }))
-    t.s_entries
-
-let per_spec_stage t ~project_digest =
-  let ps =
-    match t.s_analysis with Per_spec ps -> ps | Fused _ -> assert false
-  in
-  let units = units_of t in
-  let analyze_one (idx, spec) =
-    let label = spec_label spec in
-    Obs.with_span ~cat:"engine" "analyze_spec" ~args:[ ("spec", label) ]
-    @@ fun () ->
-    let t0 = Unix.gettimeofday () in
-    let compute () =
-      Wap_taint.Analyzer.analyze_project
-        ~interprocedural:t.s_interprocedural ~spec units
-    in
-    let cands, cached =
-      match t.s_cache with
-      | Some c ->
-          let k =
-            Cache.key
-              [ cache_format_version; "analyze"; project_digest;
-                Cat.show_spec spec;
-                string_of_bool t.s_interprocedural ]
-          in
-          Cache.memoize c ~key:k compute
-      | None -> (compute (), false)
-    in
-    Wap_obs.Metrics.incr ~by:(List.length cands) (m_candidates label);
-    ( idx, cands,
-      { sr_spec = label; sr_seconds = Unix.gettimeofday () -. t0;
-        sr_cached = cached; sr_candidates = List.length cands } )
-  in
-  let analyzed =
-    Pool.map ~jobs:t.s_jobs analyze_one
-      (Array.of_list (List.mapi (fun i s -> (i, s)) t.s_specs))
-  in
-  Array.iter
-    (fun (_, _, r) ->
-      emit t (Spec_analyzed { spec = r.sr_spec; cached = r.sr_cached }))
-    analyzed;
-  ps.ps_results <- Array.to_list analyzed
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Open.                                                               *)
@@ -580,8 +461,6 @@ let open_project ?on_event (req : request) : t =
       s_cache = req.cache;
       s_fingerprint = req.fingerprint;
       s_interprocedural = req.interprocedural;
-      s_fuse = req.fuse;
-      s_ir = req.ir;
       s_summary_store = req.summary_store;
       s_on_progress = req.on_progress;
       s_on_event = on_event;
@@ -589,9 +468,8 @@ let open_project ?on_event (req : request) : t =
       s_misses0 = (match req.cache with Some c -> Cache.misses c | None -> 0);
       s_entries = [];
       s_generation = 0;
-      s_analysis =
-        (if req.fuse then Fused { fs_st = None; fs_cached = false }
-         else Per_spec { ps_results = [] });
+      s_state = None;
+      s_cached = false;
       s_phases = [];
       s_wall = 0.;
       s_cpu = 0.;
@@ -616,11 +494,9 @@ let open_project ?on_event (req : request) : t =
   in
   t.s_entries <- entries;
   let pdigest, t_digest = timed "phase.digest" (fun () -> project_digest t) in
-  (* ---- stage 2: fused (default) or per-spec analysis --------------- *)
+  (* ---- stage 2: fused multi-spec analysis ---------------------------- *)
   let (), t_analyze =
-    timed "phase.analyze" (fun () ->
-        if t.s_fuse then fused_stage t ~project_digest:pdigest
-        else per_spec_stage t ~project_digest:pdigest)
+    timed "phase.analyze" (fun () -> analyze_stage t ~project_digest:pdigest)
   in
   t.s_phases <-
     [ ("parse", t_parse); ("digest", t_digest); ("analyze", t_analyze) ];
@@ -636,7 +512,7 @@ let open_project ?on_event (req : request) : t =
    an edit rebuilds one file's set, not the whole project's.  Memoized
    per generation: repeated [diagnostics] calls between edits are
    free. *)
-let finalized_fused t =
+let finalized t =
   match t.s_finalized with
   | Some (g, f) when g = t.s_generation -> f
   | _ ->
@@ -656,29 +532,22 @@ let finalized_fused t =
       f
 
 (* Candidates grouped per spec id (stable, preserving discovery
-   order).  In per-spec mode the groups are the stage results as-is —
-   like [Scan.run], not yet de-duplicated across specs. *)
+   order). *)
 let grouped t : (int * Trace.candidate list) list =
-  match t.s_analysis with
-  | Fused _ ->
-      let f = finalized_fused t in
-      List.mapi
-        (fun si _ ->
-          ( si,
-            List.filter_map (fun (j, c) -> if j = si then Some c else None) f
-          ))
-        t.s_specs
-  | Per_spec ps ->
-      List.map (fun (si, cands, _) -> (si, cands)) ps.ps_results
+  let f = finalized t in
+  List.mapi
+    (fun si _ ->
+      (si, List.filter_map (fun (j, c) -> if j = si then Some c else None) f))
+    t.s_specs
 
-let merged_indexed t : (int * Trace.candidate) list =
-  grouped t
+let merge groups =
+  groups
   |> List.concat_map (fun (si, cands) ->
          List.mapi (fun qi c -> (si, qi, c)) cands)
   |> List.sort merge_compare
   |> List.map (fun (si, _, c) -> (si, c))
 
-let all_diagnostics t = merged_indexed t
+let all_diagnostics t = merge (grouped t)
 
 type stats = {
   st_generation : int;
@@ -694,7 +563,7 @@ let stats t : stats =
   {
     st_generation = t.s_generation;
     st_files = List.length t.s_entries;
-    st_candidates = List.length (merged_indexed t);
+    st_candidates = List.length (finalized t);
     st_cache_hits =
       (match t.s_cache with Some c -> Cache.hits c - t.s_hits0 | None -> 0);
     st_cache_misses =
@@ -704,36 +573,23 @@ let stats t : stats =
   }
 
 let diagnostics t ~path =
-  List.filter (fun (_, c) -> c.Trace.file = path) (merged_indexed t)
+  List.filter (fun (_, c) -> c.Trace.file = path) (all_diagnostics t)
 
 let export t : outcome =
   let t0w = Unix.gettimeofday () and t0c = Sys.time () in
-  let (per_spec, candidates), t_merge =
+  let (reports, candidates), t_merge =
     timed "phase.merge" (fun () ->
         let groups = grouped t in
-        let per_spec =
-          match t.s_analysis with
-          | Per_spec ps -> ps.ps_results
-          | Fused fs ->
-              List.map2
-                (fun spec (si, cands) ->
-                  let label = spec_label spec in
-                  Wap_obs.Metrics.incr ~by:(List.length cands)
-                    (m_candidates label);
-                  ( si, cands,
-                    { sr_spec = label; sr_seconds = 0.;
-                      sr_cached = fs.fs_cached;
-                      sr_candidates = List.length cands } ))
-                t.s_specs groups
+        let reports =
+          List.map2
+            (fun spec (_, cands) ->
+              let label = spec_label spec in
+              Wap_obs.Metrics.incr ~by:(List.length cands) (m_candidates label);
+              { sr_spec = label; sr_cached = t.s_cached;
+                sr_candidates = List.length cands })
+            t.s_specs groups
         in
-        let candidates =
-          per_spec
-          |> List.concat_map (fun (si, cands, _) ->
-                 List.mapi (fun qi c -> (si, qi, c)) cands)
-          |> List.sort merge_compare
-          |> List.map (fun (_, _, c) -> c)
-        in
-        (per_spec, candidates))
+        (reports, List.map snd (merge groups)))
   in
   t.s_wall <- t.s_wall +. (Unix.gettimeofday () -. t0w);
   t.s_cpu <- t.s_cpu +. (Sys.time () -. t0c);
@@ -741,7 +597,7 @@ let export t : outcome =
     units = units_of t;
     candidates;
     file_reports = List.map (fun e -> e.ent_report) t.s_entries;
-    spec_reports = List.map (fun (_, _, r) -> r) per_spec;
+    spec_reports = reports;
     wall_seconds = t.s_wall;
     cpu_seconds = t.s_cpu;
     phases = t.s_phases @ [ ("merge", t_merge) ];
@@ -789,24 +645,15 @@ let update_file t ~path src =
           (Printf.sprintf "Session.update_file: no file %S in project" path)
   in
   mutate t "session.update_file" @@ fun () ->
-  match t.s_analysis with
-  | Per_spec _ ->
-      refresh_entry t e src;
-      per_spec_stage t ~project_digest:(project_digest t);
-      paths t
-  | Fused fs ->
-      let _, old_fp = Lazy.force e.ent_decl in
-      refresh_entry t e src;
-      let _, new_fp = Lazy.force e.ent_decl in
-      let decl_changed = not (String.equal old_fp new_fp) in
-      if decl_changed && t.s_interprocedural then reanalyze_all t fs
-      else begin
-        if decl_changed then isolated_pass2 t e;
-        let deps =
-          dependents t ~base:(Filename.basename path) ~excluding:e
-        in
-        rerun_toplevel t fs (e :: deps)
-      end
+  let _, old_fp = Lazy.force e.ent_decl in
+  refresh_entry t e src;
+  let _, new_fp = Lazy.force e.ent_decl in
+  let decl_changed = not (String.equal old_fp new_fp) in
+  if decl_changed && t.s_interprocedural then reanalyze_all t
+  else begin
+    if decl_changed then isolated_pass2 t e;
+    run_passes t (e :: dependents t ~base:(Filename.basename path) ~excluding:e)
+  end
 
 let add_file t ~path src =
   if mem t ~path then
@@ -816,37 +663,20 @@ let add_file t ~path src =
   let e = make_entry t path src in
   emit t (File_parsed { path; cached = e.ent_report.fr_cached });
   t.s_entries <- t.s_entries @ [ e ];
-  match t.s_analysis with
-  | Per_spec _ ->
-      per_spec_stage t ~project_digest:(project_digest t);
-      paths t
-  | Fused fs ->
-      let has_funcs, _ = Lazy.force e.ent_decl in
-      if has_funcs && t.s_interprocedural then reanalyze_all t fs
-      else begin
-        if has_funcs then isolated_pass2 t e;
-        let deps =
-          dependents t ~base:(Filename.basename path) ~excluding:e
-        in
-        rerun_toplevel t fs (e :: deps)
-      end
+  let has_funcs, _ = Lazy.force e.ent_decl in
+  if has_funcs && t.s_interprocedural then reanalyze_all t
+  else begin
+    if has_funcs then isolated_pass2 t e;
+    run_passes t (e :: dependents t ~base:(Filename.basename path) ~excluding:e)
+  end
 
 let remove_file t ~path =
   match find_unique t ~op:"remove_file" ~path with
   | None -> []
   | Some e ->
       mutate t "session.remove_file" @@ fun () ->
-      let deps =
-        match t.s_analysis with
-        | Fused _ -> dependents t ~base:(Filename.basename path) ~excluding:e
-        | Per_spec _ -> []
-      in
+      let deps = dependents t ~base:(Filename.basename path) ~excluding:e in
       t.s_entries <- List.filter (fun x -> x != e) t.s_entries;
-      (match t.s_analysis with
-      | Per_spec _ ->
-          per_spec_stage t ~project_digest:(project_digest t);
-          paths t
-      | Fused fs ->
-          let had_funcs, _ = Lazy.force e.ent_decl in
-          if had_funcs && t.s_interprocedural then reanalyze_all t fs
-          else rerun_toplevel t fs deps)
+      let had_funcs, _ = Lazy.force e.ent_decl in
+      if had_funcs && t.s_interprocedural then reanalyze_all t
+      else run_passes t deps

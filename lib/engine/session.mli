@@ -1,8 +1,8 @@
 (** The session-oriented scan engine.
 
     {!open_project} runs the batch pipeline once — parse fan-out, the
-    fused multi-spec taint analysis (or the per-spec escape hatch),
-    digest-keyed caching — and {e retains} everything in memory: ASTs,
+    fused multi-spec taint analysis, digest-keyed caching — and
+    {e retains} everything in memory: ASTs,
     per-file pass results, the analyzer state with its summary table
     and catalog lookup, per-file dead-sink sets.  {!export} finalizes
     and merges deterministically; {!Scan.run} is exactly
@@ -24,6 +24,11 @@
       analysis is on (so the shared summary table itself is stale)
       does the whole project re-analyze.
 
+    All three, like {!open_project}, go through one pass runner: passes
+    1–2 replay over the whole project only when no analyzer state is
+    retained (an all-cache-hit open builds none) or the edit made the
+    summary table stale, then pass 3 re-runs over the affected files.
+
     Every re-analyzed file emits a [File_analyzed] progress event, so
     clients (and the invalidation tests) can observe exactly how much
     work an edit caused.  After any sequence of mutations the session
@@ -35,18 +40,15 @@
 
 open Wap_php
 
-(** Bumped whenever the marshalled shape of cached values changes;
-    part of every cache key. *)
+(** Part of every cache key; bumped whenever the marshalled shape of a
+    cached value or the layout of a key changes. *)
 val cache_format_version : string
 
 type progress =
   | File_parsed of { path : string; cached : bool }
-  | Spec_analyzed of { spec : string; cached : bool }
-      (** per-spec pipeline only ([fuse:false]) *)
   | File_analyzed of { path : string; cached : bool }
-      (** fused pipeline only: one per file once its analysis (or cache
-          assembly) is done — and, in a session, one per file a
-          mutation re-analyzes *)
+      (** one per file once its analysis (or cache assembly) is done —
+          and, in a session, one per file a mutation re-analyzes *)
 
 type request = {
   files : (string * string) list;  (** [(path, source)], scanned as one app *)
@@ -58,11 +60,6 @@ type request = {
           active spec set, so changing either invalidates analysis
           entries *)
   interprocedural : bool;
-  fuse : bool;  (** fused multi-spec analysis (default) vs per-spec *)
-  ir : bool;
-      (** fused pass 3 runs over lowered three-address IR (default)
-          instead of the AST walker; both produce byte-identical merged
-          output, which is what the [scan-ir-equiv] fuzz oracle checks *)
   summary_store : bool;
       (** persist pass-1 summary deltas in the cache under
           content-addressed {e chained} keys — the key of file [i] is
@@ -78,17 +75,14 @@ type request = {
           variant *)
 }
 
-(** [request ~specs files] with defaults: [jobs], [fuse] and [ir]
-    resolved through {!Config} (environment gates [WAP_JOBS],
-    [WAP_FUSE], [WAP_IR]), no cache, empty fingerprint,
-    interprocedural on. *)
+(** [request ~specs files] with defaults: [jobs] resolved through
+    {!Config} (environment gate [WAP_JOBS]), no cache, empty
+    fingerprint, interprocedural on. *)
 val request :
   ?jobs:int ->
   ?cache:Cache.t ->
   ?fingerprint:string ->
   ?interprocedural:bool ->
-  ?fuse:bool ->
-  ?ir:bool ->
   ?summary_store:bool ->
   ?on_progress:(progress -> unit) ->
   specs:Wap_catalog.Catalog.spec list ->
@@ -104,9 +98,6 @@ type file_report = {
 
 type spec_report = {
   sr_spec : string;  (** submodule/class label *)
-  sr_seconds : float;
-      (** wall clock spent on this detector; [0.] in the fused pipeline,
-          where the specs share one pass (see [phases]) *)
   sr_cached : bool;
   sr_candidates : int;
 }
@@ -184,13 +175,21 @@ val add_file : t -> path:string -> string -> string list
     path is a no-op returning [[]]. *)
 val remove_file : t -> path:string -> string list
 
+(** The deterministic merge order of the engine: per-spec groups
+    [(spec index, candidates in discovery order)] flattened and sorted
+    by sink file, then sink location, ties broken by spec index and
+    discovery order.  {!all_diagnostics} is [merge] over the finalized
+    groups; merging one [Wap_taint.Analyzer.analyze_project] run per
+    spec gives the reference it must equal. *)
+val merge :
+  (int * Wap_taint.Trace.candidate list) list ->
+  (int * Wap_taint.Trace.candidate) list
+
 (** Finalized (de-duplicated, dead-sink-filtered) candidates of the
     whole project in the deterministic merge order, each paired with
-    the index of the spec that found it (position in {!specs}).
-    Memoized per generation, so calling it repeatedly between edits is
-    free.  In per-spec mode ([fuse:false]) the candidates are the
-    stage results — not de-duplicated across specs, like
-    [Scan.run]. *)
+    the index of the spec that found it (position in {!specs}).  The
+    finalize is memoized per generation, so calling it repeatedly
+    between edits is cheap. *)
 val all_diagnostics : t -> (int * Wap_taint.Trace.candidate) list
 
 (** {!all_diagnostics} restricted to candidates whose sink file is

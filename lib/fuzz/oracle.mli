@@ -26,10 +26,11 @@ type t = {
   check : ctx -> case -> verdict;
 }
 
-(** The seven oracles, in documentation order: [lexer-totality],
-    [printer-fixpoint], [scan-determinism], [scan-fused-equiv],
-    [scan-ir-equiv], [sanitizer-monotonicity], [fixer-soundness]. *)
+(** Every oracle, in documentation order; {!names} lists them. *)
 val all : t list
 
 val by_name : string -> t option
+
+(** The names of {!all}, in order — the source of every list of oracle
+    names shown to users. *)
 val names : string list

@@ -1,7 +1,6 @@
 (** The pre-buffer list-building lexer, kept verbatim as the
-    differential reference for the zero-allocation scanner in {!Lexer}
-    — exactly like the per-spec pipeline behind [--no-fuse] and the AST
-    walker behind [--no-ir].  The [tokenize-equiv] fuzz oracle and the
+    differential reference for the zero-allocation scanner in
+    {!Lexer}.  The [tokenize-equiv] fuzz oracle and the
     seed-replay tests compare its [(Token.t * Loc.t) list] against
     {!Lexer.tokenize}'s, token-for-token and loc-for-loc.
 

@@ -1318,12 +1318,6 @@ let finalize ~(units : file_unit list) (cands : (int * Trace.candidate) list) :
   List.iter (fun u -> Wap_flow.Reach.add_program dead u.program) units;
   finalize_with ~is_dead:(Wap_flow.Reach.is_dead dead) cands
 
-(* Read-only views of a project state, for the IR path (Wap_ir) that
-   replays pass 3 over lowered instruction arrays. *)
-let state_specs st = st.st_specs
-let state_lookup st = st.st_lookup
-let state_summaries st = st.st_summaries
-
 (** Analyze a set of files as one application under all given detector
     specs at once.  Function summaries are shared across the whole set,
     which is how WAP sees applications spread over many included files;

@@ -18,61 +18,6 @@ val guard_fns : string list
 
 val is_guard_fn : string -> bool
 
-(** {2 Shared primitives}
-
-    The pure, syntactic helpers of the AST walker, exported so the IR
-    lowering ({!Wap_ir}) resolves the very same renderings, guard keys
-    and structural facts at lowering time.  A private copy in the IR
-    would be a drift hazard for the byte-identity contract between the
-    two analysis paths ([--no-ir] differential testing). *)
-
-(** Case normalization applied to every function/method name before a
-    catalog or summary lookup. *)
-val normalize_fn : string -> string
-
-(** [isset]/[empty]/[is_null] — the checks whose negation also counts
-    as validation evidence ([if (empty($x)) ... else <$x is set>]). *)
-val set_check_fns : string list
-
-(** Builtins whose return value is never attacker-controlled text even
-    when their arguments are tainted (query handles, counters, ...). *)
-val return_clean_fns : string list
-
-(** Variables (and rendered superglobal accesses, as ["@sg:..."] keys)
-    validated by a guard call's arguments. *)
-val guarded_keys_of_args : Ast.arg list -> string list
-
-(** Guard calls appearing syntactically inside an expression, as
-    [(normalized name, guarded keys)] pairs. *)
-val guard_calls_in : Ast.expr -> (string * string list) list
-
-(** Syntactic literal/dynamic structure of an expression ([qpart]s). *)
-val flatten_parts : Ast.expr -> Trace.qpart list
-
-(** printf-style format string split into literal segments and holes. *)
-val split_format : string -> Trace.qpart list
-
-(** Does a statement list end in a control-flow exit? *)
-val terminates : Ast.stmt list -> bool
-
-(** Does a statement list end specifically in [exit]/[die]? *)
-val terminates_with_exit : Ast.stmt list -> bool
-
-(** Rendering of a cast operator for [through] evidence, e.g. ["(int)"]. *)
-val cast_name : Ast.cast -> string
-
-(** Truncated source rendering used in steps and source names. *)
-val render_expr : Ast.expr -> string
-
-(** De-duplication key of one (spec, sink, sources) emission. *)
-val candidate_key :
-  id:int -> file:string -> sink_name:string -> loc:Loc.t ->
-  sources:string list -> string
-
-(** Scalar operand-join of two origins (one spec's components). *)
-val join_origin_operands :
-  Trace.origin option -> Trace.origin -> Trace.origin option
-
 (** One parsed source file of an application. *)
 type file_unit = { path : string; program : Ast.program }
 
@@ -129,15 +74,6 @@ val analyze_file_functions :
 val analyze_file_toplevel :
   project_state -> units:file_unit list -> file_unit ->
   (int * Trace.candidate) list
-
-(** {2 Read-only views of a project state}
-
-    Used by the IR path ({!Wap_ir}) to drive its own pass-3 replay from
-    the same specs, catalog lookup and summary table. *)
-
-val state_specs : project_state -> Wap_catalog.Catalog.spec array
-val state_lookup : project_state -> Wap_catalog.Catalog.Lookup.t
-val state_summaries : project_state -> Summary.table
 
 (** The base names a program's top-level literal includes resolve
     against — exactly the matching {!splice_includes} performs.  An

@@ -6,6 +6,7 @@ module T = Wap_core.Tool
 module Scan = Wap_core.Scan
 module Pool = Wap_engine.Pool
 module Cache = Wap_engine.Cache
+module Session = Wap_engine.Session
 
 let seed = 2016
 let wape = lazy (T.create ~seed Wap_core.Version.Wape)
@@ -140,26 +141,32 @@ let test_scan_deterministic () =
   Alcotest.(check string) "jobs=4 byte-identical to jobs=1" j1 (export 4)
 
 let test_fused_equals_per_spec () =
-  (* the tentpole invariant: the fused multi-spec pass and the per-spec
-     escape hatch produce byte-identical exports, at any worker count *)
-  let tool = Lazy.force wape in
-  let files = acp_files () in
-  let export ~fuse jobs =
-    let o = Scan.run tool (Scan.request ~fuse ~jobs files) in
-    Wap_core.Export.result_to_string (zero_timings o.Scan.result)
+  (* the fused multi-spec pass equals the analyzer reference — one
+     single-spec [Analyzer.analyze_project] run per spec over the same
+     parsed units, merged in the engine's order — at any worker count *)
+  let specs = (Lazy.force wape).T.specs in
+  let render =
+    List.map (fun (i, c) ->
+        Printf.sprintf "%d %s" i (Wap_taint.Trace.show_candidate c))
   in
-  let fused = export ~fuse:true 1 in
-  Alcotest.(check bool) "non-trivial corpus" true (String.length fused > 1000);
   List.iter
     (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "per-spec jobs=%d identical to fused" jobs)
-        fused
-        (export ~fuse:false jobs);
-      Alcotest.(check string)
-        (Printf.sprintf "fused jobs=%d identical to fused jobs=1" jobs)
-        fused
-        (export ~fuse:true jobs))
+      let s =
+        Session.open_project (Session.request ~jobs ~specs (acp_files ()))
+      in
+      let units = (Session.export s).Session.units in
+      let reference =
+        Session.merge
+          (List.mapi
+             (fun i spec -> (i, Wap_taint.Analyzer.analyze_project ~spec units))
+             specs)
+      in
+      Alcotest.(check bool) "non-trivial corpus" true
+        (List.length reference > 10);
+      Alcotest.(check (list string))
+        (Printf.sprintf "jobs=%d fused = per-spec reference" jobs)
+        (render reference)
+        (render (Session.all_diagnostics s)))
     [ 1; 4 ]
 
 let test_engine_merge_order () =
@@ -212,13 +219,13 @@ let test_cache_rescan_hits () =
   let tool = Lazy.force wape in
   let files = acp_files () in
   let nfiles = List.length files in
-  (* fused: one parse entry plus one analysis entry per FILE *)
+  (* one parse entry plus one analysis entry per file *)
   let cache = Cache.create () in
-  let o1 = Scan.run tool (Scan.request ~fuse:true ~jobs:2 ~cache files) in
+  let o1 = Scan.run tool (Scan.request ~jobs:2 ~cache files) in
   Alcotest.(check int) "cold scan misses everything" (nfiles + nfiles)
     o1.Scan.cache_misses;
   Alcotest.(check int) "cold scan hits nothing" 0 o1.Scan.cache_hits;
-  let o2 = Scan.run tool (Scan.request ~fuse:true ~jobs:2 ~cache files) in
+  let o2 = Scan.run tool (Scan.request ~jobs:2 ~cache files) in
   Alcotest.(check int) "warm rescan hits everything" (nfiles + nfiles)
     o2.Scan.cache_hits;
   Alcotest.(check int) "warm rescan misses nothing" 0 o2.Scan.cache_misses;
@@ -226,28 +233,46 @@ let test_cache_rescan_hits () =
     (Wap_core.Export.result_to_string (zero_timings o1.Scan.result))
     (Wap_core.Export.result_to_string (zero_timings o2.Scan.result))
 
-let test_cache_rescan_hits_per_spec () =
+(* One request over four generated packages: the profile list repeats
+   package names, so the merged file list repeats paths with different
+   contents.  Per-file analysis keys must carry the source digest, not
+   just the path, or the warm scan hands the second file of a repeated
+   path the first one's entry. *)
+let test_cache_repeated_paths () =
   let tool = Lazy.force wape in
-  let files = acp_files () in
-  let nfiles = List.length files and nspecs = List.length tool.T.specs in
-  (* per-spec escape hatch: one analysis entry per SPEC *)
+  let files =
+    List.concat_map
+      (fun profile ->
+        let pkg = Wap_corpus.Appgen.of_webapp_profile ~seed profile in
+        List.map
+          (fun (f : Wap_corpus.Appgen.file) ->
+            ( Filename.concat pkg.Wap_corpus.Appgen.pkg_name
+                f.Wap_corpus.Appgen.f_name,
+              f.Wap_corpus.Appgen.f_source ))
+          pkg.Wap_corpus.Appgen.pkg_files)
+      (List.filteri (fun i _ -> i < 4) Wap_corpus.Profiles.vulnerable_webapps)
+  in
+  let paths = List.map fst files in
+  Alcotest.(check bool) "the merged corpus really repeats paths" true
+    (List.length (List.sort_uniq String.compare paths) < List.length paths);
+  let export o =
+    Wap_core.Export.result_to_string (zero_timings o.Scan.result)
+  in
+  let uncached = export (Scan.run tool (Scan.request ~jobs:2 files)) in
   let cache = Cache.create () in
-  let o1 = Scan.run tool (Scan.request ~fuse:false ~jobs:2 ~cache files) in
-  Alcotest.(check int) "cold scan misses everything" (nfiles + nspecs)
-    o1.Scan.cache_misses;
-  let o2 = Scan.run tool (Scan.request ~fuse:false ~jobs:2 ~cache files) in
-  Alcotest.(check int) "warm rescan hits everything" (nfiles + nspecs)
-    o2.Scan.cache_hits;
-  Alcotest.(check string) "cached result identical"
-    (Wap_core.Export.result_to_string (zero_timings o1.Scan.result))
-    (Wap_core.Export.result_to_string (zero_timings o2.Scan.result))
+  Alcotest.(check string) "cold cached scan = uncached scan" uncached
+    (export (Scan.run tool (Scan.request ~jobs:2 ~cache files)));
+  let warm = Scan.run tool (Scan.request ~jobs:2 ~cache files) in
+  Alcotest.(check int) "warm scan misses nothing" 0 warm.Scan.cache_misses;
+  Alcotest.(check string) "warm cached scan = uncached scan" uncached
+    (export warm)
 
 let test_cache_source_edit_invalidates () =
   let tool = Lazy.force wape in
   let files = acp_files () in
   let nfiles = List.length files in
   let cache = Cache.create () in
-  let _ = Scan.run tool (Scan.request ~fuse:true ~jobs:2 ~cache files) in
+  let _ = Scan.run tool (Scan.request ~jobs:2 ~cache files) in
   (* editing one file re-parses just that file but re-analyzes the whole
      project (summaries and includes are cross-file, so every per-file
      analysis entry embeds the whole-project digest) *)
@@ -256,7 +281,7 @@ let test_cache_source_edit_invalidates () =
     | (path, src) :: rest -> (path, src ^ "\n") :: rest
     | [] -> assert false
   in
-  let o = Scan.run tool (Scan.request ~fuse:true ~jobs:2 ~cache edited) in
+  let o = Scan.run tool (Scan.request ~jobs:2 ~cache edited) in
   Alcotest.(check int) "unchanged files still hit" (nfiles - 1) o.Scan.cache_hits;
   Alcotest.(check int) "edited parse + every analysis entry recomputed"
     (1 + nfiles) o.Scan.cache_misses
@@ -266,7 +291,7 @@ let test_cache_spec_set_invalidates () =
   let files = acp_files () in
   let nfiles = List.length files in
   let cache = Cache.create () in
-  let _ = Scan.run tool (Scan.request ~fuse:true ~jobs:2 ~cache files) in
+  let _ = Scan.run tool (Scan.request ~jobs:2 ~cache files) in
   (* equipping a weapon changes the spec-set fingerprint: parse entries
      survive, every per-file analysis entry is invalid *)
   let armed =
@@ -275,7 +300,7 @@ let test_cache_spec_set_invalidates () =
   in
   Alcotest.(check bool) "fingerprints differ" false
     (String.equal (T.Scan.fingerprint tool) (T.Scan.fingerprint armed));
-  let o = Scan.run armed (Scan.request ~fuse:true ~jobs:2 ~cache files) in
+  let o = Scan.run armed (Scan.request ~jobs:2 ~cache files) in
   Alcotest.(check int) "parses reused across tools" nfiles o.Scan.cache_hits;
   Alcotest.(check int) "every file re-analyzed" nfiles o.Scan.cache_misses
 
@@ -285,15 +310,15 @@ let test_cache_weapon_added_mid_cache () =
   let tool = Lazy.force wape in
   let files = acp_files () in
   let cache = Cache.create () in
-  let _ = Scan.run tool (Scan.request ~fuse:true ~jobs:2 ~cache files) in
+  let _ = Scan.run tool (Scan.request ~jobs:2 ~cache files) in
   let armed =
     T.create ~seed ~weapons:[ Wap_weapon.Generator.wpsqli () ]
       Wap_core.Version.Wape
   in
   let via_warm_cache =
-    Scan.run armed (Scan.request ~fuse:true ~jobs:2 ~cache files)
+    Scan.run armed (Scan.request ~jobs:2 ~cache files)
   in
-  let via_no_cache = Scan.run armed (Scan.request ~fuse:true ~jobs:2 files) in
+  let via_no_cache = Scan.run armed (Scan.request ~jobs:2 files) in
   Alcotest.(check string) "warm cache does not mask the new weapon"
     (Wap_core.Export.result_to_string (zero_timings via_no_cache.Scan.result))
     (Wap_core.Export.result_to_string (zero_timings via_warm_cache.Scan.result))
@@ -317,12 +342,12 @@ let test_cache_disk_persistence () =
     ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
     (fun () ->
       let c1 = Cache.create ~dir () in
-      let o1 = Scan.run tool (Scan.request ~fuse:true ~jobs:2 ~cache:c1 files) in
+      let o1 = Scan.run tool (Scan.request ~jobs:2 ~cache:c1 files) in
       Alcotest.(check int) "first process misses" (nfiles + nfiles)
         o1.Scan.cache_misses;
       (* a fresh Cache.t on the same directory simulates a new process *)
       let c2 = Cache.create ~dir () in
-      let o2 = Scan.run tool (Scan.request ~fuse:true ~jobs:2 ~cache:c2 files) in
+      let o2 = Scan.run tool (Scan.request ~jobs:2 ~cache:c2 files) in
       Alcotest.(check int) "second process hits from disk" (nfiles + nfiles)
         o2.Scan.cache_hits;
       Alcotest.(check string) "persisted result identical"
@@ -335,17 +360,15 @@ let test_cache_disk_persistence () =
 let test_progress_and_timings () =
   let tool = Lazy.force wape in
   let files = acp_files () in
-  let parsed = ref 0 and spec_analyzed = ref 0 and file_analyzed = ref 0 in
+  let parsed = ref 0 and file_analyzed = ref 0 in
   let on_progress = function
     | Wap_engine.Scan.File_parsed _ -> incr parsed
-    | Wap_engine.Scan.Spec_analyzed _ -> incr spec_analyzed
     | Wap_engine.Scan.File_analyzed _ -> incr file_analyzed
   in
-  let o = Scan.run tool (Scan.request ~fuse:true ~jobs:2 ~on_progress files) in
+  let o = Scan.run tool (Scan.request ~jobs:2 ~on_progress files) in
   Alcotest.(check int) "one parse event per file" (List.length files) !parsed;
-  Alcotest.(check int) "one analyze event per file (fused)"
-    (List.length files) !file_analyzed;
-  Alcotest.(check int) "no per-spec events (fused)" 0 !spec_analyzed;
+  Alcotest.(check int) "one analyze event per file" (List.length files)
+    !file_analyzed;
   Alcotest.(check int) "one timing per file" (List.length files)
     (List.length o.Scan.file_timings);
   Alcotest.(check int) "one report per spec" (List.length tool.T.specs)
@@ -353,15 +376,7 @@ let test_progress_and_timings () =
   Alcotest.(check bool) "wall clock recorded" true
     (o.Scan.result.T.analysis_seconds > 0.0);
   Alcotest.(check bool) "cpu clock recorded" true
-    (o.Scan.result.T.analysis_cpu_seconds > 0.0);
-  (* the per-spec escape hatch still reports per-spec progress *)
-  parsed := 0;
-  spec_analyzed := 0;
-  file_analyzed := 0;
-  let _ = Scan.run tool (Scan.request ~fuse:false ~jobs:2 ~on_progress files) in
-  Alcotest.(check int) "one analyze event per spec (per-spec)"
-    (List.length tool.T.specs) !spec_analyzed;
-  Alcotest.(check int) "no per-file analyze events (per-spec)" 0 !file_analyzed
+    (o.Scan.result.T.analysis_cpu_seconds > 0.0)
 
 let test_phase_breakdown () =
   let tool = Lazy.force wape in
@@ -430,8 +445,8 @@ let () =
           Alcotest.test_case "memoize" `Quick test_cache_memoize;
           Alcotest.test_case "warm rescan hits everything (fused)" `Slow
             test_cache_rescan_hits;
-          Alcotest.test_case "warm rescan hits everything (per-spec)" `Slow
-            test_cache_rescan_hits_per_spec;
+          Alcotest.test_case "merged packages with repeated paths" `Slow
+            test_cache_repeated_paths;
           Alcotest.test_case "source edit invalidates" `Slow
             test_cache_source_edit_invalidates;
           Alcotest.test_case "spec set invalidates" `Slow

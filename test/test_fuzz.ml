@@ -139,6 +139,24 @@ let test_bounded_fuzz () =
         f.fl_oracle f.fl_message f.fl_source)
     report.Driver.failures
 
+(* The [--oracle] help is built from [Oracle.names], so it can neither
+   omit an oracle nor name a deleted one.  The binary is built as a
+   dependency of this suite. *)
+let test_cli_help_names_oracles () =
+  let ic =
+    Unix.open_process_args_in "../bin/wap_cli.exe"
+      [| "wap"; "fuzz"; "--help=plain" |]
+  in
+  let help = In_channel.input_all ic in
+  ignore (Unix.close_process_in ic);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is in the help") true
+        (contains ~needle:name help))
+    Oracle.names;
+  Alcotest.(check bool) "no deleted oracle in the help" false
+    (contains ~needle:"scan-ir-equiv" help)
+
 let () =
   Alcotest.run "wap_fuzz"
     [
@@ -168,5 +186,7 @@ let () =
             test_replay_seeds;
           Alcotest.test_case "bounded fuzz run, all oracles" `Slow
             test_bounded_fuzz;
+          Alcotest.test_case "wap fuzz --help names every oracle" `Quick
+            test_cli_help_names_oracles;
         ] );
     ]

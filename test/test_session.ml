@@ -30,17 +30,8 @@ let project () =
     ("main.php", main_php);
   ]
 
-(* The invalidation tests pin [fuse:true]: targeted per-file
-   invalidation (and its [File_analyzed] events) is a property of the
-   fused pipeline, so these assertions must not float with the
-   [WAP_FUSE] environment gate CI flips. *)
-let request ?(jobs = 1) ?(fuse = true) files =
-  S.request ~jobs ~fuse ~specs:(specs ()) files
-
-(* The equivalence tests resolve [fuse]/[ir] through {!Config} like any
-   client, so the WAP_FUSE=0 / WAP_IR=0 CI lanes exercise them in
-   per-spec and AST-walker modes too. *)
-let request_env ?(jobs = 1) files = S.request ~jobs ~specs:(specs ()) files
+let request ?(jobs = 1) ?cache files =
+  S.request ~jobs ?cache ~specs:(specs ()) files
 
 (* Record generation-tagged events; [analyzed ~gen] lists the paths
    whose (re-)analysis the given generation performed, in event
@@ -168,6 +159,46 @@ let test_update_unknown_raises () =
     (Invalid_argument "Session.update_file: no file \"nope.php\" in project")
     (fun () -> ignore (S.update_file s ~path:"nope.php" "<?php ?>"))
 
+let test_warm_cache_edit_replays_state () =
+  let cache = Wap_engine.Cache.create () in
+  ignore (S.run (request ~cache (project ())));
+  let on_event, events = recorder () in
+  let s = S.open_project ~on_event (request ~cache (project ())) in
+  let open_hits =
+    List.filter_map
+      (fun (ev : S.event) ->
+        match ev.S.progress with
+        | S.File_analyzed { cached; _ } -> Some cached
+        | S.File_parsed _ -> None)
+      !events
+  in
+  Alcotest.(check (list bool))
+    "open served every file from the cache"
+    (List.map (fun _ -> true) (project ()))
+    open_hits;
+  (* the all-hit open built no analyzer state: this edit replays passes
+     1–2 (the new inc.php calls lib.php's [fetch], so pass 3 needs its
+     summary) before re-running pass 3 on the includee and includer *)
+  let edited = "<?php $x = $_GET['y']; $r = fetch($_GET['z']); ?>" in
+  let reran = S.update_file s ~path:"inc.php" edited in
+  Alcotest.(check (list string))
+    "includee + includer" [ "inc.php"; "main.php" ] (sorted reran);
+  Alcotest.(check (list string))
+    "matching events" [ "inc.php"; "main.php" ]
+    (sorted (analyzed ~gen:1 events));
+  let final_sources =
+    List.map
+      (fun (p, src) -> if p = "inc.php" then (p, edited) else (p, src))
+      (project ())
+  in
+  let candidates (o : S.outcome) =
+    List.map Trace.show_candidate o.S.candidates
+  in
+  Alcotest.(check (list string))
+    "session export = fresh scan"
+    (candidates (S.run (request final_sources)))
+    (candidates (S.export s))
+
 let test_event_generations_monotonic () =
   let on_event, events = recorder () in
   let s = S.open_project ~on_event (request (project ())) in
@@ -209,7 +240,7 @@ let render (o : S.outcome) : string =
 let test_export_matches_fresh_scan () =
   List.iter
     (fun jobs ->
-      let s = S.open_project (request_env ~jobs (project ())) in
+      let s = S.open_project (request ~jobs (project ())) in
       ignore
         (S.update_file s ~path:"vuln.php"
            "<?php $r = fetch($_GET['id']); echo $_POST['name']; ?>");
@@ -234,32 +265,12 @@ let test_export_matches_fresh_scan () =
         (List.map fst final_sources) (S.paths s);
       Alcotest.(check string)
         (Printf.sprintf "session export = fresh scan (jobs=%d)" jobs)
-        (render (S.run (request_env ~jobs final_sources)))
+        (render (S.run (request ~jobs final_sources)))
         (render (S.export s)))
     [ 1; 4 ]
 
-let test_per_spec_mode_mutations () =
-  (* the per-spec escape hatch has no per-file invalidation: every
-     mutation re-runs the stage, returning every path — and the export
-     still matches a fresh per-spec scan *)
-  let s = S.open_project (request ~fuse:false (project ())) in
-  let edited = "<?php $r = fetch($_GET['id2']); ?>" in
-  let reran = S.update_file s ~path:"vuln.php" edited in
-  Alcotest.(check (list string))
-    "per-spec update re-runs the whole stage"
-    (List.map fst (project ()))
-    reran;
-  let final_sources =
-    List.map
-      (fun (p, src) -> if p = "vuln.php" then (p, edited) else (p, src))
-      (project ())
-  in
-  Alcotest.(check string) "per-spec export = fresh per-spec scan"
-    (render (S.run (request ~fuse:false final_sources)))
-    (render (S.export s))
-
 let test_diagnostics_partition_export () =
-  let s = S.open_project (request_env (project ())) in
+  let s = S.open_project (request (project ())) in
   let all = S.all_diagnostics s in
   Alcotest.(check bool) "project has findings" true (List.length all > 0);
   (* per-file views partition the full view *)
@@ -309,13 +320,13 @@ let () =
             test_update_unknown_raises;
           Alcotest.test_case "event generations monotonic" `Quick
             test_event_generations_monotonic;
+          Alcotest.test_case "warm-cache open, then a local edit" `Quick
+            test_warm_cache_edit_replays_state;
         ] );
       ( "equivalence",
         [
           Alcotest.test_case "export matches fresh scan, jobs 1/4" `Slow
             test_export_matches_fresh_scan;
-          Alcotest.test_case "per-spec mode mutations" `Quick
-            test_per_spec_mode_mutations;
           Alcotest.test_case "diagnostics partition the export" `Quick
             test_diagnostics_partition_export;
         ] );
