@@ -574,6 +574,14 @@ let substrate_tests () =
            Wap_mining.Random_forest.train
              ~params:{ Wap_mining.Random_forest.n_trees = 15; max_depth = 10 }
              ~seed dataset));
+    (* what one wap process pays at its first classification: the
+       shipped WAPe ensemble at default parameters *)
+    Test.make ~name:"wape-ensemble-train"
+      (staged (fun () ->
+           List.map
+             (fun (a : Wap_mining.Classifier.algorithm) ->
+               a.Wap_mining.Classifier.train ~seed dataset)
+             Wap_mining.Predictor.extended_config.Wap_mining.Predictor.algorithms));
     Test.make ~name:"svm-predict" (staged (fun () -> Wap_mining.Svm.predict svm sample_vec));
     Test.make ~name:"weapon-generation"
       (staged (fun () -> Wap_weapon.Generator.wpsqli ()));

@@ -326,7 +326,24 @@ let analyze_cmd =
     Arg.(value & opt (some string) None
          & info [ "html" ] ~docv:"FILE" ~doc:"Also write a standalone HTML report.")
   in
-  let run files fix version weapons weapon_dir sanitizers seed verbose confirm json training_set html_out jobs no_cache cache_dir trace_out stats log_level log_format =
+  (* the --training-set CSV, checked against the tool version's
+     attributes before anything runs *)
+  let dataset =
+    let load version = function
+      | None -> `Ok None
+      | Some path -> (
+          match
+            Wap_mining.Dataset.of_csv
+              ~mode:(Wap_core.Version.attribute_mode version)
+              (read_file path)
+          with
+          | Ok d -> `Ok (Some d)
+          | Error e ->
+              `Error (true, Printf.sprintf "option '--training-set': %s: %s" path e))
+    in
+    Term.(ret (const load $ version $ training_set))
+  in
+  let run files fix version weapons weapon_dir sanitizers seed verbose confirm json dataset html_out jobs no_cache cache_dir trace_out stats log_level log_format =
     let finish_obs = setup_obs trace_out log_level log_format in
     let weapons =
       List.map
@@ -342,14 +359,6 @@ let analyze_cmd =
         weapons
     in
     let extra_sanitizers = List.map (fun fn -> (None, fn)) sanitizers in
-    let dataset =
-      Option.map
-        (fun path ->
-          Wap_mining.Dataset.of_csv
-            ~mode:(Wap_core.Version.attribute_mode version)
-            (read_file path))
-        training_set
-    in
     let tool = Wap_core.Tool.create ~seed ~weapons ~extra_sanitizers ?dataset version in
     let paths = expand_php_paths files in
     let sources = List.map (fun p -> (p, read_file p)) paths in
@@ -467,7 +476,7 @@ let analyze_cmd =
   let doc = "Detect (and optionally correct) vulnerabilities in PHP files." in
   Cmd.v (Cmd.info "analyze" ~doc)
     Term.(ret (const run $ files $ fix $ version $ weapons $ weapon_dir
-               $ sanitizers $ seed_arg $ verbose $ confirm $ json $ training_set
+               $ sanitizers $ seed_arg $ verbose $ confirm $ json $ dataset
                $ html_out $ jobs_arg $ no_cache_arg $ cache_dir_arg
                $ trace_out_arg $ stats_arg
                $ log_level_arg $ log_format_arg))

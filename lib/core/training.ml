@@ -73,7 +73,11 @@ let generate ~seed (v : Version.t) : Wap_mining.Dataset.t =
 let dataset_for ?(seed = frozen_seed) (v : Version.t) : Wap_mining.Dataset.t =
   if seed <> frozen_seed then generate ~seed v
   else
-    Wap_mining.Dataset.of_csv ~mode:(Version.attribute_mode v)
-      (match v with
-      | Version.Wape -> Frozen_sets.wape
-      | Version.Wap_v21 -> Frozen_sets.v21)
+    match
+      Wap_mining.Dataset.of_csv ~mode:(Version.attribute_mode v)
+        (match v with
+        | Version.Wape -> Frozen_sets.wape
+        | Version.Wap_v21 -> Frozen_sets.v21)
+    with
+    | Ok d -> d
+    | Error e -> failwith ("frozen training set of " ^ Version.name v ^ ": " ^ e)

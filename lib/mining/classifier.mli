@@ -23,3 +23,13 @@ val score : model -> float array -> float
 val dot : float array -> float array -> float
 
 val sigmoid : float -> float
+
+(** The nonzero entries of a feature vector, in ascending index order. *)
+type sparse = { idx : int array; vals : float array }
+
+val sparse : float array -> sparse
+
+(** [sparse_dot w (sparse x)] is [dot w x] bit for bit when [w] is
+    finite: a skipped zero entry only adds a signed zero to the running
+    sum. *)
+val sparse_dot : float array -> sparse -> float

@@ -140,31 +140,57 @@ let to_csv (d : t) : string =
     d.instances;
   Buffer.contents b
 
-let of_csv ~mode (contents : string) : t =
+(* Every check names the 1-based line it fails on; blank lines are
+   skipped but still counted. *)
+let of_csv ~mode (contents : string) : (t, string) result =
+  let columns = Attributes.names mode @ [ "class" ] in
+  let width = List.length columns in
+  let fail line fmt =
+    Printf.ksprintf (fun m -> Error (Printf.sprintf "line %d: %s" line m)) fmt
+  in
+  let cells row = String.split_on_char ',' (String.trim row) in
+  let rec rows acc = function
+    | [] -> Ok { mode; instances = List.rev acc }
+    | (line, row) :: rest -> (
+        let cells = cells row in
+        if List.length cells <> width then
+          fail line "%d cells, expected %d" (List.length cells) width
+        else
+          let values = List.filteri (fun i _ -> i < width - 1) cells
+          and label = List.nth cells (width - 1) in
+          match List.find_index (fun v -> v <> "0" && v <> "1") values with
+          | Some i ->
+              fail line "column %d (%s) is %S, expected 0 or 1" (i + 1)
+                (List.nth columns i) (List.nth values i)
+          | None -> (
+              let features =
+                Array.of_list (List.map (fun v -> if v = "1" then 1.0 else 0.0) values)
+              in
+              match label with
+              | "FP" -> rows ({ features; label = true } :: acc) rest
+              | "RV" -> rows ({ features; label = false } :: acc) rest
+              | l -> fail line "class is %S, expected FP or RV" l))
+  in
   let lines =
     String.split_on_char '\n' contents
-    |> List.filter (fun l -> String.trim l <> "")
+    |> List.mapi (fun i l -> (i + 1, l))
+    |> List.filter (fun (_, l) -> String.trim l <> "")
   in
   match lines with
-  | [] -> { mode; instances = [] }
-  | _header :: rows ->
-      let instances =
-        List.map
-          (fun row ->
-            let cells = String.split_on_char ',' row in
-            let rec split_last acc = function
-              | [] -> invalid_arg "empty csv row"
-              | [ last ] -> (List.rev acc, last)
-              | x :: tl -> split_last (x :: acc) tl
-            in
-            let feats, label = split_last [] cells in
-            {
-              features = Array.of_list (List.map float_of_string feats);
-              label = String.trim label = "FP";
-            })
-          rows
-      in
-      { mode; instances }
+  | [] -> fail 1 "no header row"
+  | (line, header) :: body -> (
+      let header = cells header in
+      if List.length header <> width then
+        fail line
+          "header has %d columns, expected %d (the attribute names, then class)"
+          (List.length header) width
+      else
+        match
+          List.find_opt (fun (h, c) -> h <> c) (List.combine header columns)
+        with
+        | Some (h, c) -> fail line "header column %S, expected %S" h c
+        | None when body = [] -> fail line "no instance rows after the header"
+        | None -> rows [] body)
 
 (** WEKA ARFF export — the format the paper's data-mining step consumed. *)
 let to_arff ?(relation = "wap-false-positive-prediction") (d : t) : string =

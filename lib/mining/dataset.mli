@@ -50,7 +50,11 @@ val stratified_folds : k:int -> t -> (t * t) list
 (** CSV with a header row; labels are [FP] / [RV]. *)
 val to_csv : t -> string
 
-val of_csv : mode:Attributes.mode -> string -> t
+(** Parse {!to_csv}'s format: a header of the mode's attribute names
+    and [class], then at least one row of that width whose attribute
+    cells are [0] or [1] and whose label is [FP] or [RV].  The error
+    names the 1-based line of the first check that fails. *)
+val of_csv : mode:Attributes.mode -> string -> (t, string) result
 
 (** WEKA ARFF export — the format the paper's data-mining step consumed. *)
 val to_arff : ?relation:string -> t -> string

@@ -21,23 +21,61 @@ type params = {
 
 let default_params = { max_depth = 12; min_samples = 2; feature_subset = None }
 
-let gini (instances : Dataset.instance list) =
-  let n = List.length instances in
+(* Training works on instance ids into a prepared set: [cols.(j)] holds
+   one byte per instance, '\001' when [features.(j) <= 0.5] fails — the
+   one branch of [score], NaN included — and ['\000'] otherwise.  A node
+   is a slice of one id array, partitioned in place at each split, and
+   its Gini impurity and leaf fraction come from counts with the same
+   float expressions a list of its instances would give. *)
+type data = {
+  cols : Bytes.t array;
+  labels : Bytes.t;  (** '\001' for a false positive *)
+}
+
+let prepare (d : Dataset.t) : data =
+  let instances = Array.of_list d.Dataset.instances in
+  let n = Array.length instances in
+  let dim = if n = 0 then 0 else Array.length instances.(0).Dataset.features in
+  {
+    cols =
+      Array.init dim (fun j ->
+          Bytes.init n (fun i ->
+              if instances.(i).Dataset.features.(j) <= 0.5 then '\000' else '\001'));
+    labels = Bytes.init n (fun i -> if instances.(i).Dataset.label then '\001' else '\000');
+  }
+
+let gini ~pos n =
   if n = 0 then 0.0
   else
-    let p = float_of_int (List.length (List.filter (fun i -> i.Dataset.label) instances))
-            /. float_of_int n in
+    let p = float_of_int pos /. float_of_int n in
     2.0 *. p *. (1.0 -. p)
 
-let fp_fraction instances =
-  let n = List.length instances in
-  if n = 0 then 0.5
-  else
-    float_of_int (List.length (List.filter (fun i -> i.Dataset.label) instances))
-    /. float_of_int n
+let fp_fraction ~pos n = if n = 0 then 0.5 else float_of_int pos /. float_of_int n
 
-let split_on idx instances =
-  List.partition (fun (i : Dataset.instance) -> i.features.(idx) <= 0.5) instances
+(* the size of the one branch of [ids.(lo..hi-1)] and its positives,
+   counted without a branch per instance *)
+let count_ones data col ids lo hi =
+  let ones = ref 0 and pos = ref 0 in
+  for k = lo to hi - 1 do
+    let id = ids.(k) in
+    let one = Char.code (Bytes.get col id) in
+    ones := !ones + one;
+    pos := !pos + (one land Char.code (Bytes.get data.labels id))
+  done;
+  (!ones, !pos)
+
+(* move the zero branch of [ids.(lo..hi-1)] to its front *)
+let partition col ids lo hi =
+  let i = ref lo and j = ref (hi - 1) in
+  while !i <= !j do
+    let id = ids.(!i) in
+    if Bytes.get col id = '\000' then incr i
+    else begin
+      ids.(!i) <- ids.(!j);
+      ids.(!j) <- id;
+      decr j
+    end
+  done
 
 let candidate_features ~params ~rng dim =
   match params.feature_subset with
@@ -59,45 +97,53 @@ let candidate_features ~params ~rng dim =
       draw k;
       Hashtbl.fold (fun i () acc -> i :: acc) chosen []
 
-let rec build ~params ~rng depth (instances : Dataset.instance list) : node =
-  let n = List.length instances in
-  let impurity = gini instances in
+(* the node of [ids.(lo..hi-1)], [pos] of them false positives *)
+let rec build ~params ~rng data ids lo hi ~pos depth : node =
+  let n = hi - lo in
+  let impurity = gini ~pos n in
   if depth >= params.max_depth || n < params.min_samples || impurity = 0.0 then
-    Leaf (fp_fraction instances)
-  else
-    match instances with
-    | [] -> Leaf 0.5
-    | first :: _ ->
-        let dim = Array.length first.features in
-        let best = ref None in
-        List.iter
-          (fun idx ->
-            let zeros, ones = split_on idx instances in
-            if zeros <> [] && ones <> [] then begin
-              let nz = float_of_int (List.length zeros)
-              and no = float_of_int (List.length ones) in
-              let weighted =
-                ((nz *. gini zeros) +. (no *. gini ones)) /. float_of_int n
-              in
-              let gain = impurity -. weighted in
-              match !best with
-              | Some (g, _, _, _) when g >= gain -> ()
-              | _ -> best := Some (gain, idx, zeros, ones)
-            end)
-          (candidate_features ~params ~rng dim);
-        (match !best with
-        | None -> Leaf (fp_fraction instances)
-        | Some (_, idx, zeros, ones) ->
-            (* zero-gain splits are allowed (XOR-style interactions only
-               pay off one level deeper); max_depth bounds the tree *)
-            Split
-              ( idx,
-                build ~params ~rng (depth + 1) zeros,
-                build ~params ~rng (depth + 1) ones ))
+    Leaf (fp_fraction ~pos n)
+  else begin
+    let best = ref None in
+    List.iter
+      (fun idx ->
+        let ones, one_pos = count_ones data data.cols.(idx) ids lo hi in
+        let zeros = n - ones and zero_pos = pos - one_pos in
+        if zeros > 0 && ones > 0 then begin
+          let nz = float_of_int zeros and no = float_of_int ones in
+          let weighted =
+            ((nz *. gini ~pos:zero_pos zeros) +. (no *. gini ~pos:one_pos ones))
+            /. float_of_int n
+          in
+          let gain = impurity -. weighted in
+          match !best with
+          | Some (g, _, _, _) when g >= gain -> ()
+          | _ -> best := Some (gain, idx, zeros, zero_pos)
+        end)
+      (candidate_features ~params ~rng (Array.length data.cols));
+    match !best with
+    | None -> Leaf (fp_fraction ~pos n)
+    | Some (_, idx, zeros, zero_pos) ->
+        (* zero-gain splits are allowed (XOR-style interactions only
+           pay off one level deeper); max_depth bounds the tree *)
+        partition data.cols.(idx) ids lo hi;
+        let mid = lo + zeros in
+        (* the one branch first: the trees are defined by drawing its
+           candidate features from [rng] before the zero branch's *)
+        let one = build ~params ~rng data ids mid hi ~pos:(pos - zero_pos) (depth + 1) in
+        let zero = build ~params ~rng data ids lo mid ~pos:zero_pos (depth + 1) in
+        Split (idx, zero, one)
+  end
 
-let train ?(params = default_params) ~seed (d : Dataset.t) : t =
+let grow ?(params = default_params) ~seed data ids : t =
   let rng = Random.State.make [| seed; 104729 |] in
-  { root = build ~params ~rng 0 d.Dataset.instances }
+  let pos =
+    Array.fold_left (fun acc id -> acc + Char.code (Bytes.get data.labels id)) 0 ids
+  in
+  { root = build ~params ~rng data ids 0 (Array.length ids) ~pos 0 }
+
+let train ?params ~seed (d : Dataset.t) : t =
+  grow ?params ~seed (prepare d) (Array.init (Dataset.size d) Fun.id)
 
 let rec score_node node x =
   match node with

@@ -23,6 +23,18 @@ type params = {
 val default_params : params
 
 val train : ?params:params -> seed:int -> Dataset.t -> t
+
+(** A data set laid out for growing trees: one byte column per
+    attribute. *)
+type data
+
+val prepare : Dataset.t -> data
+
+(** [grow ~seed data ids] is the tree {!train} builds from the prepared
+    instances [ids] (indices into the data set, repeats allowed, as in a
+    bootstrap sample); [ids] is permuted in place.
+    [train ~seed d] is [grow ~seed (prepare d) [|0; ...; size d - 1|]]. *)
+val grow : ?params:params -> seed:int -> data -> int array -> t
 val score : t -> float array -> float
 val predict : t -> float array -> bool
 val algorithm : Classifier.algorithm

@@ -14,29 +14,36 @@ let default_params = { learning_rate = 0.5; iterations = 400; l2 = 0.001 }
 
 type t = { weights : float array; bias : float }
 
+(* The gradient accumulates over each instance's nonzero features
+   only ({!Classifier.sparse}: exact); the weight update stays dense. *)
 let train ?(params = default_params) (d : Dataset.t) : t =
   match d.Dataset.instances with
   | [] -> { weights = [||]; bias = 0.0 }
   | first :: _ ->
       let dim = Array.length first.Dataset.features in
-      let n = List.length d.Dataset.instances in
+      let instances = Array.of_list d.Dataset.instances in
+      let xs =
+        Array.map (fun (i : Dataset.instance) -> Classifier.sparse i.features) instances
+      and ys =
+        Array.map (fun (i : Dataset.instance) -> if i.label then 1.0 else 0.0) instances
+      in
+      let nf = float_of_int (Array.length instances) in
       let w = Array.make dim 0.0 in
       let b = ref 0.0 in
-      let xs = Array.of_list d.Dataset.instances in
+      let grad_w = Array.make dim 0.0 in
       for _ = 1 to params.iterations do
-        let grad_w = Array.make dim 0.0 in
+        Array.fill grad_w 0 dim 0.0;
         let grad_b = ref 0.0 in
-        Array.iter
-          (fun (inst : Dataset.instance) ->
-            let y = if inst.label then 1.0 else 0.0 in
-            let p = Classifier.sigmoid (Classifier.dot w inst.features +. !b) in
-            let err = p -. y in
-            for i = 0 to dim - 1 do
-              grad_w.(i) <- grad_w.(i) +. (err *. inst.features.(i))
-            done;
-            grad_b := !grad_b +. err)
-          xs;
-        let nf = float_of_int n in
+        for k = 0 to Array.length xs - 1 do
+          let x = xs.(k) in
+          let p = Classifier.sigmoid (Classifier.sparse_dot w x +. !b) in
+          let err = p -. ys.(k) in
+          for j = 0 to Array.length x.idx - 1 do
+            let i = x.idx.(j) in
+            grad_w.(i) <- grad_w.(i) +. (err *. x.vals.(j))
+          done;
+          grad_b := !grad_b +. err
+        done;
         for i = 0 to dim - 1 do
           w.(i) <-
             w.(i) -. (params.learning_rate *. ((grad_w.(i) /. nf) +. (params.l2 *. w.(i))))

@@ -37,6 +37,20 @@ type t = {
   lock : Mutex.t;  (** serializes forcing [models] *)
 }
 
+(* One ensemble member, under its own span and in the
+   [mining.train_seconds.<algorithm>] histogram that [--stats] lists. *)
+let train_member ~seed d (a : Classifier.algorithm) =
+  let t0 = Wap_obs.Clock.now_ns () in
+  let model =
+    Wap_obs.Trace.with_span ~cat:"mining" "classifier.train"
+      ~args:[ ("algo", a.algo_name) ]
+    @@ fun () -> a.train ~seed d
+  in
+  Wap_obs.Metrics.observe
+    (Wap_obs.Metrics.histogram ("mining.train_seconds." ^ a.algo_name))
+    (Wap_obs.Clock.ns_to_s (Wap_obs.Clock.elapsed_ns t0));
+  model
+
 (** Check the data set's attribute mode now; train the ensemble the
     first time a classification needs it. *)
 let train ?(seed = 42) (config : config) (d : Dataset.t) : t =
@@ -46,7 +60,7 @@ let train ?(seed = 42) (config : config) (d : Dataset.t) : t =
     lazy
       (Wap_obs.Trace.with_span ~cat:"mining" "predictor.train"
          ~args:[ ("instances", string_of_int (Dataset.size d)) ]
-       @@ fun () -> List.map (fun a -> a.Classifier.train ~seed d) config.algorithms)
+       @@ fun () -> List.map (train_member ~seed d) config.algorithms)
   in
   { config; models; lock = Mutex.create () }
 

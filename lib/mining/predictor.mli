@@ -22,8 +22,10 @@ type t
 (** The ensemble for a labelled data set.  The data set's attribute mode
     is checked now; the classifiers train the first time
     {!is_false_positive} or {!fp_score} needs them, under the
-    [predictor.train] span, so a process that classifies nothing never
-    trains.  The predictor may be shared across domains: the first
+    [predictor.train] span (one [classifier.train] child span per
+    algorithm, with an [algo] argument, each also observed in the
+    [mining.train_seconds.<algorithm>] histogram), so a process that
+    classifies nothing never trains.  The predictor may be shared across domains: the first
     classifications of concurrent domains wait for one training.
 
     @raise Invalid_argument when the data set's attribute mode does not

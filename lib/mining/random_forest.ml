@@ -13,15 +13,12 @@ let default_params = { n_trees = 60; max_depth = 14 }
 
 type t = { trees : Decision_tree.t array }
 
-let bootstrap ~rng (instances : Dataset.instance array) : Dataset.instance list =
-  let n = Array.length instances in
-  List.init n (fun _ -> instances.(Random.State.int rng n))
-
 let train ?(params = default_params) ~seed (d : Dataset.t) : t =
-  let instances = Array.of_list d.Dataset.instances in
+  let n = Dataset.size d in
   let dim =
-    if Array.length instances = 0 then 1
-    else Array.length instances.(0).Dataset.features
+    match d.Dataset.instances with
+    | first :: _ -> Array.length first.Dataset.features
+    | [] -> 1
   in
   let rng = Random.State.make [| seed; 15485863 |] in
   let tree_params =
@@ -31,11 +28,11 @@ let train ?(params = default_params) ~seed (d : Dataset.t) : t =
       feature_subset = Some (Random_tree.subset_size dim);
     }
   in
+  let data = Decision_tree.prepare d in
   let trees =
     Array.init params.n_trees (fun i ->
-        let sample = bootstrap ~rng instances in
-        Decision_tree.train ~params:tree_params ~seed:(seed + (i * 31))
-          { d with Dataset.instances = sample })
+        let bootstrap = Array.init n (fun _ -> Random.State.int rng n) in
+        Decision_tree.grow ~params:tree_params ~seed:(seed + (i * 31)) data bootstrap)
   in
   { trees }
 

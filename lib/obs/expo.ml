@@ -44,6 +44,7 @@ let default_families =
     ("serve.request_seconds.", "method");
     ("serve.errors.", "method");
     ("serve.requests.", "method");
+    ("mining.train_seconds.", "algo");
   ]
 
 (* (metric base name, extra labels) for a raw registry name. *)

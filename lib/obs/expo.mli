@@ -7,7 +7,7 @@
     [_count].  Registry names are free-form (dots, slashes, spaces);
     exposition sanitizes them to the Prometheus charset and, for known
     partitioned families (per-spec candidate counts, per-method request
-    latencies), lifts the name's tail into a label so the family stays
+    latencies, per-algorithm training times), lifts the name's tail into a label so the family stays
     one metric.
 
     {!parse_text} is the deliberately strict reader of that format used

@@ -65,6 +65,46 @@ let test_frozen_sets_round_trip () =
         (DS.to_csv (Wap_core.Training.dataset_for ~seed v)))
     [ (V.Wape, Wap_core.Frozen_sets.wape); (V.Wap_v21, Wap_core.Frozen_sets.v21) ]
 
+(* [wap analyze --training-set] rejects a CSV the WAPe predictor cannot
+   train on before analyzing anything: a command-line error (exit 124)
+   naming the line, where it used to crash at the first classification
+   with an uncaught exception (exit 125).  The binary is built as a
+   dependency of this suite. *)
+let test_cli_rejects_malformed_training_set () =
+  let temp suffix text =
+    let f = Filename.temp_file "wap_training_set" suffix in
+    Out_channel.with_open_bin f (fun oc -> output_string oc text);
+    f
+  in
+  let php = temp ".php" "<?php\nmysql_query($_GET['q']);\n" in
+  let err = temp ".err" "" in
+  let run csv =
+    let code =
+      Sys.command
+        (Filename.quote_command "../bin/wap_cli.exe"
+           [ "analyze"; "--training-set"; csv; php ]
+           ~stdout:Filename.null ~stderr:err)
+    in
+    (code, In_channel.with_open_bin err In_channel.input_all)
+  in
+  List.iter
+    (fun (name, csv, line) ->
+      let path = temp ".csv" csv in
+      let code, stderr = run path in
+      Sys.remove path;
+      Alcotest.(check int) (name ^ ": exit code") 124 code;
+      let expected = Printf.sprintf "wap: option '--training-set': %s: %s" path line in
+      Alcotest.(check bool)
+        (name ^ ": stderr names the line")
+        true
+        (String.starts_with ~prefix:expected stderr))
+    [ ("v2.1 set for WAPe", Wap_core.Frozen_sets.v21, "line 1: header has 16 columns");
+      ( "header only",
+        List.hd (String.split_on_char '\n' Wap_core.Frozen_sets.wape),
+        "line 1: no instance rows after the header" ) ];
+  Sys.remove php;
+  Sys.remove err
+
 (* ------------------------------------------------------------------ *)
 (* Pipeline on corpus packages.                                        *)
 
@@ -230,6 +270,8 @@ let () =
           Alcotest.test_case "training deterministic" `Slow test_training_deterministic;
           Alcotest.test_case "frozen sets round trip" `Quick
             test_frozen_sets_round_trip;
+          Alcotest.test_case "malformed --training-set exits 124" `Quick
+            test_cli_rejects_malformed_training_set;
         ] );
       ( "pipeline",
         [

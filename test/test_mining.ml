@@ -175,13 +175,47 @@ let test_stratified_folds () =
   Alcotest.(check int) "partition" 20 total_test
 
 let test_csv_round_trip () =
+  let dim = At.arity At.Extended in
+  let bits k = List.init dim (fun i -> if i mod 3 = k then 1 else 0) in
   let d =
-    DS.make ~mode:At.Extended
-      [ mk_instance [ 1; 0; 1 ] true; mk_instance [ 0; 1; 0 ] false ]
+    DS.make ~mode:At.Extended [ mk_instance (bits 0) true; mk_instance (bits 1) false ]
   in
-  let back = DS.of_csv ~mode:At.Extended (DS.to_csv d) in
-  Alcotest.(check int) "size" 2 (DS.size back);
-  Alcotest.(check int) "positives" 1 (DS.positives back)
+  let csv = DS.to_csv d in
+  (match DS.of_csv ~mode:At.Extended csv with
+  | Error e -> Alcotest.failf "round trip rejected: %s" e
+  | Ok back ->
+      Alcotest.(check int) "size" 2 (DS.size back);
+      Alcotest.(check int) "positives" 1 (DS.positives back);
+      Alcotest.(check string) "same text" csv (DS.to_csv back));
+  (* one malformed input per check, each named by its line *)
+  let header, rows =
+    match String.split_on_char '\n' csv with
+    | h :: r1 :: r2 :: _ -> (h, [ r1; r2 ])
+    | _ -> Alcotest.fail "unexpected csv shape"
+  in
+  let rejects name ?(mode = At.Extended) text expected =
+    match DS.of_csv ~mode text with
+    | Ok _ -> Alcotest.failf "%s: accepted" name
+    | Error e -> Alcotest.(check string) name expected e
+  in
+  let csv_of lines = String.concat "\n" lines ^ "\n" in
+  let row1 = List.hd rows and row2 = List.nth rows 1 in
+  rejects "empty file" "" "line 1: no header row";
+  rejects "header only" (csv_of [ header ]) "line 1: no instance rows after the header";
+  rejects "other mode's header" ~mode:At.Original csv
+    "line 1: header has 61 columns, expected 16 (the attribute names, then class)";
+  rejects "renamed header column"
+    (csv_of [ "x" ^ header; row1 ])
+    "line 1: header column \"xis_string\", expected \"is_string\"";
+  let short = String.sub row1 2 (String.length row1 - 2) in
+  rejects "row one cell short" (csv_of [ header; row1; short ])
+    "line 3: 60 cells, expected 61";
+  rejects "non-binary cell"
+    (csv_of [ header; ""; "x" ^ String.sub row2 1 (String.length row2 - 1) ])
+    "line 3: column 1 (is_string) is \"x\", expected 0 or 1";
+  let relabel row l = String.sub row 0 (String.length row - 2) ^ l in
+  rejects "unknown label" (csv_of [ header; row1; relabel row2 "yes" ])
+    "line 3: class is \"yes\", expected FP or RV"
 
 (* ------------------------------------------------------------------ *)
 (* Metrics: reproduce Table II's numbers from Table III's matrices.    *)
@@ -327,6 +361,81 @@ let test_top3_selection () =
   let top = Wap_mining.Evaluation.top3 ~seed:3 d in
   Alcotest.(check int) "three selected" 3 (List.length top)
 
+(* Pinned models: the MD5 of a [%h] dump of every trained parameter
+   (linear weights and bias; trees in preorder), so a change in any
+   rounding fails here even when no verdict moves.  The literals come
+   from the dense, list-based loops the sparse ones must match. *)
+
+module DT = Wap_mining.Decision_tree
+
+let dump_linear b weights bias =
+  Array.iter (Printf.bprintf b "%h ") weights;
+  Printf.bprintf b "| %h\n" bias
+
+let rec dump_node b = function
+  | DT.Leaf p -> Printf.bprintf b "L%h " p
+  | DT.Split (idx, zero, one) ->
+      Printf.bprintf b "S%d " idx;
+      dump_node b zero;
+      dump_node b one
+
+let dump_tree b (t : DT.t) =
+  dump_node b t.DT.root;
+  Buffer.add_char b '\n'
+
+let dump_model b ~seed d = function
+  | "Logistic Regression" ->
+      let m = Wap_mining.Logistic.train d in
+      dump_linear b m.Wap_mining.Logistic.weights m.Wap_mining.Logistic.bias
+  | "SVM" ->
+      let m = Wap_mining.Svm.train ~seed d in
+      dump_linear b m.Wap_mining.Svm.weights m.Wap_mining.Svm.bias
+  | "Random Forest" ->
+      Array.iter (dump_tree b) (Wap_mining.Random_forest.train ~seed d).trees
+  | "Random Tree" -> dump_tree b (Wap_mining.Random_tree.train ~seed d)
+  | "Decision Tree" -> dump_tree b (DT.train ~seed d)
+  | name -> Alcotest.failf "no parameter dump for %s" name
+
+let models_digest ~seed d names =
+  let b = Buffer.create 65536 in
+  List.iter (dump_model b ~seed d) names;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let algo_names (c : Wap_mining.Predictor.config) =
+  List.map
+    (fun (a : Wap_mining.Classifier.algorithm) -> a.Wap_mining.Classifier.algo_name)
+    c.Wap_mining.Predictor.algorithms
+
+(* features outside {0, 1}: 0.5 sits on the split threshold, and the
+   linear models multiply by every value *)
+let off_binary_set () =
+  let values = [| -1.0; 0.0; 0.25; 0.5; 1.0; 2.0 |] in
+  DS.make ~mode:At.Extended
+    (List.init 48 (fun i ->
+         {
+           DS.features = Array.init 6 (fun j -> values.(((i * (j + 1)) + j) mod 6));
+           label = (i * 7) mod 5 < 2;
+         }))
+
+let test_pinned_models () =
+  let seed = Wap_core.Training.frozen_seed in
+  let wape = Wap_core.Training.dataset_for Wap_core.Version.Wape in
+  let v21 = Wap_core.Training.dataset_for Wap_core.Version.Wap_v21 in
+  let pin name d names expected =
+    Alcotest.(check string) name expected (models_digest ~seed d names)
+  in
+  pin "WAPe ensemble (SVM, LR, RF)" wape
+    (algo_names Wap_mining.Predictor.extended_config)
+    "60f65c801c80b0b2fd1420a769e46e07";
+  pin "v2.1 ensemble (LR, Random Tree, SVM)" v21
+    (algo_names Wap_mining.Predictor.original_config)
+    "d9348a5191f79240997d7a4a2eebb6a1";
+  pin "CART on the WAPe set" wape [ "Decision Tree" ]
+    "a5520e3f8dfc1c474f7977e07210682b";
+  pin "off-binary features" (off_binary_set ())
+    [ "Logistic Regression"; "SVM"; "Decision Tree"; "Random Tree"; "Random Forest" ]
+    "87d633c69f886257f3949289888d9f00"
+
 (* ------------------------------------------------------------------ *)
 (* Predictor.                                                          *)
 
@@ -465,6 +574,7 @@ let () =
           Alcotest.test_case "cross-validation coverage" `Quick
             test_cross_validation_covers_all;
           Alcotest.test_case "top-3 selection" `Quick test_top3_selection;
+          Alcotest.test_case "pinned models" `Quick test_pinned_models;
         ] );
       ( "predictor",
         [

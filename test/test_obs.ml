@@ -183,14 +183,13 @@ let test_tracing_disabled_is_noop () =
 
 (* The predictor trains at its first classification, inside a scan's
    [phase.predict]: a scan without candidates never trains it, and two
-   scans with candidates train it once. *)
+   scans with candidates train it once, one [classifier.train] child
+   span per ensemble member. *)
 let test_predictor_trains_on_first_use () =
-  let trainings t =
-    List.length
-      (List.filter
-         (fun (e : Trace.event) -> e.Trace.ev_name = "predictor.train")
-         (Trace.events t))
+  let named name t =
+    List.filter (fun (e : Trace.event) -> e.Trace.ev_name = name) (Trace.events t)
   in
+  let trainings t = List.length (named "predictor.train" t) in
   with_tracer (fun t ->
       let tool = Wap_core.Tool.create Wap_core.Version.Wape in
       let scan src =
@@ -206,7 +205,37 @@ let test_predictor_trains_on_first_use () =
       Alcotest.(check int) "SQLI: one candidate" 1
         (scan "mysql_query($_GET['q']);\n");
       Alcotest.(check int) "two scans with candidates: one training" 1
-        (trainings t))
+        (trainings t);
+      let parent = List.hd (named "predictor.train" t) in
+      let within (e : Trace.event) =
+        e.Trace.ev_tid = parent.Trace.ev_tid
+        && e.Trace.ev_depth = parent.Trace.ev_depth + 1
+        && e.Trace.ev_ts_ns >= parent.Trace.ev_ts_ns
+        && e.Trace.ev_ts_ns + e.Trace.ev_dur_ns
+           <= parent.Trace.ev_ts_ns + parent.Trace.ev_dur_ns
+      in
+      let children = List.filter within (Trace.events t) in
+      let algos =
+        List.map
+          (fun (a : Wap_mining.Classifier.algorithm) -> a.Wap_mining.Classifier.algo_name)
+          Wap_mining.Predictor.extended_config.Wap_mining.Predictor.algorithms
+      in
+      Alcotest.(check (list string)) "one child span per ensemble member" algos
+        (List.map
+           (fun (e : Trace.event) ->
+             if e.Trace.ev_name <> "classifier.train" then
+               Alcotest.failf "unexpected child span %s" e.Trace.ev_name;
+             Option.value ~default:"" (List.assoc_opt "algo" e.Trace.ev_args))
+           children);
+      (* and the histograms --stats lists *)
+      let hists = (Metrics.snapshot Metrics.global).Metrics.histograms in
+      List.iter
+        (fun algo ->
+          let name = "mining.train_seconds." ^ algo in
+          match List.assoc_opt name hists with
+          | Some h when h.Metrics.h_count >= 1 -> ()
+          | _ -> Alcotest.failf "no %s observation" name)
+        algos)
 
 let test_chrome_json_well_formed () =
   let json =
