@@ -187,6 +187,11 @@ let print_scan_stats (outcome : Wap_core.Scan.outcome) =
           (1e3 *. h.Wap_obs.Metrics.h_sum /. float_of_int h.Wap_obs.Metrics.h_count)
     | _ -> "n/a"
   in
+  let counter name =
+    string_of_int
+      (Option.value ~default:0
+         (List.assoc_opt name snap.Wap_obs.Metrics.counters))
+  in
   let counter_rows =
     [
       [ "files parsed"; string_of_int r.Wap_core.Tool.files_analyzed ];
@@ -204,6 +209,8 @@ let print_scan_stats (outcome : Wap_core.Scan.outcome) =
       [ "worker domains"; string_of_int outcome.Wap_core.Scan.jobs_used ];
       [ "cache hits"; string_of_int outcome.Wap_core.Scan.cache_hits ];
       [ "cache misses"; string_of_int outcome.Wap_core.Scan.cache_misses ];
+      [ "functions reused from pass 1"; counter "taint.functions_reused" ];
+      [ "functions re-analyzed in pass 2"; counter "taint.functions_reanalyzed" ];
       [ "pool queue-wait mean (ms)";
         mean_ms (hist "engine.pool.queue_wait_seconds") ];
       [ "pool task-run mean (ms)"; mean_ms (hist "engine.pool.task_run_seconds") ];
@@ -439,7 +446,7 @@ let analyze_cmd =
                 Printf.printf "        via %s: %s\n"
                   (Wap_php.Loc.to_string s.Wap_taint.Trace.step_loc)
                   s.Wap_taint.Trace.step_desc)
-              o.Wap_taint.Trace.steps;
+              (Wap_taint.Trace.steps o);
             Printf.printf "        symptoms: %s\n"
               (String.concat ", " f.Wap_core.Tool.symptoms)
           end)

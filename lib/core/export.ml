@@ -19,7 +19,7 @@ let origin_to_json (o : Wap_taint.Trace.origin) : J.t =
                J.Obj
                  [ ("loc", loc_to_json s.Wap_taint.Trace.step_loc);
                    ("code", J.Str s.Wap_taint.Trace.step_desc) ])
-             o.Wap_taint.Trace.steps) );
+             (Wap_taint.Trace.steps o)) );
       ("through", J.List (List.map (fun f -> J.Str f) o.Wap_taint.Trace.through));
       ("guards", J.List (List.map (fun g -> J.Str g) o.Wap_taint.Trace.guards));
     ]
@@ -112,7 +112,7 @@ let html_row ?(verdict : Wap_confirm.Confirm.verdict option) (f : Tool.finding) 
           ( s.Wap_taint.Trace.step_loc.Wap_php.Loc.file,
             s.Wap_taint.Trace.step_loc.Wap_php.Loc.line,
             s.Wap_taint.Trace.step_desc ))
-        o.Wap_taint.Trace.steps;
+        (Wap_taint.Trace.steps o);
     r_confirmation =
       Option.map
         (function

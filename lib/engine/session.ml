@@ -23,8 +23,9 @@ module An = Wap_taint.Analyzer
 (* Part of every cache key.  Bump it whenever a cached value's
    marshalled shape or a key's layout changes, so entries written by an
    older engine are never read back.  v4: the analyze-file keys lost
-   the IR/AST mode bit, and the per-spec "analyze" entries are gone. *)
-let cache_format_version = "wap-engine-4"
+   the IR/AST mode bit, and the per-spec "analyze" entries are gone.
+   v5: an origin's propagation chain is stored newest first. *)
+let cache_format_version = "wap-engine-5"
 
 (* plain values, bumped from the parse workers: a [lazy] forced from two
    domains at once raises [CamlinternalLazy.Undefined] *)
@@ -288,7 +289,9 @@ let file_key ~analysis_digest e =
    projects through a shared cache directory, unlike the analyze-file
    entries whose keys embed the whole-project digest.  Opt-in
    ([summary_store], enabled by the fleet workers): it changes the
-   cache hit/miss profile that batch callers observe. *)
+   cache hit/miss profile that batch callers observe.  A delta served
+   from the store carries no pass-1 walks, so pass 2 walks that file's
+   function bodies again. *)
 let summary_chain_seed t =
   Cache.key
     [ cache_format_version; "summary-chain"; t.s_fingerprint;

@@ -62,14 +62,18 @@ let backtick_rewrite fix_name (parts : Ast.interp_part list) loc : Ast.expr =
     (Ast.Call
        (Ast.F_ident "shell_exec", [ { Ast.a_expr = arg; a_spread = false } ]))
 
+(* The expressions a correction wraps: the sink's own tainted arguments,
+   or — for a flow into a sink inside a called function — the tainted
+   arguments of that call site. *)
+let tainted_args (candidate : Wap_taint.Trace.candidate) =
+  List.filteri
+    (fun i _ -> List.mem i candidate.Wap_taint.Trace.tainted_positions)
+    candidate.Wap_taint.Trace.sink_args
+
 (** Wrap the tainted sink arguments of one candidate with [fix]. *)
 let apply_one (prog : Ast.program) ({ candidate; fix } : correction) :
     Ast.program =
-  let tainted_args =
-    List.filteri
-      (fun i _ -> List.mem i candidate.Wap_taint.Trace.tainted_positions)
-      candidate.Wap_taint.Trace.sink_args
-  in
+  let tainted_args = tainted_args candidate in
   let f (e : Ast.expr) =
     if not (is_target tainted_args e) then e
     else
@@ -84,21 +88,33 @@ let apply_one (prog : Ast.program) ({ candidate; fix } : correction) :
   in
   Visitor.map_stmts f prog
 
-(** Apply every correction, backtick rewrites last.  An ordinary wrap
-    preserves the wrapped subtree, so a later correction still finds
-    its target by location + structural equality even inside an earlier
-    wrap — e.g. [echo `cmd $x` . $y] is both an XSS sink (the whole
-    concatenation) and an OS-command-injection sink (the backtick).
-    The backtick rewrite is the one destructive rewrite, so it must not
-    run before a correction matching an expression that *contains* the
-    backtick. *)
+(** Apply every correction, outermost targets first and backtick
+    rewrites last.  An ordinary wrap preserves the wrapped subtree, so a
+    later correction still finds its target by location + structural
+    equality even inside an earlier wrap — e.g. [echo `cmd $x` . $y] is
+    both an XSS sink (the whole concatenation) and an
+    OS-command-injection sink (the backtick).  The converse does not
+    hold: once an inner target is wrapped, an expression containing it
+    no longer equals its recorded form, so larger targets go first (as
+    in [exec(f($_GET['c']))], an OS-command sink over the call and,
+    through [f]'s body, an XSS sink over its argument).  The backtick
+    rewrite is the one destructive rewrite, so it must not run before a
+    correction matching an expression that *contains* the backtick. *)
 let apply_all (prog : Ast.program) (corrections : correction list) :
     Ast.program =
   let is_backtick_sink { candidate; _ } =
     String.equal candidate.Wap_taint.Trace.sink_name "shell_exec"
   in
+  let target_size { candidate; _ } =
+    List.fold_left
+      (fun acc e -> max acc (Visitor.fold_expr (fun n _ -> n + 1) 0 e))
+      0 (tainted_args candidate)
+  in
+  let outermost_first =
+    List.stable_sort (fun a b -> compare (target_size b) (target_size a))
+  in
   let ordered =
-    List.filter (fun c -> not (is_backtick_sink c)) corrections
+    outermost_first (List.filter (fun c -> not (is_backtick_sink c)) corrections)
     @ List.filter is_backtick_sink corrections
   in
   List.fold_left apply_one prog ordered
@@ -122,8 +138,10 @@ let correct_program (prog : Ast.program) (corrections : correction list) :
     | c :: _ -> c.candidate.Wap_taint.Trace.file
     | [] -> "<none>"
   in
-  (* two detectors can flag the same sink; applying both corrections
-     would double-wrap the argument *)
+  (* two detectors can flag the same flow; applying both corrections
+     would double-wrap the argument.  Flows from different call sites
+     into one sink inside a function wrap different arguments, so the
+     wrapped arguments' locations are part of the key. *)
   let corrections =
     let seen = Hashtbl.create 8 in
     List.filter
@@ -131,7 +149,8 @@ let correct_program (prog : Ast.program) (corrections : correction list) :
         let key =
           ( candidate.Wap_taint.Trace.sink_loc.Loc.line,
             candidate.Wap_taint.Trace.sink_loc.Loc.col,
-            fix.Fix.fix_name )
+            fix.Fix.fix_name,
+            List.map (fun (e : Ast.expr) -> e.Ast.eloc) (tainted_args candidate) )
         in
         if Hashtbl.mem seen key then false
         else begin

@@ -14,9 +14,15 @@
 open Wap_php
 open Ast
 
-type t = { rng : Rng.t; mutable vars : string list }
+type t = {
+  rng : Rng.t;
+  mutable vars : string list;
+  mutable fns : (string * int) list;
+      (** the program's own functions (name, arity), callable from every
+          body and from the top level *)
+}
 
-let create rng = { rng; vars = [] }
+let create rng = { rng; vars = []; fns = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Pools.                                                              *)
@@ -92,6 +98,23 @@ let interp_parts t =
     parts := Ip_str (Rng.pick t.rng string_pool) :: !parts;
   List.rev !parts
 
+(* A call to one of the program's own functions — declared before the
+   caller, after it, or the caller itself — with tainted and clean
+   arguments: summaries applied at call sites, and calls whose callee
+   pass 1 has not summarized yet. *)
+let user_call t =
+  let name, arity = Rng.pick t.rng t.fns in
+  let arg _ =
+    match Rng.int t.rng 3 with
+    | 0 -> superglobal_read t
+    | 1 -> str (Rng.pick t.rng string_pool)
+    | _ -> var (any_var t)
+  in
+  call name (List.init arity arg)
+
+(* [choices] plus [extra] when the program declares functions. *)
+let with_user_calls t extra choices = if t.fns = [] then choices else extra :: choices
+
 let atom t =
   match Rng.weighted t.rng [ (3, `Int); (2, `Str); (1, `Float); (3, `Var); (1, `Const); (2, `Sg) ] with
   | `Int -> int_ (Rng.int t.rng 1000)
@@ -106,11 +129,13 @@ let rec expr t depth =
   else
     match
       Rng.weighted t.rng
-        [ (6, `Atom); (4, `Binop); (3, `Interp); (3, `Call); (2, `Index);
-          (1, `Ternary); (1, `Unop); (1, `Cast); (1, `Array); (1, `Prop);
-          (1, `Isset); (1, `Backtick) ]
+        (with_user_calls t (2, `User)
+           [ (6, `Atom); (4, `Binop); (3, `Interp); (3, `Call); (2, `Index);
+             (1, `Ternary); (1, `Unop); (1, `Cast); (1, `Array); (1, `Prop);
+             (1, `Isset); (1, `Backtick) ])
     with
     | `Atom -> atom t
+    | `User -> user_call t
     | `Binop ->
         let op =
           Rng.weighted t.rng
@@ -227,10 +252,16 @@ let taint_chain t =
 let rec stmt t depth =
   match
     Rng.weighted t.rng
-      [ (6, `Assign); (3, `SinkCall); (2, `Echo); (2, `If); (1, `While);
-        (1, `Foreach); (1, `ExprOnly); (1, `Global); (1, `Unset);
-        (1, `Return); (1, `Block) ]
+      (with_user_calls t (3, `User)
+         [ (6, `Assign); (3, `SinkCall); (2, `Echo); (2, `If); (1, `While);
+           (1, `Foreach); (1, `ExprOnly); (1, `Global); (1, `Unset);
+           (1, `Return); (1, `Block) ])
   with
+  | `User -> (
+      match Rng.int t.rng 3 with
+      | 0 -> mk_s (Expr_stmt (user_call t))
+      | 1 -> mk_s (Expr_stmt (mk_e (Assign (A_eq, var (fresh t), user_call t))))
+      | _ -> sink_stmt t (user_call t))
   | `Assign ->
       let op = Rng.weighted t.rng [ (5, A_eq); (2, A_concat); (1, A_plus) ] in
       mk_s (Expr_stmt (mk_e (Assign (op, assign_lvalue t, expr t depth))))
@@ -263,11 +294,10 @@ let rec stmt t depth =
 
 and stmts t depth n = List.init n (fun _ -> stmt t (max 0 depth))
 
-let func_def t =
-  let name = Printf.sprintf "fn%d" (Rng.int t.rng 1000) in
+let func_def t (name, arity) =
   let outer = t.vars in
   let params =
-    List.init (Rng.range t.rng 0 2) (fun i ->
+    List.init arity (fun i ->
         let p = Printf.sprintf "p%d" i in
         t.vars <- p :: t.vars;
         { p_name = p; p_default = None; p_by_ref = false; p_hint = None; p_variadic = false })
@@ -288,7 +318,10 @@ let func_def t =
 
 let program ?(max_stmts = 10) rng : program =
   let t = create rng in
-  let funcs = List.init (Rng.int t.rng 2) (fun _ -> func_def t) in
+  t.fns <-
+    List.init (Rng.int t.rng 4) (fun _ ->
+        (Printf.sprintf "fn%d" (Rng.int t.rng 1000), Rng.range t.rng 0 2));
+  let funcs = List.map (func_def t) t.fns in
   let n = Rng.range t.rng 1 (max 1 max_stmts) in
   let body = stmts t 2 n in
   let body =

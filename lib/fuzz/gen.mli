@@ -2,7 +2,9 @@
 
     Grammar-driven over {!Wap_php.Ast}, weighted toward the shapes WAP's
     pipeline cares about: superglobal reads, sensitive sinks, sanitizer
-    wraps, interpolated strings and concatenation chains.  Generated
+    wraps, interpolated strings, concatenation chains, and up to three
+    user functions that bodies and top-level statements call — earlier,
+    later or recursively, with tainted and clean arguments.  Generated
     ASTs are {e canonical} — the parser maps their printed form back to
     the same tree modulo locations — which is what lets the
     printer/parser fixpoint oracle compare ASTs structurally. *)

@@ -145,10 +145,23 @@ let scan_determinism ctx case =
 (* ------------------------------------------------------------------ *)
 (* 4. Fused/per-spec equivalence: the engine's fused multi-spec pass
    agrees, spec by spec and in the engine's merge order, with the
-   reference — one single-spec [Analyzer.analyze_project] run per spec
-   over the same parsed units, merged by {!Wap_engine.Session.merge}.
-   Components never interact across specs, so any cross-spec leak
-   inside the fused pass shows up here. *)
+   reference — one single-spec run of passes 1–3 per spec over the same
+   parsed units, merged by {!Wap_engine.Session.merge}.  The reference
+   computes its pass-1 deltas on a scratch state and registers them on
+   a fresh one, so its pass 2 holds no pass-1 walk and re-walks every
+   body.  Components never interact across specs, so any cross-spec
+   leak inside the fused pass shows up here, and so does a pass-2 reuse
+   of a walk whose callee summaries changed. *)
+
+let rewalk_reference ~specs units =
+  let module An = Wap_taint.Analyzer in
+  let scratch = An.project_state ~specs () in
+  let deltas = List.map (An.summarize_file_delta scratch) units in
+  let st = An.project_state ~specs () in
+  List.iter (An.register_summaries st) deltas;
+  let pass2 = List.concat_map (An.analyze_file_functions st) units in
+  let pass3 = List.concat_map (An.analyze_file_toplevel st ~units) units in
+  An.finalize ~units (pass2 @ pass3)
 
 let scan_fused_equiv ctx case =
   let module S = Wap_engine.Session in
@@ -158,7 +171,8 @@ let scan_fused_equiv ctx case =
   let reference =
     S.merge
       (List.mapi
-         (fun i spec -> (i, Wap_taint.Analyzer.analyze_project ~spec units))
+         (fun i spec ->
+           (i, List.map snd (rewalk_reference ~specs:[ spec ] units)))
          specs)
   in
   let render = List.map (fun (i, c) -> (i, Wap_taint.Trace.show_candidate c)) in
@@ -362,7 +376,7 @@ let all =
       describe = "JSON export byte-identical across --jobs and cache states; well-formed";
       check = scan_determinism };
     { name = "scan-fused-equiv";
-      describe = "fused multi-spec scan equal to one analyzer run per spec";
+      describe = "fused multi-spec scan equal to one re-walking analyzer run per spec";
       check = scan_fused_equiv };
     { name = "sanitizer-monotonicity";
       describe = "sanitizing a tainted argument never adds candidates";

@@ -26,6 +26,17 @@ type t = {
   check : ctx -> case -> verdict;
 }
 
+(** The reference of [scan-fused-equiv]: passes 1–3 of the public
+    per-file analyzer API over [units], finalized, with pass 2 walking
+    every function body again — the pass-1 deltas are computed on a
+    scratch state and registered on a fresh one, which holds no pass-1
+    walk to reuse.  Candidates are paired with their spec's position in
+    [specs], like {!Wap_taint.Analyzer.analyze_project_indexed}. *)
+val rewalk_reference :
+  specs:Wap_catalog.Catalog.spec list ->
+  Wap_taint.Analyzer.file_unit list ->
+  (int * Wap_taint.Trace.candidate) list
+
 (** Every oracle, in documentation order; {!names} lists them. *)
 val all : t list
 

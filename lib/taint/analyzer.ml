@@ -101,6 +101,12 @@ type ctx = {
       (** specs still iterating in the innermost loop fixpoint; a spec
           that already stabilized must not record anything more, or the
           fused result would drift from its single-spec run *)
+  (* what a [Summaries_only] walk of one body records for pass 2 *)
+  mutable lookups : (string * Summary.fused option) list;
+      (** every summary lookup the body made, with its result *)
+  mutable emits : (string * (int * Trace.candidate)) list;
+      (** the real-source emissions [Full] would make, with their
+          de-duplication keys, newest first *)
 }
 
 let make_ctx ~specs ~lookup ~phase ~summaries =
@@ -118,6 +124,8 @@ let make_ctx ~specs ~lookup ~phase ~summaries =
     param_sinks = [];
     current_fn = None;
     live = all_ids;
+    lookups = [];
+    emits = [];
   }
 
 let is_live ctx id = ctx.live == ctx.all_ids || List.mem id ctx.live
@@ -129,19 +137,31 @@ let render_expr e =
 (* ------------------------------------------------------------------ *)
 (* Candidate emission.                                                 *)
 
-(* The de-duplication key of one (spec, sink, sources) emission.  The
+(* The de-duplication key of one (spec, sink, origins) emission.  The
    spec id (not the class acronym) keys the spec so two specs sharing a
    class de-duplicate independently, like their single-spec runs
-   would. *)
-let candidate_key ~id ~file ~sink_name ~(loc : Loc.t) ~sources =
+   would.  An origin counts by its source and, for a flow into a sink
+   inside a called function, by its call site: two call sites of one
+   function are two flows, each fixed at its own call. *)
+let candidate_key ~id ~file ~sink_name ~(loc : Loc.t) ~origins =
+  let origin_key (o : Trace.origin) =
+    match Trace.call_site o with
+    | None -> o.Trace.source
+    | Some site -> o.Trace.source ^ "@" ^ Loc.to_string site
+  in
   Printf.sprintf "%s|%s|%d:%d|#%d|%s" file sink_name loc.Loc.line loc.Loc.col
     id
-    (String.concat "," sources)
+    (String.concat "," (List.map origin_key origins))
 
 let indexed_key (id, (c : Trace.candidate)) =
   candidate_key ~id ~file:c.Trace.file ~sink_name:c.Trace.sink_name
-    ~loc:c.Trace.sink_loc
-    ~sources:(List.map (fun (o : Trace.origin) -> o.Trace.source) c.Trace.origins)
+    ~loc:c.Trace.sink_loc ~origins:c.Trace.origins
+
+let add_candidate ctx (key, c) =
+  if not (Hashtbl.mem ctx.seen key) then begin
+    Hashtbl.add ctx.seen key ();
+    ctx.candidates <- c :: ctx.candidates
+  end
 
 (* Emit for one spec; [tainted] : (argument position * origin) list,
    every origin being that spec's component. *)
@@ -169,29 +189,27 @@ let emit_one ctx ~id ~sink_name ~loc ~args ~tainted =
                 :: ctx.param_sinks
           | None -> ())
         params;
-      if real <> [] && ctx.phase = Full then begin
+      if real <> [] then begin
         (* the sink's own file, not the analyzed unit: included files keep
            their identity when spliced into an includer *)
         let file = if loc.Loc.file = "<none>" then ctx.file else loc.Loc.file in
-        let key =
-          candidate_key ~id ~file ~sink_name ~loc
-            ~sources:(List.map (fun (_, o) -> o.Trace.source) real)
+        let origins = List.map snd real in
+        let key = candidate_key ~id ~file ~sink_name ~loc ~origins in
+        let c =
+          ( id,
+            {
+              Trace.vclass = ctx.specs.(id).Cat.vclass;
+              file;
+              sink_name;
+              sink_loc = loc;
+              origins;
+              sink_args = args;
+              tainted_positions = List.map fst real;
+            } )
         in
-        if not (Hashtbl.mem ctx.seen key) then begin
-          Hashtbl.add ctx.seen key ();
-          ctx.candidates <-
-            ( id,
-              {
-                Trace.vclass = ctx.specs.(id).Cat.vclass;
-                file;
-                sink_name;
-                sink_loc = loc;
-                origins = List.map snd real;
-                sink_args = args;
-                tainted_positions = List.map fst real;
-              } )
-            :: ctx.candidates
-        end
+        match ctx.phase with
+        | Full -> add_candidate ctx (key, c)
+        | Summaries_only -> ctx.emits <- (key, c) :: ctx.emits
       end
 
 (* Emit for one spec from vector taints: extract that spec's component
@@ -203,6 +221,13 @@ let emit_spec ctx ~id ~sink_name ~loc ~args ~taints =
       taints
   in
   emit_one ctx ~id ~sink_name ~loc ~args ~tainted
+
+(* Every summary lookup of a body goes through here, so pass 1 can
+   record what its walk depended on. *)
+let find_summary ctx name =
+  let found = Summary.find ctx.summaries name in
+  if ctx.phase = Summaries_only then ctx.lookups <- (name, found) :: ctx.lookups;
+  found
 
 (* ------------------------------------------------------------------ *)
 (* Guard refinement.                                                   *)
@@ -640,7 +665,7 @@ and join_all ctx ~through ~ids taints =
 and summary_or_join ctx env loc name ~through taints arg_exprs ~ids =
   if ids = [] then Env.clean
   else
-    match Summary.find ctx.summaries name with
+    match find_summary ctx name with
     | Some fs -> apply_summary ctx env loc fs taints arg_exprs ~ids
     | None -> join_all ctx ~through ~ids taints
 
@@ -737,7 +762,7 @@ and eval_call ctx env loc (callee : Ast.callee) (args : Ast.arg list) :
             else rest
           in
           check_fn_sink ctx ~only ~name:lf ~loc ~args:arg_exprs ~taints;
-          match Summary.find ctx.summaries lf with
+          match find_summary ctx lf with
           | Some fs -> apply_summary ctx env loc fs taints arg_exprs ~ids:rest
           | None ->
               if is_guard_fn lf || List.mem lf return_clean_fns then Env.clean
@@ -762,12 +787,7 @@ and apply_summary ctx _env loc (fs : Summary.fused) taints arg_exprs ~ids :
                     List.fold_left Trace.add_through o ps.Summary.ps_through
                   in
                   let o =
-                    Trace.add_step o
-                      {
-                        Trace.step_loc = loc;
-                        step_desc =
-                          Printf.sprintf "passed to %s()" s.Summary.fn_name;
-                      }
+                    Trace.add_step o (Trace.call_step ~loc s.Summary.fn_name)
                   in
                   emit_one ctx ~id ~sink_name:ps.Summary.ps_sink_name
                     ~loc:ps.Summary.ps_sink_loc ~args:arg_exprs
@@ -1088,6 +1108,8 @@ let analyze_function ctx (f : Ast.func) : Summary.fused =
   in
   ctx.return_taints <- [];
   ctx.param_sinks <- [];
+  ctx.lookups <- [];
+  ctx.emits <- [];
   ctx.current_fn <- Some f.f_name;
   let _ = exec_stmts ctx env f.f_body in
   let fn_name = normalize_fn f.f_name in
@@ -1180,6 +1202,17 @@ let rec splice_includes ~(units : file_unit list) ~depth ~visited
 (* ------------------------------------------------------------------ *)
 (* Per-file steps.                                                     *)
 
+(* Pass 1's walk of one function body.  The walk is a pure function of
+   the body, the spec set, the file and the results of its summary
+   lookups, so while every lookup still returns what it returned here,
+   pass 2's walk would rebuild [w_summary] and make exactly [w_emits]. *)
+type walked = {
+  w_func : Ast.func;
+  w_summary : Summary.fused;
+  w_lookups : (string * Summary.fused option) list;
+  w_emits : (string * (int * Trace.candidate)) list;  (** oldest first *)
+}
+
 (* All mutable analysis state of one (spec set, project) run lives in
    this record; nothing is global, so any number of projects can be
    analyzed concurrently (one state each) — the re-entrancy the parallel
@@ -1193,6 +1226,8 @@ type project_state = {
       (** Full-phase context shared by the sequential function sweeps of
           every file, so cross-file candidate de-duplication matches a
           whole-project run *)
+  st_walked : (string, Ast.program * walked list) Hashtbl.t;
+      (** pass 1's walks by path, each dropped when pass 2 consumes it *)
 }
 
 let project_state ?(interprocedural = true) ~(specs : Cat.spec list) () =
@@ -1205,11 +1240,15 @@ let project_state ?(interprocedural = true) ~(specs : Cat.spec list) () =
     st_summaries = summaries;
     st_lookup = lookup;
     st_ctx = make_ctx ~specs ~lookup ~phase:Full ~summaries;
+    st_walked = Hashtbl.create 64;
   }
+
+let m_reused = Wap_obs.Metrics.counter "taint.functions_reused"
+let m_reanalyzed = Wap_obs.Metrics.counter "taint.functions_reanalyzed"
 
 (** Summary sweep over one file: each function's summary is registered
     as soon as it is computed, so later functions (and later files) see
-    earlier ones. *)
+    earlier ones.  The walks are kept for {!analyze_file_functions}. *)
 let summarize_file_delta st (u : file_unit) : Summary.fused list =
   Wap_obs.Trace.with_span ~cat:"taint" "summarize_file"
     ~args:[ ("file", u.path) ]
@@ -1219,12 +1258,17 @@ let summarize_file_delta st (u : file_unit) : Summary.fused list =
       ~summaries:st.st_summaries
   in
   ctx.file <- u.path;
-  List.map
-    (fun f ->
-      let s = analyze_function ctx f in
-      Summary.register st.st_summaries s;
-      s)
-    (Visitor.collect_functions u.program)
+  let walked =
+    List.map
+      (fun f ->
+        let s = analyze_function ctx f in
+        Summary.register st.st_summaries s;
+        { w_func = f; w_summary = s; w_lookups = ctx.lookups;
+          w_emits = List.rev ctx.emits })
+      (Visitor.collect_functions u.program)
+  in
+  Hashtbl.replace st.st_walked u.path (u.program, walked);
+  List.map (fun w -> w.w_summary) walked
 
 let summarize_file st (u : file_unit) : unit =
   ignore (summarize_file_delta st u)
@@ -1232,28 +1276,60 @@ let summarize_file st (u : file_unit) : unit =
 let register_summaries st (fs : Summary.fused list) : unit =
   List.iter (Summary.register st.st_summaries) fs
 
+(* Does every lookup of pass 1's walk still return the physically same
+   summary (or still none)? *)
+let unchanged st w =
+  List.for_all
+    (fun (name, found) ->
+      match (Summary.find st.st_summaries name, found) with
+      | None, None -> true
+      | Some now, Some before -> now == before
+      | _ -> false)
+    w.w_lookups
+
 (** Function-body sweep over one file: returns the candidates found
     inside this file's function bodies (spec-indexed, discovery order)
     and (interprocedurally) refines their summaries now that callees are
-    known.  Must be driven sequentially, in file order, on one state:
-    the shared context's de-duplication spans files. *)
+    known.  A body whose pass-1 walk is still exact ({!unchanged}) is
+    not walked again: its recorded emissions are replayed and its
+    summary re-registered.  Must be driven sequentially, in file order,
+    on one state: the shared context's de-duplication spans files. *)
 let analyze_file_functions st (u : file_unit) : (int * Trace.candidate) list =
   Wap_obs.Trace.with_span ~cat:"taint" "analyze_functions"
     ~args:[ ("file", u.path) ]
   @@ fun () ->
-  st.st_ctx.file <- u.path;
-  let before = st.st_ctx.candidates in
-  List.iter
-    (fun f ->
-      let s = analyze_function st.st_ctx f in
-      if st.st_interprocedural then Summary.register st.st_summaries s)
-    (Visitor.collect_functions u.program);
+  let ctx = st.st_ctx in
+  ctx.file <- u.path;
+  let before = ctx.candidates in
+  let register s =
+    if st.st_interprocedural then Summary.register st.st_summaries s
+  in
+  let reused = ref 0 and walks = ref 0 in
+  let walk f =
+    incr walks;
+    register (analyze_function ctx f)
+  in
+  (match Hashtbl.find_opt st.st_walked u.path with
+  | Some (program, walked) when program == u.program ->
+      Hashtbl.remove st.st_walked u.path;
+      List.iter
+        (fun w ->
+          if unchanged st w then begin
+            incr reused;
+            List.iter (add_candidate ctx) w.w_emits;
+            register w.w_summary
+          end
+          else walk w.w_func)
+        walked
+  | _ -> List.iter walk (Visitor.collect_functions u.program));
+  Wap_obs.Metrics.incr ~by:!reused m_reused;
+  Wap_obs.Metrics.incr ~by:!walks m_reanalyzed;
   (* this file's delta, oldest first ([candidates] is prepend-only) *)
   let rec delta acc l =
     if l == before then acc
     else match l with x :: tl -> delta (x :: acc) tl | [] -> acc
   in
-  delta [] st.st_ctx.candidates
+  delta [] ctx.candidates
 
 (** Top-level sweep over one file, using the final summaries; literal
     includes of project files are spliced so taint crosses file

@@ -44,7 +44,14 @@ val project_state :
 
 (** Pass-1 step: compute and register the summaries of one file's
     functions (each visible to the functions and files after it).
-    Sequential, in file order. *)
+    Sequential, in file order.
+
+    The state also keeps, per file (by path, for that exact program),
+    what each function's walk produced: its summary, the result of every
+    summary lookup its body made (the fused summary found, or none), and
+    the real-source candidates a pass-2 walk would emit, with their
+    de-duplication keys, in order.  {!analyze_file_functions} consumes
+    and drops it. *)
 val summarize_file : project_state -> file_unit -> unit
 
 (** {!summarize_file}, returning the summaries it registered (this
@@ -56,13 +63,25 @@ val summarize_file : project_state -> file_unit -> unit
 val summarize_file_delta : project_state -> file_unit -> Summary.fused list
 
 (** Register previously computed pass-1 summaries (a persisted delta)
-    exactly as {!summarize_file} would have. *)
+    exactly as {!summarize_file} would have.  A registered delta carries
+    no pass-1 walks, so pass 2 walks that file's bodies again. *)
 val register_summaries : project_state -> Summary.fused list -> unit
 
 (** Pass-2 step: the candidates found inside one file's function bodies
     (paired with the finding spec's id, discovery order), refining
     their summaries now that callees are known.  Sequential, in file
-    order, on the shared state. *)
+    order, on the shared state.
+
+    A body's walk depends only on the body, the spec set, the file and
+    what its summary lookups return.  So when pass 1 walked this file
+    and every lookup a body made there still returns the physically same
+    summary (or still none), the body is not walked again: its recorded
+    candidates are replayed through the shared de-duplication and its
+    recorded summary is registered, which is exactly what the walk would
+    produce.  Any other body — a callee declared later, re-declared or
+    re-analyzed since, a file with no pass-1 walk — is walked.  The
+    counters [taint.functions_reused] and [taint.functions_reanalyzed]
+    count the two cases. *)
 val analyze_file_functions :
   project_state -> file_unit -> (int * Trace.candidate) list
 

@@ -24,7 +24,9 @@ type qpart = Qlit of string | Qdyn [@@deriving show, eq]
 type origin = {
   source : string;  (** e.g. ["$_GET['user']"] or ["mysql_fetch_assoc"] *)
   source_loc : Loc.t;
-  steps : step list;  (** propagation chain, oldest first *)
+  rev_steps : step list;
+      (** propagation chain, newest first: {!add_step} conses, so a copy
+          chain of n hops costs O(n); read it through {!steps} *)
   through : string list;
       (** names of functions applied to the data on its way (lowercase);
           casts appear as ["(int)"] etc. *)
@@ -37,11 +39,26 @@ type origin = {
 [@@deriving show, eq]
 
 let origin ~source ~source_loc =
-  { source; source_loc; steps = []; through = []; guards = []; parts = [] }
+  { source; source_loc; rev_steps = []; through = []; guards = []; parts = [] }
 
 let with_parts o parts = { o with parts }
 
-let add_step o step = { o with steps = o.steps @ [ step ] }
+let add_step o step = { o with rev_steps = step :: o.rev_steps }
+let steps o = List.rev o.rev_steps
+
+let call_prefix = "passed to "
+
+let call_step ~loc callee =
+  { step_loc = loc; step_desc = Printf.sprintf "%s%s()" call_prefix callee }
+
+(* Only a flow into a sink inside a called function ends in a call step:
+   the analyzer emits it right after adding that step. *)
+let call_site o =
+  match o.rev_steps with
+  | s :: _ when String.starts_with ~prefix:call_prefix s.step_desc ->
+      Some s.step_loc
+  | _ -> None
+
 let add_through o fname = { o with through = fname :: o.through }
 let add_guard o g = if List.mem g o.guards then o else { o with guards = g :: o.guards }
 
@@ -132,7 +149,7 @@ let summary c =
 let dedup_key c =
   let o = primary c in
   let path_sig =
-    match List.rev o.steps with
+    match o.rev_steps with
     | last :: _ -> Printf.sprintf "%s:%d" last.step_loc.Loc.file last.step_loc.Loc.line
     | [] -> ""
   in

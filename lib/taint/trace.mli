@@ -24,7 +24,8 @@ type qpart = Qlit of string | Qdyn [@@deriving show, eq]
 type origin = {
   source : string;  (** e.g. ["$_GET['user']"] or ["mysql_fetch_assoc"] *)
   source_loc : Loc.t;
-  steps : step list;  (** propagation chain, oldest first *)
+  rev_steps : step list;
+      (** propagation chain, newest first (read it with {!steps}) *)
   through : string list;
       (** names of functions applied to the data on its way (lowercase);
           casts appear as ["(int)"] etc. *)
@@ -38,7 +39,21 @@ type origin = {
 
 val origin : source:string -> source_loc:Loc.t -> origin
 val with_parts : origin -> qpart list -> origin
+
+(** Append one hop to the chain, in constant time. *)
 val add_step : origin -> step -> origin
+
+(** The propagation chain, oldest first. *)
+val steps : origin -> step list
+
+(** The step of a tainted argument passed to a user function at [loc]. *)
+val call_step : loc:Loc.t -> string -> step
+
+(** Where the flow entered the function holding its sink, when the
+    origin reached that sink through a call ({!call_step} is its newest
+    step). *)
+val call_site : origin -> Loc.t option
+
 val add_through : origin -> string -> origin
 val add_guard : origin -> string -> origin
 

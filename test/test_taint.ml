@@ -29,7 +29,7 @@ let test_direct_flow () =
 let test_variable_chain () =
   let c = first "$a = $_POST['x'];\n$b = $a;\n$c = $b;\nmysql_query($c);" in
   Alcotest.(check string) "source" "$_POST['x']" (Tr.primary c).Tr.source;
-  Alcotest.(check int) "steps recorded" 3 (List.length (Tr.primary c).Tr.steps)
+  Alcotest.(check int) "steps recorded" 3 (List.length (Tr.steps (Tr.primary c)))
 
 let test_interpolation_flow () =
   Alcotest.(check int) "interp taints query" 1
@@ -451,6 +451,166 @@ let test_determinism () =
   in
   Alcotest.(check (list string)) "same results twice" (run ()) (run ())
 
+(* ------------------------------------------------------------------ *)
+(* Hostile shapes.                                                     *)
+
+(* Each hop of a copy chain adds one step to the origin: the chain must
+   grow in constant time per hop, not copy the whole chain again. *)
+let test_copy_chain_linear () =
+  let minor_words hops =
+    let b = Buffer.create (hops * 16) in
+    Buffer.add_string b "<?php\n$v0 = $_GET['x'];\n";
+    for i = 1 to hops do
+      Printf.bprintf b "$v%d = $v%d;\n" i (i - 1)
+    done;
+    Printf.bprintf b "mysql_query($v%d);\n" hops;
+    let program = Wap_php.Parser.parse_string ~file:"chain.php" (Buffer.contents b) in
+    let w0 = Gc.minor_words () in
+    let cands =
+      An.analyze_program ~spec:(Cat.default_spec VC.Sqli) ~file:"chain.php"
+        program
+    in
+    let w = Gc.minor_words () -. w0 in
+    (match cands with
+    | [ c ] ->
+        let steps = Tr.steps (Tr.primary c) in
+        Alcotest.(check int) "one step per hop" (hops + 1) (List.length steps);
+        Alcotest.(check int) "oldest step first" 2
+          (List.hd steps).Tr.step_loc.Wap_php.Loc.line
+    | _ -> Alcotest.fail "expected one candidate");
+    w
+  in
+  let w2k = minor_words 2000 and w4k = minor_words 4000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "4,000 hops allocate <= 2.5x 2,000 hops (%.2fx)" (w4k /. w2k))
+    true
+    (w4k <= 2.5 *. w2k)
+
+(* ------------------------------------------------------------------ *)
+(* Pass 2 reuses pass 1's walks exactly.                               *)
+
+let wape_specs = Cat.specs_for VC.wape
+
+let counter name = Wap_obs.Metrics.value (Wap_obs.Metrics.counter name)
+
+(* [analyze_project_indexed] against the reference that walks every
+   body again in pass 2; returns the (reused, re-analyzed) counter
+   deltas of the indexed run. *)
+let check_reuse_exact name units =
+  let render = List.map (fun (i, c) -> (i, Tr.show_candidate c)) in
+  let r0 = counter "taint.functions_reused"
+  and a0 = counter "taint.functions_reanalyzed" in
+  let got = An.analyze_project_indexed ~specs:wape_specs units in
+  let counts =
+    (counter "taint.functions_reused" - r0,
+     counter "taint.functions_reanalyzed" - a0)
+  in
+  Alcotest.(check (list (pair int string)))
+    (name ^ ": reuse = re-analysis")
+    (render (Wap_fuzz.Oracle.rewalk_reference ~specs:wape_specs units))
+    (render got);
+  counts
+
+let test_reuse_corpus_inputs () =
+  let seeds =
+    Sys.readdir "fuzz_seeds" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".php")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "fuzz seeds present" true (seeds <> []);
+  List.iter
+    (fun f ->
+      let src = In_channel.with_open_bin (Filename.concat "fuzz_seeds" f) In_channel.input_all in
+      let program = fst (Wap_php.Parser.parse_string_tolerant ~file:f src) in
+      ignore (check_reuse_exact f [ { An.path = f; program } ]))
+    seeds;
+  List.iter
+    (fun (name, app) -> ignore (check_reuse_exact name (project app)))
+    [ ("blog", Fixtures.blog); ("store", Fixtures.store);
+      ("wp plugin", Fixtures.wp_plugin) ]
+
+let test_reuse_forward_call () =
+  (* [show] and [page] call [wrap] before pass 1 has seen it: pass 1
+     lets their taint through, pass 2 must sanitize it *)
+  let units =
+    project
+      [ ("a.php",
+         "<?php\n\
+          function show() { echo wrap($_GET['x']); }\n\
+          function grab() { return $_GET['q']; }\n\
+          function page() { echo wrap(grab()); }\n\
+          show();\npage();\n");
+        ("b.php",
+         "<?php\n\
+          function wrap($s) { return htmlspecialchars($s); }\n\
+          function raw() { echo wrap($_POST['p']); echo $_POST['r']; }\n") ]
+  in
+  Alcotest.(check (pair int int)) "grab, wrap, raw reused; show, page walked"
+    (3, 2) (check_reuse_exact "forward call" units)
+
+let test_reuse_later_method () =
+  let units =
+    project
+      [ ("repo.php",
+         "<?php\n\
+          class Repo {\n\
+          \  function find() { mysql_query($this->clean($_GET['id'])); }\n\
+          \  function clean($v) { return mysql_real_escape_string($v); }\n\
+          }\n\
+          $r = new Repo();\n$r->find();\n") ]
+  in
+  Alcotest.(check (pair int int)) "clean reused; find walked" (1, 1)
+    (check_reuse_exact "later method" units)
+
+let test_reuse_redeclared () =
+  (* the table keeps the last registration: [render] runs against the
+     sanitizing [fmt] of b.php in pass 2 *)
+  let units =
+    project
+      [ ("a.php",
+         "<?php\n\
+          function render() { echo fmt($_GET['n']); }\n\
+          function fmt($s) { return $s; }\n\
+          echo fmt($_GET['m']);\n");
+        ("b.php",
+         "<?php\n\
+          function fmt($s) { return htmlspecialchars($s); }\n\
+          function other() { echo fmt($_COOKIE['c']); }\n") ]
+  in
+  Alcotest.(check (pair int int)) "only render walked" (3, 1)
+    (check_reuse_exact "re-declared name" units)
+
+let test_reuse_recursion () =
+  let units =
+    project
+      [ ("r.php",
+         "<?php\n\
+          function fact($n, $q) {\n\
+          \  if ($n) { return fact($n - 1, $q); }\n\
+          \  mysql_query($q);\n\
+          \  return $q;\n\
+          }\n\
+          function ping($x) { return pong($x); }\n\
+          function pong($y) { if ($y) { return ping($y); } echo $y; return $_GET['z']; }\n\
+          echo ping($_GET['a']);\n\
+          fact(3, $_POST['q']);\n") ]
+  in
+  Alcotest.(check (pair int int)) "every recursive body walked" (0, 3)
+    (check_reuse_exact "recursion" units)
+
+let test_reuse_chain_leaf_last () =
+  let units =
+    project
+      [ ("chain.php",
+         "<?php\n\
+          function top($a) { echo mid($_GET['e']); return mid($a); }\n\
+          function mid($b) { return leaf($b); }\n\
+          function leaf($c) { return htmlspecialchars($c); }\n\
+          echo top($_GET['t']);\n") ]
+  in
+  Alcotest.(check (pair int int)) "both callers of the leaf walked" (1, 2)
+    (check_reuse_exact "leaf declared last" units)
+
 let qcheck_sanitizer_monotone =
   (* registering an extra sanitizer never increases the candidate count *)
   QCheck.Test.make ~name:"extra sanitizer is monotone" ~count:50
@@ -590,6 +750,22 @@ let () =
           Alcotest.test_case "loop dedup" `Quick test_candidate_dedup_same_sink;
           Alcotest.test_case "dedup key groups" `Quick test_dedup_key_groups;
           Alcotest.test_case "deterministic" `Quick test_determinism;
+        ] );
+      ( "hostile shapes",
+        [ Alcotest.test_case "copy chain allocates linearly" `Quick
+            test_copy_chain_linear ] );
+      ( "pass-2 reuse",
+        [
+          Alcotest.test_case "fuzz seeds and fixture apps" `Quick
+            test_reuse_corpus_inputs;
+          Alcotest.test_case "call to a later file" `Quick test_reuse_forward_call;
+          Alcotest.test_case "$this call to a later method" `Quick
+            test_reuse_later_method;
+          Alcotest.test_case "re-declared name" `Quick test_reuse_redeclared;
+          Alcotest.test_case "self and mutual recursion" `Quick
+            test_reuse_recursion;
+          Alcotest.test_case "chain with the leaf last" `Quick
+            test_reuse_chain_leaf_last;
         ] );
       ( "properties",
         [ qt qcheck_sanitizer_monotone; qt qcheck_seeded_real_detected;
