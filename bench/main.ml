@@ -11,6 +11,7 @@
 
 open Bechamel
 module E = Wap_core.Experiments
+module Scan = Wap_core.Tool.Scan
 
 let seed = 2016
 
@@ -81,7 +82,7 @@ let run_scan_engine ?(check_obs = false) ?(check_parse = false) () =
   in
   let tool = Wap_core.Tool.create ~seed Wap_core.Version.Wape in
   let scan ?cache jobs =
-    Wap_core.Scan.run tool (Wap_core.Scan.request ~jobs ?cache files)
+    Scan.run tool (Scan.request ~jobs ?cache files)
   in
   print_string "== Scan engine (lib/engine) ==\n";
   Printf.printf "corpus: %d files from %d packages, %d detector specs\n"
@@ -93,10 +94,10 @@ let run_scan_engine ?(check_obs = false) ?(check_parse = false) () =
   let par_jobs = if cores >= 4 then 4 else max 1 cores in
   let o1 = scan 1 in
   let opar = scan par_jobs in
-  let w1 = o1.Wap_core.Scan.result.Wap_core.Tool.analysis_seconds in
-  let wp = opar.Wap_core.Scan.result.Wap_core.Tool.analysis_seconds in
+  let w1 = o1.Scan.result.Wap_core.Tool.analysis_seconds in
+  let wp = opar.Scan.result.Wap_core.Tool.analysis_seconds in
   Printf.printf "cold scan, jobs=1: %6.2fs wall  (%.2fs cpu)\n" w1
-    o1.Wap_core.Scan.result.Wap_core.Tool.analysis_cpu_seconds;
+    o1.Scan.result.Wap_core.Tool.analysis_cpu_seconds;
   (* on a 1-core host jobs=1 vs jobs=1 is pure noise, not a parallel
      speedup: report it as not-measured instead of as a regression *)
   let par_speedup =
@@ -107,13 +108,13 @@ let run_scan_engine ?(check_obs = false) ?(check_parse = false) () =
       Printf.printf
         "cold scan, jobs=%d: %6.2fs wall  (%.2fs cpu)  speedup %.2fx\n"
         par_jobs wp
-        opar.Wap_core.Scan.result.Wap_core.Tool.analysis_cpu_seconds s
+        opar.Scan.result.Wap_core.Tool.analysis_cpu_seconds s
   | None ->
       Printf.printf
         "cold scan, jobs=%d: %6.2fs wall  (%.2fs cpu)  speedup n/a — host \
          reports %d core(s), parallel-speedup check skipped\n"
         par_jobs wp
-        opar.Wap_core.Scan.result.Wap_core.Tool.analysis_cpu_seconds cores);
+        opar.Scan.result.Wap_core.Tool.analysis_cpu_seconds cores);
   if cores < 4 && par_jobs > 1 then
     Printf.printf
       "  (host reports %d core(s); speedup measured at jobs=%d, not 4)\n"
@@ -150,22 +151,22 @@ let run_scan_engine ?(check_obs = false) ?(check_parse = false) () =
     w_parse_ref w_parse parse_speedup;
   let o4 = scan 4 in
   let same =
-    List.length o1.Wap_core.Scan.result.Wap_core.Tool.candidates
-    = List.length o4.Wap_core.Scan.result.Wap_core.Tool.candidates
+    List.length o1.Scan.result.Wap_core.Tool.candidates
+    = List.length o4.Scan.result.Wap_core.Tool.candidates
   in
   Printf.printf "deterministic at jobs=4: %s (%d candidates)\n"
     (if same then "yes" else "NO — MISMATCH")
-    (List.length o4.Wap_core.Scan.result.Wap_core.Tool.candidates);
+    (List.length o4.Scan.result.Wap_core.Tool.candidates);
   let cache = Wap_engine.Cache.create () in
   let oc1 = scan ~cache 4 in
   let oc2 = scan ~cache 4 in
   Printf.printf "cache fill:   %6.2fs wall  (%d hit(s), %d miss(es))\n"
-    oc1.Wap_core.Scan.result.Wap_core.Tool.analysis_seconds
-    oc1.Wap_core.Scan.cache_hits oc1.Wap_core.Scan.cache_misses;
+    oc1.Scan.result.Wap_core.Tool.analysis_seconds
+    oc1.Scan.cache_hits oc1.Scan.cache_misses;
   Printf.printf
     "warm rescan:  %6.2fs wall  (%d hit(s), %d miss(es)) — unchanged files skipped\n"
-    oc2.Wap_core.Scan.result.Wap_core.Tool.analysis_seconds
-    oc2.Wap_core.Scan.cache_hits oc2.Wap_core.Scan.cache_misses;
+    oc2.Scan.result.Wap_core.Tool.analysis_seconds
+    oc2.Scan.cache_hits oc2.Scan.cache_misses;
   (* incremental-edit kernel: a session over a 100-file project, then
      repeated summary-preserving edits of one function-free file — the
      [wap serve] steady state.  Each round measures update + renewed
@@ -184,7 +185,7 @@ let run_scan_engine ?(check_obs = false) ?(check_parse = false) () =
   in
   let inc_request =
     Wap_engine.Session.request ~jobs:1
-      ~fingerprint:(Wap_core.Scan.fingerprint tool)
+      ~fingerprint:(Scan.fingerprint tool)
       ~specs:tool.Wap_core.Tool.specs inc_files
   in
   let session = Wap_engine.Session.open_project inc_request in
@@ -235,7 +236,7 @@ let run_scan_engine ?(check_obs = false) ?(check_parse = false) () =
      drift round to round turns that bias into noise the min absorbs. *)
   let obs_scan () =
     let t0 = Sys.time () in
-    ignore (Wap_core.Scan.run tool (Wap_core.Scan.request ~jobs:1 files));
+    ignore (Scan.run tool (Scan.request ~jobs:1 files));
     Sys.time () -. t0
   in
   (* ONE tracer for every on-round, created before the warm-up and kept
@@ -287,14 +288,14 @@ let run_scan_engine ?(check_obs = false) ?(check_parse = false) () =
      %.3fx\n"
     (List.length files) rounds !w_plain !w_obs obs_ratio;
   (* machine-readable companion for CI trend tracking *)
-  let wc1 = oc1.Wap_core.Scan.result.Wap_core.Tool.analysis_seconds in
-  let wc2 = oc2.Wap_core.Scan.result.Wap_core.Tool.analysis_seconds in
+  let wc1 = oc1.Scan.result.Wap_core.Tool.analysis_seconds in
+  let wc2 = oc2.Scan.result.Wap_core.Tool.analysis_seconds in
   let module J = Wap_report.Json in
-  let phase_obj (o : Wap_core.Scan.outcome) =
+  let phase_obj (o : Scan.outcome) =
     J.Obj
       (List.map
          (fun (k, s) -> (k, J.Float s))
-         o.Wap_core.Scan.result.Wap_core.Tool.phase_seconds)
+         o.Scan.result.Wap_core.Tool.phase_seconds)
   in
   let doc =
     J.Obj
@@ -307,10 +308,10 @@ let run_scan_engine ?(check_obs = false) ?(check_parse = false) () =
         ("jobs_parallel", J.Int par_jobs);
         ("cold_jobs1_wall_seconds", J.Float w1);
         ( "cold_jobs1_cpu_seconds",
-          J.Float o1.Wap_core.Scan.result.Wap_core.Tool.analysis_cpu_seconds );
+          J.Float o1.Scan.result.Wap_core.Tool.analysis_cpu_seconds );
         ("cold_parallel_wall_seconds", J.Float wp);
         ( "cold_parallel_cpu_seconds",
-          J.Float opar.Wap_core.Scan.result.Wap_core.Tool.analysis_cpu_seconds );
+          J.Float opar.Scan.result.Wap_core.Tool.analysis_cpu_seconds );
         ( "speedup",
           match par_speedup with Some s -> J.Float s | None -> J.Null );
         ("parse_ref_jobs1_wall_seconds", J.Float w_parse_ref);
@@ -319,13 +320,13 @@ let run_scan_engine ?(check_obs = false) ?(check_parse = false) () =
         ("phases_fused_jobs1", phase_obj o1);
         ("deterministic", J.Bool same);
         ( "candidates",
-          J.Int (List.length o4.Wap_core.Scan.result.Wap_core.Tool.candidates) );
+          J.Int (List.length o4.Scan.result.Wap_core.Tool.candidates) );
         ("cache_fill_wall_seconds", J.Float wc1);
         ("warm_rescan_wall_seconds", J.Float wc2);
         ( "cache_rescan_ratio",
           J.Float (if wc1 > 0. then wc2 /. wc1 else 0.) );
-        ("warm_cache_hits", J.Int oc2.Wap_core.Scan.cache_hits);
-        ("warm_cache_misses", J.Int oc2.Wap_core.Scan.cache_misses);
+        ("warm_cache_hits", J.Int oc2.Scan.cache_hits);
+        ("warm_cache_misses", J.Int oc2.Scan.cache_misses);
         ("incremental_project_files", J.Int (List.length inc_files));
         ("incremental_edit_reanalyzed", J.Int !inc_reran);
         ("incremental_edit_wall_seconds", J.Float !inc_best);
@@ -389,11 +390,16 @@ let write_projects dir projects =
         pkg.Wap_corpus.Appgen.pkg_files)
     projects
 
+(* the median of an odd-length list, ordered by [key] *)
+let median_by key xs =
+  List.nth
+    (List.sort (fun a b -> compare (key a) (key b)) xs)
+    (List.length xs / 2)
+
 let run_fleet ?(check_fleet = false) () =
-  let n_projects = 10 and project_files = 240 in
-  let root = "_bench_fleet_corpus" in
-  let cache_1 = "_bench_fleet_cache1" and cache_2 = "_bench_fleet_cache2" in
-  let scratch = [ root; cache_1; cache_2 ] in
+  let n_projects = 10 and project_files = 240 and pairs = 5 in
+  let root = "_bench_fleet_corpus" and cache_dir = "_bench_fleet_cache" in
+  let scratch = [ root; cache_dir ] in
   List.iter (fun d -> if Sys.file_exists d then rm_rf d) scratch;
   write_projects root
     (Wap_corpus.Corpus.generated_projects ~seed ~files:project_files
@@ -409,37 +415,65 @@ let run_fleet ?(check_fleet = false) () =
     "corpus: %d projects, %d files, sharing a %d-file framework layer\n"
     (List.length dirs) total_files
     (List.length (Wap_corpus.Corpus.shared_layer ~seed ()));
-  (* each run gets its own fresh cache directory: neither side may
-     inherit the other's warm disk cache *)
-  let fleet_run ~cache_dir workers =
-    Wap_fleet.Coordinator.run
-      {
-        Wap_fleet.Coordinator.fc_workers = workers;
-        fc_worker_jobs = 1;
-        fc_cache_dir = Some cache_dir;
-        fc_summary_store = true;
-        (* progress lines would pollute the timed runs' stderr *)
-        fc_progress = false;
-      }
-      ~dirs
+  (* every run starts from an empty cache directory: no run may inherit
+     another's warm disk cache *)
+  let fleet_run workers =
+    if Sys.file_exists cache_dir then rm_rf cache_dir;
+    (Wap_fleet.Coordinator.run
+       {
+         Wap_fleet.Coordinator.fc_workers = workers;
+         fc_worker_jobs = 1;
+         fc_cache_dir = Some cache_dir;
+         fc_summary_store = true;
+         (* progress lines would pollute the timed runs' stderr *)
+         fc_progress = false;
+       }
+       ~dirs)
+      .Wap_fleet.Coordinator.report
   in
-  let rp1 = (fleet_run ~cache_dir:cache_1 1).Wap_fleet.Coordinator.report in
-  let rp = (fleet_run ~cache_dir:cache_2 2).Wap_fleet.Coordinator.report in
-  let w_single = rp1.Wap_fleet.Coordinator.rp_wall_seconds in
-  let w_fleet = rp.Wap_fleet.Coordinator.rp_wall_seconds in
+  let wall rp = rp.Wap_fleet.Coordinator.rp_wall_seconds in
+  (* counterbalanced pairs: the side that runs first alternates, so a
+     drift in host speed over the kernel hits both sides alike *)
+  let runs =
+    List.init pairs (fun i ->
+        if i mod 2 = 0 then
+          let single = fleet_run 1 in
+          let fleet = fleet_run 2 in
+          (single, fleet)
+        else
+          let fleet = fleet_run 2 in
+          let single = fleet_run 1 in
+          (single, fleet))
+  in
+  let ratios =
+    List.map
+      (fun (single, fleet) ->
+        if wall fleet > 0. then wall single /. wall fleet else 0.)
+      runs
+  in
+  List.iteri
+    (fun i ((single, fleet), r) ->
+      Printf.printf "pair %d: 1 worker %5.2fs, 2 workers %5.2fs — %.2fx\n"
+        (i + 1) (wall single) (wall fleet) r)
+    (List.combine runs ratios);
+  let fleets = List.map snd runs in
+  let w_single = wall (median_by wall (List.map fst runs)) in
+  (* the 2-worker run of median wall supplies the throughput figures *)
+  let rp = median_by wall fleets in
+  let w_fleet = wall rp in
   let cores = Domain.recommended_domain_count () in
   (* two workers on one core just time-slice; the ratio is scheduler
      noise, not a parallel speedup — report it as not-measured, exactly
      like the scan kernel's [speedup] *)
   let fleet_speedup =
-    if cores < 2 then None
-    else Some (if w_fleet > 0. then w_single /. w_fleet else 0.)
+    if cores < 2 then None else Some (median_by Fun.id ratios)
   in
-  Printf.printf "fleet, 1 worker (single scanning process): %6.2fs wall\n"
-    w_single;
+  Printf.printf
+    "fleet, 1 worker (single scanning process): %6.2fs wall (median of %d)\n"
+    w_single pairs;
   let speedup_str =
     match fleet_speedup with
-    | Some s -> Printf.sprintf "%.2fx" s
+    | Some s -> Printf.sprintf "median %.2fx" s
     | None -> Printf.sprintf "n/a — host reports %d core(s)" cores
   in
   Printf.printf
@@ -456,6 +490,7 @@ let run_fleet ?(check_fleet = false) () =
       ("fleet_wall_seconds", J.Float w_fleet);
       ( "fleet_speedup",
         match fleet_speedup with Some s -> J.Float s | None -> J.Null );
+      ("fleet_speedup_pairs", J.List (List.map (fun r -> J.Float r) ratios));
       ( "fleet_projects_per_second",
         J.Float rp.Wap_fleet.Coordinator.rp_projects_per_second );
       ( "fleet_files_per_second",
@@ -473,17 +508,26 @@ let run_fleet ?(check_fleet = false) () =
   | Ok _ | Error _ | (exception Sys_error _) ->
       print_string "BENCH_scan.json not found; fleet metrics not recorded\n");
   print_newline ();
-  List.iter rm_rf scratch;
+  List.iter (fun d -> if Sys.file_exists d then rm_rf d) scratch;
   if check_fleet then begin
     let failed =
-      rp1.Wap_fleet.Coordinator.rp_failed @ rp.Wap_fleet.Coordinator.rp_failed
+      List.concat_map
+        (fun (single, fleet) ->
+          single.Wap_fleet.Coordinator.rp_failed
+          @ fleet.Wap_fleet.Coordinator.rp_failed)
+        runs
     in
     if failed <> [] then begin
       Printf.eprintf "FAIL: fleet projects failed: %s\n"
         (String.concat ", " failed);
       exit 1
     end;
-    if not (rp.Wap_fleet.Coordinator.rp_dedup_hit_ratio > 0.) then begin
+    if
+      not
+        (List.for_all
+           (fun fleet -> fleet.Wap_fleet.Coordinator.rp_dedup_hit_ratio > 0.)
+           fleets)
+    then begin
       Printf.eprintf
         "FAIL: fleet dedup hit ratio is 0 on the shared-layer corpus\n";
       exit 1
@@ -494,9 +538,9 @@ let run_fleet ?(check_fleet = false) () =
     match fleet_speedup with
     | Some s when s < 1.0 ->
         Printf.eprintf
-          "FAIL: 2-worker fleet slower than a single process (speedup %.2fx < \
-           1.0)\n"
-          s;
+          "FAIL: 2-worker fleet slower than a single process (median \
+           speedup %.2fx < 1.0 over %d pairs)\n"
+          s pairs;
         exit 1
     | Some _ | None -> ()
   end
@@ -613,14 +657,14 @@ let experiment_tests () =
     Test.make ~name:"table4-sink-catalog" (staged (fun () -> E.table4 ()));
     Test.make ~name:"table5-6-pipeline-per-app"
       (staged (fun () ->
-           (Wap_core.Tool.Scan.run tool
-              (Wap_core.Tool.Scan.request_of_package small_pkg))
-             .Wap_core.Tool.Scan.result));
+           (Scan.run tool
+              (Scan.request_of_package small_pkg))
+             .Scan.result));
     Test.make ~name:"table7-plugin-pipeline"
       (staged (fun () ->
            let _, pkg = List.hd (Wap_corpus.Corpus.vulnerable_plugins ~seed ()) in
-           (Wap_core.Tool.Scan.run tool (Wap_core.Tool.Scan.request_of_package pkg))
-             .Wap_core.Tool.Scan.result));
+           (Scan.run tool (Scan.request_of_package pkg))
+             .Scan.result));
     Test.make ~name:"fig4-histogram"
       (staged (fun () ->
            List.map

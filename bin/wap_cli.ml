@@ -24,6 +24,8 @@
                     deterministically. *)
 
 open Cmdliner
+module Scan = Wap_core.Tool.Scan
+module Session = Wap_engine.Session
 
 let read_file = Wap_php.Io.read_file
 
@@ -139,15 +141,16 @@ let progress_logger () =
   if not (Wap_obs.Log.enabled Wap_obs.Log.Debug) then None
   else
     Some
-      (function
-      | Wap_engine.Scan.File_parsed { path; cached } ->
-          Wap_obs.Log.debug
-            ~fields:[ ("file", path); ("cached", string_of_bool cached) ]
-            "parsed"
-      | Wap_engine.Scan.File_analyzed { path; cached } ->
-          Wap_obs.Log.debug
-            ~fields:[ ("file", path); ("cached", string_of_bool cached) ]
-            "analyzed")
+      (fun (ev : Session.event) ->
+        match ev.Session.progress with
+        | Session.File_parsed { path; cached } ->
+            Wap_obs.Log.debug
+              ~fields:[ ("file", path); ("cached", string_of_bool cached) ]
+              "parsed"
+        | Session.File_analyzed { path; cached } ->
+            Wap_obs.Log.debug
+              ~fields:[ ("file", path); ("cached", string_of_bool cached) ]
+              "analyzed")
 
 let stats_arg =
   Arg.(value & flag
@@ -158,9 +161,9 @@ let stats_arg =
 (* The --stats summary: per-phase wall clock (sums to ~analysis_seconds),
    scan counters, and the per-detector breakdown — all on stderr so
    stdout stays machine-parseable. *)
-let print_scan_stats (outcome : Wap_core.Scan.outcome) =
+let print_scan_stats (outcome : Scan.outcome) =
   let module Tbl = Wap_report.Table in
-  let r = outcome.Wap_core.Scan.result in
+  let r = outcome.Scan.result in
   let total = r.Wap_core.Tool.analysis_seconds in
   let phases = r.Wap_core.Tool.phase_seconds in
   let accounted = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 phases in
@@ -200,15 +203,15 @@ let print_scan_stats (outcome : Wap_core.Scan.outcome) =
         string_of_int
           (List.fold_left
              (fun acc (_, errs) -> acc + List.length errs)
-             0 outcome.Wap_core.Scan.parse_errors) ];
-      [ "detector specs"; string_of_int (List.length outcome.Wap_core.Scan.spec_timings) ];
+             0 outcome.Scan.parse_errors) ];
+      [ "detector specs"; string_of_int (List.length outcome.Scan.spec_timings) ];
       [ "candidates"; string_of_int (List.length r.Wap_core.Tool.candidates) ];
       [ "vulnerabilities"; string_of_int (List.length r.Wap_core.Tool.reported) ];
       [ "predicted false positives";
         string_of_int (List.length r.Wap_core.Tool.predicted_fps) ];
-      [ "worker domains"; string_of_int outcome.Wap_core.Scan.jobs_used ];
-      [ "cache hits"; string_of_int outcome.Wap_core.Scan.cache_hits ];
-      [ "cache misses"; string_of_int outcome.Wap_core.Scan.cache_misses ];
+      [ "worker domains"; string_of_int outcome.Scan.jobs_used ];
+      [ "cache hits"; string_of_int outcome.Scan.cache_hits ];
+      [ "cache misses"; string_of_int outcome.Scan.cache_misses ];
       [ "functions reused from pass 1"; counter "taint.functions_reused" ];
       [ "functions re-analyzed in pass 2"; counter "taint.functions_reanalyzed" ];
       [ "pool queue-wait mean (ms)";
@@ -219,17 +222,13 @@ let print_scan_stats (outcome : Wap_core.Scan.outcome) =
   let t2 = Tbl.make ~title:"scan counters" ~header:[ "counter"; "value" ] counter_rows in
   let spec_rows =
     List.map
-      (fun (s : Wap_engine.Scan.spec_report) ->
-        [
-          s.Wap_engine.Scan.sr_spec;
-          string_of_int s.Wap_engine.Scan.sr_candidates;
-          (if s.Wap_engine.Scan.sr_cached then "yes" else "no");
-        ])
-      outcome.Wap_core.Scan.spec_timings
+      (fun (s : Session.spec_report) ->
+        [ s.Session.sr_spec; string_of_int s.Session.sr_candidates ])
+      outcome.Scan.spec_timings
   in
   let t3 =
     Tbl.make ~title:"per-detector breakdown"
-      ~header:[ "detector"; "candidates"; "cached" ]
+      ~header:[ "detector"; "candidates" ]
       spec_rows
   in
   (* every latency histogram in the registry, with interpolated
@@ -371,22 +370,22 @@ let analyze_cmd =
     let sources = List.map (fun p -> (p, read_file p)) paths in
     let cache = disk_cache ~no_cache ~cache_dir in
     let outcome =
-      Wap_core.Scan.run tool
-        (Wap_core.Scan.request ~jobs ?cache ?on_progress:(progress_logger ())
+      Scan.run tool
+        (Scan.request ~jobs ?cache ?on_progress:(progress_logger ())
            sources)
     in
-    let result = outcome.Wap_core.Scan.result in
-    let parse_errors = outcome.Wap_core.Scan.parse_errors in
+    let result = outcome.Scan.result in
+    let parse_errors = outcome.Scan.parse_errors in
     if verbose then
       Wap_obs.Log.info
         ~fields:
-          [ ("workers", string_of_int outcome.Wap_core.Scan.jobs_used);
+          [ ("workers", string_of_int outcome.Scan.jobs_used);
             ( "cache",
               match cache_dir with
               | Some dir when Option.is_some cache -> "on (" ^ dir ^ ")"
               | _ -> "off" );
-            ("hits", string_of_int outcome.Wap_core.Scan.cache_hits);
-            ("misses", string_of_int outcome.Wap_core.Scan.cache_misses) ]
+            ("hits", string_of_int outcome.Scan.cache_hits);
+            ("misses", string_of_int outcome.Scan.cache_misses) ]
         "scan finished";
     List.iter
       (fun (path, errs) ->

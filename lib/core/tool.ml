@@ -117,9 +117,11 @@ let parse_package (pkg : Wap_corpus.Appgen.package) :
     pkg.Wap_corpus.Appgen.pkg_files
 
 (* ------------------------------------------------------------------ *)
-(* The unified Scan API: every entry point (CLI, experiments, bench,    *)
-(* the legacy wrappers below) routes through one request/outcome pair   *)
-(* executed on the parallel engine.                                     *)
+(* The unified Scan API: every batch entry point (CLI, experiments,     *)
+(* bench, fleet workers, fuzz oracles) routes through one               *)
+(* request/outcome pair executed on a one-shot engine session.          *)
+
+module Session = Wap_engine.Session
 
 module Scan = struct
   type request = {
@@ -128,8 +130,8 @@ module Scan = struct
     cache : Wap_engine.Cache.t option;
     summary_store : bool;
         (** content-addressed cross-project summary store (fleet
-            workers); see {!Wap_engine.Scan.request} *)
-    on_progress : (Wap_engine.Scan.progress -> unit) option;
+            workers); see {!Wap_engine.Session.request} *)
+    on_progress : (Session.event -> unit) option;
     package : Wap_corpus.Appgen.package option;
         (** corpus package the files came from (ground truth, LoC);
             synthesized from [files] when absent *)
@@ -158,8 +160,8 @@ module Scan = struct
     result : package_result;
     parse_errors : (string * Wap_php.Parser.recovered_error list) list;
         (** recovered errors of the files that needed recovery *)
-    file_timings : Wap_engine.Scan.file_report list;  (** input order *)
-    spec_timings : Wap_engine.Scan.spec_report list;  (** spec order *)
+    file_timings : Session.file_report list;  (** input order *)
+    spec_timings : Session.spec_report list;  (** spec order *)
     jobs_used : int;
     cache_hits : int;
     cache_misses : int;
@@ -191,15 +193,15 @@ module Scan = struct
           }
     in
     let engine =
-      Wap_engine.Scan.run
-        (Wap_engine.Scan.request ~jobs:req.jobs ?cache:req.cache
+      Session.run
+        (Session.request ~jobs:req.jobs ?cache:req.cache
            ~fingerprint:(fingerprint t) ~summary_store:req.summary_store
            ?on_progress:req.on_progress ~specs:t.specs req.files)
     in
     let t0_predict = Unix.gettimeofday () in
     let candidates, findings =
       Wap_obs.Trace.with_span ~cat:"core" "phase.predict" (fun () ->
-          let candidates = dedup_candidates engine.Wap_engine.Scan.candidates in
+          let candidates = dedup_candidates engine.Session.candidates in
           let findings =
             List.map
               (fun c ->
@@ -224,8 +226,7 @@ module Scan = struct
         loc = Wap_corpus.Appgen.loc_of_package pkg;
         analysis_seconds = Unix.gettimeofday () -. t0_wall;
         analysis_cpu_seconds = Sys.time () -. t0_cpu;
-        phase_seconds =
-          engine.Wap_engine.Scan.phases @ [ ("predict", t_predict) ];
+        phase_seconds = engine.Session.phases @ [ ("predict", t_predict) ];
         candidates;
         findings;
         reported = List.map (fun f -> f.candidate) reported;
@@ -236,16 +237,16 @@ module Scan = struct
       result;
       parse_errors =
         List.filter_map
-          (fun (r : Wap_engine.Scan.file_report) ->
-            match r.Wap_engine.Scan.fr_errors with
+          (fun (r : Session.file_report) ->
+            match r.Session.fr_errors with
             | [] -> None
-            | errs -> Some (r.Wap_engine.Scan.fr_path, errs))
-          engine.Wap_engine.Scan.file_reports;
-      file_timings = engine.Wap_engine.Scan.file_reports;
-      spec_timings = engine.Wap_engine.Scan.spec_reports;
-      jobs_used = engine.Wap_engine.Scan.jobs_used;
-      cache_hits = engine.Wap_engine.Scan.cache_hits;
-      cache_misses = engine.Wap_engine.Scan.cache_misses;
+            | errs -> Some (r.Session.fr_path, errs))
+          engine.Session.file_reports;
+      file_timings = engine.Session.file_reports;
+      spec_timings = engine.Session.spec_reports;
+      jobs_used = engine.Session.jobs_used;
+      cache_hits = engine.Session.cache_hits;
+      cache_misses = engine.Session.cache_misses;
     }
 end
 

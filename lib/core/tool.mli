@@ -69,9 +69,9 @@ exception Parse_failure of string * string
 val parse_package :
   Wap_corpus.Appgen.package -> Wap_taint.Analyzer.file_unit list
 
-(** The unified scan API.  Every entry point — CLI, experiments and
-    bench — routes through one request/outcome pair executed on the
-    parallel engine ({!Wap_engine.Scan}, a one-shot
+(** The unified scan API.  Every batch entry point — CLI, experiments,
+    bench, fleet workers and fuzz oracles — routes through one
+    request/outcome pair executed on the parallel engine (a one-shot
     {!Wap_engine.Session}): tolerant parsing fans out over [jobs]
     worker domains, one fused taint pass covers all detector specs
     (per-file fan-out in its top-level stage), candidates merge
@@ -89,8 +89,8 @@ module Scan : sig
             content-addressed chained prefix keys, shared across
             projects through a common cache directory; off by default,
             enabled by the fleet workers — see
-            {!Wap_engine.Scan.request} *)
-    on_progress : (Wap_engine.Scan.progress -> unit) option;
+            {!Wap_engine.Session.request} *)
+    on_progress : (Wap_engine.Session.event -> unit) option;
     package : Wap_corpus.Appgen.package option;
         (** corpus package the files came from (ground truth, LoC);
             synthesized from [files] when absent *)
@@ -103,7 +103,7 @@ module Scan : sig
     ?jobs:int ->
     ?cache:Wap_engine.Cache.t ->
     ?summary_store:bool ->
-    ?on_progress:(Wap_engine.Scan.progress -> unit) ->
+    ?on_progress:(Wap_engine.Session.event -> unit) ->
     ?package:Wap_corpus.Appgen.package ->
     (string * string) list ->
     request
@@ -113,7 +113,7 @@ module Scan : sig
     ?jobs:int ->
     ?cache:Wap_engine.Cache.t ->
     ?summary_store:bool ->
-    ?on_progress:(Wap_engine.Scan.progress -> unit) ->
+    ?on_progress:(Wap_engine.Session.event -> unit) ->
     Wap_corpus.Appgen.package ->
     request
 
@@ -121,8 +121,8 @@ module Scan : sig
     result : package_result;
     parse_errors : (string * Wap_php.Parser.recovered_error list) list;
         (** recovered errors of the files that needed recovery *)
-    file_timings : Wap_engine.Scan.file_report list;  (** input order *)
-    spec_timings : Wap_engine.Scan.spec_report list;  (** spec order *)
+    file_timings : Wap_engine.Session.file_report list;  (** input order *)
+    spec_timings : Wap_engine.Session.spec_report list;  (** spec order *)
     jobs_used : int;
     cache_hits : int;
     cache_misses : int;

@@ -4,23 +4,19 @@
 type t = {
   cache_dir : string option;
   mem : (string, string) Hashtbl.t;
-  order : string Queue.t;  (** insertion order, for eviction *)
-  max_entries : int option;
   lock : Mutex.t;
   (* lock-free so a hot lookup path never serializes on the table lock
      just to count itself, and counts are exact under any [--jobs] *)
   n_hits : int Atomic.t;
   n_misses : int Atomic.t;
-  n_evictions : int Atomic.t;
 }
 
 (* plain values: a [lazy] forced from two worker domains at once raises
    [CamlinternalLazy.Undefined] *)
 let m_hits = Wap_obs.Metrics.counter "engine.cache.hits"
 let m_misses = Wap_obs.Metrics.counter "engine.cache.misses"
-let m_evictions = Wap_obs.Metrics.counter "engine.cache.evictions"
 
-let create ?dir ?max_entries () =
+let create ?dir () =
   let dir =
     match dir with
     | None -> None
@@ -33,16 +29,10 @@ let create ?dir ?max_entries () =
   {
     cache_dir = dir;
     mem = Hashtbl.create 64;
-    order = Queue.create ();
-    max_entries =
-      (match max_entries with Some n when n >= 1 -> Some n | _ -> None);
     lock = Mutex.create ();
     n_hits = Atomic.make 0;
     n_misses = Atomic.make 0;
-    n_evictions = Atomic.make 0;
   }
-
-let dir t = t.cache_dir
 
 let key parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
 
@@ -124,29 +114,7 @@ let write_file path contents =
     Sys.rename tmp path
   with Sys_error _ | Unix.Unix_error _ -> remove_file tmp
 
-(* Must be called with the lock held.  Evicts in insertion order until
-   the in-memory table fits the cap again; disk entries survive (they
-   are the persistence layer, not the working set). *)
-let evict_over_cap t =
-  match t.max_entries with
-  | None -> ()
-  | Some cap ->
-      while Hashtbl.length t.mem > cap && not (Queue.is_empty t.order) do
-        let victim = Queue.pop t.order in
-        (* re-inserted keys appear twice in [order]; only a key still
-           present counts as an eviction *)
-        if Hashtbl.mem t.mem victim then begin
-          Hashtbl.remove t.mem victim;
-          Atomic.incr t.n_evictions;
-          Wap_obs.Metrics.incr m_evictions
-        end
-      done
-
-let remember t k s =
-  locked t (fun () ->
-      if not (Hashtbl.mem t.mem k) then Queue.push k t.order;
-      Hashtbl.replace t.mem k s;
-      evict_over_cap t)
+let remember t k s = locked t (fun () -> Hashtbl.replace t.mem k s)
 
 let find_raw t k : string option =
   match locked t (fun () -> Hashtbl.find_opt t.mem k) with
@@ -179,7 +147,7 @@ let find t ~key:k : 'a option =
          still hold a marshalled value of another shape (a key collision
          across format eras, a foreign writer that produced a valid
          frame).  [Marshal.from_string] raising must read as a miss —
-         and evict the poisoned entry — rather than kill the scan. *)
+         and invalidate the poisoned entry — rather than kill the scan. *)
       match (Marshal.from_string s 0 : 'a) with
       | v ->
           Atomic.incr t.n_hits;
@@ -207,9 +175,3 @@ let memoize t ~key:k (compute : unit -> 'a) : 'a * bool =
 
 let hits t = Atomic.get t.n_hits
 let misses t = Atomic.get t.n_misses
-let evictions t = Atomic.get t.n_evictions
-
-let reset_stats t =
-  Atomic.set t.n_hits 0;
-  Atomic.set t.n_misses 0;
-  Atomic.set t.n_evictions 0

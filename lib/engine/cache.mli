@@ -9,11 +9,10 @@
     skip unchanged work between processes.
 
     All operations are safe to call from several domains at once.  The
-    hit/miss/eviction counters are atomics, so they stay exact under any
+    hit/miss counters are atomics, so they stay exact under any
     [--jobs]; each lookup also bumps the process-wide
-    [engine.cache.{hits,misses,evictions}] counters of
-    {!Wap_obs.Metrics.global} and, when tracing is on, records an
-    instant event.
+    [engine.cache.{hits,misses}] counters of {!Wap_obs.Metrics.global}
+    and, when tracing is on, records an instant event.
 
     The marshalling is untyped, so a key must always be requested at the
     type it was stored at — callers guarantee this by embedding a kind
@@ -26,23 +25,17 @@
     a torn one), and carries a digest-verified frame.  An entry that
     fails verification — truncated by a crash, corrupted on disk, or a
     foreign file — is deleted and read as a miss; a verified frame whose
-    marshalled payload still cannot be decoded is likewise evicted and
-    read as a miss instead of raising.  Several processes may therefore
-    share one cache directory (the fleet's cross-project summary store
-    does exactly this). *)
+    marshalled payload still cannot be decoded is likewise invalidated
+    and read as a miss instead of raising.  Several processes may
+    therefore share one cache directory (the fleet's cross-project
+    summary store does exactly this). *)
 
 type t
 
-(** [create ?dir ?max_entries ()] makes an empty cache.  With [dir] the
-    directory is created if missing and entries are persisted there; on
-    any disk error the cache silently degrades to in-memory only.  With
-    [max_entries] the in-memory table is capped: overflowing entries are
-    evicted in insertion order (persisted files are kept, so an evicted
-    entry can still be re-read from disk). *)
-val create : ?dir:string -> ?max_entries:int -> unit -> t
-
-(** The persistence directory, if any. *)
-val dir : t -> string option
+(** [create ?dir ()] makes an empty cache.  With [dir] the directory is
+    created if missing and entries are persisted there; on any disk
+    error the cache silently degrades to in-memory only. *)
+val create : ?dir:string -> unit -> t
 
 (** [key parts] combines the given key material into one hex digest. *)
 val key : string list -> string
@@ -61,14 +54,11 @@ val find : t -> key:string -> 'a option
 val store : t -> key:string -> 'a -> unit
 
 (** Drop an entry from the in-memory table and the persistence
-    directory (used internally to evict undecodable entries; exposed
-    for targeted invalidation and tests). *)
+    directory (used internally for undecodable entries; exposed for
+    targeted invalidation and tests). *)
 val invalidate : t -> key:string -> unit
 
-(** Lookups that found an entry / had to compute / entries evicted since
-    creation (or the last {!reset_stats}). *)
+(** Lookups since creation that found an entry / had to compute. *)
 val hits : t -> int
 
 val misses : t -> int
-val evictions : t -> int
-val reset_stats : t -> unit

@@ -1,14 +1,14 @@
-(** The session-oriented scan engine.
+(** The scan engine.
 
     A session ([open_project]) parses every file once and retains the
     ASTs, per-file pass results, summary table and catalog lookup in
     memory; [update_file]/[add_file]/[remove_file] apply targeted
     invalidation (re-parse + re-run the top-level pass for the touched
     file and its include-dependents only, falling back to a full
-    re-analysis only when the edit changes the file's function-summary
-    fingerprint under interprocedural analysis); [export] and
-    [diagnostics] finalize and merge deterministically.  {!Scan.run}
-    is a thin wrapper: open a one-shot session, export it.
+    re-analysis only when the edit changes a declared function, or adds
+    or removes a file that declares one); [export] and [diagnostics]
+    finalize and merge deterministically.  [run] is the one-shot scan:
+    open a session, export it.
 
     The batch pipeline semantics live here: fused multi-spec analysis
     (pass 1 summaries, pass 2 function bodies, pass 3 parallel
@@ -24,8 +24,10 @@ module An = Wap_taint.Analyzer
    marshalled shape or a key's layout changes, so entries written by an
    older engine are never read back.  v4: the analyze-file keys lost
    the IR/AST mode bit, and the per-spec "analyze" entries are gone.
-   v5: an origin's propagation chain is stored newest first. *)
-let cache_format_version = "wap-engine-5"
+   v5: an origin's propagation chain is stored newest first.  v6: the
+   analysis digest and the summary-chain seed lost the interprocedural
+   bit. *)
+let cache_format_version = "wap-engine-6"
 
 (* plain values, bumped from the parse workers: a [lazy] forced from two
    domains at once raises [CamlinternalLazy.Undefined] *)
@@ -39,24 +41,23 @@ type progress =
   | File_parsed of { path : string; cached : bool }
   | File_analyzed of { path : string; cached : bool }
 
+type event = { generation : int; progress : progress }
+
 type request = {
   files : (string * string) list;
   specs : Cat.spec list;
   jobs : int;
   cache : Cache.t option;
   fingerprint : string;
-  interprocedural : bool;
   summary_store : bool;
       (** persist pass-1 summary deltas under content-addressed chained
           keys, shared across projects through the cache *)
-  on_progress : (progress -> unit) option;
+  on_progress : (event -> unit) option;
 }
 
 let request ?(jobs = Config.default_jobs ()) ?cache ?(fingerprint = "")
-    ?(interprocedural = true) ?(summary_store = false) ?on_progress ~specs
-    files =
-  { files; specs; jobs; cache; fingerprint; interprocedural; summary_store;
-    on_progress }
+    ?(summary_store = false) ?on_progress ~specs files =
+  { files; specs; jobs; cache; fingerprint; summary_store; on_progress }
 
 type file_report = {
   fr_path : string;
@@ -67,7 +68,6 @@ type file_report = {
 
 type spec_report = {
   sr_spec : string;
-  sr_cached : bool;
   sr_candidates : int;
 }
 
@@ -124,7 +124,7 @@ let timed name f =
 
 (* One file of the open project.  The expensive derived facts (summary
    fingerprint, include list, dead-sink set) are lazy: a one-shot
-   [Scan.run] never mutates the session and so never pays for them. *)
+   [run] never mutates the session and so never pays for them. *)
 type entry = {
   ent_path : string;
   mutable ent_src_digest : string;  (* hex digest of the source text *)
@@ -139,17 +139,13 @@ type entry = {
   mutable ent_pass3 : (int * Trace.candidate) list;
 }
 
-type event = { generation : int; progress : progress }
-
 type t = {
   s_specs : Cat.spec list;
   s_jobs : int;
   s_cache : Cache.t option;
   s_fingerprint : string;
-  s_interprocedural : bool;
   s_summary_store : bool;
-  s_on_progress : (progress -> unit) option;
-  s_on_event : (event -> unit) option;
+  s_on_progress : (event -> unit) option;
   s_hits0 : int;
   s_misses0 : int;
   mutable s_entries : entry list;  (* project order *)
@@ -158,7 +154,6 @@ type t = {
       (* passes 1–2 over the current entries; [None] until first needed
          (an all-cache-hit open never builds it) and whenever an edit
          makes the shared summary table stale *)
-  mutable s_cached : bool;  (* every pass served from cache, no recompute *)
   mutable s_phases : (string * float) list;  (* parse/digest/analyze of open *)
   mutable s_wall : float;  (* wall spent in open + mutations + exports *)
   mutable s_cpu : float;
@@ -172,8 +167,7 @@ let paths t = List.map (fun e -> e.ent_path) t.s_entries
 let mem t ~path = List.exists (fun e -> e.ent_path = path) t.s_entries
 
 let emit t p =
-  (match t.s_on_progress with Some f -> f p | None -> ());
-  match t.s_on_event with
+  match t.s_on_progress with
   | Some f -> f { generation = t.s_generation; progress = p }
   | None -> ()
 
@@ -261,12 +255,10 @@ let project_digest t =
        |> List.sort String.compare))
 
 (* Everything a file's analysis entry depends on besides the file
-   itself: the whole source set, the active specs and the
-   interprocedural switch. *)
+   itself: the whole source set and the active specs. *)
 let analysis_digest t ~project_digest =
   Cache.key
-    [ cache_format_version; project_digest; Cat.set_fingerprint t.s_specs;
-      string_of_bool t.s_interprocedural ]
+    [ cache_format_version; project_digest; Cat.set_fingerprint t.s_specs ]
 
 (* per-file keys carry the file's own source digest, not just its
    path: a request may legally repeat a path with different contents
@@ -295,7 +287,7 @@ let file_key ~analysis_digest e =
 let summary_chain_seed t =
   Cache.key
     [ cache_format_version; "summary-chain"; t.s_fingerprint;
-      Cat.set_fingerprint t.s_specs; string_of_bool t.s_interprocedural ]
+      Cat.set_fingerprint t.s_specs ]
 
 let summarize_entries t st =
   match t.s_cache with
@@ -325,19 +317,14 @@ let summarize_entries t st =
 let run_passes t (es : entry list) =
   if es = [] then []
   else begin
-    t.s_cached <- false;
     let st =
       match t.s_state with
       | Some st -> st
       | None ->
-          let st =
-            An.project_state ~interprocedural:t.s_interprocedural
-              ~specs:t.s_specs ()
-          in
+          let st = An.project_state ~specs:t.s_specs () in
           t.s_state <- Some st;
-          if t.s_interprocedural then
-            Obs.with_span ~cat:"engine" "fused.summaries" (fun () ->
-                summarize_entries t st);
+          Obs.with_span ~cat:"engine" "fused.summaries" (fun () ->
+              summarize_entries t st);
           Obs.with_span ~cat:"engine" "fused.functions" (fun () ->
               List.iter
                 (fun e -> e.ent_pass2 <- An.analyze_file_functions st e.ent_unit)
@@ -364,14 +351,6 @@ let run_passes t (es : entry list) =
 let reanalyze_all t =
   t.s_state <- None;
   run_passes t t.s_entries
-
-(* Pass 2 of one file in isolation — sound only when interprocedural
-   analysis is off: candidate de-duplication keys are file-scoped and
-   without summaries no other state is shared across files, so a fresh
-   state reproduces exactly what the shared sequential pass computed. *)
-let isolated_pass2 t e =
-  let st = An.project_state ~interprocedural:false ~specs:t.s_specs () in
-  e.ent_pass2 <- An.analyze_file_functions st e.ent_unit
 
 (* Entries whose top-level sweep can splice [base] (transitively,
    through the include graph).  Conservative over-approximation — a
@@ -424,8 +403,7 @@ let analyze_stage t ~project_digest =
       t.s_entries
   in
   if t.s_entries <> [] && List.for_all (fun (_, x) -> x <> None) probed
-  then begin
-    t.s_cached <- true;
+  then
     List.iter
       (fun (e, x) ->
         let p2, p3 = Option.get x in
@@ -433,7 +411,6 @@ let analyze_stage t ~project_digest =
         e.ent_pass3 <- p3;
         emit t (File_analyzed { path = e.ent_path; cached = true }))
       probed
-  end
   else begin
     ignore (run_passes t t.s_entries);
     match t.s_cache with
@@ -449,7 +426,7 @@ let analyze_stage t ~project_digest =
 (* ------------------------------------------------------------------ *)
 (* Open.                                                               *)
 
-let open_project ?on_event (req : request) : t =
+let open_project (req : request) : t =
   Obs.with_span ~cat:"engine" "scan"
     ~args:[ ("files", string_of_int (List.length req.files));
             ("specs", string_of_int (List.length req.specs));
@@ -463,16 +440,13 @@ let open_project ?on_event (req : request) : t =
       s_jobs = jobs;
       s_cache = req.cache;
       s_fingerprint = req.fingerprint;
-      s_interprocedural = req.interprocedural;
       s_summary_store = req.summary_store;
       s_on_progress = req.on_progress;
-      s_on_event = on_event;
       s_hits0 = (match req.cache with Some c -> Cache.hits c | None -> 0);
       s_misses0 = (match req.cache with Some c -> Cache.misses c | None -> 0);
       s_entries = [];
       s_generation = 0;
       s_state = None;
-      s_cached = false;
       s_phases = [];
       s_wall = 0.;
       s_cpu = 0.;
@@ -588,8 +562,7 @@ let export t : outcome =
             (fun spec (_, cands) ->
               let label = spec_label spec in
               Wap_obs.Metrics.incr ~by:(List.length cands) (m_candidates label);
-              { sr_spec = label; sr_cached = t.s_cached;
-                sr_candidates = List.length cands })
+              { sr_spec = label; sr_candidates = List.length cands })
             t.s_specs groups
         in
         (reports, List.map snd (merge groups)))
@@ -651,12 +624,9 @@ let update_file t ~path src =
   let _, old_fp = Lazy.force e.ent_decl in
   refresh_entry t e src;
   let _, new_fp = Lazy.force e.ent_decl in
-  let decl_changed = not (String.equal old_fp new_fp) in
-  if decl_changed && t.s_interprocedural then reanalyze_all t
-  else begin
-    if decl_changed then isolated_pass2 t e;
+  if not (String.equal old_fp new_fp) then reanalyze_all t
+  else
     run_passes t (e :: dependents t ~base:(Filename.basename path) ~excluding:e)
-  end
 
 let add_file t ~path src =
   if mem t ~path then
@@ -667,11 +637,9 @@ let add_file t ~path src =
   emit t (File_parsed { path; cached = e.ent_report.fr_cached });
   t.s_entries <- t.s_entries @ [ e ];
   let has_funcs, _ = Lazy.force e.ent_decl in
-  if has_funcs && t.s_interprocedural then reanalyze_all t
-  else begin
-    if has_funcs then isolated_pass2 t e;
+  if has_funcs then reanalyze_all t
+  else
     run_passes t (e :: dependents t ~base:(Filename.basename path) ~excluding:e)
-  end
 
 let remove_file t ~path =
   match find_unique t ~op:"remove_file" ~path with
@@ -681,5 +649,4 @@ let remove_file t ~path =
       let deps = dependents t ~base:(Filename.basename path) ~excluding:e in
       t.s_entries <- List.filter (fun x -> x != e) t.s_entries;
       let had_funcs, _ = Lazy.force e.ent_decl in
-      if had_funcs && t.s_interprocedural then reanalyze_all t
-      else run_passes t deps
+      if had_funcs then reanalyze_all t else run_passes t deps

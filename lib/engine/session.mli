@@ -1,13 +1,12 @@
-(** The session-oriented scan engine.
+(** The scan engine.
 
-    {!open_project} runs the batch pipeline once — parse fan-out, the
-    fused multi-spec taint analysis, digest-keyed caching — and
-    {e retains} everything in memory: ASTs,
-    per-file pass results, the analyzer state with its summary table
-    and catalog lookup, per-file dead-sink sets.  {!export} finalizes
-    and merges deterministically; {!Scan.run} is exactly
-    [export (open_project req)], so a one-shot scan is byte-identical
-    to what the batch engine produced.
+    {!open_project} runs the pipeline once — parse fan-out, the fused
+    multi-spec taint analysis, digest-keyed caching — and {e retains}
+    everything in memory: ASTs, per-file pass results, the analyzer
+    state with its summary table and catalog lookup, per-file dead-sink
+    sets.  {!export} finalizes and merges deterministically; {!run} is
+    exactly [export (open_project req)], the one-shot scan every batch
+    caller ([Wap_core.Tool.Scan]) goes through.
 
     {!update_file}, {!add_file} and {!remove_file} apply {e targeted}
     invalidation instead of cold cache probes:
@@ -16,13 +15,11 @@
       re-run, together with the files whose top-level sweep can splice
       it (transitive reverse include closure, matched by base name
       like the splice itself);
-    - its function-bodies pass (pass 2) is re-run only when the
-      file's {e function-summary fingerprint} — the exact function
-      list passes 1/2 consume, bodies and locations included —
-      changes;
-    - only when that fingerprint changes {e and} interprocedural
-      analysis is on (so the shared summary table itself is stale)
-      does the whole project re-analyze.
+    - when the file's {e function-summary fingerprint} — the exact
+      function list passes 1/2 consume, bodies and locations included —
+      changes (or a file that declares functions is added or removed),
+      the shared summary table is stale and the whole project
+      re-analyzes.
 
     All three, like {!open_project}, go through one pass runner: passes
     1–2 replay over the whole project only when no analyzer state is
@@ -32,8 +29,16 @@
     Every re-analyzed file emits a [File_analyzed] progress event, so
     clients (and the invalidation tests) can observe exactly how much
     work an edit caused.  After any sequence of mutations the session
-    exports byte-identically to a fresh {!Scan.run} over the same
-    sources.
+    exports byte-identically to a fresh {!run} over the same sources.
+
+    Candidates are merged in a deterministic order — sorted by sink
+    file, then sink location, ties broken by spec order and discovery
+    order — so the output is byte-identical whatever [jobs] is.
+
+    The run is instrumented with {!Wap_obs}: spans for the open, each
+    phase, each parse/analyze work item and every cache lookup, plus
+    process-wide [engine.*] counters.  None of it changes the result:
+    tracing on or off, the export is byte-identical.
 
     Sessions are not thread-safe: drive each from one domain (the
     pass-3 fan-out parallelizes internally). *)
@@ -47,8 +52,14 @@ val cache_format_version : string
 type progress =
   | File_parsed of { path : string; cached : bool }
   | File_analyzed of { path : string; cached : bool }
-      (** one per file once its analysis (or cache assembly) is done —
-          and, in a session, one per file a mutation re-analyzes *)
+      (** one per file once its analysis (or cache assembly) is done,
+          and one per file a mutation re-analyzes *)
+
+(** A progress event tagged with the session generation it was
+    produced at, so clients running edits asynchronously can discard
+    notifications of a superseded edit: events whose [generation] is
+    below the session's current one are stale. *)
+type event = { generation : int; progress : progress }
 
 type request = {
   files : (string * string) list;  (** [(path, source)], scanned as one app *)
@@ -59,7 +70,6 @@ type request = {
       (** tool-level cache-key material: version name plus the full
           active spec set, so changing either invalidates analysis
           entries *)
-  interprocedural : bool;
   summary_store : bool;
       (** persist pass-1 summary deltas in the cache under
           content-addressed {e chained} keys — the key of file [i] is
@@ -69,22 +79,20 @@ type request = {
           first) summarize it once {e across} projects.  Off by
           default (it changes the observable cache hit/miss profile);
           the fleet workers turn it on. *)
-  on_progress : (progress -> unit) option;
-      (** invoked in the calling domain, once per finished work item;
-          see {!open_project}'s [on_event] for the generation-tagged
-          variant *)
+  on_progress : (event -> unit) option;
+      (** invoked in the calling domain, once per finished work item of
+          the open (generation [0]) and of every later mutation *)
 }
 
 (** [request ~specs files] with defaults: [jobs] resolved through
     {!Config} (environment gate [WAP_JOBS]), no cache, empty
-    fingerprint, interprocedural on. *)
+    fingerprint, no summary store, no progress callback. *)
 val request :
   ?jobs:int ->
   ?cache:Cache.t ->
   ?fingerprint:string ->
-  ?interprocedural:bool ->
   ?summary_store:bool ->
-  ?on_progress:(progress -> unit) ->
+  ?on_progress:(event -> unit) ->
   specs:Wap_catalog.Catalog.spec list ->
   (string * string) list ->
   request
@@ -98,7 +106,6 @@ type file_report = {
 
 type spec_report = {
   sr_spec : string;  (** submodule/class label *)
-  sr_cached : bool;
   sr_candidates : int;
 }
 
@@ -129,20 +136,11 @@ val spec_label : Wap_catalog.Catalog.spec -> string
 (** An open session. *)
 type t
 
-(** A progress event tagged with the session generation it was
-    produced at, so clients running edits asynchronously can discard
-    notifications of a superseded edit: events whose [generation] is
-    below the session's current one are stale. *)
-type event = { generation : int; progress : progress }
-
 (** Open a project: parse every file, run the analysis pipeline, retain
-    all state.  The request's [on_progress] and the session-level
-    [on_event] both fire for every work item (the latter
-    generation-tagged); the open itself is generation [0]. *)
-val open_project : ?on_event:(event -> unit) -> request -> t
+    all state.  The open itself is generation [0]. *)
+val open_project : request -> t
 
-(** [export (open_project req)] — the batch entry point {!Scan.run}
-    delegates to. *)
+(** [export (open_project req)]: the one-shot scan. *)
 val run : request -> outcome
 
 (** The number of mutations applied so far ([0] right after
@@ -210,6 +208,6 @@ type stats = {
 val stats : t -> stats
 
 (** The full outcome over the current project state — byte-identical
-    to a fresh {!Scan.run} over the same sources, whatever mutations
-    led here. *)
+    to a fresh {!run} over the same sources, whatever mutations led
+    here. *)
 val export : t -> outcome

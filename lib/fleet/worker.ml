@@ -88,11 +88,11 @@ let scan_project ~tool ~cache ~(cfg : Proto.config) (job : Proto.job) :
       rels
   in
   let outcome =
-    Wap_core.Scan.run tool
-      (Wap_core.Scan.request ~jobs:cfg.Proto.cfg_jobs ?cache
+    Wap_core.Tool.Scan.run tool
+      (Wap_core.Tool.Scan.request ~jobs:cfg.Proto.cfg_jobs ?cache
          ~summary_store:cfg.Proto.cfg_summary_store sources)
   in
-  let r = outcome.Wap_core.Scan.result in
+  let r = outcome.Wap_core.Tool.Scan.result in
   {
     Proto.res_project = project;
     res_dir = job.Proto.job_dir;
@@ -105,8 +105,8 @@ let scan_project ~tool ~cache ~(cfg : Proto.config) (job : Proto.job) :
     res_candidates = List.length r.Wap_core.Tool.candidates;
     res_reported = List.length r.Wap_core.Tool.reported;
     res_seconds = Unix.gettimeofday () -. t0;
-    res_cache_hits = outcome.Wap_core.Scan.cache_hits;
-    res_cache_misses = outcome.Wap_core.Scan.cache_misses;
+    res_cache_hits = outcome.Wap_core.Tool.Scan.cache_hits;
+    res_cache_misses = outcome.Wap_core.Tool.Scan.cache_misses;
   }
 
 let error_result (job : Proto.job) msg : Proto.result =

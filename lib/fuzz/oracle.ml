@@ -106,9 +106,10 @@ let zero_timings (r : Wap_core.Tool.package_result) =
   }
 
 let scan ?cache ~jobs tool src =
-  Wap_core.Scan.run tool (Wap_core.Scan.request ~jobs ?cache [ (file, src) ])
+  Wap_core.Tool.Scan.run tool
+    (Wap_core.Tool.Scan.request ~jobs ?cache [ (file, src) ])
 
-let canon_export (o : Wap_core.Scan.outcome) =
+let canon_export (o : Wap_core.Tool.Scan.outcome) =
   Wap_core.Export.result_to_string (zero_timings o.result)
 
 let scan_determinism ctx case =

@@ -170,10 +170,10 @@ let upsert t ~path text : string list =
           let req =
             Session.request ~jobs:t.jobs
               ~fingerprint:(Tool.Scan.fingerprint t.tool)
-              ~specs:t.tool.Tool.specs
+              ~on_progress:(on_event t session) ~specs:t.tool.Tool.specs
               [ (path, text) ]
           in
-          let s = Session.open_project ~on_event:(on_event t session) req in
+          let s = Session.open_project req in
           t.session <- Some s;
           [ path ])
 

@@ -3,7 +3,7 @@
     cache. *)
 
 module T = Wap_core.Tool
-module Scan = Wap_core.Scan
+module Scan = T.Scan
 module Pool = Wap_engine.Pool
 module Cache = Wap_engine.Cache
 module Session = Wap_engine.Session
@@ -174,10 +174,9 @@ let test_engine_merge_order () =
   let tool = Lazy.force wape in
   let run jobs =
     let o =
-      Wap_engine.Scan.run
-        (Wap_engine.Scan.request ~jobs ~specs:tool.T.specs (acp_files ()))
+      Session.run (Session.request ~jobs ~specs:tool.T.specs (acp_files ()))
     in
-    List.map Wap_taint.Trace.summary o.Wap_engine.Scan.candidates
+    List.map Wap_taint.Trace.summary o.Session.candidates
   in
   Alcotest.(check (list string)) "merge order jobs=4 = jobs=1" (run 1) (run 4)
 
@@ -361,9 +360,10 @@ let test_progress_and_timings () =
   let tool = Lazy.force wape in
   let files = acp_files () in
   let parsed = ref 0 and file_analyzed = ref 0 in
-  let on_progress = function
-    | Wap_engine.Scan.File_parsed _ -> incr parsed
-    | Wap_engine.Scan.File_analyzed _ -> incr file_analyzed
+  let on_progress (ev : Session.event) =
+    match ev.Session.progress with
+    | Session.File_parsed _ -> incr parsed
+    | Session.File_analyzed _ -> incr file_analyzed
   in
   let o = Scan.run tool (Scan.request ~jobs:2 ~on_progress files) in
   Alcotest.(check int) "one parse event per file" (List.length files) !parsed;

@@ -194,10 +194,10 @@ let test_predictor_trains_on_first_use () =
       let tool = Wap_core.Tool.create Wap_core.Version.Wape in
       let scan src =
         let o =
-          Wap_core.Scan.run tool
-            (Wap_core.Scan.request ~jobs:1 [ ("t.php", "<?php\n" ^ src) ])
+          Wap_core.Tool.Scan.run tool
+            (Wap_core.Tool.Scan.request ~jobs:1 [ ("t.php", "<?php\n" ^ src) ])
         in
-        List.length o.Wap_core.Scan.result.Wap_core.Tool.candidates
+        List.length o.Wap_core.Tool.Scan.result.Wap_core.Tool.candidates
       in
       Alcotest.(check int) "clean file: no candidate" 0 (scan "echo 'hello';\n");
       Alcotest.(check int) "no candidate: no training" 0 (trainings t);
@@ -542,25 +542,6 @@ let test_prometheus_roundtrip () =
         (List.assoc_opt "wap_serve_requests_total" p.Expo.p_types)
 
 (* ------------------------------------------------------------------ *)
-(* Cache eviction (the [max_entries] cap added with the atomic
-   counters).                                                          *)
-
-let test_cache_eviction () =
-  let module Cache = Wap_engine.Cache in
-  let c = Cache.create ~max_entries:2 () in
-  let compute v () = v in
-  let k i = Cache.key [ string_of_int i ] in
-  ignore (Cache.memoize c ~key:(k 1) (compute 1));
-  ignore (Cache.memoize c ~key:(k 2) (compute 2));
-  Alcotest.(check int) "under the cap: nothing evicted" 0 (Cache.evictions c);
-  ignore (Cache.memoize c ~key:(k 3) (compute 3));
-  Alcotest.(check int) "over the cap: oldest evicted" 1 (Cache.evictions c);
-  let _, hit3 = Cache.memoize c ~key:(k 3) (compute 3) in
-  Alcotest.(check bool) "newest entry still cached" true hit3;
-  let _, hit1 = Cache.memoize c ~key:(k 1) (compute 1) in
-  Alcotest.(check bool) "evicted entry recomputes" false hit1
-
-(* ------------------------------------------------------------------ *)
 (* Tracing must not change scan results.                               *)
 
 let test_tracing_does_not_change_results () =
@@ -578,9 +559,9 @@ let test_tracing_does_not_change_results () =
   in
   let export () =
     let o =
-      Wap_core.Scan.run tool (Wap_core.Scan.request ~jobs:4 files)
+      Wap_core.Tool.Scan.run tool (Wap_core.Tool.Scan.request ~jobs:4 files)
     in
-    let r = o.Wap_core.Scan.result in
+    let r = o.Wap_core.Tool.Scan.result in
     Wap_core.Export.result_to_string
       {
         r with
@@ -650,8 +631,6 @@ let () =
           Alcotest.test_case "strict parser round-trip" `Quick
             test_prometheus_roundtrip;
         ] );
-      ( "cache",
-        [ Alcotest.test_case "max_entries eviction" `Quick test_cache_eviction ] );
       ( "regression",
         [
           Alcotest.test_case "tracing changes no scan bytes" `Slow

@@ -30,8 +30,8 @@ let project () =
     ("main.php", main_php);
   ]
 
-let request ?(jobs = 1) ?cache files =
-  S.request ~jobs ?cache ~specs:(specs ()) files
+let request ?(jobs = 1) ?cache ?on_progress files =
+  S.request ~jobs ?cache ?on_progress ~specs:(specs ()) files
 
 (* Record generation-tagged events; [analyzed ~gen] lists the paths
    whose (re-)analysis the given generation performed, in event
@@ -52,8 +52,8 @@ let sorted = List.sort compare
 (* ------------------------------------------------------------------ *)
 
 let test_open_analyzes_everything () =
-  let on_event, events = recorder () in
-  let s = S.open_project ~on_event (request (project ())) in
+  let on_progress, events = recorder () in
+  let s = S.open_project (request ~on_progress (project ())) in
   Alcotest.(check int) "generation 0 after open" 0 (S.generation s);
   Alcotest.(check (list string))
     "open analyzes every file"
@@ -67,8 +67,8 @@ let test_open_analyzes_everything () =
   Alcotest.(check bool) "mem unknown" false (S.mem s ~path:"nope.php")
 
 let test_summary_preserving_edit_is_local () =
-  let on_event, events = recorder () in
-  let s = S.open_project ~on_event (request (project ())) in
+  let on_progress, events = recorder () in
+  let s = S.open_project (request ~on_progress (project ())) in
   (* vuln.php defines no functions: its function-summary fingerprint
      cannot change, so only its own top-level pass re-runs *)
   let reran =
@@ -82,8 +82,8 @@ let test_summary_preserving_edit_is_local () =
     (analyzed ~gen:1 events)
 
 let test_code_after_functions_is_local () =
-  let on_event, events = recorder () in
-  let s = S.open_project ~on_event (request (project ())) in
+  let on_progress, events = recorder () in
+  let s = S.open_project (request ~on_progress (project ())) in
   (* appending top-level code after the function leaves every declared
      function (bodies and locations) intact: the fingerprint is
      unchanged and the edit stays local despite the file defining a
@@ -99,10 +99,10 @@ let test_code_after_functions_is_local () =
     (analyzed ~gen:1 events)
 
 let test_summary_changing_edit_reanalyzes_project () =
-  let on_event, events = recorder () in
-  let s = S.open_project ~on_event (request (project ())) in
-  (* changing [fetch]'s body changes its summary; with interprocedural
-     analysis on, every caller may be affected -> full re-analysis *)
+  let on_progress, events = recorder () in
+  let s = S.open_project (request ~on_progress (project ())) in
+  (* changing [fetch]'s body changes its summary; every caller may be
+     affected -> full re-analysis *)
   let reran =
     S.update_file s ~path:"lib.php"
       "<?php function fetch($id) { return mysql_query(\"DELETE FROM t WHERE \
@@ -118,8 +118,8 @@ let test_summary_changing_edit_reanalyzes_project () =
     (sorted (analyzed ~gen:1 events))
 
 let test_include_dependents_rerun () =
-  let on_event, events = recorder () in
-  let s = S.open_project ~on_event (request (project ())) in
+  let on_progress, events = recorder () in
+  let s = S.open_project (request ~on_progress (project ())) in
   (* main.php splices inc.php at top level: editing the includee
      re-runs the includer too (inc.php has no functions, so nothing
      else) *)
@@ -134,8 +134,8 @@ let test_include_dependents_rerun () =
     (sorted (analyzed ~gen:1 events))
 
 let test_add_and_remove () =
-  let on_event, events = recorder () in
-  let s = S.open_project ~on_event (request (project ())) in
+  let on_progress, events = recorder () in
+  let s = S.open_project (request ~on_progress (project ())) in
   let reran = S.add_file s ~path:"extra.php" "<?php echo $_GET['e']; ?>" in
   Alcotest.(check (list string)) "added file analyzed" [ "extra.php" ] reran;
   Alcotest.(check (list string))
@@ -162,8 +162,8 @@ let test_update_unknown_raises () =
 let test_warm_cache_edit_replays_state () =
   let cache = Wap_engine.Cache.create () in
   ignore (S.run (request ~cache (project ())));
-  let on_event, events = recorder () in
-  let s = S.open_project ~on_event (request ~cache (project ())) in
+  let on_progress, events = recorder () in
+  let s = S.open_project (request ~cache ~on_progress (project ())) in
   let open_hits =
     List.filter_map
       (fun (ev : S.event) ->
@@ -200,8 +200,8 @@ let test_warm_cache_edit_replays_state () =
     (candidates (S.export s))
 
 let test_event_generations_monotonic () =
-  let on_event, events = recorder () in
-  let s = S.open_project ~on_event (request (project ())) in
+  let on_progress, events = recorder () in
+  let s = S.open_project (request ~on_progress (project ())) in
   ignore (S.update_file s ~path:"vuln.php" vuln_php);
   ignore (S.add_file s ~path:"extra.php" "<?php echo $_GET['e']; ?>");
   ignore (S.remove_file s ~path:"extra.php");
@@ -269,6 +269,41 @@ let test_export_matches_fresh_scan () =
         (render (S.export s)))
     [ 1; 4 ]
 
+(* A file that declares a function changes the summary table every
+   file reads, so adding or removing one re-analyzes the whole project.
+   [page.php] calls [show] before any file declares it: only the summary
+   that [show.php] brings turns that call into a finding. *)
+let test_add_and_remove_function_file () =
+  let show_php = "<?php function show($v) { echo $v; } ?>" in
+  let opened = project () @ [ ("page.php", "<?php show($_GET['p']); ?>") ] in
+  let with_show = opened @ [ ("show.php", show_php) ] in
+  let on_progress, events = recorder () in
+  let s = S.open_project (request ~on_progress opened) in
+  let before = List.length (S.all_diagnostics s) in
+  let reran = S.add_file s ~path:"show.php" show_php in
+  let every sources = sorted (List.map fst sources) in
+  Alcotest.(check (list string)) "add re-ran every file" (every with_show)
+    (sorted reran);
+  Alcotest.(check (list string)) "add events name every file"
+    (every with_show)
+    (sorted (analyzed ~gen:1 events));
+  Alcotest.(check bool) "the declaration adds a finding" true
+    (List.length (S.all_diagnostics s) > before);
+  Alcotest.(check string) "export after add = fresh scan"
+    (render (S.run (request with_show)))
+    (render (S.export s));
+  let reran = S.remove_file s ~path:"show.php" in
+  Alcotest.(check (list string)) "remove re-ran every file" (every opened)
+    (sorted reran);
+  Alcotest.(check (list string)) "remove events name every file"
+    (every opened)
+    (sorted (analyzed ~gen:2 events));
+  Alcotest.(check int) "the finding is gone" before
+    (List.length (S.all_diagnostics s));
+  Alcotest.(check string) "export after remove = fresh scan"
+    (render (S.run (request opened)))
+    (render (S.export s))
+
 let test_diagnostics_partition_export () =
   let s = S.open_project (request (project ())) in
   let all = S.all_diagnostics s in
@@ -327,6 +362,8 @@ let () =
         [
           Alcotest.test_case "export matches fresh scan, jobs 1/4" `Slow
             test_export_matches_fresh_scan;
+          Alcotest.test_case "add, then remove, a function-declaring file"
+            `Quick test_add_and_remove_function_file;
           Alcotest.test_case "diagnostics partition the export" `Quick
             test_diagnostics_partition_export;
         ] );
