@@ -231,11 +231,11 @@ let print_scan_stats (outcome : Scan.outcome) =
       ~header:[ "detector"; "candidates" ]
       spec_rows
   in
-  (* every latency histogram in the registry, with interpolated
-     quantiles — the same estimate Prometheus's histogram_quantile
-     would compute from the exposed buckets *)
+  (* every latency histogram in the registry, with the quantiles
+     Prometheus's histogram_quantile would interpolate from the exposed
+     buckets, clamped to the observed range *)
   let q_ms h q =
-    let v = Wap_obs.Metrics.quantile_of_snapshot h q in
+    let v = Wap_obs.Metrics.clamped_quantile h q in
     if Float.is_nan v then "n/a" else Printf.sprintf "%.3f" (1e3 *. v)
   in
   let hist_rows =
@@ -1219,6 +1219,9 @@ let hists_of_samples (samples : Wap_obs.Expo.sample list) ~(base : string) :
             h_counts = counts;
             h_count = !count;
             h_sum = !sum;
+            (* the exposition carries no extremes *)
+            h_min = neg_infinity;
+            h_max = infinity;
           } )
         :: acc
       end)

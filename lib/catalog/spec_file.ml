@@ -108,11 +108,3 @@ let spec_of_string ~(vclass : Vuln_class.t) contents : Catalog.spec =
     sinks;
     sanitizers;
   }
-
-let load_file ~vclass path : Catalog.spec =
-  spec_of_string ~vclass (Wap_php.Io.read_file path)
-
-let save_file (spec : Catalog.spec) path : unit =
-  let oc = open_out_bin path in
-  output_string oc (to_string spec);
-  close_out oc

@@ -31,6 +31,3 @@ val to_string : Catalog.spec -> string
 (** Build a spec for [vclass] from file contents; an empty entry-point
     section falls back to the default superglobals. *)
 val spec_of_string : vclass:Vuln_class.t -> string -> Catalog.spec
-
-val load_file : vclass:Vuln_class.t -> string -> Catalog.spec
-val save_file : Catalog.spec -> string -> unit

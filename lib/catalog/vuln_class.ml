@@ -113,5 +113,3 @@ let report_group = function
   | Xss_reflected | Xss_stored -> "XSS"
   | Wp_sqli -> "SQLI"
   | c -> acronym c
-
-let is_original c = List.mem c wap_v21

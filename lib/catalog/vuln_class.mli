@@ -53,6 +53,3 @@ val of_acronym : string -> t option
     are reported together as ["Files"], both XSS flavours as ["XSS"],
     and WordPress SQLI under ["SQLI"]. *)
 val report_group : t -> string
-
-(** Was the class already detected by WAP v2.1? *)
-val is_original : t -> bool

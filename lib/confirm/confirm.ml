@@ -212,12 +212,6 @@ let confirm_candidate ~(program : Ast.program)
           | Evaluator.Timed_out -> ());
           if !confirmed then Confirmed else Not_confirmed)
 
-(** Convenience: parse and confirm from source text. *)
-let confirm_source ~file (src : string)
-    (candidate : Wap_taint.Trace.candidate) : verdict =
-  let program = Parser.parse_string ~file src in
-  confirm_candidate ~program candidate
-
 (** Batch confirmation over a package's parsed files: returns
     (confirmed, not confirmed, unsupported) counts over the given
     candidates. *)

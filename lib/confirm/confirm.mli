@@ -37,10 +37,6 @@ val attack_for : Wap_catalog.Vuln_class.t -> attack option
 val confirm_candidate :
   program:Wap_php.Ast.program -> Wap_taint.Trace.candidate -> verdict
 
-(** Parse and confirm from source text. *)
-val confirm_source :
-  file:string -> string -> Wap_taint.Trace.candidate -> verdict
-
 (** Batch confirmation over a package's parsed files:
     (confirmed, not confirmed, unsupported) counts. *)
 val confirm_batch :

@@ -38,12 +38,6 @@ let loc_of_package p =
 let count_label p label =
   List.length (List.filter (fun s -> Snippet.equal_label s.sd_label label) p.pkg_seeded)
 
-let seeded_files p =
-  List.sort_uniq String.compare
-    (List.filter_map
-       (fun s -> if Snippet.equal_label s.sd_label Snippet.Real then Some s.sd_file else None)
-       p.pkg_seeded)
-
 (* ------------------------------------------------------------------ *)
 
 let hash_name name =

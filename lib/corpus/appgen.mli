@@ -35,9 +35,6 @@ val loc_of_package : package -> int
 (** Ground-truth entries with the given label. *)
 val count_label : package -> Snippet.label -> int
 
-(** Files containing at least one seeded real vulnerability. *)
-val seeded_files : package -> string list
-
 (** Generate a package from explicit counts.  [vulns] are the real
     vulnerabilities per class; [vuln_files] bounds how many distinct
     files carry them; [fp_easy]/[fp_hard] add false-positive candidates;

@@ -45,9 +45,10 @@ val key : string list -> string
     computed value under [key]. *)
 val memoize : t -> key:string -> (unit -> 'a) -> 'a * bool
 
-(** Typed probe: the cached value, counting a hit or a miss.  Pair with
-    {!store} when the compute step cannot be expressed as a closure
-    passed to {!memoize} (e.g. probing many keys before deciding). *)
+(** Typed probe: the cached value, counting a hit or a miss.  {!memoize}
+    is [find] then, on a miss, {!store}; the engine reads every entry
+    through it.  The halves are exposed for callers that time or test
+    them apart (the benchmark probe, the disk-frame tests). *)
 val find : t -> key:string -> 'a option
 
 (** Store a value without touching the hit/miss counters. *)

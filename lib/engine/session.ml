@@ -26,8 +26,9 @@ module An = Wap_taint.Analyzer
    the IR/AST mode bit, and the per-spec "analyze" entries are gone.
    v5: an origin's propagation chain is stored newest first.  v6: the
    analysis digest and the summary-chain seed lost the interprocedural
-   bit. *)
-let cache_format_version = "wap-engine-6"
+   bit.  v7: one "analyze" entry per project, keyed in project order,
+   replaces the per-file analyze-file entries. *)
+let cache_format_version = "wap-engine-7"
 
 (* plain values, bumped from the parse workers: a [lazy] forced from two
    domains at once raises [CamlinternalLazy.Undefined] *)
@@ -243,31 +244,18 @@ let refresh_entry t e src =
 (* Digests.                                                            *)
 
 (* The analysis of one file depends on every other file (shared
-   function summaries, include splicing), so analysis entries are
-   keyed by a digest of the whole source set: any edit invalidates
-   them all, which keeps caching sound. *)
-let project_digest t =
+   function summaries, include splicing) and on their order (pass 1
+   registers summaries in project order, and the last declaration of a
+   name wins), so the analysis is cached whole, under the ordered
+   (path, source digest) list and the active specs: any edit or
+   reordering invalidates it, which keeps caching sound.  Each file
+   contributes its source digest, not just its path: a request may
+   legally repeat a path with different contents (merged corpora do). *)
+let analysis_key t =
   Cache.key
-    (cache_format_version :: t.s_fingerprint
-    :: (List.map
-          (fun e -> e.ent_path ^ "\x01" ^ e.ent_src_digest)
-          t.s_entries
-       |> List.sort String.compare))
-
-(* Everything a file's analysis entry depends on besides the file
-   itself: the whole source set and the active specs. *)
-let analysis_digest t ~project_digest =
-  Cache.key
-    [ cache_format_version; project_digest; Cat.set_fingerprint t.s_specs ]
-
-(* per-file keys carry the file's own source digest, not just its
-   path: a request may legally repeat a path with different contents
-   (merged corpora do), and path-only keys would hand the second file
-   the first one's entry *)
-let file_key ~analysis_digest e =
-  Cache.key
-    [ cache_format_version; "analyze-file"; analysis_digest; e.ent_path;
-      e.ent_src_digest ]
+    (cache_format_version :: "analyze" :: t.s_fingerprint
+    :: Cat.set_fingerprint t.s_specs
+    :: List.map (fun e -> e.ent_path ^ "\x01" ^ e.ent_src_digest) t.s_entries)
 
 (* ------------------------------------------------------------------ *)
 (* Pass-1 summary store.                                               *)
@@ -278,8 +266,8 @@ let file_key ~analysis_digest e =
    the running hash of the (path, digest) prefix up to and including
    file i.  Identical prefixes (a framework layer shared by many
    projects, ordered first) therefore share entries {e across}
-   projects through a shared cache directory, unlike the analyze-file
-   entries whose keys embed the whole-project digest.  Opt-in
+   projects through a shared cache directory, unlike the analysis
+   entry, whose key is the whole project.  Opt-in
    ([summary_store], enabled by the fleet workers): it changes the
    cache hit/miss profile that batch callers observe.  A delta served
    from the store carries no pass-1 walks, so pass 2 walks that file's
@@ -296,12 +284,11 @@ let summarize_entries t st =
       List.iter
         (fun e ->
           chain := Cache.key [ !chain; e.ent_path; e.ent_src_digest ];
-          match
-            (Cache.find c ~key:!chain : Wap_taint.Summary.fused list option)
-          with
-          | Some fs -> An.register_summaries st fs
-          | None ->
-              Cache.store c ~key:!chain (An.summarize_file_delta st e.ent_unit))
+          let fs, hit =
+            Cache.memoize c ~key:!chain (fun () ->
+                An.summarize_file_delta st e.ent_unit)
+          in
+          if hit then An.register_summaries st fs)
         t.s_entries
   | _ -> List.iter (fun e -> An.summarize_file st e.ent_unit) t.s_entries
 
@@ -384,44 +371,25 @@ let dependents t ~base ~excluding =
 (* ------------------------------------------------------------------ *)
 (* The analyze stage of an open.                                       *)
 
-(* All-or-nothing cache probe (every key is probed even after a miss,
-   so hit/miss counts stay deterministic): assembling a partial set
-   would not be cheaper — the passes are whole-project anyway. *)
-let analyze_stage t ~project_digest =
-  let ad = analysis_digest t ~project_digest in
-  let probed =
-    List.map
-      (fun e ->
-        let entry :
-            ((int * Trace.candidate) list * (int * Trace.candidate) list)
-            option =
-          match t.s_cache with
-          | Some c -> Cache.find c ~key:(file_key ~analysis_digest:ad e)
-          | None -> None
-        in
-        (e, entry))
-      t.s_entries
-  in
-  if t.s_entries <> [] && List.for_all (fun (_, x) -> x <> None) probed
-  then
-    List.iter
-      (fun (e, x) ->
-        let p2, p3 = Option.get x in
-        e.ent_pass2 <- p2;
-        e.ent_pass3 <- p3;
-        emit t (File_analyzed { path = e.ent_path; cached = true }))
-      probed
-  else begin
-    ignore (run_passes t t.s_entries);
-    match t.s_cache with
-    | Some c ->
-        List.iter
-          (fun e ->
-            Cache.store c ~key:(file_key ~analysis_digest:ad e)
-              (e.ent_pass2, e.ent_pass3))
-          t.s_entries
-    | None -> ()
-  end
+(* One cache entry holds every file's (pass 2, pass 3) lists, in entry
+   order.  A hit retains no analyzer state; the first edit that needs
+   it replays passes 1–2.  An empty project makes no cache traffic. *)
+let analyze_stage t ~key =
+  match t.s_cache with
+  | Some c when t.s_entries <> [] ->
+      let results, cached =
+        Cache.memoize c ~key (fun () ->
+            ignore (run_passes t t.s_entries);
+            List.map (fun e -> (e.ent_pass2, e.ent_pass3)) t.s_entries)
+      in
+      if cached then
+        List.iter2
+          (fun e (p2, p3) ->
+            e.ent_pass2 <- p2;
+            e.ent_pass3 <- p3;
+            emit t (File_analyzed { path = e.ent_path; cached = true }))
+          t.s_entries results
+  | _ -> ignore (run_passes t t.s_entries)
 
 (* ------------------------------------------------------------------ *)
 (* Open.                                                               *)
@@ -470,11 +438,9 @@ let open_project (req : request) : t =
         Array.to_list entries)
   in
   t.s_entries <- entries;
-  let pdigest, t_digest = timed "phase.digest" (fun () -> project_digest t) in
+  let key, t_digest = timed "phase.digest" (fun () -> analysis_key t) in
   (* ---- stage 2: fused multi-spec analysis ---------------------------- *)
-  let (), t_analyze =
-    timed "phase.analyze" (fun () -> analyze_stage t ~project_digest:pdigest)
-  in
+  let (), t_analyze = timed "phase.analyze" (fun () -> analyze_stage t ~key) in
   t.s_phases <-
     [ ("parse", t_parse); ("digest", t_digest); ("analyze", t_analyze) ];
   t.s_wall <- Unix.gettimeofday () -. t0_wall;

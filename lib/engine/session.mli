@@ -68,8 +68,8 @@ type request = {
   cache : Cache.t option;
   fingerprint : string;
       (** tool-level cache-key material: version name plus the full
-          active spec set, so changing either invalidates analysis
-          entries *)
+          active spec set, so changing either invalidates the analysis
+          entry *)
   summary_store : bool;
       (** persist pass-1 summary deltas in the cache under
           content-addressed {e chained} keys — the key of file [i] is

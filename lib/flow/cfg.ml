@@ -53,8 +53,16 @@ let new_block b =
 (* elems are accumulated reversed and flipped once at finalization *)
 let add_elem blk e = blk.elems <- e :: blk.elems
 
+(* [dst] is among [src]'s successors exactly when [src] is among [dst]'s
+   predecessors, so walking both lists in step stops at the end of the
+   shorter one: a switch head's n case edges cost O(1) each, not O(n). *)
+let rec has_edge (src : int) (dst : int) succs preds =
+  match (succs, preds) with
+  | s :: succs, p :: preds -> s = dst || p = src || has_edge src dst succs preds
+  | [], _ | _, [] -> false
+
 let add_edge src dst =
-  if not (List.mem dst.bid src.succs) then begin
+  if not (has_edge src.bid dst.bid src.succs dst.preds) then begin
     src.succs <- dst.bid :: src.succs;
     dst.preds <- src.bid :: dst.preds
   end

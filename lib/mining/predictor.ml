@@ -81,16 +81,6 @@ let is_false_positive (p : t) (c : Wap_taint.Trace.candidate) : bool =
   in
   votes * 2 > List.length models
 
-(** Ensemble confidence that the candidate is a false positive. *)
-let fp_score (p : t) (c : Wap_taint.Trace.candidate) : float =
-  let ev = Evidence.collect ~dynamic:p.config.dynamic_symptoms c in
-  let x = Attributes.vector_of_evidence p.config.mode ev in
-  match models p with
-  | [] -> 0.5
-  | models ->
-      List.fold_left (fun acc m -> acc +. Classifier.score m x) 0.0 models
-      /. float_of_int (List.length models)
-
 (** The symptoms the predictor saw for a candidate — used to justify FP
     verdicts to the user (the "justifying false positives" box of
     Fig. 3). *)

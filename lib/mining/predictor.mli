@@ -21,7 +21,7 @@ type t
 
 (** The ensemble for a labelled data set.  The data set's attribute mode
     is checked now; the classifiers train the first time
-    {!is_false_positive} or {!fp_score} needs them, under the
+    {!is_false_positive} needs them, under the
     [predictor.train] span (one [classifier.train] child span per
     algorithm, with an [algo] argument, each also observed in the
     [mining.train_seconds.<algorithm>] histogram), so a process that
@@ -34,9 +34,6 @@ val train : ?seed:int -> config -> Dataset.t -> t
 
 (** Majority vote of the ensemble: is the candidate a false positive? *)
 val is_false_positive : t -> Wap_taint.Trace.candidate -> bool
-
-(** Mean ensemble confidence that the candidate is a false positive. *)
-val fp_score : t -> Wap_taint.Trace.candidate -> float
 
 (** The symptoms the predictor saw for a candidate — used to justify FP
     verdicts to the user (the "justifying false positives" box of

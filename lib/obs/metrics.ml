@@ -24,6 +24,8 @@ type histogram = {
   h_limits : float array;
   h_cells : int Atomic.t array array;  (** [shard].(bucket), +1 overflow *)
   h_sums : int Atomic.t array;  (** [shard], microunits *)
+  h_lo : float Atomic.t;  (** smallest observation, [infinity] when empty *)
+  h_hi : float Atomic.t;  (** largest, [neg_infinity] when empty *)
 }
 
 type registry = {
@@ -94,6 +96,8 @@ let histogram ?(registry = global) ?(buckets = default_buckets) name :
                 Array.init shards (fun _ ->
                     atomic_cells (Array.length limits + 1));
               h_sums = atomic_cells shards;
+              h_lo = Atomic.make infinity;
+              h_hi = Atomic.make neg_infinity;
             }
           in
           Hashtbl.add registry.r_histograms name h;
@@ -104,16 +108,28 @@ let bucket_of (h : histogram) v =
   let rec find i = if i >= n || v <= h.h_limits.(i) then i else find (i + 1) in
   find 0
 
+(* The extremes stop moving after the first few observations, so one
+   unstriped cell each is enough; the CAS retries only when another
+   domain moved the same extreme in between. *)
+let rec extend cell (beyond : float -> float -> bool) v =
+  let cur = Atomic.get cell in
+  if beyond v cur && not (Atomic.compare_and_set cell cur v) then
+    extend cell beyond v
+
 let observe (h : histogram) (v : float) =
   let s = shard_index () in
   ignore (Atomic.fetch_and_add h.h_cells.(s).(bucket_of h v) 1);
-  ignore (Atomic.fetch_and_add h.h_sums.(s) (int_of_float (v *. 1e6)))
+  ignore (Atomic.fetch_and_add h.h_sums.(s) (int_of_float (v *. 1e6)));
+  extend h.h_lo (fun v lo -> v < lo) v;
+  extend h.h_hi (fun v hi -> v > hi) v
 
 type hist_snapshot = {
   h_buckets : float array;
   h_counts : int array;
   h_count : int;
   h_sum : float;
+  h_min : float;
+  h_max : float;
 }
 
 let hist_snapshot (h : histogram) : hist_snapshot =
@@ -131,6 +147,8 @@ let hist_snapshot (h : histogram) : hist_snapshot =
     h_counts = counts;
     h_count = Array.fold_left ( + ) 0 counts;
     h_sum = float_of_int sum_micro /. 1e6;
+    h_min = Atomic.get h.h_lo;
+    h_max = Atomic.get h.h_hi;
   }
 
 (* Interpolated quantile from the bucket counts, the way Prometheus's
@@ -171,6 +189,10 @@ let quantile_of_snapshot (s : hist_snapshot) (q : float) : float =
 let quantile (h : histogram) (q : float) : float =
   quantile_of_snapshot (hist_snapshot h) q
 
+let clamped_quantile (s : hist_snapshot) (q : float) : float =
+  let v = quantile_of_snapshot s q in
+  if Float.is_nan v then v else Float.min s.h_max (Float.max s.h_min v)
+
 type snapshot = {
   counters : (string * int) list;
   gauges : (string * float) list;
@@ -204,5 +226,7 @@ let reset (r : registry) =
       Hashtbl.iter
         (fun _ h ->
           Array.iter (Array.iter (fun cell -> Atomic.set cell 0)) h.h_cells;
-          Array.iter (fun s -> Atomic.set s 0) h.h_sums)
+          Array.iter (fun s -> Atomic.set s 0) h.h_sums;
+          Atomic.set h.h_lo infinity;
+          Atomic.set h.h_hi neg_infinity)
         r.r_histograms)

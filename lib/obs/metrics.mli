@@ -65,6 +65,8 @@ type hist_snapshot = {
   h_counts : int array;  (** per bucket, one extra overflow slot *)
   h_count : int;  (** total observations *)
   h_sum : float;  (** sum of observed values *)
+  h_min : float;  (** smallest observed value, [infinity] when empty *)
+  h_max : float;  (** largest observed value, [neg_infinity] when empty *)
 }
 
 val hist_snapshot : histogram -> hist_snapshot
@@ -80,6 +82,15 @@ val quantile : histogram -> float -> float
 (** {!quantile} over an already-taken snapshot (used by consumers that
     only have exposition data, e.g. [wap top]). *)
 val quantile_of_snapshot : hist_snapshot -> float -> float
+
+(** {!quantile_of_snapshot} clamped to [[h_min, h_max]]: with few
+    observations, interpolating inside a wide bucket can land far from
+    every observed value (one 5.3 ms observation in the (5, 25] ms
+    bucket reads p50 = 15 ms); the clamp keeps it within the data.
+    [--stats] renders this one.  A snapshot rebuilt from exposition
+    data has no extremes; giving it [neg_infinity, infinity] leaves it
+    unclamped. *)
+val clamped_quantile : hist_snapshot -> float -> float
 
 (** {2 Registry-wide views} *)
 

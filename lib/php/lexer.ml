@@ -868,6 +868,4 @@ let tokenize_buf ~file src : Token_buf.t =
 let tokenize ~file src : (Token.t * Loc.t) list =
   Token_buf.to_list (tokenize_buf ~file src)
 
-let tokenize_buf_file path = tokenize_buf ~file:path (Io.read_file path)
-
 let tokenize_file path = tokenize ~file:path (Io.read_file path)

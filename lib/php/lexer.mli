@@ -31,8 +31,5 @@ val tokenize_buf : file:string -> string -> Token_buf.t
     @raise Error as {!tokenize_buf}. *)
 val tokenize : file:string -> string -> (Token.t * Loc.t) list
 
-(** Read ({!Io.read_file}) and tokenize a file from disk. *)
-val tokenize_buf_file : string -> Token_buf.t
-
 (** Read and tokenize a file from disk (compat list form). *)
 val tokenize_file : string -> (Token.t * Loc.t) list

@@ -23,5 +23,3 @@ let compare a b =
   match String.compare a.file b.file with
   | 0 -> ( match Int.compare a.line b.line with 0 -> Int.compare a.col b.col | c -> c)
   | c -> c
-
-let pp_short ppf { line; col; _ } = Fmt.pf ppf "%d:%d" line col

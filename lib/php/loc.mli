@@ -22,6 +22,3 @@ val to_string : t -> string
 
 (** Ordering by file, then line, then column. *)
 val compare : t -> t -> int
-
-(** Prints just ["line:col"]. *)
-val pp_short : Format.formatter -> t -> unit

@@ -687,12 +687,6 @@ let expr_to_string e =
   expr_to_buf b e;
   Buffer.contents b
 
-(** Render a statement as PHP source (no [<?php] header). *)
-let stmt_to_string s =
-  let b = Buffer.create 128 in
-  stmt_to_buf b ~indent:0 s;
-  Buffer.contents b
-
 (** Render a whole program as a PHP file, including the [<?php] header. *)
 let program_to_string (prog : program) =
   let b = Buffer.create 1024 in

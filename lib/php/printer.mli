@@ -9,8 +9,5 @@
 (** Render an expression as PHP source. *)
 val expr_to_string : Ast.expr -> string
 
-(** Render a statement as PHP source (no [<?php] header). *)
-val stmt_to_string : Ast.stmt -> string
-
 (** Render a whole program as a PHP file, including the [<?php] header. *)
 val program_to_string : Ast.program -> string

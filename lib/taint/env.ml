@@ -16,7 +16,6 @@
 type taint = (int * Trace.origin) list [@@deriving show]
 
 let clean : taint = []
-let is_tainted (t : taint) = t <> []
 let find (t : taint) id = List.assoc_opt id t
 
 let of_origin ~ids (o : Trace.origin) : taint = List.map (fun id -> (id, o)) ids

@@ -14,7 +14,6 @@
 type taint = (int * Trace.origin) list [@@deriving show]
 
 val clean : taint
-val is_tainted : taint -> bool
 
 (** Component for one spec id. *)
 val find : taint -> int -> Trace.origin option

@@ -218,14 +218,14 @@ let test_cache_rescan_hits () =
   let tool = Lazy.force wape in
   let files = acp_files () in
   let nfiles = List.length files in
-  (* one parse entry plus one analysis entry per file *)
+  (* one parse entry per file plus one analysis entry for the project *)
   let cache = Cache.create () in
   let o1 = Scan.run tool (Scan.request ~jobs:2 ~cache files) in
-  Alcotest.(check int) "cold scan misses everything" (nfiles + nfiles)
+  Alcotest.(check int) "cold scan misses everything" (nfiles + 1)
     o1.Scan.cache_misses;
   Alcotest.(check int) "cold scan hits nothing" 0 o1.Scan.cache_hits;
   let o2 = Scan.run tool (Scan.request ~jobs:2 ~cache files) in
-  Alcotest.(check int) "warm rescan hits everything" (nfiles + nfiles)
+  Alcotest.(check int) "warm rescan hits everything" (nfiles + 1)
     o2.Scan.cache_hits;
   Alcotest.(check int) "warm rescan misses nothing" 0 o2.Scan.cache_misses;
   Alcotest.(check string) "cached result identical"
@@ -234,9 +234,9 @@ let test_cache_rescan_hits () =
 
 (* One request over four generated packages: the profile list repeats
    package names, so the merged file list repeats paths with different
-   contents.  Per-file analysis keys must carry the source digest, not
-   just the path, or the warm scan hands the second file of a repeated
-   path the first one's entry. *)
+   contents.  The parse keys and the analysis key must carry each
+   file's source digest, not just its path, or the warm scan hands the
+   second file of a repeated path the first one's entry. *)
 let test_cache_repeated_paths () =
   let tool = Lazy.force wape in
   let files =
@@ -266,6 +266,33 @@ let test_cache_repeated_paths () =
   Alcotest.(check string) "warm cached scan = uncached scan" uncached
     (export warm)
 
+(* Pass 1 registers summaries in project order and the last declaration
+   of a name wins, so reordering the files can change the verdicts: the
+   analysis entry must be keyed in file order, or a cache warmed by one
+   order answers for another. *)
+let test_cache_file_order () =
+  let tool = Lazy.force wape in
+  let a = ("a.php", "<?php\nfunction f($x) { return htmlspecialchars($x); }\n")
+  and b = ("b.php", "<?php\nfunction f($x) { return $x; }\n")
+  and c = ("c.php", "<?php\necho f($_GET['x']);\n") in
+  let export o =
+    Wap_core.Export.result_to_string (zero_timings o.Scan.result)
+  in
+  let findings o = List.length o.Scan.result.T.candidates in
+  let uncached files = Scan.run tool (Scan.request ~jobs:2 files) in
+  Alcotest.(check int) "a b c: b's f wins, one finding" 1
+    (findings (uncached [ a; b; c ]));
+  Alcotest.(check int) "b a c: a's sanitizing f wins, no finding" 0
+    (findings (uncached [ b; a; c ]));
+  let cache = Cache.create () in
+  ignore (Scan.run tool (Scan.request ~jobs:2 ~cache [ a; b; c ]));
+  let reordered = Scan.run tool (Scan.request ~jobs:2 ~cache [ b; a; c ]) in
+  Alcotest.(check string) "a cache warmed by a b c answers b a c as uncached"
+    (export (uncached [ b; a; c ]))
+    (export reordered);
+  Alcotest.(check int) "every parse hits, the analysis misses" 3
+    reordered.Scan.cache_hits
+
 let test_cache_source_edit_invalidates () =
   let tool = Lazy.force wape in
   let files = acp_files () in
@@ -273,8 +300,8 @@ let test_cache_source_edit_invalidates () =
   let cache = Cache.create () in
   let _ = Scan.run tool (Scan.request ~jobs:2 ~cache files) in
   (* editing one file re-parses just that file but re-analyzes the whole
-     project (summaries and includes are cross-file, so every per-file
-     analysis entry embeds the whole-project digest) *)
+     project (summaries and includes are cross-file, so the one analysis
+     entry is keyed by every file) *)
   let edited =
     match files with
     | (path, src) :: rest -> (path, src ^ "\n") :: rest
@@ -282,8 +309,8 @@ let test_cache_source_edit_invalidates () =
   in
   let o = Scan.run tool (Scan.request ~jobs:2 ~cache edited) in
   Alcotest.(check int) "unchanged files still hit" (nfiles - 1) o.Scan.cache_hits;
-  Alcotest.(check int) "edited parse + every analysis entry recomputed"
-    (1 + nfiles) o.Scan.cache_misses
+  Alcotest.(check int) "edited parse + the analysis entry recomputed" 2
+    o.Scan.cache_misses
 
 let test_cache_spec_set_invalidates () =
   let tool = Lazy.force wape in
@@ -292,7 +319,7 @@ let test_cache_spec_set_invalidates () =
   let cache = Cache.create () in
   let _ = Scan.run tool (Scan.request ~jobs:2 ~cache files) in
   (* equipping a weapon changes the spec-set fingerprint: parse entries
-     survive, every per-file analysis entry is invalid *)
+     survive, the analysis entry is invalid *)
   let armed =
     T.create ~seed ~weapons:[ Wap_weapon.Generator.wpsqli () ]
       Wap_core.Version.Wape
@@ -301,7 +328,7 @@ let test_cache_spec_set_invalidates () =
     (String.equal (T.Scan.fingerprint tool) (T.Scan.fingerprint armed));
   let o = Scan.run armed (Scan.request ~jobs:2 ~cache files) in
   Alcotest.(check int) "parses reused across tools" nfiles o.Scan.cache_hits;
-  Alcotest.(check int) "every file re-analyzed" nfiles o.Scan.cache_misses
+  Alcotest.(check int) "the project re-analyzed" 1 o.Scan.cache_misses
 
 let test_cache_weapon_added_mid_cache () =
   (* regression: a weapon equipped after the cache is warm must change
@@ -342,12 +369,15 @@ let test_cache_disk_persistence () =
     (fun () ->
       let c1 = Cache.create ~dir () in
       let o1 = Scan.run tool (Scan.request ~jobs:2 ~cache:c1 files) in
-      Alcotest.(check int) "first process misses" (nfiles + nfiles)
+      Alcotest.(check int) "first process misses" (nfiles + 1)
         o1.Scan.cache_misses;
+      Alcotest.(check int) "one entry file per parse plus one analysis entry"
+        (nfiles + 1)
+        (Array.length (Sys.readdir dir));
       (* a fresh Cache.t on the same directory simulates a new process *)
       let c2 = Cache.create ~dir () in
       let o2 = Scan.run tool (Scan.request ~jobs:2 ~cache:c2 files) in
-      Alcotest.(check int) "second process hits from disk" (nfiles + nfiles)
+      Alcotest.(check int) "second process hits from disk" (nfiles + 1)
         o2.Scan.cache_hits;
       Alcotest.(check string) "persisted result identical"
         (Wap_core.Export.result_to_string (zero_timings o1.Scan.result))
@@ -447,6 +477,8 @@ let () =
             test_cache_rescan_hits;
           Alcotest.test_case "merged packages with repeated paths" `Slow
             test_cache_repeated_paths;
+          Alcotest.test_case "reordered files miss the analysis entry" `Quick
+            test_cache_file_order;
           Alcotest.test_case "source edit invalidates" `Slow
             test_cache_source_edit_invalidates;
           Alcotest.test_case "spec set invalidates" `Slow

@@ -444,6 +444,31 @@ let test_quantile () =
   Alcotest.(check (float 1e-9)) "overflow mass clamps to the top bound" 1.0
     (Metrics.quantile h 1.0)
 
+let test_quantile_clamped () =
+  let r = Metrics.create_registry () in
+  let h = Metrics.histogram ~registry:r "test.qc" in
+  Alcotest.(check bool) "empty histogram has no clamped quantile" true
+    (Float.is_nan (Metrics.clamped_quantile (Metrics.hist_snapshot h) 0.5));
+  (* one observation inside the default (5 ms, 25 ms] bucket *)
+  Metrics.observe h 0.0053;
+  let s = Metrics.hist_snapshot h in
+  Alcotest.(check (float 1e-12)) "min recorded" 0.0053 s.Metrics.h_min;
+  Alcotest.(check (float 1e-12)) "max recorded" 0.0053 s.Metrics.h_max;
+  Alcotest.(check (float 1e-9)) "interpolated p50 leaves the data" 0.015
+    (Metrics.quantile_of_snapshot s 0.5);
+  Alcotest.(check (float 1e-12)) "clamped p50 is the observation" 0.0053
+    (Metrics.clamped_quantile s 0.5);
+  Alcotest.(check (float 1e-12)) "clamped p95 is the observation" 0.0053
+    (Metrics.clamped_quantile s 0.95);
+  Metrics.observe h 0.02;
+  let s = Metrics.hist_snapshot h in
+  Alcotest.(check (float 1e-12)) "min kept" 0.0053 s.Metrics.h_min;
+  Alcotest.(check (float 1e-12)) "max widened" 0.02 s.Metrics.h_max;
+  Metrics.reset r;
+  let s = Metrics.hist_snapshot h in
+  Alcotest.(check bool) "reset empties the range" true
+    (s.Metrics.h_min = infinity && s.Metrics.h_max = neg_infinity)
+
 (* ------------------------------------------------------------------ *)
 (* Prometheus exposition.                                              *)
 
@@ -623,6 +648,8 @@ let () =
             test_registry_snapshot_and_reset;
           Alcotest.test_case "gauge basics" `Quick test_gauge_basic;
           Alcotest.test_case "histogram quantiles" `Quick test_quantile;
+          Alcotest.test_case "clamped quantiles stay in the observed range"
+            `Quick test_quantile_clamped;
         ] );
       ( "expo",
         [
