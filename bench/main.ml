@@ -62,7 +62,7 @@ let print_tables ~quick () =
 (* ------------------------------------------------------------------ *)
 (* Scan-engine kernel: parallel speedup and warm-cache rescan.         *)
 
-let run_scan_engine ?(check_obs = false) ?(check_parse = false) () =
+let run_scan_engine ?(check_obs = false) () =
   (* merge several packages into one large application so the scan has
      enough files and spec-tasks to spread over the workers *)
   let profiles =
@@ -119,36 +119,6 @@ let run_scan_engine ?(check_obs = false) ?(check_parse = false) () =
     Printf.printf
       "  (host reports %d core(s); speedup measured at jobs=%d, not 4)\n"
       cores par_jobs;
-  (* parse kernel: the full lex+parse of the corpus, old list pipeline vs
-     the buffer scanner.  The old side is the retained reference lexer
-     plus the compat bridge into the buffer parser — the same
-     list-then-array shape the pre-buffer parser built.  min-of-3 per
-     side, timing only the phase that differs: the rest of the scan is
-     shared work that would only add noise to the ratio. *)
-  let parse_wall one =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      List.iter (fun (path, src) -> ignore (one ~file:path src)) files;
-      let w = Unix.gettimeofday () -. t0 in
-      if w < !best then best := w
-    done;
-    !best
-  in
-  let w_parse_ref =
-    parse_wall (fun ~file src ->
-        Wap_php.Parser.parse_buf
-          (Wap_php.Token_buf.of_list ~file (Wap_php.Lexer_ref.tokenize ~file src)))
-  in
-  let w_parse =
-    parse_wall (fun ~file src ->
-        Wap_php.Parser.parse_buf (Wap_php.Lexer.tokenize_buf ~file src))
-  in
-  let parse_speedup = if w_parse > 0. then w_parse_ref /. w_parse else 0. in
-  Printf.printf
-    "parse, jobs=1 (min of 3): list lexer %6.3fs, buffer scanner %6.3fs — \
-     parse speedup %.2fx\n"
-    w_parse_ref w_parse parse_speedup;
   let o4 = scan 4 in
   let same =
     List.length o1.Scan.result.Wap_core.Tool.candidates
@@ -314,9 +284,6 @@ let run_scan_engine ?(check_obs = false) ?(check_parse = false) () =
           J.Float opar.Scan.result.Wap_core.Tool.analysis_cpu_seconds );
         ( "speedup",
           match par_speedup with Some s -> J.Float s | None -> J.Null );
-        ("parse_ref_jobs1_wall_seconds", J.Float w_parse_ref);
-        ("parse_jobs1_wall_seconds", J.Float w_parse);
-        ("parse_speedup", J.Float parse_speedup);
         ("phases_fused_jobs1", phase_obj o1);
         ("deterministic", J.Bool same);
         ( "candidates",
@@ -348,13 +315,6 @@ let run_scan_engine ?(check_obs = false) ?(check_parse = false) () =
     Printf.eprintf
       "FAIL: telemetry overhead above the 5%% budget (ratio %.3fx > 1.05)\n"
       obs_ratio;
-    exit 1
-  end;
-  if check_parse && parse_speedup < 1.3 then begin
-    Printf.eprintf
-      "FAIL: buffer scanner below the parse-speedup floor (speedup %.2fx < \
-       1.3)\n"
-      parse_speedup;
     exit 1
   end
 
@@ -569,7 +529,7 @@ let small_pkg =
 let staged = Staged.stage
 
 let substrate_tests () =
-  let tokens () = Wap_php.Lexer.tokenize ~file:"bench.php" sample_php in
+  let tokens () = Wap_php.Lexer.tokenize_buf ~file:"bench.php" sample_php in
   let program = Wap_php.Parser.parse_string ~file:"bench.php" sample_php in
   let unit_ = [ { Wap_taint.Analyzer.path = "bench.php"; program } ] in
   let sqli_spec = Wap_catalog.Catalog.default_spec Wap_catalog.Vuln_class.Sqli in
@@ -727,14 +687,13 @@ let () =
   let engine_only = List.mem "--engine-only" args in
   let check_obs = List.mem "--check-obs" args in
   let check_fleet = List.mem "--check-fleet" args in
-  let check_parse = List.mem "--check-parse" args in
   if engine_only then begin
-    run_scan_engine ~check_obs ~check_parse ();
+    run_scan_engine ~check_obs ();
     run_fleet ~check_fleet ()
   end
   else begin
     if not bench_only then print_tables ~quick ();
-    run_scan_engine ~check_obs ~check_parse ();
+    run_scan_engine ~check_obs ();
     run_fleet ~check_fleet ();
     if not tables_only then run_bechamel ()
   end

@@ -28,7 +28,7 @@ module An = Wap_taint.Analyzer
    analysis digest and the summary-chain seed lost the interprocedural
    bit.  v7: one "analyze" entry per project, keyed in project order,
    replaces the per-file analyze-file entries. *)
-let cache_format_version = "wap-engine-7"
+let cache_format_version = "wap-engine-8"
 
 (* plain values, bumped from the parse workers: a [lazy] forced from two
    domains at once raises [CamlinternalLazy.Undefined] *)

@@ -317,53 +317,6 @@ let fixer_soundness ctx case =
             | None -> Pass))
 
 (* ------------------------------------------------------------------ *)
-(* 7. Tokenize equivalence: the zero-allocation buffer scanner
-   ({!Lexer.tokenize_buf}, observed through its list compat wrapper so
-   the buffer round-trip is covered too) agrees with the retained
-   list-building reference lexer {!Lexer_ref} token-for-token and
-   loc-for-loc — including agreeing on which inputs get rejected, with
-   the same message at the same position. *)
-
-let tokenize_equiv _ctx case =
-  let run f =
-    match f ~file case.source with
-    | toks -> Ok toks
-    | exception Lexer.Error (m, loc) -> Error (m, loc)
-  in
-  match (run Lexer.tokenize, run Lexer_ref.tokenize) with
-  | Error (m1, l1), Error (m2, l2) ->
-      if String.equal m1 m2 && Loc.equal l1 l2 then Pass
-      else
-        failf "lexers reject differently: %S at %s (buffer) vs %S at %s (reference)"
-          m1 (Loc.to_string l1) m2 (Loc.to_string l2)
-  | Ok _, Error (m, loc) ->
-      failf "buffer scanner accepts what the reference rejects (%s at %s)" m
-        (Loc.to_string loc)
-  | Error (m, loc), Ok _ ->
-      failf "buffer scanner rejects what the reference accepts (its error: %s at %s)"
-        m (Loc.to_string loc)
-  | Ok t1, Ok t2 ->
-      let n1 = List.length t1 and n2 = List.length t2 in
-      if n1 <> n2 then
-        failf "token counts differ: %d (buffer) vs %d (reference)" n1 n2
-      else
-        let rec cmp i l1 l2 =
-          match (l1, l2) with
-          | [], [] -> Pass
-          | (tok1, loc1) :: r1, (tok2, loc2) :: r2 ->
-              if not (Token.equal tok1 tok2) then
-                failf "token %d differs at %s: %s (buffer) vs %s (reference)" i
-                  (Loc.to_string loc2) (Token.show tok1) (Token.show tok2)
-              else if not (Loc.equal loc1 loc2) then
-                failf "token %d (%s) location differs: %s (buffer) vs %s (reference)"
-                  i (Token.describe tok1) (Loc.to_string loc1)
-                  (Loc.to_string loc2)
-              else cmp (i + 1) r1 r2
-          | _, _ -> assert false
-        in
-        cmp 0 t1 t2
-
-(* ------------------------------------------------------------------ *)
 
 let all =
   [
@@ -385,9 +338,6 @@ let all =
     { name = "fixer-soundness";
       describe = "corrected source reparses; fixed line no longer reported";
       check = fixer_soundness };
-    { name = "tokenize-equiv";
-      describe = "buffer scanner tokens and locs byte-identical to the reference lexer";
-      check = tokenize_equiv };
   ]
 
 let by_name name = List.find_opt (fun o -> String.equal o.name name) all

@@ -14,26 +14,11 @@ type t = SS.t
 let to_list = SS.elements
 let mem = SS.mem
 
-(* ------------------------------------------------------------------ *)
-(* Flattening a sink argument into literal / dynamic parts.            *)
-
-type part = Lit of string | Dyn
-
-let rec flatten (e : Ast.expr) : part list =
-  match e.e with
-  | Ast.String s -> [ Lit s ]
-  | Ast.Int n -> [ Lit (string_of_int n) ]
-  | Ast.Interp parts ->
-      List.concat_map
-        (function Ast.Ip_str s -> [ Lit s ] | Ast.Ip_expr e -> flatten e)
-        parts
-  | Ast.Binop (Ast.Concat, l, r) -> flatten l @ flatten r
-  | Ast.Ternary (_, Some t, f) -> flatten t @ flatten f
-  | _ -> [ Dyn ]
+module Tr = Wap_taint.Trace
 
 let literal_text parts =
   String.concat " "
-    (List.filter_map (function Lit s -> Some s | Dyn -> None) parts)
+    (List.filter_map (function Tr.Qlit s -> Some s | Tr.Qdyn -> None) parts)
 
 (* ------------------------------------------------------------------ *)
 (* SQL query symptoms.                                                 *)
@@ -44,9 +29,10 @@ let contains_ci haystack needle =
   let rec go i = i + nn <= nh && (String.sub h i nn = n || go (i + 1)) in
   nn > 0 && go 0
 
-let sql_symptoms ?(origin_parts : part list = []) (sink_args : Ast.expr list) :
+let sql_symptoms ?(origin_parts : Tr.qpart list = []) (sink_args : Ast.expr list) :
     string list =
-  let parts = List.concat_map flatten sink_args @ origin_parts in
+  let rev_args = List.fold_left (fun acc e -> Tr.flatten_onto e acc) [] sink_args in
+  let parts = List.rev_append rev_args origin_parts in
   let text = literal_text parts in
   let has = contains_ci text in
   let syms = ref [] in
@@ -77,13 +63,13 @@ let sql_symptoms ?(origin_parts : part list = []) (sink_args : Ast.expr list) :
   (* numeric entry point: a dynamic part spliced right after '=' or
      'LIMIT' with no quote in between, e.g. "... WHERE id=" . $id *)
   let rec numeric_pos = function
-    | Lit before :: Dyn :: _rest ->
+    | Tr.Qlit before :: Tr.Qdyn :: _rest ->
         let trimmed = String.trim before in
         let n = String.length trimmed in
         (n > 0
         && (trimmed.[n - 1] = '='
            || (n >= 5 && String.uppercase_ascii (String.sub trimmed (n - 5) 5) = "LIMIT")))
-        || numeric_pos (Dyn :: _rest)
+        || numeric_pos (Tr.Qdyn :: _rest)
     | _ :: rest -> numeric_pos rest
     | [] -> false
   in
@@ -124,16 +110,7 @@ let collect ?(dynamic : Symptom.dynamic_map = []) (c : Wap_taint.Trace.candidate
   in
   let acc =
     if is_query_class then begin
-      let origin_parts =
-        List.concat_map
-          (fun (o : Wap_taint.Trace.origin) ->
-            List.map
-              (function
-                | Wap_taint.Trace.Qlit s -> Lit s
-                | Wap_taint.Trace.Qdyn -> Dyn)
-              o.Wap_taint.Trace.parts)
-          c.Wap_taint.Trace.origins
-      in
+      let origin_parts = List.concat_map Tr.parts c.Wap_taint.Trace.origins in
       List.fold_left (fun acc s -> SS.add s acc)
         acc
         (sql_symptoms ~origin_parts c.Wap_taint.Trace.sink_args)

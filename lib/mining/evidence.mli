@@ -15,16 +15,12 @@ val mem : string -> t -> bool
 (** Build an evidence set from raw names (used by tests). *)
 val of_names : string list -> t
 
-(** Literal/dynamic split of a string-building expression. *)
-type part = Lit of string | Dyn
-
-val flatten : Wap_php.Ast.expr -> part list
-
 (** The SQL-manipulation symptoms of a query: FROM clause, aggregates,
     complex structure, numeric entry-point positions.  [origin_parts]
     supplies the structure recorded on the flow when the query was
     assembled before the sink. *)
-val sql_symptoms : ?origin_parts:part list -> Wap_php.Ast.expr list -> string list
+val sql_symptoms :
+  ?origin_parts:Wap_taint.Trace.qpart list -> Wap_php.Ast.expr list -> string list
 
 (** [collect ?dynamic candidate] computes the symptom set of a
     candidate.  [dynamic] maps user function names to the static symptom

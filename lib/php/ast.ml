@@ -201,13 +201,6 @@ let callee_name = function
   | F_static (c, m) ->
       Some (String.lowercase_ascii c ^ "::" ^ String.lowercase_ascii m)
 
-(** [method_call_on_var e] is [Some (obj, meth)] when [e]'s callee is a
-    method call on a named variable, e.g. [$wpdb->query(...)]. *)
-let method_call_on_var = function
-  | F_method ({ e = Var obj; _ }, Mem_ident m) ->
-      Some (String.lowercase_ascii obj, String.lowercase_ascii m)
-  | _ -> None
-
 (** Is this expression a superglobal access such as [$_GET['x']]? *)
 let superglobals =
   [ "_GET"; "_POST"; "_COOKIE"; "_REQUEST"; "_SERVER"; "_FILES"; "_ENV"; "_SESSION"; "GLOBALS" ]

@@ -193,10 +193,6 @@ val int_ : ?loc:Loc.t -> int -> expr
     (lowercased; static calls as ["class::name"]). *)
 val callee_name : callee -> string option
 
-(** [Some (obj, meth)] when the callee is a method call on a named
-    variable, e.g. [$wpdb->query(...)]. *)
-val method_call_on_var : callee -> (string * string) option
-
 (** The PHP superglobal array names. *)
 val superglobals : string list
 

@@ -1,9 +1,6 @@
-(** Whole-file source reading, shared by every layer that loads PHP
-    text: {!Lexer.tokenize_file}, {!Parser.parse_file}, the CLI and the
-    fleet worker all route through this one binary-mode
-    [really_input_string] pass — no per-line loops, no intermediate
-    [Buffer] accumulation, and the channel is closed even when the read
-    raises. *)
+(** Whole-file source reading for {!Parser.parse_file}, the CLI and the
+    fleet worker: one binary-mode [really_input_string] pass, and the
+    channel is closed even when the read raises. *)
 
 let read_file path : string =
   let ic = open_in_bin path in

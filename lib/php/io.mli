@@ -1,5 +1,5 @@
-(** Whole-file source reading shared by the lexer, the parser, the CLI
-    and the fleet worker. *)
+(** Whole-file source reading shared by the parser, the CLI and the
+    fleet worker. *)
 
 (** [read_file path] reads the whole file in one binary-mode
     [really_input_string] pass.  The channel is closed even on error.

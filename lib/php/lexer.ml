@@ -17,10 +17,8 @@
     literals take the original [Buffer]-based slow path — they are rare
     and their payloads are not source slices.
 
-    {!Lexer_ref} keeps the pre-buffer list-building lexer verbatim as
-    the differential reference: the [tokenize-equiv] fuzz oracle and the
-    seed-replay tests require the two to agree token-for-token and
-    loc-for-loc. *)
+    The token streams and locations it produces are pinned by the
+    conformance goldens under [test/conformance/]. *)
 
 exception Error of string * Loc.t
 
@@ -780,8 +778,8 @@ let tokenize_buf ~file src : Token_buf.t =
       in
       collapse_parts st parts
   and operator () =
-    (* First-char dispatch over in-place lookahead; token-for-token the
-       same mapping as the reference lexer's [looking_at] chain. *)
+    (* First-char dispatch over in-place lookahead, longest operator
+       first. *)
     let take n t =
       advance_n st n;
       t
@@ -862,10 +860,7 @@ let tokenize_buf ~file src : Token_buf.t =
   run ();
   buf
 
-(* Compat wrapper: the boxed located-token list the pre-buffer lexer
-   produced.  Kept for the differential oracle, tests and external
-   callers; the parser consumes the buffer directly. *)
+(* Compat wrapper: the buffer as a boxed located-token list, for tests
+   and oracles; the parser consumes the buffer directly. *)
 let tokenize ~file src : (Token.t * Loc.t) list =
   Token_buf.to_list (tokenize_buf ~file src)
-
-let tokenize_file path = tokenize ~file:path (Io.read_file path)

@@ -10,8 +10,8 @@
     {!Token_buf.t}, matches keywords byte-for-byte in place, and
     materializes identifier / literal slices at most once through a
     per-tokenize interning pool (repeated spellings share one string and
-    one hashconsed token).  {!Lexer_ref} keeps the old list-building
-    lexer as the differential reference. *)
+    one hashconsed token).  The conformance goldens under
+    [test/conformance/] pin its token streams and locations. *)
 
 (** Lexical error with its position. *)
 exception Error of string * Loc.t
@@ -24,12 +24,8 @@ exception Error of string * Loc.t
     bad characters, malformed literals). *)
 val tokenize_buf : file:string -> string -> Token_buf.t
 
-(** [tokenize ~file src] is [tokenize_buf] re-materialized as the boxed
-    located-token list of the pre-buffer lexer — a thin compat wrapper
-    for tests, oracles and external callers.
+(** [tokenize ~file src] is [tokenize_buf] re-materialized as a boxed
+    located-token list — a thin compat wrapper for tests and oracles.
 
     @raise Error as {!tokenize_buf}. *)
 val tokenize : file:string -> string -> (Token.t * Loc.t) list
-
-(** Read and tokenize a file from disk (compat list form). *)
-val tokenize_file : string -> (Token.t * Loc.t) list

@@ -1299,8 +1299,9 @@ and parse_class p loc : Ast.stmt =
 (* Entry points.                                                       *)
 
 (** Parse an already-tokenized buffer.  This is the raw parse kernel —
-    no lexing, no tracing — used by the bench harness to time the parse
-    phase in isolation and by callers that already hold a buffer. *)
+    no lexing, no tracing — used by the perfbench probe to time the
+    parse layer apart from lexing and by callers that already hold a
+    buffer. *)
 let parse_buf buf : Ast.program =
   let p = make_buf buf in
   let prog = parse_stmts_until p [] in

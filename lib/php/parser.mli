@@ -14,9 +14,9 @@ exception Error of string * Loc.t
     @raise Error on syntax errors; @raise Lexer.Error on lexical ones. *)
 val parse_string : file:string -> string -> Ast.program
 
-(** Parse an already-tokenized buffer (see {!Lexer.tokenize_buf} and
-    {!Token_buf.of_list}).  Raw parse kernel: no lexing, no tracing —
-    the bench harness uses it to time the parse phase in isolation.
+(** Parse an already-tokenized buffer (see {!Lexer.tokenize_buf}).  Raw
+    parse kernel: no lexing, no tracing — the perfbench probe uses it to
+    time the parse layer apart from lexing.
 
     @raise Error on syntax errors. *)
 val parse_buf : Token_buf.t -> Ast.program

@@ -62,7 +62,6 @@ type t =
   | AMP_AMP | PIPE_PIPE | BANG
   | AMP | PIPE | CARET | TILDE | SHL | SHR
   | INC | DEC
-  | EQ_REF (* =& , emitted as EQ followed by AMP; kept for clarity *)
   | EOF
 [@@deriving show, eq]
 
@@ -95,8 +94,6 @@ let keyword_table : (string * t) list =
     ("instanceof", K_INSTANCEOF); ("clone", K_CLONE);
     ("and", K_AND); ("or", K_OR); ("xor", K_XOR);
   ]
-
-let of_keyword s = List.assoc_opt (String.lowercase_ascii s) keyword_table
 
 (** Human-readable token name used in parse-error messages. *)
 let describe = function

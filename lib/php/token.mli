@@ -61,15 +61,11 @@ type t =
   | AMP_AMP | PIPE_PIPE | BANG
   | AMP | PIPE | CARET | TILDE | SHL | SHR
   | INC | DEC
-  | EQ_REF
   | EOF
 [@@deriving show, eq]
 
 (** Keyword table: lowercase reserved word -> token. *)
 val keyword_table : (string * t) list
-
-(** Case-insensitive keyword lookup. *)
-val of_keyword : string -> t option
 
 (** Human-readable token name used in parse-error messages. *)
 val describe : t -> string

@@ -119,15 +119,8 @@ let loc t i = Loc.make ~file:t.file ~line:(line t i) ~col:(col t i)
 let last_tok t = if t.n = 0 then None else Some (tok t (t.n - 1))
 
 (* ------------------------------------------------------------------ *)
-(* Compatibility bridges.                                               *)
+(* Compatibility bridge.                                                *)
 
 let to_list t : (Token.t * Loc.t) list =
   let rec go i acc = if i < 0 then acc else go (i - 1) ((tok t i, loc t i) :: acc) in
   go (t.n - 1) []
-
-let of_list ~file toks : t =
-  let t = create ~capacity:(max 16 (List.length toks)) ~file () in
-  List.iter
-    (fun (tk, (l : Loc.t)) -> push t tk ~line:l.Loc.line ~col:l.Loc.col)
-    toks;
-  t

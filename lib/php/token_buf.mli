@@ -30,9 +30,5 @@ val loc : t -> int -> Loc.t
     constant tokens. *)
 val last_tok : t -> Token.t option
 
-(** The boxed list the pre-buffer lexer produced — compat bridge. *)
+(** The boxed located-token list behind {!Lexer.tokenize}. *)
 val to_list : t -> (Token.t * Loc.t) list
-
-(** Build a buffer from a located token list (locations keep only
-    line/col; the buffer's [file] is [~file]). *)
-val of_list : file:string -> (Token.t * Loc.t) list -> t

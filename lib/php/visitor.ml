@@ -124,9 +124,6 @@ and fold_stmt_with_expr f acc (s : stmt) =
   | Block body -> fold_stmts_with_expr f acc body
   | Const_def cs -> List.fold_left (fun acc (_, e) -> fold_expr f acc e) acc cs
 
-(** [iter_exprs f prog] applies [f] to every expression in the program. *)
-let iter_exprs f prog = fold_stmts_with_expr (fun () e -> f e) () prog
-
 (** [fold_expr_prune f acc e] is {!fold_expr} with pruning: [f] returns
     the new accumulator and whether to descend into the node's children.
     Clients walking a single scope use it to stop at closure boundaries

@@ -12,11 +12,6 @@ val fold_expr : ('a -> Ast.expr -> 'a) -> 'a -> Ast.expr -> 'a
     reachable from [stmts], including nested functions and classes. *)
 val fold_stmts_with_expr : ('a -> Ast.expr -> 'a) -> 'a -> Ast.stmt list -> 'a
 
-val fold_stmt_with_expr : ('a -> Ast.expr -> 'a) -> 'a -> Ast.stmt -> 'a
-
-(** [iter_exprs f prog] applies [f] to every expression in the program. *)
-val iter_exprs : (Ast.expr -> unit) -> Ast.program -> unit
-
 (** [fold_expr_prune f acc e] is {!fold_expr} with pruning: [f] returns
     the new accumulator and whether to descend into the node's children.
     Clients walking a single scope use it to stop at closure boundaries
@@ -53,5 +48,3 @@ val map_expr : (Ast.expr -> Ast.expr) -> Ast.expr -> Ast.expr
 (** [map_stmts f stmts] applies {!map_expr}[ f] to every expression in
     the statements, preserving statement structure. *)
 val map_stmts : (Ast.expr -> Ast.expr) -> Ast.stmt list -> Ast.stmt list
-
-val map_stmt : (Ast.expr -> Ast.expr) -> Ast.stmt -> Ast.stmt

@@ -344,26 +344,10 @@ let cast_name = function
   | Ast.C_array -> "(array)"
   | Ast.C_object -> "(object)"
 
-(* Syntactic literal/dynamic structure of an expression, recorded on
-   origins so the SQL-symptom collector can analyse queries assembled in
-   variables before the sink. *)
-let rec flatten_parts (e : Ast.expr) : Trace.qpart list =
-  match e.e with
-  | Ast.String s -> [ Trace.Qlit s ]
-  | Ast.Int n -> [ Trace.Qlit (string_of_int n) ]
-  | Ast.Interp parts ->
-      List.concat_map
-        (function
-          | Ast.Ip_str s -> [ Trace.Qlit s ]
-          | Ast.Ip_expr e1 -> flatten_parts e1)
-        parts
-  | Ast.Binop (Ast.Concat, l, r) -> flatten_parts l @ flatten_parts r
-  | Ast.Ternary (_, Some t, f) -> flatten_parts t @ flatten_parts f
-  | _ -> [ Trace.Qdyn ]
-
 (* Split a printf-style format string into literal segments and dynamic
-   holes, mirroring what an interpolated string would record. *)
-let split_format (fmt : string) : Trace.qpart list =
+   holes, mirroring what an interpolated string would record; last part
+   first, like {!Trace.flatten_onto}. *)
+let rev_split_format (fmt : string) : Trace.qpart list =
   let n = String.length fmt in
   let out = ref [] in
   let buf = Buffer.create 16 in
@@ -403,7 +387,7 @@ let split_format (fmt : string) : Trace.qpart list =
     end
   done;
   flush ();
-  List.rev !out
+  !out
 
 (* Does a statement list end in a control-flow exit? Used for the
    `if (!valid($x)) die();` refinement. *)
@@ -732,12 +716,12 @@ and eval_call ctx env loc (callee : Ast.callee) (args : Ast.arg list) :
           match join_all ctx ~through:lf ~ids:rest taints with
           | [] -> Env.clean
           | t ->
-              let parts =
+              let rev_parts =
                 match arg_exprs with
-                | { e = Ast.String fmt; _ } :: _ -> split_format fmt
+                | { e = Ast.String fmt; _ } :: _ -> rev_split_format fmt
                 | _ -> [ Trace.Qdyn ]
               in
-              Env.map_origins (fun o -> Trace.with_parts o parts) t
+              Env.map_origins (fun o -> { o with Trace.rev_parts }) t
         end
         else begin
           (* sink check, then propagation *)
@@ -845,23 +829,23 @@ and eval_assign ctx env loc op (lhs : Ast.expr) (rhs : Ast.expr) :
           { Trace.step_loc = loc;
             step_desc = render_expr lhs ^ " = " ^ render_expr rhs }
         in
-        let rhs_parts = flatten_parts rhs in
+        let rhs_parts = Trace.flatten_onto rhs [] in
         Env.map_origins
           (fun o ->
             let o = Trace.add_step o step in
             (* remember the string structure being built; `.=` extends
-               it; an opaque right-hand side (e.g. a sprintf call that
-               already recorded its format) keeps the structure gathered
-               so far *)
-            let parts =
+               it, in time proportional to the right-hand side; an opaque
+               right-hand side (e.g. a sprintf call that already recorded
+               its format) keeps the structure gathered so far *)
+            let rev_parts =
               match op with
-              | Ast.A_concat -> o.Trace.parts @ rhs_parts
+              | Ast.A_concat -> rhs_parts @ o.Trace.rev_parts
               | _ -> (
                   match rhs_parts with
-                  | [ Trace.Qdyn ] when o.Trace.parts <> [] -> o.Trace.parts
+                  | [ Trace.Qdyn ] when o.Trace.rev_parts <> [] -> o.Trace.rev_parts
                   | p -> p)
             in
-            Trace.with_parts o parts)
+            { o with Trace.rev_parts })
           t
   in
   let env = assign_to ctx env lhs t in

@@ -33,15 +33,31 @@ type origin = {
   guards : string list;
       (** validation predicates observed guarding the flow, e.g.
           ["is_numeric"], ["isset"], ["preg_match"] *)
-  parts : qpart list;
-      (** structure of the latest string built from the data (see {!qpart}) *)
+  rev_parts : qpart list;
+      (** structure of the latest string built from the data (see
+          {!qpart}), last part first: [.=] conses onto it, so n appends
+          cost O(n); read it through {!parts} *)
 }
 [@@deriving show, eq]
 
 let origin ~source ~source_loc =
-  { source; source_loc; rev_steps = []; through = []; guards = []; parts = [] }
+  { source; source_loc; rev_steps = []; through = []; guards = []; rev_parts = [] }
 
-let with_parts o parts = { o with parts }
+let parts o = List.rev o.rev_parts
+
+let rec flatten_onto (e : Ast.expr) acc =
+  match e.e with
+  | Ast.String s -> Qlit s :: acc
+  | Ast.Int n -> Qlit (string_of_int n) :: acc
+  | Ast.Interp parts ->
+      List.fold_left
+        (fun acc -> function
+          | Ast.Ip_str s -> Qlit s :: acc
+          | Ast.Ip_expr e -> flatten_onto e acc)
+        acc parts
+  | Ast.Binop (Ast.Concat, l, r) -> flatten_onto r (flatten_onto l acc)
+  | Ast.Ternary (_, Some t, f) -> flatten_onto f (flatten_onto t acc)
+  | _ -> Qdyn :: acc
 
 let add_step o step = { o with rev_steps = step :: o.rev_steps }
 let steps o = List.rev o.rev_steps

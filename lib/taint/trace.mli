@@ -32,13 +32,22 @@ type origin = {
   guards : string list;
       (** validation predicates observed guarding the flow, e.g.
           ["is_numeric"], ["isset"], ["preg_match"] *)
-  parts : qpart list;
-      (** structure of the latest string built from the data *)
+  rev_parts : qpart list;
+      (** structure of the latest string built from the data, last part
+          first (read it with {!parts}) *)
 }
 [@@deriving show, eq]
 
 val origin : source:string -> source_loc:Loc.t -> origin
-val with_parts : origin -> qpart list -> origin
+
+(** The string structure recorded on the origin, first part first. *)
+val parts : origin -> qpart list
+
+(** [flatten_onto e acc] pushes the literal/dynamic parts of the
+    string-building expression [e] (concatenations, interpolations,
+    ternary branches) onto [acc], last part first.  Linear in the
+    operands of [e], however its concatenations nest. *)
+val flatten_onto : Ast.expr -> qpart list -> qpart list
 
 (** Append one hop to the chain, in constant time. *)
 val add_step : origin -> step -> origin

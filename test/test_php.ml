@@ -683,74 +683,6 @@ let test_lexer_interning_identity () =
   physical_pair "CONST_STRING dup"
     (function Token.CONST_STRING "dup" -> true | _ -> false)
 
-(* Differential check against the reference lexer: same tokens, same
-   locations, same error, on one source. *)
-let check_tokenize_equiv ?(file = "equiv.php") src =
-  let run f = try Ok (f ~file src) with Lexer.Error (m, l) -> Error (m, l) in
-  match (run Lexer.tokenize, run Lexer_ref.tokenize) with
-  | Ok got, Ok want ->
-      if List.length got <> List.length want then
-        Alcotest.failf "%s: %d tokens vs %d reference" file (List.length got)
-          (List.length want);
-      List.iteri
-        (fun i ((t, l), (t', l')) ->
-          if not (Token.equal t t') then
-            Alcotest.failf "%s: token %d is %s, reference %s" file i
-              (Token.show t) (Token.show t');
-          if not (Loc.equal l l') then
-            Alcotest.failf "%s: token %d (%s) at %s, reference %s" file i
-              (Token.show t) (Loc.to_string l) (Loc.to_string l'))
-        (List.combine got want)
-  | Error (m, l), Error (m', l') ->
-      Alcotest.(check string) (file ^ ": error message") m' m;
-      if not (Loc.equal l l') then
-        Alcotest.failf "%s: error at %s, reference %s" file (Loc.to_string l)
-          (Loc.to_string l')
-  | Ok _, Error (m, _) ->
-      Alcotest.failf "%s: reference rejects (%s), scanner accepts" file m
-  | Error (m, _), Ok _ ->
-      Alcotest.failf "%s: scanner rejects (%s), reference accepts" file m
-
-let test_lexer_equiv_tricky () =
-  List.iter check_tokenize_equiv
-    [
-      (* heredoc with every interpolation shape *)
-      "<?php $s = <<<EOT\nHello $name and {$a['x']}\n\
-       also $obj->prop plus $_GET[id] and $arr[3]\nEOT;\n";
-      (* nowdoc stays raw *)
-      "<?php $s = <<<'EOT'\nraw $notinterp \\n {$x}\nEOT;\n";
-      (* astral characters in strings, html and interpolation *)
-      "<?php $e = \"smile \xF0\x9F\x98\x80 $v tail\"; $p = '\xE2\x82\xAC';";
-      "<html>\xF0\x9F\x98\x80<?= $x ?>\xE2\x82\xAC</html>";
-      (* escapes, legacy ${name}, backtick *)
-      "<?php $q = \"a\\tb\\x41\\101${legacy}c\"; $b = `ls $dir`;";
-      (* bare exponent rewinds both position and column *)
-      "<?php $n = 1e; $m = 1E+; $f = 1.5e3;\n$g = 0x1F + 007 + .5;";
-      (* close-tag semicolon synthesis and alternative syntax *)
-      "<?php if ($a): ?><b><?php endif; ?>trailer";
-      (* comments of all three kinds around a close tag *)
-      "<?php /* multi\nline */ # hash ?> after\n<?php echo 'end'; // eof";
-      (* lexer errors must agree too *)
-      "<?php $s = 'unterminated";
-      "<?php \x01";
-    ]
-
-(* The compat wrapper and the reference lexer agree on every fuzz
-   seed the repository has accumulated. *)
-let test_lexer_equiv_fuzz_seeds () =
-  let dir = "fuzz_seeds" in
-  let seeds =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".php")
-    |> List.sort String.compare
-  in
-  if seeds = [] then Alcotest.fail "no fuzz seeds found";
-  List.iter
-    (fun f ->
-      let path = Filename.concat dir f in
-      check_tokenize_equiv ~file:path (Io.read_file path))
-    seeds
-
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "wap_php"
@@ -851,10 +783,6 @@ let () =
           Alcotest.test_case "loc packing" `Quick test_token_buf_loc_packing;
           Alcotest.test_case "interning identity" `Quick
             test_lexer_interning_identity;
-          Alcotest.test_case "scanner equiv: tricky sources" `Quick
-            test_lexer_equiv_tricky;
-          Alcotest.test_case "scanner equiv: fuzz seeds" `Quick
-            test_lexer_equiv_fuzz_seeds;
         ] );
       ( "properties",
         [

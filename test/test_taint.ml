@@ -99,7 +99,7 @@ let test_sprintf_flow () =
   let o = Tr.primary c in
   Alcotest.(check bool) "through sprintf" true (List.mem "sprintf" o.Tr.through);
   let lits =
-    List.filter_map (function Tr.Qlit s -> Some s | Tr.Qdyn -> None) o.Tr.parts
+    List.filter_map (function Tr.Qlit s -> Some s | Tr.Qdyn -> None) (Tr.parts o)
   in
   Alcotest.(check bool) "format captured" true
     (List.exists (fun s -> s = "SELECT name FROM users WHERE id = ") lits);
@@ -214,7 +214,7 @@ let test_query_parts_recorded () =
       "$v = $_GET['v'];\n$q = \"SELECT name FROM users WHERE id = \" . $v;\nmysql_query($q);"
   in
   let lits =
-    List.filter_map (function Tr.Qlit s -> Some s | Tr.Qdyn -> None) o.Tr.parts
+    List.filter_map (function Tr.Qlit s -> Some s | Tr.Qdyn -> None) (Tr.parts o)
   in
   Alcotest.(check bool) "query text captured" true
     (List.exists (fun s -> s = "SELECT name FROM users WHERE id = ") lits)
@@ -454,37 +454,65 @@ let test_determinism () =
 (* ------------------------------------------------------------------ *)
 (* Hostile shapes.                                                     *)
 
-(* Each hop of a copy chain adds one step to the origin: the chain must
-   grow in constant time per hop, not copy the whole chain again. *)
-let test_copy_chain_linear () =
-  let minor_words hops =
-    let b = Buffer.create (hops * 16) in
-    Buffer.add_string b "<?php\n$v0 = $_GET['x'];\n";
-    for i = 1 to hops do
-      Printf.bprintf b "$v%d = $v%d;\n" i (i - 1)
-    done;
-    Printf.bprintf b "mysql_query($v%d);\n" hops;
-    let program = Wap_php.Parser.parse_string ~file:"chain.php" (Buffer.contents b) in
+(* A shape of n repetitions must cost O(n).  The source is [first], then
+   [each i] for i = 1..n, then [last n]; [check n] sees its candidates.
+   The minor words the analysis (and [check]) allocates at n = 4,000
+   must stay within 2.5x those at n = 2,000: minor words are
+   deterministic, unlike time. *)
+let shape_allocates_linearly ~first ~each ~last check =
+  let minor_words n =
+    let src = "<?php\n" ^ first ^ String.concat "" (List.init n (fun i -> each (i + 1))) in
+    let program = Wap_php.Parser.parse_string ~file:"shape.php" (src ^ last n) in
     let w0 = Gc.minor_words () in
-    let cands =
-      An.analyze_program ~spec:(Cat.default_spec VC.Sqli) ~file:"chain.php"
-        program
-    in
-    let w = Gc.minor_words () -. w0 in
-    (match cands with
-    | [ c ] ->
-        let steps = Tr.steps (Tr.primary c) in
-        Alcotest.(check int) "one step per hop" (hops + 1) (List.length steps);
-        Alcotest.(check int) "oldest step first" 2
-          (List.hd steps).Tr.step_loc.Wap_php.Loc.line
-    | _ -> Alcotest.fail "expected one candidate");
-    w
+    check n (An.analyze_program ~spec:(Cat.default_spec VC.Sqli) ~file:"shape.php" program);
+    Gc.minor_words () -. w0
   in
   let w2k = minor_words 2000 and w4k = minor_words 4000 in
   Alcotest.(check bool)
-    (Printf.sprintf "4,000 hops allocate <= 2.5x 2,000 hops (%.2fx)" (w4k /. w2k))
+    (Printf.sprintf "n = 4,000 allocates <= 2.5x n = 2,000 (%.2fx)" (w4k /. w2k))
     true
     (w4k <= 2.5 *. w2k)
+
+let one_candidate = function
+  | [ c ] -> c
+  | cs -> Alcotest.failf "expected one candidate, got %d" (List.length cs)
+
+(* Each hop of a copy chain adds one step to the origin: the chain must
+   grow in constant time per hop, not copy the whole chain again. *)
+let test_copy_chain_linear () =
+  shape_allocates_linearly ~first:"$v0 = $_GET['x'];\n"
+    ~each:(fun i -> Printf.sprintf "$v%d = $v%d;\n" i (i - 1))
+    ~last:(Printf.sprintf "mysql_query($v%d);\n")
+    (fun n cands ->
+      let steps = Tr.steps (Tr.primary (one_candidate cands)) in
+      Alcotest.(check int) "one step per hop" (n + 1) (List.length steps);
+      Alcotest.(check int) "oldest step first" 2
+        (List.hd steps).Tr.step_loc.Wap_php.Loc.line)
+
+(* A string built from n pieces records n + 1 parts, the tainted one
+   first. *)
+let check_parts n cands =
+  match Tr.parts (Tr.primary (one_candidate cands)) with
+  | Tr.Qdyn :: lits -> Alcotest.(check int) "one part per piece" n (List.length lits)
+  | _ -> Alcotest.fail "expected the tainted part first"
+
+(* [$x = $_GET[1] . "a" . ...]: a left-nested concatenation is flattened
+   in one pass, not by appending down its spine. *)
+let test_concat_operands_linear () =
+  shape_allocates_linearly ~first:"$x = $_GET[1]" ~each:(fun _ -> " . 'a'")
+    ~last:(fun _ -> ";\nmysql_query($x);\n") check_parts
+
+(* [$x .= "a";] repeated: each append conses onto the recorded parts. *)
+let test_concat_assign_linear () =
+  shape_allocates_linearly ~first:"$x = $_GET[1];\n" ~each:(fun _ -> "$x .= 'a';\n")
+    ~last:(fun _ -> "mysql_query($x);\n") check_parts
+
+(* [mysql_query($_GET[1] . "a" . ...)]: the symptom collector flattens
+   the sink argument in one pass too. *)
+let test_sink_concat_linear () =
+  shape_allocates_linearly ~first:"mysql_query($_GET[1]" ~each:(fun _ -> " . 'a'")
+    ~last:(fun _ -> ");\n")
+    (fun _ cands -> ignore (Wap_mining.Evidence.collect (one_candidate cands)))
 
 (* ------------------------------------------------------------------ *)
 (* Pass 2 reuses pass 1's walks exactly.                               *)
@@ -753,7 +781,13 @@ let () =
         ] );
       ( "hostile shapes",
         [ Alcotest.test_case "copy chain allocates linearly" `Quick
-            test_copy_chain_linear ] );
+            test_copy_chain_linear;
+          Alcotest.test_case "concat operands allocate linearly" `Quick
+            test_concat_operands_linear;
+          Alcotest.test_case "concat-assign chain allocates linearly" `Quick
+            test_concat_assign_linear;
+          Alcotest.test_case "sink concat argument allocates linearly" `Quick
+            test_sink_concat_linear ] );
       ( "pass-2 reuse",
         [
           Alcotest.test_case "fuzz seeds and fixture apps" `Quick
