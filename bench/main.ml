@@ -591,7 +591,7 @@ let substrate_tests () =
       (staged (fun () -> Wap_weapon.Generator.wpsqli ()));
     Test.make ~name:"fix-insertion"
       (staged (fun () ->
-           Wap_fixer.Corrector.correct_source ~file:"bench.php" sample_php candidates));
+           Wap_fixer.Corrector.correct program candidates));
     Test.make ~name:"dynamic-confirmation"
       (staged (fun () ->
            List.map

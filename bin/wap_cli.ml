@@ -286,18 +286,15 @@ let version_conv =
   in
   Arg.conv (parse, fun ppf v -> Fmt.string ppf (Wap_core.Version.name v))
 
-let analyze_cmd =
-  let files =
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc:"PHP files to analyze.")
-  in
-  let fix =
-    Arg.(value & flag
-         & info [ "fix" ] ~doc:"Write corrected source next to each file (.fixed.php).")
-  in
-  let version =
-    Arg.(value & opt version_conv Wap_core.Version.Wape
-         & info [ "tool-version" ] ~docv:"V" ~doc:"Tool configuration: wape or v21.")
-  in
+let tool_version_arg =
+  Arg.(value & opt version_conv Wap_core.Version.Wape
+       & info [ "tool-version" ] ~docv:"V" ~doc:"Tool configuration: wape or v21.")
+
+(* The tool configuration flags of analyze and serve, evaluating to the
+   tool constructor over a training set and a seed.  --weapon resolves
+   here, so a weapon that is neither stock nor stored under --weapon-dir
+   is a usage error. *)
+let tool_term =
   let weapons =
     Arg.(value & opt_all string []
          & info [ "weapon" ] ~docv:"NAME"
@@ -311,6 +308,38 @@ let analyze_cmd =
     Arg.(value & opt_all string []
          & info [ "sanitizer" ] ~docv:"FN"
              ~doc:"Register a user sanitization function (applies to every detector).")
+  in
+  let load weapon_dir name =
+    match (name, weapon_dir) with
+    | "nosqli", _ -> Wap_weapon.Generator.nosqli ()
+    | "hei", _ -> Wap_weapon.Generator.hei ()
+    | "wpsqli", _ -> Wap_weapon.Generator.wpsqli ()
+    | _, None -> failwith (Printf.sprintf "unknown weapon %S (no --weapon-dir)" name)
+    | _, Some dir -> (
+        try Wap_weapon.Store.load ~dir ~name
+        with Sys_error e | Wap_weapon.Store.Corrupt e ->
+          failwith (Printf.sprintf "cannot load weapon %S from %s: %s" name dir e))
+  in
+  let resolve version names weapon_dir sanitizers =
+    match List.map (load weapon_dir) names with
+    | exception Failure e -> `Error (true, "option '--weapon': " ^ e)
+    | weapons ->
+        let extra_sanitizers = List.map (fun fn -> (None, fn)) sanitizers in
+        `Ok (fun dataset seed ->
+            Wap_core.Tool.create ~seed ~weapons ~extra_sanitizers ?dataset version)
+  in
+  Term.(ret (const resolve $ tool_version_arg $ weapons $ weapon_dir $ sanitizers))
+
+let analyze_cmd =
+  let files =
+    Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc:"PHP files to analyze.")
+  in
+  let fix =
+    Arg.(value & flag
+         & info [ "fix" ]
+             ~doc:"Write corrected source next to each file with a reported \
+                   vulnerability (.fixed.php), whatever the output format.  A \
+                   file whose parse recovered errors is not corrected.")
   in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Show symptoms and flow steps.")
@@ -347,25 +376,11 @@ let analyze_cmd =
           | Error e ->
               `Error (true, Printf.sprintf "option '--training-set': %s: %s" path e))
     in
-    Term.(ret (const load $ version $ training_set))
+    Term.(ret (const load $ tool_version_arg $ training_set))
   in
-  let run files fix version weapons weapon_dir sanitizers seed verbose confirm json dataset html_out jobs no_cache cache_dir trace_out stats log_level log_format =
+  let run files fix make_tool seed verbose confirm json dataset html_out jobs no_cache cache_dir trace_out stats log_level log_format =
     let finish_obs = setup_obs trace_out log_level log_format in
-    let weapons =
-      List.map
-        (fun name ->
-          match name with
-          | "nosqli" -> Wap_weapon.Generator.nosqli ()
-          | "hei" -> Wap_weapon.Generator.hei ()
-          | "wpsqli" -> Wap_weapon.Generator.wpsqli ()
-          | name -> (
-              match weapon_dir with
-              | Some dir -> Wap_weapon.Store.load ~dir ~name
-              | None -> failwith ("unknown weapon " ^ name ^ " (no --weapon-dir)")))
-        weapons
-    in
-    let extra_sanitizers = List.map (fun fn -> (None, fn)) sanitizers in
-    let tool = Wap_core.Tool.create ~seed ~weapons ~extra_sanitizers ?dataset version in
+    let tool = make_tool dataset seed in
     let paths = expand_php_paths files in
     let sources = List.map (fun p -> (p, read_file p)) paths in
     let cache = disk_cache ~no_cache ~cache_dir in
@@ -399,12 +414,26 @@ let analyze_cmd =
                  e.Wap_php.Parser.err_msg))
           errs)
       parse_errors;
+    (* each finding replayed once, on the AST the scan analyzed, however
+       many outputs show its verdict *)
+    let confirm =
+      if not confirm then None
+      else
+        let replay = Wap_confirm.Confirm.replay outcome.Scan.units in
+        let verdicts =
+          List.map
+            (fun (f : Wap_core.Tool.finding) ->
+              (f.Wap_core.Tool.candidate, replay f.Wap_core.Tool.candidate))
+            result.Wap_core.Tool.findings
+        in
+        Some (fun c -> List.assq c verdicts)
+    in
     (match html_out with
     | Some path ->
-        write_file path (Wap_core.Export.result_to_html ~confirm result);
+        write_file path (Wap_core.Export.result_to_html ?confirm result);
         Wap_obs.Log.info ~fields:[ ("file", path) ] "wrote HTML report"
     | None -> ());
-    if json then print_endline (Wap_core.Export.result_to_string ~confirm result)
+    if json then print_endline (Wap_core.Export.result_to_string ?confirm result)
     else begin
       Printf.printf
         "%d file(s): %d candidate(s), %d vulnerability(ies), %d predicted false positive(s)\n"
@@ -412,28 +441,13 @@ let analyze_cmd =
         (List.length result.Wap_core.Tool.candidates)
         (List.length result.Wap_core.Tool.reported)
         (List.length result.Wap_core.Tool.predicted_fps);
-      let by_file = Hashtbl.create 8 in
-      List.iter
-        (fun (path, src) ->
-          Hashtbl.replace by_file path
-            (lazy (fst (Wap_php.Parser.parse_string_tolerant ~file:path src))))
-        sources;
       List.iter
         (fun (f : Wap_core.Tool.finding) ->
           let c = f.Wap_core.Tool.candidate in
           let dyn =
-            if not confirm then ""
-            else
-              match Hashtbl.find_opt by_file c.Wap_taint.Trace.file with
-              | Some program -> (
-                  match
-                    Wap_confirm.Confirm.confirm_candidate
-                      ~program:(Lazy.force program) c
-                  with
-                  | Wap_confirm.Confirm.Confirmed -> " (exploit confirmed)"
-                  | Wap_confirm.Confirm.Not_confirmed -> " (exploit not reproduced)"
-                  | Wap_confirm.Confirm.Unsupported -> " (not replayable)")
-              | None -> ""
+            match confirm with
+            | Some verdict -> " (" ^ Wap_confirm.Confirm.label (verdict c) ^ ")"
+            | None -> ""
           in
           Printf.printf "  [%s] %s%s\n"
             (if f.Wap_core.Tool.predicted_fp then "FP " else "VULN")
@@ -449,19 +463,28 @@ let analyze_cmd =
             Printf.printf "        symptoms: %s\n"
               (String.concat ", " f.Wap_core.Tool.symptoms)
           end)
-        result.Wap_core.Tool.findings;
-      if fix then
-        List.iter
-          (fun (path, src) ->
-            let here =
-              List.filter
-                (fun (c : Wap_taint.Trace.candidate) ->
-                  String.equal c.Wap_taint.Trace.file path)
-                result.Wap_core.Tool.reported
-            in
-            if here <> [] then begin
+        result.Wap_core.Tool.findings
+    end;
+    (* corrected source, from the AST the scan analyzed; a file whose
+       parse recovered errors is not rewritten, since printing its
+       partial AST would drop the code that did not parse *)
+    if fix then
+      List.iter
+        (fun (u : Wap_taint.Analyzer.file_unit) ->
+          let path = u.Wap_taint.Analyzer.path in
+          match
+            List.filter
+              (fun (c : Wap_taint.Trace.candidate) ->
+                String.equal c.Wap_taint.Trace.file path)
+              result.Wap_core.Tool.reported
+          with
+          | [] -> ()
+          | _ when List.mem_assoc path parse_errors ->
+              Wap_obs.Log.warn ~fields:[ ("file", path) ]
+                "not corrected: its parse recovered errors"
+          | here ->
               let fixed, report =
-                Wap_fixer.Corrector.correct_source ~file:path src here
+                Wap_fixer.Corrector.correct u.Wap_taint.Analyzer.program here
               in
               let out = path ^ ".fixed.php" in
               write_file out fixed;
@@ -471,21 +494,18 @@ let analyze_cmd =
                     ( "fixes",
                       string_of_int
                         (List.length report.Wap_fixer.Corrector.applied) ) ]
-                "wrote corrected source"
-            end)
-          sources
-    end;
+                "wrote corrected source")
+        outcome.Scan.units;
     if stats then print_scan_stats outcome;
     finish_obs ();
     `Ok ()
   in
   let doc = "Detect (and optionally correct) vulnerabilities in PHP files." in
   Cmd.v (Cmd.info "analyze" ~doc)
-    Term.(ret (const run $ files $ fix $ version $ weapons $ weapon_dir
-               $ sanitizers $ seed_arg $ verbose $ confirm $ json $ dataset
-               $ html_out $ jobs_arg $ no_cache_arg $ cache_dir_arg
-               $ trace_out_arg $ stats_arg
-               $ log_level_arg $ log_format_arg))
+    Term.(ret (const run $ files $ fix $ tool_term $ seed_arg $ verbose
+               $ confirm $ json $ dataset $ html_out $ jobs_arg $ no_cache_arg
+               $ cache_dir_arg $ trace_out_arg $ stats_arg $ log_level_arg
+               $ log_format_arg))
 
 (* ------------------------------------------------------------------ *)
 (* lint                                                                *)
@@ -963,24 +983,6 @@ let symptoms_cmd =
 (* serve                                                               *)
 
 let serve_cmd =
-  let version =
-    Arg.(value & opt version_conv Wap_core.Version.Wape
-         & info [ "tool-version" ] ~docv:"V" ~doc:"Tool configuration: wape or v21.")
-  in
-  let weapons =
-    Arg.(value & opt_all string []
-         & info [ "weapon" ] ~docv:"NAME"
-             ~doc:"Activate a weapon: nosqli, hei, wpsqli, or a name stored under --weapon-dir.")
-  in
-  let weapon_dir =
-    Arg.(value & opt (some dir) None
-         & info [ "weapon-dir" ] ~docv:"DIR" ~doc:"Directory holding stored weapons.")
-  in
-  let sanitizers =
-    Arg.(value & opt_all string []
-         & info [ "sanitizer" ] ~docv:"FN"
-             ~doc:"Register a user sanitization function (applies to every detector).")
-  in
   let socket =
     Arg.(value & opt (some string) None
          & info [ "socket" ] ~docv:"PATH"
@@ -1017,24 +1019,9 @@ let serve_cmd =
                    consulted when the admin plane is on and --trace-out is \
                    not (a batch trace file takes precedence).")
   in
-  let run version weapons weapon_dir sanitizers seed jobs socket port
-      admin_port admin_socket slow_ms trace_ring trace_out log_level
-      log_format =
+  let run make_tool seed jobs socket port admin_port admin_socket slow_ms
+      trace_ring trace_out log_level log_format =
     let finish_obs = setup_obs trace_out log_level log_format in
-    let weapons =
-      List.map
-        (fun name ->
-          match name with
-          | "nosqli" -> Wap_weapon.Generator.nosqli ()
-          | "hei" -> Wap_weapon.Generator.hei ()
-          | "wpsqli" -> Wap_weapon.Generator.wpsqli ()
-          | name -> (
-              match weapon_dir with
-              | Some dir -> Wap_weapon.Store.load ~dir ~name
-              | None -> failwith ("unknown weapon " ^ name ^ " (no --weapon-dir)")))
-        weapons
-    in
-    let extra_sanitizers = List.map (fun fn -> (None, fn)) sanitizers in
     match (socket, port, admin_port, admin_socket) with
     | Some _, Some _, _, _ ->
         finish_obs ();
@@ -1058,10 +1045,7 @@ let serve_cmd =
             Wap_obs.Trace.set_global
               (Some (Wap_obs.Trace.create ~ring_capacity:trace_ring ()))
         end;
-        let tool =
-          Wap_core.Tool.create ~seed ~weapons ~extra_sanitizers version
-        in
-        let server = Wap_serve.Server.create ~jobs ?slow_ms tool in
+        let server = Wap_serve.Server.create ~jobs ?slow_ms (make_tool None seed) in
         let admin_cleanup =
           if not admin_on then fun () -> ()
           else begin
@@ -1106,8 +1090,7 @@ let serve_cmd =
      renders it as a live terminal view."
   in
   Cmd.v (Cmd.info "serve" ~doc)
-    Term.(ret (const run $ version $ weapons $ weapon_dir $ sanitizers
-               $ seed_arg $ jobs_arg $ socket $ port $ admin_port
+    Term.(ret (const run $ tool_term $ seed_arg $ jobs_arg $ socket $ port $ admin_port
                $ admin_socket $ slow_ms $ trace_ring $ trace_out_arg
                $ log_level_arg $ log_format_arg))
 

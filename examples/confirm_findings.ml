@@ -43,23 +43,17 @@ header('Location: ' . $_GET['back']);
 let () =
   print_endline "=== dynamic confirmation of findings ===\n";
   let tool = Wap_core.Tool.create ~seed:2016 Wap_core.Version.Wape in
-  let result =
-    (Wap_core.Tool.Scan.run tool (Wap_core.Tool.Scan.request [ ("app.php", app) ]))
-      .Wap_core.Tool.Scan.result
-  in
-  let program = Wap_php.Parser.parse_string ~file:"app.php" app in
+  let o = Wap_core.Tool.Scan.run tool (Wap_core.Tool.Scan.request [ ("app.php", app) ]) in
+  (* the replay runs on the AST the scan analyzed *)
+  let replay = Wap_confirm.Confirm.replay o.Wap_core.Tool.Scan.units in
   List.iter
     (fun (f : Wap_core.Tool.finding) ->
       let c = f.Wap_core.Tool.candidate in
-      let verdict = Wap_confirm.Confirm.confirm_candidate ~program c in
       Printf.printf "%-5s %-55s -> %s\n"
         (if f.Wap_core.Tool.predicted_fp then "FP" else "VULN")
         (Wap_taint.Trace.summary c)
-        (match verdict with
-        | Wap_confirm.Confirm.Confirmed -> "EXPLOIT CONFIRMED"
-        | Wap_confirm.Confirm.Not_confirmed -> "exploit not reproduced"
-        | Wap_confirm.Confirm.Unsupported -> "not replayable"))
-    result.Wap_core.Tool.findings;
+        (Wap_confirm.Confirm.label (replay c)))
+    o.Wap_core.Tool.Scan.result.Wap_core.Tool.findings;
   print_newline ();
   (* the same machinery at corpus scale *)
   print_endline "--- corpus-scale confirmation (3 packages) ---";

@@ -42,11 +42,11 @@ let () =
 
   (* activate it: the tool gains a 16th detector *)
   let tool = Wap_core.Tool.create ~seed:2016 ~weapons:[ weapon ] Wap_core.Version.Wape in
-  let result =
-    (Wap_core.Tool.Scan.run tool
-       (Wap_core.Tool.Scan.request [ ("mongo.php", mongo_app) ]))
-      .Wap_core.Tool.Scan.result
+  let o =
+    Wap_core.Tool.Scan.run tool
+      (Wap_core.Tool.Scan.request [ ("mongo.php", mongo_app) ])
   in
+  let result = o.Wap_core.Tool.Scan.result in
   List.iter
     (fun (f : Wap_core.Tool.finding) ->
       Printf.printf "%-5s %s\n"
@@ -56,7 +56,8 @@ let () =
 
   (* the weapon also carries its fix *)
   let fixed, _ =
-    Wap_fixer.Corrector.correct_source ~file:"mongo.php" mongo_app
+    Wap_fixer.Corrector.correct
+      (List.hd o.Wap_core.Tool.Scan.units).Wap_taint.Analyzer.program
       result.Wap_core.Tool.reported
   in
   print_endline "\n--- corrected source (weapon fix applied at the sinks) ---";

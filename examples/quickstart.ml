@@ -33,11 +33,11 @@ let () =
   let tool = Wap_core.Tool.create ~seed:2016 Wap_core.Version.Wape in
 
   (* 2. run the code analyzer + predictor *)
-  let result =
-    (Wap_core.Tool.Scan.run tool
-       (Wap_core.Tool.Scan.request [ ("login.php", vulnerable_login) ]))
-      .Wap_core.Tool.Scan.result
+  let o =
+    Wap_core.Tool.Scan.run tool
+      (Wap_core.Tool.Scan.request [ ("login.php", vulnerable_login) ])
   in
+  let result = o.Wap_core.Tool.Scan.result in
   Printf.printf "candidates found by the taint analyzer: %d\n\n"
     (List.length result.Wap_core.Tool.candidates);
   List.iter
@@ -48,9 +48,11 @@ let () =
         (String.concat "; " f.Wap_core.Tool.symptoms))
     result.Wap_core.Tool.findings;
 
-  (* 3. let the code corrector fix what remains *)
+  (* 3. let the code corrector fix what remains, on the AST the scan
+     analyzed *)
   let fixed, report =
-    Wap_fixer.Corrector.correct_source ~file:"login.php" vulnerable_login
+    Wap_fixer.Corrector.correct
+      (List.hd o.Wap_core.Tool.Scan.units).Wap_taint.Analyzer.program
       result.Wap_core.Tool.reported
   in
   Printf.printf "\nfixes applied: %d\n" (List.length report.Wap_fixer.Corrector.applied);

@@ -212,23 +212,30 @@ let confirm_candidate ~(program : Ast.program)
           | Evaluator.Timed_out -> ());
           if !confirmed then Confirmed else Not_confirmed)
 
-(** Batch confirmation over a package's parsed files: returns
-    (confirmed, not confirmed, unsupported) counts over the given
-    candidates. *)
-let confirm_batch (units : Wap_taint.Analyzer.file_unit list)
-    (candidates : Wap_taint.Trace.candidate list) : int * int * int =
+(* [replay units] indexes [units] once, for every candidate of a scan *)
+let replay (units : Wap_taint.Analyzer.file_unit list) :
+    Wap_taint.Trace.candidate -> verdict =
   let by_file = Hashtbl.create 16 in
   List.iter
     (fun (u : Wap_taint.Analyzer.file_unit) ->
       Hashtbl.replace by_file u.Wap_taint.Analyzer.path u.Wap_taint.Analyzer.program)
     units;
+  fun cand ->
+    match Hashtbl.find_opt by_file cand.Wap_taint.Trace.file with
+    | None -> Unsupported
+    | Some program -> confirm_candidate ~program cand
+
+let label = function
+  | Confirmed -> "exploit confirmed"
+  | Not_confirmed -> "exploit not reproduced"
+  | Unsupported -> "not replayable"
+
+let confirm_batch units candidates : int * int * int =
+  let replay = replay units in
   List.fold_left
     (fun (c, n, u) cand ->
-      match Hashtbl.find_opt by_file cand.Wap_taint.Trace.file with
-      | None -> (c, n, u + 1)
-      | Some program -> (
-          match confirm_candidate ~program cand with
-          | Confirmed -> (c + 1, n, u)
-          | Not_confirmed -> (c, n + 1, u)
-          | Unsupported -> (c, n, u + 1)))
+      match replay cand with
+      | Confirmed -> (c + 1, n, u)
+      | Not_confirmed -> (c, n + 1, u)
+      | Unsupported -> (c, n, u + 1))
     (0, 0, 0) candidates

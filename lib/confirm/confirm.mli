@@ -37,8 +37,22 @@ val attack_for : Wap_catalog.Vuln_class.t -> attack option
 val confirm_candidate :
   program:Wap_php.Ast.program -> Wap_taint.Trace.candidate -> verdict
 
-(** Batch confirmation over a package's parsed files:
-    (confirmed, not confirmed, unsupported) counts. *)
+(** Replay a candidate against its sink file's AST among [units] — pass
+    the scan's own units ([Wap_core.Tool.Scan.outcome]), so the replay
+    runs the program the detector analyzed, recovered parse errors
+    included.  A candidate whose file is not among [units] is
+    [Unsupported].  [replay units] indexes the units once; apply it to
+    every candidate of the scan. *)
+val replay :
+  Wap_taint.Analyzer.file_unit list -> Wap_taint.Trace.candidate -> verdict
+
+(** The human-readable verdict the text listing and the HTML report
+    show: ["exploit confirmed"], ["exploit not reproduced"] or
+    ["not replayable"]. *)
+val label : verdict -> string
+
+(** (confirmed, not confirmed, unsupported) counts of {!replay} over the
+    candidates. *)
 val confirm_batch :
   Wap_taint.Analyzer.file_unit list ->
   Wap_taint.Trace.candidate list ->

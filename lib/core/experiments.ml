@@ -141,6 +141,16 @@ let ablation_attributes ?(seed = default_seed) () : string =
     (T.make ~title:"Ablation: predictor granularity (SVM, 10-fold CV)"
        ~header:[ "Encoding"; "instances"; "acc"; "tpp"; "pfp" ] rows)
 
+(* The two ablations below analyze outside the engine on purpose: each
+   corpus file parsed strictly, straight into the analyzer. *)
+let parse_package (pkg : Wap_corpus.Appgen.package) =
+  List.map
+    (fun (f : Wap_corpus.Appgen.file) ->
+      let file = f.Wap_corpus.Appgen.f_name in
+      { Wap_taint.Analyzer.path = file;
+        program = Wap_php.Parser.parse_string ~file f.Wap_corpus.Appgen.f_source })
+    pkg.Wap_corpus.Appgen.pkg_files
+
 (** Ablation: interprocedural summaries on/off (DESIGN.md §6).  Counts
     detected real vulnerabilities on a web-application slice — without
     summaries, flows whose sink lives inside a helper function are
@@ -156,7 +166,7 @@ let ablation_interprocedural ?(seed = default_seed) () : string =
     List.fold_left
       (fun acc profile ->
         let pkg = Wap_corpus.Appgen.of_webapp_profile ~seed profile in
-        let units = Tool.parse_package pkg in
+        let units = parse_package pkg in
         let raw =
           Wap_taint.Analyzer.analyze_with_specs ~interprocedural ~specs units
         in
@@ -190,7 +200,7 @@ let ablation_vote ?(seed = default_seed) () : string =
     List.iter
       (fun profile ->
         let pkg = Wap_corpus.Appgen.of_webapp_profile ~seed profile in
-        let units = Tool.parse_package pkg in
+        let units = parse_package pkg in
         let cands =
           Tool.dedup_candidates (Wap_taint.Analyzer.analyze_with_specs ~specs units)
         in
@@ -497,8 +507,8 @@ let run_confirmation ?(seed = default_seed) ?(packages = 5) () : confirmation =
   List.fold_left
     (fun acc profile ->
       let pkg = Wap_corpus.Appgen.of_webapp_profile ~seed profile in
-      let units = Tool.parse_package pkg in
-      let result = (Tool.Scan.run tool (Tool.Scan.request_of_package pkg)).Tool.Scan.result in
+      let o = Tool.Scan.run tool (Tool.Scan.request_of_package pkg) in
+      let result = o.Tool.Scan.result and units = o.Tool.Scan.units in
       let rc, rr, ru =
         Wap_confirm.Confirm.confirm_batch units result.Tool.reported
       in

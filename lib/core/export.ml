@@ -47,29 +47,9 @@ let finding_to_json ?(verdict : Wap_confirm.Confirm.verdict option)
               | Wap_confirm.Confirm.Not_confirmed -> "not_confirmed"
               | Wap_confirm.Confirm.Unsupported -> "not_replayable") ) ])
 
-(** The whole result of one analyzed package/file as a JSON document.
-    [confirm] additionally replays each finding with an attack payload
-    and attaches the verdict. *)
-let result_to_json ?(confirm = false) (r : Tool.package_result) : J.t =
-  let units = lazy (Tool.parse_package r.Tool.package) in
-  let by_file = lazy (
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (u : Wap_taint.Analyzer.file_unit) ->
-        Hashtbl.replace tbl u.Wap_taint.Analyzer.path u.Wap_taint.Analyzer.program)
-      (Lazy.force units);
-    tbl)
-  in
-  let verdict_for (f : Tool.finding) =
-    if not confirm then None
-    else
-      match
-        Hashtbl.find_opt (Lazy.force by_file) f.Tool.candidate.Wap_taint.Trace.file
-      with
-      | Some program ->
-          Some (Wap_confirm.Confirm.confirm_candidate ~program f.Tool.candidate)
-      | None -> None
-  in
+(** The whole result of one analyzed package/file as a JSON document;
+    [confirm] gives each finding's dynamic-confirmation verdict. *)
+let result_to_json ?confirm (r : Tool.package_result) : J.t =
   J.Obj
     [
       ("package", J.Str r.Tool.package.Wap_corpus.Appgen.pkg_name);
@@ -81,7 +61,10 @@ let result_to_json ?(confirm = false) (r : Tool.package_result) : J.t =
         J.Obj (List.map (fun (k, v) -> (k, J.Float v)) r.Tool.phase_seconds) );
       ( "findings",
         J.List
-          (List.map (fun f -> finding_to_json ?verdict:(verdict_for f) f) r.Tool.findings) );
+          (List.map
+             (fun (f : Tool.finding) ->
+               finding_to_json ?verdict:(Option.map (fun v -> v f.Tool.candidate) confirm) f)
+             r.Tool.findings) );
       ("vulnerabilities", J.Int (List.length r.Tool.reported));
       ("predicted_false_positives", J.Int (List.length r.Tool.predicted_fps));
     ]
@@ -113,41 +96,20 @@ let html_row ?(verdict : Wap_confirm.Confirm.verdict option) (f : Tool.finding) 
             s.Wap_taint.Trace.step_loc.Wap_php.Loc.line,
             s.Wap_taint.Trace.step_desc ))
         (Wap_taint.Trace.steps o);
-    r_confirmation =
-      Option.map
-        (function
-          | Wap_confirm.Confirm.Confirmed -> "exploit confirmed"
-          | Wap_confirm.Confirm.Not_confirmed -> "exploit not reproduced"
-          | Wap_confirm.Confirm.Unsupported -> "not replayable")
-        verdict;
+    r_confirmation = Option.map Wap_confirm.Confirm.label verdict;
   }
 
-(** The whole result as a standalone HTML report. *)
-let result_to_html ?(confirm = false) (r : Tool.package_result) : string =
-  let by_file = Hashtbl.create 8 in
-  List.iter
-    (fun (f : Wap_corpus.Appgen.file) ->
-      Hashtbl.replace by_file f.Wap_corpus.Appgen.f_name
-        (lazy
-          (fst
-             (Wap_php.Parser.parse_string_tolerant
-                ~file:f.Wap_corpus.Appgen.f_name f.Wap_corpus.Appgen.f_source))))
-    r.Tool.package.Wap_corpus.Appgen.pkg_files;
-  let verdict_for (f : Tool.finding) =
-    if not confirm then None
-    else
-      match Hashtbl.find_opt by_file f.Tool.candidate.Wap_taint.Trace.file with
-      | Some program ->
-          Some
-            (Wap_confirm.Confirm.confirm_candidate ~program:(Lazy.force program)
-               f.Tool.candidate)
-      | None -> None
-  in
+(** The whole result as a standalone HTML report; [confirm] as in
+    {!result_to_json}. *)
+let result_to_html ?confirm (r : Tool.package_result) : string =
   Wap_report.Html.render
     {
       Wap_report.Html.title =
         Printf.sprintf "WAP report — %s" r.Tool.package.Wap_corpus.Appgen.pkg_name;
       generated_by = "wap 3.0-repro (DSN'16 reproduction)";
       rows =
-        List.map (fun f -> html_row ?verdict:(verdict_for f) f) r.Tool.findings;
+        List.map
+          (fun (f : Tool.finding) ->
+            html_row ?verdict:(Option.map (fun v -> v f.Tool.candidate) confirm) f)
+          r.Tool.findings;
     }

@@ -9,16 +9,29 @@ val finding_to_json :
   ?verdict:Wap_confirm.Confirm.verdict -> Tool.finding -> Wap_report.Json.t
 
 (** The whole result of one analyzed package/file as a JSON document.
-    [confirm] additionally replays each finding with an attack payload
-    and attaches the verdict. *)
-val result_to_json : ?confirm:bool -> Tool.package_result -> Wap_report.Json.t
+    [confirm], when given, yields each finding's dynamic-confirmation
+    verdict, attached as ["dynamic_confirmation"].  The export calls it
+    once per finding and parses nothing: pass
+    {!Wap_confirm.Confirm.replay} over the scan's own units
+    ({!Tool.Scan.outcome}). *)
+val result_to_json :
+  ?confirm:(Wap_taint.Trace.candidate -> Wap_confirm.Confirm.verdict) ->
+  Tool.package_result ->
+  Wap_report.Json.t
 
-val result_to_string : ?confirm:bool -> Tool.package_result -> string
+val result_to_string :
+  ?confirm:(Wap_taint.Trace.candidate -> Wap_confirm.Confirm.verdict) ->
+  Tool.package_result ->
+  string
 
 (** One finding as an HTML report row. *)
 val html_row :
   ?verdict:Wap_confirm.Confirm.verdict -> Tool.finding -> Wap_report.Html.row
 
-(** The whole result as a standalone HTML report; [confirm] attaches
-    dynamic-confirmation verdicts. *)
-val result_to_html : ?confirm:bool -> Tool.package_result -> string
+(** The whole result as a standalone HTML report; [confirm], as in
+    {!result_to_json}, shows each finding's verdict
+    ({!Wap_confirm.Confirm.label}). *)
+val result_to_html :
+  ?confirm:(Wap_taint.Trace.candidate -> Wap_confirm.Confirm.verdict) ->
+  Tool.package_result ->
+  string

@@ -94,28 +94,6 @@ let dedup_candidates (cands : Wap_taint.Trace.candidate list) :
       end)
     cands
 
-exception Parse_failure of string * string (* file, message *)
-
-let parse_package (pkg : Wap_corpus.Appgen.package) :
-    Wap_taint.Analyzer.file_unit list =
-  List.map
-    (fun (f : Wap_corpus.Appgen.file) ->
-      try
-        {
-          Wap_taint.Analyzer.path = f.Wap_corpus.Appgen.f_name;
-          program =
-            Wap_php.Parser.parse_string ~file:f.Wap_corpus.Appgen.f_name
-              f.Wap_corpus.Appgen.f_source;
-        }
-      with
-      | Wap_php.Parser.Error (msg, loc) ->
-          raise (Parse_failure (f.Wap_corpus.Appgen.f_name,
-                                Printf.sprintf "%s at %s" msg (Wap_php.Loc.to_string loc)))
-      | Wap_php.Lexer.Error (msg, loc) ->
-          raise (Parse_failure (f.Wap_corpus.Appgen.f_name,
-                                Printf.sprintf "%s at %s" msg (Wap_php.Loc.to_string loc))))
-    pkg.Wap_corpus.Appgen.pkg_files
-
 (* ------------------------------------------------------------------ *)
 (* The unified Scan API: every batch entry point (CLI, experiments,     *)
 (* bench, fleet workers, fuzz oracles) routes through one               *)
@@ -158,6 +136,8 @@ module Scan = struct
 
   type outcome = {
     result : package_result;
+    units : Wap_taint.Analyzer.file_unit list;
+        (** the ASTs the scan analyzed, input order *)
     parse_errors : (string * Wap_php.Parser.recovered_error list) list;
         (** recovered errors of the files that needed recovery *)
     file_timings : Session.file_report list;  (** input order *)
@@ -235,6 +215,7 @@ module Scan = struct
     in
     {
       result;
+      units = engine.Session.units;
       parse_errors =
         List.filter_map
           (fun (r : Session.file_report) ->
@@ -250,8 +231,11 @@ module Scan = struct
     }
 end
 
-(** Correct the reported vulnerabilities of a single source file,
-    returning the fixed PHP. *)
+(** Correct the reported vulnerabilities of a single source file on the
+    AST the scan analyzed, returning the fixed PHP; a source whose parse
+    needed recovery comes back unchanged, with no fix applied. *)
 let correct_source (t : t) ~file (src : string) : string * Wap_fixer.Corrector.report =
-  let result = (Scan.run t (Scan.request [ (file, src) ])).Scan.result in
-  Wap_fixer.Corrector.correct_source ~file src result.reported
+  match Scan.run t (Scan.request [ (file, src) ]) with
+  | { Scan.units = [ u ]; parse_errors = []; result; _ } ->
+      Wap_fixer.Corrector.correct u.Wap_taint.Analyzer.program result.reported
+  | _ -> (src, { Wap_fixer.Corrector.file; applied = [] })

@@ -61,14 +61,6 @@ type package_result = {
 val dedup_candidates :
   Wap_taint.Trace.candidate list -> Wap_taint.Trace.candidate list
 
-(** A corpus file failed to parse: (file, message). *)
-exception Parse_failure of string * string
-
-(** Parse a package's files into analyzer units.
-    @raise Parse_failure on malformed PHP. *)
-val parse_package :
-  Wap_corpus.Appgen.package -> Wap_taint.Analyzer.file_unit list
-
 (** The unified scan API.  Every batch entry point — CLI, experiments,
     bench, fleet workers and fuzz oracles — routes through one
     request/outcome pair executed on the parallel engine (a one-shot
@@ -119,6 +111,13 @@ module Scan : sig
 
   type outcome = {
     result : package_result;
+    units : Wap_taint.Analyzer.file_unit list;
+        (** the ASTs the scan analyzed, one per file in input order — the
+            tolerant parse, recovered errors included.  Every step after
+            the scan reads these instead of parsing again: dynamic
+            confirmation ({!Wap_confirm.Confirm.replay}) and correction
+            ({!Wap_fixer.Corrector.correct}, on files without
+            [parse_errors] only) *)
     parse_errors : (string * Wap_php.Parser.recovered_error list) list;
         (** recovered errors of the files that needed recovery *)
     file_timings : Wap_engine.Session.file_report list;  (** input order *)
@@ -137,6 +136,9 @@ module Scan : sig
 end
 
 (** Correct the reported vulnerabilities of a single source file,
-    returning the fixed PHP. *)
+    returning the fixed PHP.  The correction runs on the AST the scan
+    analyzed.  A source whose parse needed recovery comes back
+    unchanged, with no fix applied: printing its partial AST would drop
+    the code that did not parse. *)
 val correct_source :
   t -> file:string -> string -> string * Wap_fixer.Corrector.report

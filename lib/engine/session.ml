@@ -167,6 +167,13 @@ let specs t = t.s_specs
 let paths t = List.map (fun e -> e.ent_path) t.s_entries
 let mem t ~path = List.exists (fun e -> e.ent_path = path) t.s_entries
 
+let parsed t ~path =
+  List.find_map
+    (fun e ->
+      if e.ent_path = path then Some (e.ent_unit.An.program, e.ent_report.fr_errors)
+      else None)
+    t.s_entries
+
 let emit t p =
   match t.s_on_progress with
   | Some f -> f { generation = t.s_generation; progress = p }

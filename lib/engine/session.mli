@@ -155,6 +155,12 @@ val paths : t -> string list
 
 val mem : t -> path:string -> bool
 
+(** The AST of [path] as the session last parsed and analyzed it, with
+    the errors that parse recovered ([[]] for a clean parse); [None]
+    when [path] is not in the project.  A read-only view: the session
+    keeps using the same tree. *)
+val parsed : t -> path:string -> (Ast.program * Parser.recovered_error list) option
+
 (** Replace the contents of [path] and re-analyze incrementally (see
     the module docs for the invalidation rules).  Returns the paths
     whose analysis re-ran.  Raises [Invalid_argument] if [path] is not

@@ -176,15 +176,13 @@ let correct_program (prog : Ast.program) (corrections : correction list) :
   in
   (defs @ prog, { file; applied })
 
-(** End-to-end correction of source text: parse, fix every candidate
-    with its class's stock fix, and print the corrected PHP. *)
-let correct_source ~file (src : string)
-    (candidates : Wap_taint.Trace.candidate list) : string * report =
-  Wap_obs.Trace.with_span ~cat:"fixer" "correct_source"
-    ~args:
-      [ ("file", file); ("candidates", string_of_int (List.length candidates)) ]
+(** End-to-end correction of a parsed file: fix every candidate with its
+    class's stock fix and print the corrected PHP. *)
+let correct (prog : Ast.program) (candidates : Wap_taint.Trace.candidate list) :
+    string * report =
+  Wap_obs.Trace.with_span ~cat:"fixer" "correct"
+    ~args:[ ("candidates", string_of_int (List.length candidates)) ]
   @@ fun () ->
-  let prog = Parser.parse_string ~file src in
   let corrections =
     List.map
       (fun c -> { candidate = c; fix = Fix.stock c.Wap_taint.Trace.vclass })

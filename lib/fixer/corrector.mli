@@ -24,10 +24,10 @@ type report = {
     arguments and already-defined fix functions are left alone. *)
 val correct_program : Ast.program -> correction list -> Ast.program * report
 
-(** End-to-end correction of source text: parse, fix every candidate
-    with its class's stock fix, and print the corrected PHP. *)
-val correct_source :
-  file:string ->
-  string ->
-  Wap_taint.Trace.candidate list ->
-  string * report
+(** End-to-end correction of a parsed file: fix every candidate with its
+    class's stock fix and print the corrected PHP.  Pass the AST the
+    scan analyzed ([Wap_core.Tool.Scan.outcome]'s [units]), and only
+    for a file that parsed without recovered errors: printing a
+    partially recovered AST drops the code that did not parse. *)
+val correct :
+  Ast.program -> Wap_taint.Trace.candidate list -> string * report

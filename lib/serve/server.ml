@@ -374,9 +374,8 @@ let fixes_for (c : Trace.candidate) : (string * Wap_fixer.Fix.t) list =
       } );
   ]
 
-let action_of t ~uri ~path ~text (c : Trace.candidate) (title, fix) :
+let action_of t ~uri ~text program (c : Trace.candidate) (title, fix) :
     Json.t option =
-  let program, _errors = Wap_php.Parser.parse_string_tolerant ~file:path text in
   let fixed, report =
     Wap_fixer.Corrector.correct_program program
       [ { Wap_fixer.Corrector.candidate = c; fix } ]
@@ -422,9 +421,14 @@ let code_actions t params : Json.t =
         | Some p -> p
         | None -> path_of_uri uri
       in
-      match Hashtbl.find_opt t.texts path with
-      | None -> Json.List []
-      | Some text ->
+      (* the quick fixes rewrite the AST the session analyzed; a
+         document whose parse recovered errors gets none, since
+         printing its partial AST would drop the code that did not
+         parse *)
+      match
+        (Hashtbl.find_opt t.texts path, Option.bind t.session (Session.parsed ~path))
+      with
+      | Some text, Some (program, []) ->
           let start_line, end_line =
             match Json.member "range" params with
             | Some r -> (
@@ -446,10 +450,11 @@ let code_actions t params : Json.t =
             |> List.filter in_range
             |> List.concat_map (fun c ->
                    List.filter_map
-                     (action_of t ~uri ~path ~text c)
+                     (action_of t ~uri ~text program c)
                      (fixes_for c))
           in
-          Json.List actions)
+          Json.List actions
+      | _ -> Json.List [])
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch.                                                           *)

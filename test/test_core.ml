@@ -65,33 +65,48 @@ let test_frozen_sets_round_trip () =
         (DS.to_csv (Wap_core.Training.dataset_for ~seed v)))
     [ (V.Wape, Wap_core.Frozen_sets.wape); (V.Wap_v21, Wap_core.Frozen_sets.v21) ]
 
+(* Run the CLI, built as a dependency of this suite, on no stdin:
+   (exit code, stdout, stderr). *)
+let wap args =
+  let out = Filename.temp_file "wap_cli" ".out" and err = Filename.temp_file "wap_cli" ".err" in
+  let code =
+    Sys.command
+      (Filename.quote_command "../bin/wap_cli.exe" args ~stdin:Filename.null ~stdout:out
+         ~stderr:err)
+  in
+  let read f =
+    let s = In_channel.with_open_bin f In_channel.input_all in
+    Sys.remove f;
+    s
+  in
+  let stdout = read out in
+  (code, stdout, read err)
+
+(* A directory holding [files]; [f dir] runs in it, and the directory
+   goes afterwards with whatever [f] left in it. *)
+let with_files files f =
+  let dir = Filename.temp_dir "wap_cli" "" in
+  List.iter
+    (fun (name, text) ->
+      Out_channel.with_open_bin (Filename.concat dir name) (fun oc -> output_string oc text))
+    files;
+  Fun.protect (fun () -> f dir) ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+
 (* [wap analyze --training-set] rejects a CSV the WAPe predictor cannot
    train on before analyzing anything: a command-line error (exit 124)
    naming the line, where it used to crash at the first classification
-   with an uncaught exception (exit 125).  The binary is built as a
-   dependency of this suite. *)
+   with an uncaught exception (exit 125). *)
 let test_cli_rejects_malformed_training_set () =
-  let temp suffix text =
-    let f = Filename.temp_file "wap_training_set" suffix in
-    Out_channel.with_open_bin f (fun oc -> output_string oc text);
-    f
-  in
-  let php = temp ".php" "<?php\nmysql_query($_GET['q']);\n" in
-  let err = temp ".err" "" in
-  let run csv =
-    let code =
-      Sys.command
-        (Filename.quote_command "../bin/wap_cli.exe"
-           [ "analyze"; "--training-set"; csv; php ]
-           ~stdout:Filename.null ~stderr:err)
-    in
-    (code, In_channel.with_open_bin err In_channel.input_all)
-  in
+  with_files [ ("q.php", "<?php\nmysql_query($_GET['q']);\n") ] @@ fun dir ->
   List.iter
     (fun (name, csv, line) ->
-      let path = temp ".csv" csv in
-      let code, stderr = run path in
-      Sys.remove path;
+      let path = Filename.concat dir "set.csv" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc csv);
+      let code, _, stderr =
+        wap [ "analyze"; "--training-set"; path; Filename.concat dir "q.php" ]
+      in
       Alcotest.(check int) (name ^ ": exit code") 124 code;
       let expected = Printf.sprintf "wap: option '--training-set': %s: %s" path line in
       Alcotest.(check bool)
@@ -101,9 +116,94 @@ let test_cli_rejects_malformed_training_set () =
     [ ("v2.1 set for WAPe", Wap_core.Frozen_sets.v21, "line 1: header has 16 columns");
       ( "header only",
         List.hd (String.split_on_char '\n' Wap_core.Frozen_sets.wape),
-        "line 1: no instance rows after the header" ) ];
-  Sys.remove php;
-  Sys.remove err
+        "line 1: no instance rows after the header" ) ]
+
+(* [--weapon] resolves before anything runs, in both commands that equip
+   the tool: a weapon that is neither stock nor stored under
+   [--weapon-dir] is a command-line error (exit 124) naming the option,
+   not an uncaught [Failure] or [Sys_error] (exit 125). *)
+let test_cli_rejects_unknown_weapon () =
+  with_files [ ("q.php", "<?php\nmysql_query($_GET['q']);\n") ] @@ fun dir ->
+  let php = Filename.concat dir "q.php" in
+  List.iter
+    (fun (name, args) ->
+      let code, _, stderr = wap args in
+      Alcotest.(check int) (name ^ ": exit code") 124 code;
+      Alcotest.(check bool)
+        (name ^ ": stderr names the option")
+        true
+        (String.starts_with ~prefix:"wap: option '--weapon': " stderr))
+    [ ("analyze, no --weapon-dir", [ "analyze"; "--weapon"; "nope"; php ]);
+      ( "analyze, not in --weapon-dir",
+        [ "analyze"; "--weapon"; "nope"; "--weapon-dir"; dir; php ] );
+      ("serve, no --weapon-dir", [ "serve"; "--weapon"; "nope" ]);
+      ("serve, not in --weapon-dir", [ "serve"; "--weapon"; "nope"; "--weapon-dir"; dir ]) ]
+
+(* Two flows around a statement that does not parse: the scan recovers
+   it, and every step after the scan works on that recovered AST. *)
+let bad_php =
+  "<?php\n$x = $_GET[\"a\"];\nmysql_query(\"SELECT \" . $x);\n$y = ;\necho $_GET[\"b\"];\n"
+
+let good_php = "<?php\n$u = $_GET['u'];\nmysql_query(\"SELECT * FROM t WHERE u = \" . $u);\n"
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* [--json --confirm] replays the findings on the scan's own AST, so a
+   recovered parse confirms in the export as in the text listing. *)
+let test_cli_confirm_recovered_parse () =
+  with_files [ ("bad.php", bad_php) ] @@ fun dir ->
+  let bad = Filename.concat dir "bad.php" in
+  let code, text, _ = wap [ "analyze"; "--confirm"; bad ] in
+  Alcotest.(check int) "text: exit code" 0 code;
+  Alcotest.(check int) "text: both findings confirmed" 2
+    (List.length
+       (List.filter
+          (fun l -> String.ends_with ~suffix:"(exploit confirmed)" l)
+          (String.split_on_char '\n' text)));
+  let code, json, _ = wap [ "analyze"; "--json"; "--confirm"; bad ] in
+  Alcotest.(check int) "json: exit code" 0 code;
+  let module J = Wap_report.Json in
+  let findings =
+    match J.of_string json with
+    | Ok doc -> Option.get (Option.bind (J.member "findings" doc) J.to_list_opt)
+    | Error e -> Alcotest.failf "export does not parse: %s" e
+  in
+  Alcotest.(check (list (option string)))
+    "json: both findings confirmed"
+    [ Some "confirmed"; Some "confirmed" ]
+    (List.map
+       (fun f ->
+         match J.member "dynamic_confirmation" f with
+         | Some (J.Str v) -> Some v
+         | _ -> None)
+       findings)
+
+(* [--fix] corrects the scan's own ASTs and never rewrites a file whose
+   parse recovered errors: printing its partial AST would drop
+   [$y = ;]. *)
+let test_cli_fix_skips_recovered_parse () =
+  with_files [ ("bad.php", bad_php); ("good.php", good_php) ] @@ fun dir ->
+  let path n = Filename.concat dir n in
+  let code, _, stderr = wap [ "analyze"; "--fix"; path "bad.php"; path "good.php" ] in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check bool) "warns that bad.php is not corrected" true
+    (List.exists
+       (fun l -> contains l "not corrected" && contains l "bad.php")
+       (String.split_on_char '\n' stderr));
+  Alcotest.(check bool) "good.php corrected" true (Sys.file_exists (path "good.php.fixed.php"));
+  Alcotest.(check bool) "bad.php not rewritten" false
+    (Sys.file_exists (path "bad.php.fixed.php"))
+
+(* [--fix] applies whatever the output format. *)
+let test_cli_json_fix () =
+  with_files [ ("good.php", good_php) ] @@ fun dir ->
+  let good = Filename.concat dir "good.php" in
+  let code, _, _ = wap [ "analyze"; "--json"; "--fix"; good ] in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check bool) "good.php corrected" true (Sys.file_exists (good ^ ".fixed.php"))
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline on corpus packages.                                        *)
@@ -272,6 +372,14 @@ let () =
             test_frozen_sets_round_trip;
           Alcotest.test_case "malformed --training-set exits 124" `Quick
             test_cli_rejects_malformed_training_set;
+          Alcotest.test_case "unknown --weapon exits 124" `Quick
+            test_cli_rejects_unknown_weapon;
+          Alcotest.test_case "--json --confirm on a recovered parse" `Quick
+            test_cli_confirm_recovered_parse;
+          Alcotest.test_case "--fix skips a recovered parse" `Quick
+            test_cli_fix_skips_recovered_parse;
+          Alcotest.test_case "--json --fix writes corrected source" `Quick
+            test_cli_json_fix;
         ] );
       ( "pipeline",
         [

@@ -9,6 +9,11 @@ let analyze ?(vclass = VC.Sqli) src =
   Wap_taint.Analyzer.analyze_program
     ~spec:(Wap_catalog.Catalog.default_spec vclass) ~file:"t.php" program
 
+(* the corrector over a fresh parse of [src]: the candidates of
+   [analyze] find their targets by location and structure *)
+let correct_source src cands =
+  Cor.correct (Wap_php.Parser.parse_string ~file:"t.php" src) cands
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -93,7 +98,7 @@ let vulnerable = "<?php\n$u = $_GET['u'];\nmysql_query(\"SELECT * FROM t WHERE u
 
 let test_correct_wraps_sink_arg () =
   let cands = analyze vulnerable in
-  let fixed, report = Cor.correct_source ~file:"t.php" vulnerable cands in
+  let fixed, report = correct_source vulnerable cands in
   Alcotest.(check int) "one fix applied" 1 (List.length report.Cor.applied);
   Alcotest.(check bool) "wrapped" true (contains fixed "mysql_query(san_sqli(");
   Alcotest.(check bool) "definition emitted" true
@@ -104,14 +109,14 @@ let test_correct_wraps_sink_arg () =
 let test_correct_multiple_classes () =
   let sqli = analyze vulnerable in
   let xss = analyze ~vclass:VC.Xss_reflected vulnerable in
-  let fixed, report = Cor.correct_source ~file:"t.php" vulnerable (sqli @ xss) in
+  let fixed, report = correct_source vulnerable (sqli @ xss) in
   Alcotest.(check int) "two fixes" 2 (List.length report.Cor.applied);
   Alcotest.(check bool) "san_sqli applied" true (contains fixed "san_sqli(");
   Alcotest.(check bool) "san_out applied" true (contains fixed "echo san_out(")
 
 let test_correct_idempotent () =
   let cands = analyze vulnerable in
-  let once, _ = Cor.correct_source ~file:"t.php" vulnerable cands in
+  let once, _ = correct_source vulnerable cands in
   (* analyzing the fixed source again finds nothing: san_sqli wraps the
      flow and its body uses the class sanitizer *)
   let again = analyze once in
@@ -120,7 +125,7 @@ let test_correct_idempotent () =
 let test_no_double_wrap () =
   let cands = analyze vulnerable in
   (* the same candidate passed twice must not wrap twice *)
-  let fixed, _ = Cor.correct_source ~file:"t.php" vulnerable (cands @ cands) in
+  let fixed, _ = correct_source vulnerable (cands @ cands) in
   Alcotest.(check bool) "no nested wrap" false (contains fixed "san_sqli(san_sqli(")
 
 let test_existing_definition_not_duplicated () =
@@ -129,7 +134,7 @@ let test_existing_definition_not_duplicated () =
      $u = $_GET['u'];\nmysql_query(\"SELECT * FROM t WHERE u = '$u'\");\n"
   in
   let cands = analyze src in
-  let fixed, _ = Cor.correct_source ~file:"t.php" src cands in
+  let fixed, _ = correct_source src cands in
   let count_defs =
     List.length
       (List.filter
@@ -142,12 +147,12 @@ let test_existing_definition_not_duplicated () =
 let test_echo_sink_correction () =
   let src = "<?php\necho '<b>' . $_GET['m'] . '</b>';\n" in
   let cands = analyze ~vclass:VC.Xss_reflected src in
-  let fixed, _ = Cor.correct_source ~file:"t.php" src cands in
+  let fixed, _ = correct_source src cands in
   Alcotest.(check bool) "echo wrapped" true (contains fixed "echo san_out(")
 
 let test_report_locations () =
   let cands = analyze vulnerable in
-  let _, report = Cor.correct_source ~file:"t.php" vulnerable cands in
+  let _, report = correct_source vulnerable cands in
   match report.Cor.applied with
   | [ (fix, loc) ] ->
       Alcotest.(check string) "fix" "san_sqli" fix.Fix.fix_name;
@@ -164,7 +169,7 @@ let qcheck_correction_parses =
       let snip = Wap_corpus.Snippet.generate g vclass Wap_corpus.Snippet.Real in
       let src = "<?php\n" ^ snip.Wap_corpus.Snippet.code in
       let cands = analyze ~vclass src in
-      let fixed, _ = Cor.correct_source ~file:"q.php" src cands in
+      let fixed, _ = correct_source src cands in
       match Wap_php.Parser.parse_string ~file:"q.php" fixed with
       | _ -> true
       | exception _ -> false)

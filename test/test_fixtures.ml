@@ -38,12 +38,13 @@ let groups_of findings =
 
 let pair_list = Alcotest.(list (pair string string))
 
-let analyze ?(wp = false) name files =
+let scan ?(wp = false) name files =
   let wape, wp_tool = Lazy.force tools in
   let tool = if wp then wp_tool else wape in
-  (Wap_core.Tool.Scan.run tool
-     (Wap_core.Tool.Scan.request_of_package (package name files)))
-    .Wap_core.Tool.Scan.result
+  Wap_core.Tool.Scan.run tool
+    (Wap_core.Tool.Scan.request_of_package (package name files))
+
+let analyze ?wp name files = (scan ?wp name files).Wap_core.Tool.Scan.result
 
 let check_findings name files ~expected_vulns ~expected_fps ?(wp = false) () =
   let result = analyze ~wp name files in
@@ -85,8 +86,8 @@ let test_blog_cross_file_flow () =
   Alcotest.(check int) "cross-file XSS found" 1 (List.length xss_on_index)
 
 let test_blog_confirmation () =
-  let result = analyze "blog" Fixtures.blog in
-  let units = Wap_core.Tool.parse_package (package "blog" Fixtures.blog) in
+  let o = scan "blog" Fixtures.blog in
+  let result = o.Wap_core.Tool.Scan.result and units = o.Wap_core.Tool.Scan.units in
   (* the cross-file flow cannot be replayed per-file (taint comes from
      another unit), so restrict to single-file findings; stored XSS is
      not replayable by design *)
@@ -119,15 +120,19 @@ let test_blog_confirmation () =
   Alcotest.(check int) "no FP is exploitable" 0 fc
 
 let test_blog_correction () =
-  let result = analyze "blog" Fixtures.blog in
+  let o = scan "blog" Fixtures.blog in
   let post_vulns =
     List.filter
       (fun (c : Wap_taint.Trace.candidate) -> c.Wap_taint.Trace.file = "post.php")
-      result.Wap_core.Tool.reported
+      o.Wap_core.Tool.Scan.result.Wap_core.Tool.reported
+  in
+  let post =
+    List.find
+      (fun (u : Wap_taint.Analyzer.file_unit) -> u.Wap_taint.Analyzer.path = "post.php")
+      o.Wap_core.Tool.Scan.units
   in
   let fixed, report =
-    Wap_fixer.Corrector.correct_source ~file:"post.php" Fixtures.blog_post_php
-      post_vulns
+    Wap_fixer.Corrector.correct post.Wap_taint.Analyzer.program post_vulns
   in
   (* the SQLI sink lives in lib.php's q() helper, so post.php only gets
      the header-injection fix *)

@@ -200,16 +200,18 @@ let test_tolerant_analysis () =
 let test_export_shape () =
   let tool = Wap_core.Tool.create ~seed:2016 Wap_core.Version.Wape in
   let src = "<?php\nmysql_query('SELECT * FROM t WHERE c = ' . $_GET['c']);\n" in
-  let result =
-    (Wap_core.Tool.Scan.run tool (Wap_core.Tool.Scan.request [ ("x.php", src) ]))
-      .Wap_core.Tool.Scan.result
-  in
+  let o = Wap_core.Tool.Scan.run tool (Wap_core.Tool.Scan.request [ ("x.php", src) ]) in
+  let result = o.Wap_core.Tool.Scan.result in
   let s = Wap_core.Export.result_to_string result in
   List.iter
     (fun needle -> Alcotest.(check bool) needle true (contains s needle))
     [ "\"findings\""; "\"class\": \"SQLI\""; "\"sink\": \"mysql_query\"";
       "\"vulnerabilities\": 1"; "\"symptoms\"" ];
-  let s2 = Wap_core.Export.result_to_string ~confirm:true result in
+  let s2 =
+    Wap_core.Export.result_to_string
+      ~confirm:(Wap_confirm.Confirm.replay o.Wap_core.Tool.Scan.units)
+      result
+  in
   Alcotest.(check bool) "confirmation attached" true
     (contains s2 "\"dynamic_confirmation\": \"confirmed\"")
 

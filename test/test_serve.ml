@@ -209,6 +209,28 @@ let test_code_actions_fix_the_flaw () =
   Alcotest.(check int) "stock fix silences the diagnostic" 0
     (List.length diags)
 
+(* A document whose parse recovered errors still gets its diagnostics,
+   but no quick fix: each edit would print the recovered AST, which has
+   lost the statement that did not parse. *)
+let test_no_code_actions_on_recovered_parse () =
+  let t = server () in
+  ignore (Server.handle t (req 1 "initialize" (J.Obj [])));
+  let text =
+    "<?php $id = $_GET['id']; $keep = 1 +; $r = mysql_query(\"SELECT * FROM t \
+     WHERE id = \" . $id); ?>"
+  in
+  Alcotest.(check int) "the flow is still diagnosed" 1
+    (List.length (the_publish "didOpen" (Server.handle t (did_open ~text))));
+  match
+    Server.handle t
+      (req 2 "textDocument/codeAction"
+         (J.Obj [ ("textDocument", J.Obj [ ("uri", J.Str uri) ]) ]))
+  with
+  | [ resp ] ->
+      Alcotest.(check int) "no quick fix" 0
+        (List.length (Option.get (J.to_list_opt (Option.get (J.member "result" resp)))))
+  | _ -> Alcotest.fail "expected one codeAction response"
+
 let test_unknown_method_and_exit () =
   let t = server () in
   (match Server.handle t (req 7 "foo/bar" J.Null) with
@@ -355,6 +377,8 @@ let () =
             test_diagnostics_lifecycle;
           Alcotest.test_case "code actions fix the flaw" `Slow
             test_code_actions_fix_the_flaw;
+          Alcotest.test_case "no code action on a recovered parse" `Slow
+            test_no_code_actions_on_recovered_parse;
           Alcotest.test_case "unknown method / shutdown / exit" `Quick
             test_unknown_method_and_exit;
         ] );

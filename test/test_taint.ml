@@ -514,6 +514,56 @@ let test_sink_concat_linear () =
     ~last:(fun _ -> ");\n")
     (fun _ cands -> ignore (Wap_mining.Evidence.collect (one_candidate cands)))
 
+(* The rest of the shape zoo: shapes that were already linear.  The
+   branch join ([if ($aI) { $x = $x . 'a'; } else { $yI = $x; }]) joins
+   the zoo together with the [Env.merge] fix; it reads 3.92x today. *)
+
+let flows_once _ cands = ignore (one_candidate cands)
+
+(* [$x = ((((... $_GET[1] ...))));] *)
+let test_deep_parentheses_linear () =
+  shape_allocates_linearly ~first:"$x = " ~each:(fun _ -> "(")
+    ~last:(fun n -> "$_GET[1]" ^ String.make n ')' ^ ";\nmysql_query($x);\n")
+    flows_once
+
+(* [if ($a1) { if ($a2) { ... mysql_query($_GET[1]); } ... }] *)
+let test_nested_ifs_linear () =
+  shape_allocates_linearly ~first:"" ~each:(Printf.sprintf "if ($a%d) {\n")
+    ~last:(fun n -> "mysql_query($_GET[1]);\n" ^ String.make n '}')
+    flows_once
+
+(* [while ($a1) { while ($a2) { ... } ... }] around one flow *)
+let test_nested_loops_linear () =
+  shape_allocates_linearly ~first:"" ~each:(Printf.sprintf "while ($a%d) {\n")
+    ~last:(fun n -> "mysql_query($_GET[1]);\n" ^ String.make n '}')
+    flows_once
+
+(* n functions, the last one called with tainted input *)
+let test_many_functions_linear () =
+  shape_allocates_linearly ~first:""
+    ~each:(Printf.sprintf "function f%d($p) { return $p . 'a'; }\n")
+    ~last:(Printf.sprintf "mysql_query(f%d($_GET[1]));\n")
+    flows_once
+
+(* [mysql_query(f(f(f(... $_GET[1] ...))));] *)
+let test_deep_call_chain_linear () =
+  shape_allocates_linearly ~first:"function f($p) { return $p; }\nmysql_query("
+    ~each:(fun _ -> "f(")
+    ~last:(fun n -> "$_GET[1]" ^ String.make n ')' ^ ");\n")
+    flows_once
+
+(* n variables in scope at the sink *)
+let test_many_variables_linear () =
+  shape_allocates_linearly ~first:"" ~each:(fun i -> Printf.sprintf "$v%d = $_GET[%d];\n" i i)
+    ~last:(fun _ -> "mysql_query($v1);\n")
+    flows_once
+
+(* [$a = array($_GET[1], 'a', 'a', ...);] *)
+let test_wide_array_linear () =
+  shape_allocates_linearly ~first:"$a = array($_GET[1]" ~each:(fun _ -> ", 'a'")
+    ~last:(fun _ -> ");\nmysql_query($a);\n")
+    flows_once
+
 (* ------------------------------------------------------------------ *)
 (* Pass 2 reuses pass 1's walks exactly.                               *)
 
@@ -787,7 +837,21 @@ let () =
           Alcotest.test_case "concat-assign chain allocates linearly" `Quick
             test_concat_assign_linear;
           Alcotest.test_case "sink concat argument allocates linearly" `Quick
-            test_sink_concat_linear ] );
+            test_sink_concat_linear;
+          Alcotest.test_case "deep parentheses allocate linearly" `Quick
+            test_deep_parentheses_linear;
+          Alcotest.test_case "nested ifs allocate linearly" `Quick
+            test_nested_ifs_linear;
+          Alcotest.test_case "nested loops allocate linearly" `Quick
+            test_nested_loops_linear;
+          Alcotest.test_case "many functions allocate linearly" `Quick
+            test_many_functions_linear;
+          Alcotest.test_case "deep call chain allocates linearly" `Quick
+            test_deep_call_chain_linear;
+          Alcotest.test_case "many variables allocate linearly" `Quick
+            test_many_variables_linear;
+          Alcotest.test_case "wide array literal allocates linearly" `Quick
+            test_wide_array_linear ] );
       ( "pass-2 reuse",
         [
           Alcotest.test_case "fuzz seeds and fixture apps" `Quick
