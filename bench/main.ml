@@ -62,7 +62,23 @@ let print_tables ~quick () =
 (* ------------------------------------------------------------------ *)
 (* Scan-engine kernel: parallel speedup and warm-cache rescan.         *)
 
+(* Host speed: the best of three runs of a fixed 20M-step integer loop,
+   in ms -- the same loop as perfbench's [host.calibration_ms], so that
+   numbers recorded on different hosts can be compared. *)
+let calibration_ms () =
+  let once () =
+    let t0 = Wap_obs.Clock.now_ns () in
+    let x = ref 0 in
+    for i = 1 to 20_000_000 do
+      x := (!x * 1103515245 + i) land 0x3fffffff
+    done;
+    ignore (Sys.opaque_identity !x);
+    Wap_obs.Clock.now_ns () - t0
+  in
+  float_of_int (List.fold_left min max_int [ once (); once (); once () ]) /. 1e6
+
 let run_scan_engine ?(check_obs = false) () =
+  let calibration = calibration_ms () in
   (* merge several packages into one large application so the scan has
      enough files and spec-tasks to spread over the workers *)
   let profiles =
@@ -275,6 +291,8 @@ let run_scan_engine ?(check_obs = false) () =
         ("packages", J.Int (List.length profiles));
         ("specs", J.Int (List.length tool.Wap_core.Tool.specs));
         ("cores", J.Int cores);
+        ("ocaml_version", J.Str Sys.ocaml_version);
+        ("calibration_ms", J.Float calibration);
         ("jobs_parallel", J.Int par_jobs);
         ("cold_jobs1_wall_seconds", J.Float w1);
         ( "cold_jobs1_cpu_seconds",

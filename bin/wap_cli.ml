@@ -136,22 +136,6 @@ let setup_obs trace_out log_level log_format =
               ("events", string_of_int (Wap_obs.Trace.event_count tracer)) ]
           "wrote trace"
 
-(* Per-file progress, logged at debug level only. *)
-let progress_logger () =
-  if not (Wap_obs.Log.enabled Wap_obs.Log.Debug) then None
-  else
-    Some
-      (fun (ev : Session.event) ->
-        match ev.Session.progress with
-        | Session.File_parsed { path; cached } ->
-            Wap_obs.Log.debug
-              ~fields:[ ("file", path); ("cached", string_of_bool cached) ]
-              "parsed"
-        | Session.File_analyzed { path; cached } ->
-            Wap_obs.Log.debug
-              ~fields:[ ("file", path); ("cached", string_of_bool cached) ]
-              "analyzed")
-
 let stats_arg =
   Arg.(value & flag
        & info [ "stats" ]
@@ -309,19 +293,22 @@ let tool_term =
          & info [ "sanitizer" ] ~docv:"FN"
              ~doc:"Register a user sanitization function (applies to every detector).")
   in
-  let load weapon_dir name =
-    match (name, weapon_dir) with
-    | "nosqli", _ -> Wap_weapon.Generator.nosqli ()
-    | "hei", _ -> Wap_weapon.Generator.hei ()
-    | "wpsqli", _ -> Wap_weapon.Generator.wpsqli ()
-    | _, None -> failwith (Printf.sprintf "unknown weapon %S (no --weapon-dir)" name)
-    | _, Some dir -> (
+  (* a stock weapon by its activation flag, else one stored under
+     --weapon-dir *)
+  let load stock weapon_dir name =
+    match
+      (Wap_weapon.Registry.find_flag (Lazy.force stock) ("-" ^ name), weapon_dir)
+    with
+    | Some w, _ -> w
+    | None, None -> failwith (Printf.sprintf "unknown weapon %S (no --weapon-dir)" name)
+    | None, Some dir -> (
         try Wap_weapon.Store.load ~dir ~name
         with Sys_error e | Wap_weapon.Store.Corrupt e ->
           failwith (Printf.sprintf "cannot load weapon %S from %s: %s" name dir e))
   in
   let resolve version names weapon_dir sanitizers =
-    match List.map (load weapon_dir) names with
+    let stock = lazy (Wap_weapon.Registry.builtin ()) in
+    match List.map (load stock weapon_dir) names with
     | exception Failure e -> `Error (true, "option '--weapon': " ^ e)
     | weapons ->
         let extra_sanitizers = List.map (fun fn -> (None, fn)) sanitizers in
@@ -384,11 +371,7 @@ let analyze_cmd =
     let paths = expand_php_paths files in
     let sources = List.map (fun p -> (p, read_file p)) paths in
     let cache = disk_cache ~no_cache ~cache_dir in
-    let outcome =
-      Scan.run tool
-        (Scan.request ~jobs ?cache ?on_progress:(progress_logger ())
-           sources)
-    in
+    let outcome = Scan.run tool (Scan.request ~jobs ?cache sources) in
     let result = outcome.Scan.result in
     let parse_errors = outcome.Scan.parse_errors in
     if verbose then
@@ -1307,10 +1290,6 @@ let top_cmd =
                     | _ -> "n/a"
                   in
                   prev := Some (now, requests_by_method);
-                  let ratio =
-                    let r = float_field "cache_hit_ratio" in
-                    if Float.is_nan r then "n/a" else Tbl.pctf r
-                  in
                   let uptime =
                     let u = float_field "uptime_seconds" in
                     if Float.is_nan u then "n/a"
@@ -1329,8 +1308,6 @@ let top_cmd =
                         [ "candidates"; int_field "session_candidates" ];
                         [ "generation"; int_field "generation" ];
                         [ "last edit reanalyzed"; int_field "last_reanalyzed" ];
-                        [ "cache hit ratio"; ratio ];
-                        [ "stale events"; int_field "stale_events" ];
                         [ "rss bytes"; int_field "rss_bytes" ];
                       ]
                   in
@@ -1378,7 +1355,7 @@ let top_cmd =
   let doc =
     "Live terminal view of a running wap serve daemon: polls its admin \
      plane (/status and /metrics) and renders requests/s, per-method p50/p95 \
-     latency, cache hit ratio and last-edit reanalysis counts.  Point it at \
+     latency, session counts and last-edit reanalysis counts.  Point it at \
      the daemon's --admin-port or --admin-socket; --once prints a single \
      frame for scripting."
   in
@@ -1455,13 +1432,13 @@ let fuzz_cmd =
           shrink_budget = 400;
         }
       in
-      let on_progress done_ total =
+      let on_case done_ total =
         if done_ mod 250 = 0 || done_ = total then
           Wap_obs.Log.info "fuzz progress"
             ~fields:
               [ ("cases", string_of_int done_); ("of", string_of_int total) ]
       in
-      let report = Wap_fuzz.Driver.run ~on_progress config in
+      let report = Wap_fuzz.Driver.run ~on_case config in
       finish_obs ();
       Printf.printf "fuzz: %d cases, seed %d, oracles [%s]: %d violation(s)\n"
         report.Wap_fuzz.Driver.cases seed

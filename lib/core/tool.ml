@@ -109,26 +109,17 @@ module Scan = struct
     summary_store : bool;
         (** content-addressed cross-project summary store (fleet
             workers); see {!Wap_engine.Session.request} *)
-    on_progress : (Session.event -> unit) option;
     package : Wap_corpus.Appgen.package option;
         (** corpus package the files came from (ground truth, LoC);
             synthesized from [files] when absent *)
   }
 
-  let request ?jobs ?cache ?(summary_store = false) ?on_progress ?package
-      files =
-    {
-      files;
-      jobs = Wap_engine.Config.jobs jobs;
-      cache;
-      summary_store;
-      on_progress;
-      package;
-    }
+  let request ?jobs ?cache ?(summary_store = false) ?package files =
+    { files; jobs = Wap_engine.Config.jobs jobs; cache; summary_store; package }
 
-  let request_of_package ?jobs ?cache ?summary_store ?on_progress
+  let request_of_package ?jobs ?cache ?summary_store
       (pkg : Wap_corpus.Appgen.package) =
-    request ?jobs ?cache ?summary_store ?on_progress ~package:pkg
+    request ?jobs ?cache ?summary_store ~package:pkg
       (List.map
          (fun (f : Wap_corpus.Appgen.file) ->
            (f.Wap_corpus.Appgen.f_name, f.Wap_corpus.Appgen.f_source))
@@ -140,7 +131,6 @@ module Scan = struct
         (** the ASTs the scan analyzed, input order *)
     parse_errors : (string * Wap_php.Parser.recovered_error list) list;
         (** recovered errors of the files that needed recovery *)
-    file_timings : Session.file_report list;  (** input order *)
     spec_timings : Session.spec_report list;  (** spec order *)
     jobs_used : int;
     cache_hits : int;
@@ -176,7 +166,7 @@ module Scan = struct
       Session.run
         (Session.request ~jobs:req.jobs ?cache:req.cache
            ~fingerprint:(fingerprint t) ~summary_store:req.summary_store
-           ?on_progress:req.on_progress ~specs:t.specs req.files)
+           ~specs:t.specs req.files)
     in
     let t0_predict = Unix.gettimeofday () in
     let candidates, findings =
@@ -223,7 +213,6 @@ module Scan = struct
             | [] -> None
             | errs -> Some (r.Session.fr_path, errs))
           engine.Session.file_reports;
-      file_timings = engine.Session.file_reports;
       spec_timings = engine.Session.spec_reports;
       jobs_used = engine.Session.jobs_used;
       cache_hits = engine.Session.cache_hits;

@@ -82,7 +82,6 @@ module Scan : sig
             projects through a common cache directory; off by default,
             enabled by the fleet workers — see
             {!Wap_engine.Session.request} *)
-    on_progress : (Wap_engine.Session.event -> unit) option;
     package : Wap_corpus.Appgen.package option;
         (** corpus package the files came from (ground truth, LoC);
             synthesized from [files] when absent *)
@@ -95,7 +94,6 @@ module Scan : sig
     ?jobs:int ->
     ?cache:Wap_engine.Cache.t ->
     ?summary_store:bool ->
-    ?on_progress:(Wap_engine.Session.event -> unit) ->
     ?package:Wap_corpus.Appgen.package ->
     (string * string) list ->
     request
@@ -105,7 +103,6 @@ module Scan : sig
     ?jobs:int ->
     ?cache:Wap_engine.Cache.t ->
     ?summary_store:bool ->
-    ?on_progress:(Wap_engine.Session.event -> unit) ->
     Wap_corpus.Appgen.package ->
     request
 
@@ -120,7 +117,6 @@ module Scan : sig
             [parse_errors] only) *)
     parse_errors : (string * Wap_php.Parser.recovered_error list) list;
         (** recovered errors of the files that needed recovery *)
-    file_timings : Wap_engine.Session.file_report list;  (** input order *)
     spec_timings : Wap_engine.Session.spec_report list;  (** spec order *)
     jobs_used : int;
     cache_hits : int;

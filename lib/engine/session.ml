@@ -35,15 +35,6 @@ let cache_format_version = "wap-engine-8"
 let m_files_parsed = Wap_obs.Metrics.counter "engine.files_parsed"
 let m_parse_recoveries = Wap_obs.Metrics.counter "engine.parse_error_recoveries"
 
-let m_candidates spec_label =
-  Wap_obs.Metrics.counter ("engine.candidates." ^ spec_label)
-
-type progress =
-  | File_parsed of { path : string; cached : bool }
-  | File_analyzed of { path : string; cached : bool }
-
-type event = { generation : int; progress : progress }
-
 type request = {
   files : (string * string) list;
   specs : Cat.spec list;
@@ -53,16 +44,14 @@ type request = {
   summary_store : bool;
       (** persist pass-1 summary deltas under content-addressed chained
           keys, shared across projects through the cache *)
-  on_progress : (event -> unit) option;
 }
 
 let request ?(jobs = Config.default_jobs ()) ?cache ?(fingerprint = "")
-    ?(summary_store = false) ?on_progress ~specs files =
-  { files; specs; jobs; cache; fingerprint; summary_store; on_progress }
+    ?(summary_store = false) ~specs files =
+  { files; specs; jobs; cache; fingerprint; summary_store }
 
 type file_report = {
   fr_path : string;
-  fr_seconds : float;
   fr_cached : bool;
   fr_errors : Parser.recovered_error list;
 }
@@ -77,8 +66,6 @@ type outcome = {
   candidates : Trace.candidate list;
   file_reports : file_report list;
   spec_reports : spec_report list;
-  wall_seconds : float;
-  cpu_seconds : float;
   phases : (string * float) list;
   jobs_used : int;
   cache_hits : int;
@@ -146,7 +133,6 @@ type t = {
   s_cache : Cache.t option;
   s_fingerprint : string;
   s_summary_store : bool;
-  s_on_progress : (event -> unit) option;
   s_hits0 : int;
   s_misses0 : int;
   mutable s_entries : entry list;  (* project order *)
@@ -156,10 +142,8 @@ type t = {
          (an all-cache-hit open never builds it) and whenever an edit
          makes the shared summary table stale *)
   mutable s_phases : (string * float) list;  (* parse/digest/analyze of open *)
-  mutable s_wall : float;  (* wall spent in open + mutations + exports *)
-  mutable s_cpu : float;
-  mutable s_finalized : (int * (int * Trace.candidate) list) option;
-      (* memoized finalize, tagged with the generation it was built at *)
+  mutable s_finalized : (int * Trace.candidate) list option;
+      (* memoized finalize; every mutation drops it *)
 }
 
 let generation t = t.s_generation
@@ -174,10 +158,19 @@ let parsed t ~path =
       else None)
     t.s_entries
 
-let emit t p =
-  match t.s_on_progress with
-  | Some f -> f { generation = t.s_generation; progress = p }
-  | None -> ()
+(* Per-file progress: one debug line per entry, logged from the calling
+   domain.  Guarded, so a run below debug level does no per-file work. *)
+let log_progress msg cached es =
+  if Wap_obs.Log.enabled Wap_obs.Log.Debug then
+    List.iter
+      (fun e ->
+        Wap_obs.Log.debug
+          ~fields:[ ("file", e.ent_path); ("cached", string_of_bool (cached e)) ]
+          msg)
+      es
+
+let log_parsed = log_progress "parsed" (fun e -> e.ent_report.fr_cached)
+let log_analyzed ~cached = log_progress "analyzed" (fun _ -> cached)
 
 let units_of t = List.map (fun e -> e.ent_unit) t.s_entries
 
@@ -203,7 +196,6 @@ let src_digest src = Digest.to_hex (Digest.string src)
 let parse_file t path ~digest src =
   (* no span of its own: the nested php "parse" span already covers this
      per-file work at the same granularity *)
-  let t0 = Unix.gettimeofday () in
   let compute () = Parser.parse_string_tolerant ~file:path src in
   let (program, errs), cached =
     match t.s_cache with
@@ -217,9 +209,7 @@ let parse_file t path ~digest src =
   Wap_obs.Metrics.incr m_files_parsed;
   if errs <> [] then
     Wap_obs.Metrics.incr ~by:(List.length errs) m_parse_recoveries;
-  ( program,
-    { fr_path = path; fr_seconds = Unix.gettimeofday () -. t0;
-      fr_cached = cached; fr_errors = errs } )
+  (program, { fr_path = path; fr_cached = cached; fr_errors = errs })
 
 let make_entry t path src =
   let digest = src_digest src in
@@ -239,13 +229,13 @@ let make_entry t path src =
 let refresh_entry t e src =
   let digest = src_digest src in
   let program, report = parse_file t e.ent_path ~digest src in
-  emit t (File_parsed { path = e.ent_path; cached = report.fr_cached });
   e.ent_src_digest <- digest;
   e.ent_unit <- { An.path = e.ent_path; program };
   e.ent_report <- report;
   e.ent_decl <- lazy (decl_of program);
   e.ent_includes <- lazy (An.include_basenames program);
-  e.ent_dead <- dead_of program
+  e.ent_dead <- dead_of program;
+  log_parsed [ e ]
 
 (* ------------------------------------------------------------------ *)
 (* Digests.                                                            *)
@@ -334,9 +324,7 @@ let run_passes t (es : entry list) =
             arr)
     in
     Array.iteri (fun i e -> e.ent_pass3 <- pass3.(i)) arr;
-    List.iter
-      (fun e -> emit t (File_analyzed { path = e.ent_path; cached = false }))
-      es;
+    log_analyzed ~cached:false es;
     List.map (fun e -> e.ent_path) es
   end
 
@@ -389,13 +377,14 @@ let analyze_stage t ~key =
             ignore (run_passes t t.s_entries);
             List.map (fun e -> (e.ent_pass2, e.ent_pass3)) t.s_entries)
       in
-      if cached then
+      if cached then begin
         List.iter2
           (fun e (p2, p3) ->
             e.ent_pass2 <- p2;
-            e.ent_pass3 <- p3;
-            emit t (File_analyzed { path = e.ent_path; cached = true }))
-          t.s_entries results
+            e.ent_pass3 <- p3)
+          t.s_entries results;
+        log_analyzed ~cached:true t.s_entries
+      end
   | _ -> ignore (run_passes t t.s_entries)
 
 (* ------------------------------------------------------------------ *)
@@ -407,7 +396,6 @@ let open_project (req : request) : t =
             ("specs", string_of_int (List.length req.specs));
             ("jobs", string_of_int req.jobs) ]
   @@ fun () ->
-  let t0_wall = Unix.gettimeofday () and t0_cpu = Sys.time () in
   let jobs = max 1 req.jobs in
   let t =
     {
@@ -416,15 +404,12 @@ let open_project (req : request) : t =
       s_cache = req.cache;
       s_fingerprint = req.fingerprint;
       s_summary_store = req.summary_store;
-      s_on_progress = req.on_progress;
       s_hits0 = (match req.cache with Some c -> Cache.hits c | None -> 0);
       s_misses0 = (match req.cache with Some c -> Cache.misses c | None -> 0);
       s_entries = [];
       s_generation = 0;
       s_state = None;
       s_phases = [];
-      s_wall = 0.;
-      s_cpu = 0.;
       s_finalized = None;
     }
   in
@@ -436,13 +421,9 @@ let open_project (req : request) : t =
             (fun (path, src) -> make_entry t path src)
             (Array.of_list req.files)
         in
-        Array.iter
-          (fun e ->
-            emit t
-              (File_parsed
-                 { path = e.ent_path; cached = e.ent_report.fr_cached }))
-          entries;
-        Array.to_list entries)
+        let entries = Array.to_list entries in
+        log_parsed entries;
+        entries)
   in
   t.s_entries <- entries;
   let key, t_digest = timed "phase.digest" (fun () -> analysis_key t) in
@@ -450,8 +431,6 @@ let open_project (req : request) : t =
   let (), t_analyze = timed "phase.analyze" (fun () -> analyze_stage t ~key) in
   t.s_phases <-
     [ ("parse", t_parse); ("digest", t_digest); ("analyze", t_analyze) ];
-  t.s_wall <- Unix.gettimeofday () -. t0_wall;
-  t.s_cpu <- Sys.time () -. t0_cpu;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -460,12 +439,12 @@ let open_project (req : request) : t =
 (* Cross-file dedup + dead-sink filter over the retained per-file pass
    results — [Analyzer.finalize] with the dead sets kept per file, so
    an edit rebuilds one file's set, not the whole project's.  Memoized
-   per generation: repeated [diagnostics] calls between edits are
-   free. *)
+   until the next mutation: repeated [diagnostics] calls between edits
+   are free. *)
 let finalized t =
   match t.s_finalized with
-  | Some (g, f) when g = t.s_generation -> f
-  | _ ->
+  | Some f -> f
+  | None ->
       let pass2 = List.concat_map (fun e -> e.ent_pass2) t.s_entries in
       let pass3 = List.concat_map (fun e -> e.ent_pass3) t.s_entries in
       let by_path = Hashtbl.create 16 in
@@ -478,7 +457,7 @@ let finalized t =
           (Hashtbl.find_all by_path loc.Loc.file)
       in
       let f = An.finalize_with ~is_dead (pass2 @ pass3) in
-      t.s_finalized <- Some (t.s_generation, f);
+      t.s_finalized <- Some f;
       f
 
 (* Candidates grouped per spec id (stable, preserving discovery
@@ -499,56 +478,26 @@ let merge groups =
 
 let all_diagnostics t = merge (grouped t)
 
-type stats = {
-  st_generation : int;
-  st_files : int;
-  st_candidates : int;
-  st_cache_hits : int;
-  st_cache_misses : int;
-}
-
-(* Cheap between edits: the candidate count reads the per-generation
-   memoized finalize, and the cache deltas are two counter reads. *)
-let stats t : stats =
-  {
-    st_generation = t.s_generation;
-    st_files = List.length t.s_entries;
-    st_candidates = List.length (finalized t);
-    st_cache_hits =
-      (match t.s_cache with Some c -> Cache.hits c - t.s_hits0 | None -> 0);
-    st_cache_misses =
-      (match t.s_cache with
-      | Some c -> Cache.misses c - t.s_misses0
-      | None -> 0);
-  }
-
 let diagnostics t ~path =
   List.filter (fun (_, c) -> c.Trace.file = path) (all_diagnostics t)
 
 let export t : outcome =
-  let t0w = Unix.gettimeofday () and t0c = Sys.time () in
   let (reports, candidates), t_merge =
     timed "phase.merge" (fun () ->
         let groups = grouped t in
         let reports =
           List.map2
             (fun spec (_, cands) ->
-              let label = spec_label spec in
-              Wap_obs.Metrics.incr ~by:(List.length cands) (m_candidates label);
-              { sr_spec = label; sr_candidates = List.length cands })
+              { sr_spec = spec_label spec; sr_candidates = List.length cands })
             t.s_specs groups
         in
         (reports, List.map snd (merge groups)))
   in
-  t.s_wall <- t.s_wall +. (Unix.gettimeofday () -. t0w);
-  t.s_cpu <- t.s_cpu +. (Sys.time () -. t0c);
   {
     units = units_of t;
     candidates;
     file_reports = List.map (fun e -> e.ent_report) t.s_entries;
     spec_reports = reports;
-    wall_seconds = t.s_wall;
-    cpu_seconds = t.s_cpu;
     phases = t.s_phases @ [ ("merge", t_merge) ];
     jobs_used = t.s_jobs;
     cache_hits =
@@ -572,18 +521,12 @@ let find_unique t ~op ~path =
       invalid_arg
         (Printf.sprintf "Session.%s: duplicate path %S in project" op path)
 
-(* Every mutation: bump the generation (events of superseded edits are
-   identifiable by their lower one), drop the finalize memo, account
-   the wall/cpu spent. *)
+(* Every mutation bumps the generation and drops the finalize memo. *)
 let mutate t name f =
   Obs.with_span ~cat:"engine" name @@ fun () ->
-  let t0w = Unix.gettimeofday () and t0c = Sys.time () in
   t.s_generation <- t.s_generation + 1;
   t.s_finalized <- None;
-  let r = f () in
-  t.s_wall <- t.s_wall +. (Unix.gettimeofday () -. t0w);
-  t.s_cpu <- t.s_cpu +. (Sys.time () -. t0c);
-  r
+  f ()
 
 let update_file t ~path src =
   let e =
@@ -607,7 +550,7 @@ let add_file t ~path src =
       (Printf.sprintf "Session.add_file: file %S already in project" path);
   mutate t "session.add_file" @@ fun () ->
   let e = make_entry t path src in
-  emit t (File_parsed { path; cached = e.ent_report.fr_cached });
+  log_parsed [ e ];
   t.s_entries <- t.s_entries @ [ e ];
   let has_funcs, _ = Lazy.force e.ent_decl in
   if has_funcs then reanalyze_all t

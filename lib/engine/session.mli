@@ -26,10 +26,10 @@
     retained (an all-cache-hit open builds none) or the edit made the
     summary table stale, then pass 3 re-runs over the affected files.
 
-    Every re-analyzed file emits a [File_analyzed] progress event, so
-    clients (and the invalidation tests) can observe exactly how much
-    work an edit caused.  After any sequence of mutations the session
-    exports byte-identically to a fresh {!run} over the same sources.
+    Every mutation returns the paths whose analysis re-ran, so clients
+    (and the invalidation tests) can observe exactly how much work an
+    edit caused.  After any sequence of mutations the session exports
+    byte-identically to a fresh {!run} over the same sources.
 
     Candidates are merged in a deterministic order — sorted by sink
     file, then sink location, ties broken by spec order and discovery
@@ -37,8 +37,11 @@
 
     The run is instrumented with {!Wap_obs}: spans for the open, each
     phase, each parse/analyze work item and every cache lookup, plus
-    process-wide [engine.*] counters.  None of it changes the result:
-    tracing on or off, the export is byte-identical.
+    process-wide [engine.*] counters.  At debug level it logs one
+    ["parsed"] and one ["analyzed"] line per file it parses or
+    analyzes, with [file] and [cached] fields, from the calling domain.
+    None of it changes the result: tracing on or off, the export is
+    byte-identical.
 
     Sessions are not thread-safe: drive each from one domain (the
     pass-3 fan-out parallelizes internally). *)
@@ -48,18 +51,6 @@ open Wap_php
 (** Part of every cache key; bumped whenever the marshalled shape of a
     cached value or the layout of a key changes. *)
 val cache_format_version : string
-
-type progress =
-  | File_parsed of { path : string; cached : bool }
-  | File_analyzed of { path : string; cached : bool }
-      (** one per file once its analysis (or cache assembly) is done,
-          and one per file a mutation re-analyzes *)
-
-(** A progress event tagged with the session generation it was
-    produced at, so clients running edits asynchronously can discard
-    notifications of a superseded edit: events whose [generation] is
-    below the session's current one are stale. *)
-type event = { generation : int; progress : progress }
 
 type request = {
   files : (string * string) list;  (** [(path, source)], scanned as one app *)
@@ -79,27 +70,22 @@ type request = {
           first) summarize it once {e across} projects.  Off by
           default (it changes the observable cache hit/miss profile);
           the fleet workers turn it on. *)
-  on_progress : (event -> unit) option;
-      (** invoked in the calling domain, once per finished work item of
-          the open (generation [0]) and of every later mutation *)
 }
 
 (** [request ~specs files] with defaults: [jobs] resolved through
     {!Config} (environment gate [WAP_JOBS]), no cache, empty
-    fingerprint, no summary store, no progress callback. *)
+    fingerprint, no summary store. *)
 val request :
   ?jobs:int ->
   ?cache:Cache.t ->
   ?fingerprint:string ->
   ?summary_store:bool ->
-  ?on_progress:(event -> unit) ->
   specs:Wap_catalog.Catalog.spec list ->
   (string * string) list ->
   request
 
 type file_report = {
   fr_path : string;
-  fr_seconds : float;  (** wall clock spent parsing this file *)
   fr_cached : bool;
   fr_errors : Parser.recovered_error list;
 }
@@ -116,10 +102,6 @@ type outcome = {
           of the scan engine *)
   file_reports : file_report list;  (** input order *)
   spec_reports : spec_report list;  (** spec order *)
-  wall_seconds : float;
-      (** wall clock of analysis work (open + mutations + exports) —
-          idle time between session operations is not counted *)
-  cpu_seconds : float;  (** process CPU, all domains aggregated *)
   phases : (string * float) list;
       (** per-phase wall clock, in pipeline order: [parse] (stage-1 pool
           fan-out), [digest] (project cache-key digest), [analyze]
@@ -192,26 +174,13 @@ val merge :
 (** Finalized (de-duplicated, dead-sink-filtered) candidates of the
     whole project in the deterministic merge order, each paired with
     the index of the spec that found it (position in {!specs}).  The
-    finalize is memoized per generation, so calling it repeatedly
-    between edits is cheap. *)
+    finalize is memoized until the next mutation, so calling it
+    repeatedly between edits is cheap. *)
 val all_diagnostics : t -> (int * Wap_taint.Trace.candidate) list
 
 (** {!all_diagnostics} restricted to candidates whose sink file is
     [path]. *)
 val diagnostics : t -> path:string -> (int * Wap_taint.Trace.candidate) list
-
-(** Cheap live counters for monitoring surfaces ([wap serve]'s
-    [/status]): unlike {!export}, reading them does no merge work
-    beyond the per-generation memoized finalize. *)
-type stats = {
-  st_generation : int;
-  st_files : int;  (** files currently in the project *)
-  st_candidates : int;  (** finalized candidates at this generation *)
-  st_cache_hits : int;  (** cache hits attributed to this session *)
-  st_cache_misses : int;
-}
-
-val stats : t -> stats
 
 (** The full outcome over the current project state — byte-identical
     to a fresh {!run} over the same sources, whatever mutations led

@@ -276,18 +276,3 @@ let reachable (cfg : t) : bool array =
   in
   go cfg.entry;
   seen
-
-(** Debug rendering: one line per block with its edges and element
-    count. *)
-let to_string (cfg : t) : string =
-  let buf = Buffer.create 256 in
-  Array.iter
-    (fun blk ->
-      Buffer.add_string buf
-        (Printf.sprintf "B%d%s%s: %d elem(s) -> [%s]\n" blk.bid
-           (if blk.bid = cfg.entry then " (entry)" else "")
-           (if blk.bid = cfg.exit_ then " (exit)" else "")
-           (List.length blk.elems)
-           (String.concat "," (List.map string_of_int (List.sort compare blk.succs)))))
-    cfg.blocks;
-  Buffer.contents buf

@@ -46,6 +46,3 @@ val preds : t -> int -> int list
 
 (** Blocks reachable from the entry, by depth-first search. *)
 val reachable : t -> bool array
-
-(** Debug rendering: one line per block with its edges. *)
-val to_string : t -> string

@@ -88,7 +88,7 @@ let write_seed dir name source =
   close_out oc;
   path
 
-let run ?tool ?(on_progress = fun _ _ -> ()) (config : config) : report =
+let run ?tool ?(on_case = fun _ _ -> ()) (config : config) : report =
   let ctx = ctx_of_tool tool in
   let failures = ref [] in
   let i = ref 0 in
@@ -128,7 +128,7 @@ let run ?tool ?(on_progress = fun _ _ -> ()) (config : config) : report =
               :: !failures)
       config.oracles;
     incr i;
-    on_progress !i config.iterations
+    on_case !i config.iterations
   done;
   { cases = !i; failures = List.rev !failures }
 

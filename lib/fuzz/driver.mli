@@ -35,9 +35,9 @@ val case_at : seed:int -> max_stmts:int -> int -> Oracle.case
 
 (** Run the fuzz loop.  [tool] defaults to a fresh
     [Wap_core.Tool.create ~seed:2016 Wape]; pass one to share the
-    (expensive) predictor training across runs.  [on_progress] is
-    called after each case with [(done, total)]. *)
-val run : ?tool:Wap_core.Tool.t -> ?on_progress:(int -> int -> unit) -> config -> report
+    (expensive) predictor training across runs.  [on_case] is called
+    after each case with [(done, total)]. *)
+val run : ?tool:Wap_core.Tool.t -> ?on_case:(int -> int -> unit) -> config -> report
 
 (** Replay every [.php] file under [dir] (sorted) against [oracles]
     (default: all).  Used by the test suite on [test/fuzz_seeds/] so

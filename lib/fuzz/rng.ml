@@ -34,8 +34,6 @@ let bool t = Int64.logand (next_int64 t) 1L = 1L
 (* [chance t num den] is true with probability num/den. *)
 let chance t num den = int t den < num
 
-let split t = { state = next_int64 t }
-
 let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"
   | l -> List.nth l (int t (List.length l))

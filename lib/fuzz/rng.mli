@@ -1,10 +1,9 @@
-(** Deterministic splittable pseudo-random number generator (SplitMix64).
+(** Deterministic pseudo-random number generator (SplitMix64).
 
     The fuzzer cannot use [Stdlib.Random]: its algorithm has changed
     between OCaml releases, and a regression seed checked into
     [test/fuzz_seeds/] must regenerate the identical program on every
-    toolchain.  SplitMix64 is fully specified, fast, and splits cleanly
-    so each fuzz iteration gets an independent stream. *)
+    toolchain.  SplitMix64 is fully specified and fast. *)
 
 type t
 
@@ -20,10 +19,6 @@ val bool : t -> bool
 
 (** [chance t num den] is [true] with probability [num/den]. *)
 val chance : t -> int -> int -> bool
-
-(** A new generator whose stream is independent of further draws from
-    the parent. *)
-val split : t -> t
 
 (** Uniform choice.  @raise Invalid_argument on an empty list. *)
 val pick : t -> 'a list -> 'a

@@ -7,7 +7,7 @@
 (* Prometheus metric names admit [a-zA-Z0-9_:] only; everything else
    (dots, slashes, spaces of the registry's free-form names) maps to
    '_'.  The mapping is lossy by design — the [families] table keeps
-   the interesting tail (spec, method) as a label instead. *)
+   the interesting tail (method, algorithm) as a label instead. *)
 let sanitize (name : string) : string =
   let b = Buffer.create (String.length name + 4) in
   String.iteri
@@ -35,12 +35,11 @@ let escape_label_value (s : string) : string =
 
 (* Registry names with these prefixes are exposed as ONE metric family
    with the name's tail as a label value — the Prometheus modeling of
-   "the same measurement, partitioned": per-detector candidate counts
-   become [wap_engine_candidates_total{spec="..."}], per-method request
+   "the same measurement, partitioned": per-method request counts
+   become [wap_serve_requests_total{method="..."}], per-method request
    latencies [wap_serve_request_seconds_bucket{method="...",le="..."}]. *)
 let default_families =
   [
-    ("engine.candidates.", "spec");
     ("serve.request_seconds.", "method");
     ("serve.errors.", "method");
     ("serve.requests.", "method");

@@ -6,9 +6,9 @@
     [_bucket{le="..."}] series closed by [le="+Inf"] plus [_sum] and
     [_count].  Registry names are free-form (dots, slashes, spaces);
     exposition sanitizes them to the Prometheus charset and, for known
-    partitioned families (per-spec candidate counts, per-method request
-    latencies, per-algorithm training times), lifts the name's tail into a label so the family stays
-    one metric.
+    partitioned families (per-method request counts, errors and
+    latencies, per-algorithm training times), lifts the name's tail into
+    a label so the family stays one metric.
 
     {!parse_text} is the deliberately strict reader of that format used
     by the test suite (round-trip proofs: escaping, bucket

@@ -62,8 +62,6 @@ let render (t : t) : string =
     t.rows;
   Buffer.contents b
 
-let print t = print_string (render t)
-
 let pctf f = Printf.sprintf "%.1f%%" (100.0 *. f)
 let intf n = string_of_int n
 let blank_if_zero n = if n = 0 then "" else string_of_int n

@@ -15,7 +15,6 @@ val make :
   title:string -> header:string list -> ?aligns:align list -> string list list -> t
 
 val render : t -> string
-val print : t -> unit
 
 (** Format a fraction as ["94.5%"]. *)
 val pctf : float -> string

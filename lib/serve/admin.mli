@@ -10,8 +10,8 @@
     - [GET /readyz] — readiness: [200] once a session is open (the
       first [didOpen] arrived), [503] before;
     - [GET /status] — one JSON document of operational facts (uptime,
-      generation, open documents, session file/candidate counts, cache
-      hit ratio, stale events, RSS);
+      generation, open documents, session file/candidate counts,
+      request and error totals, RSS);
     - [GET /trace] — {e drains} the bounded trace ring as Chrome
       trace-event JSON: each poll returns the window since the last.
 

@@ -38,10 +38,6 @@ type t = {
   published : (string, string) Hashtbl.t;
       (** uri -> serialized diagnostics last pushed, to skip no-op
           publishes *)
-  mutable events_seen : int;
-  mutable stale_events : int;
-      (** session progress events tagged with a superseded generation
-          (see {!Session.event}) — counted and dropped *)
   mutable shutdown_requested : bool;
   mutable finished : bool;
   mutable next_rid : int;  (** request ids, for the ambient log context *)
@@ -56,8 +52,6 @@ type t = {
   mutable m_generation : int;
   mutable m_files : int;
   mutable m_candidates : int;
-  mutable m_cache_hits : int;
-  mutable m_cache_misses : int;
   mutable m_last_reanalyzed : int;
       (** files the most recent document mutation re-analyzed *)
 }
@@ -79,8 +73,6 @@ let create ?jobs ?slow_ms (tool : Tool.t) : t =
     uris = Hashtbl.create 16;
     texts = Hashtbl.create 16;
     published = Hashtbl.create 16;
-    events_seen = 0;
-    stale_events = 0;
     shutdown_requested = false;
     finished = false;
     next_rid = 0;
@@ -91,8 +83,6 @@ let create ?jobs ?slow_ms (tool : Tool.t) : t =
     m_generation = 0;
     m_files = 0;
     m_candidates = 0;
-    m_cache_hits = 0;
-    m_cache_misses = 0;
     m_last_reanalyzed = 0;
   }
 
@@ -142,17 +132,6 @@ let path_of_uri (uri : string) : string =
 (* ------------------------------------------------------------------ *)
 (* Session plumbing.                                                   *)
 
-let on_event t (current_generation : unit -> int) (ev : Session.event) =
-  t.events_seen <- t.events_seen + 1;
-  if ev.Session.generation < current_generation () then
-    (* A notification from a superseded edit: discard (the generation
-       counter exists exactly for this). *)
-    t.stale_events <- t.stale_events + 1
-  else if Log.enabled Log.Debug then
-    Log.debug
-      ~fields:[ ("generation", string_of_int ev.Session.generation) ]
-      "session progress"
-
 (* Route the document into the session, creating it on first use.
    Returns the paths whose analysis re-ran (informational). *)
 let upsert t ~path text : string list =
@@ -164,14 +143,10 @@ let upsert t ~path text : string list =
           if Session.mem s ~path then Session.update_file s ~path text
           else Session.add_file s ~path text
       | None ->
-          let session () =
-            match t.session with Some s -> Session.generation s | None -> 0
-          in
           let req =
             Session.request ~jobs:t.jobs
               ~fingerprint:(Tool.Scan.fingerprint t.tool)
-              ~on_progress:(on_event t session) ~specs:t.tool.Tool.specs
-              [ (path, text) ]
+              ~specs:t.tool.Tool.specs [ (path, text) ]
           in
           let s = Session.open_project req in
           t.session <- Some s;
@@ -537,21 +512,18 @@ let refresh_mirrors t =
   match t.session with
   | None -> ()
   | Some s ->
-      let st = Session.stats s in
-      t.m_generation <- st.Session.st_generation;
-      t.m_files <- st.Session.st_files;
-      t.m_candidates <- st.Session.st_candidates;
-      t.m_cache_hits <- st.Session.st_cache_hits;
-      t.m_cache_misses <- st.Session.st_cache_misses;
+      t.m_generation <- Session.generation s;
+      t.m_files <- List.length (Session.paths s);
+      t.m_candidates <- List.length (Session.all_diagnostics s);
       Metrics.set
         (Metrics.gauge "serve.session_generation")
-        (float_of_int st.Session.st_generation);
+        (float_of_int t.m_generation);
       Metrics.set
         (Metrics.gauge "serve.session_files")
-        (float_of_int st.Session.st_files);
+        (float_of_int t.m_files);
       Metrics.set
         (Metrics.gauge "serve.session_candidates")
-        (float_of_int st.Session.st_candidates)
+        (float_of_int t.m_candidates)
 
 let handle (t : t) (msg : Json.t) : Json.t list =
   let meth = Option.value (Rpc.meth msg) ~default:"(none)" in
@@ -662,7 +634,6 @@ let run_tcp (t : t) ~port : unit =
 
 (* Introspection for tests. *)
 let session t = t.session
-let stale_events t = t.stale_events
 
 (* ------------------------------------------------------------------ *)
 (* Admin plane surface.  Everything here reads mirror fields the
@@ -672,11 +643,6 @@ let stale_events t = t.stale_events
 let ready t = t.m_ready
 
 let status_json t : Json.t =
-  let hits = t.m_cache_hits and misses = t.m_cache_misses in
-  let ratio =
-    let total = hits + misses in
-    if total = 0 then 0. else float_of_int hits /. float_of_int total
-  in
   let tracer_fields =
     match Span.global () with
     | Some tr ->
@@ -701,12 +667,8 @@ let status_json t : Json.t =
        ("open_documents", Json.Int t.m_open_docs);
        ("session_files", Json.Int t.m_files);
        ("session_candidates", Json.Int t.m_candidates);
-       ("cache_hits", Json.Int hits);
-       ("cache_misses", Json.Int misses);
-       ("cache_hit_ratio", Json.Float ratio);
        ("requests", Json.Int t.m_requests);
        ("errors", Json.Int t.m_errors);
-       ("stale_events", Json.Int t.stale_events);
        ("last_reanalyzed", Json.Int t.m_last_reanalyzed);
      ]
     @ tracer_fields @ rss_fields)

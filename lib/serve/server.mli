@@ -5,10 +5,13 @@
     first [textDocument/didOpen] opens a session; further
     opens/changes/closes map to the session's incremental
     [add_file]/[update_file]/[remove_file], so an edit re-analyzes only
-    the touched file (plus its include dependents).  Diagnostics are
-    pushed with [textDocument/publishDiagnostics], only when they
-    changed; predicted false positives are demoted to warnings (LSP
-    severity 2) and tagged in the message.  [textDocument/codeAction]
+    the touched file (plus its include dependents).  Each message is
+    handled to completion, edits included, before the next is read, so
+    the session is never behind the document texts; at debug level the
+    engine logs one line per file each edit re-parses and re-analyzes.
+    Diagnostics are pushed with [textDocument/publishDiagnostics], only
+    when they changed; predicted false positives are demoted to
+    warnings (LSP severity 2) and tagged in the message.  [textDocument/codeAction]
     offers the fixer's templates — the class's stock fix, a user
     sanitization and a user validation — as whole-document workspace
     edits.
@@ -53,20 +56,16 @@ val run_tcp : t -> port:int -> unit
 (** The underlying session, once the first document was opened. *)
 val session : t -> Wap_engine.Session.t option
 
-(** Progress events discarded because their generation tag was
-    superseded by a newer edit (see {!Wap_engine.Session.event}). *)
-val stale_events : t -> int
-
 (** Has a session been opened (the first [didOpen] arrived)?  The
     [/readyz] predicate; reads a mirror field, safe from any domain. *)
 val ready : t -> bool
 
 (** The [/status] document: uptime, readiness, generation, open
-    document / session file / candidate counts, cache hit ratio,
-    request and error totals, stale events, trace-ring occupancy and
-    RSS.  Reads only mirror fields the serving domain refreshes after
-    each message, so the admin domain can call it concurrently with
-    LSP traffic. *)
+    document / session file / candidate counts, request and error
+    totals, the last edit's re-analyzed file count, trace-ring
+    occupancy and RSS.  Reads only mirror fields the serving domain
+    refreshes after each message, so the admin domain can call it
+    concurrently with LSP traffic. *)
 val status_json : t -> Wap_report.Json.t
 
 (** The {!Admin.source} for this server: {!ready}, {!status_json}, the

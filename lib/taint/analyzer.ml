@@ -47,6 +47,8 @@ let return_clean_fns =
     "mysql_insert_id"; "mysql_affected_rows"; "mysql_error"; "mysqli_error";
     "count"; "sizeof"; "strlen"; "array_key_exists" ]
 
+(* The validation functions recognized as guards (Table I's validation
+   category, plus a few common membership checks). *)
 let guard_fns =
   set_check_fns
   @ [ "is_string"; "is_int"; "is_integer"; "is_long"; "is_float"; "is_double";

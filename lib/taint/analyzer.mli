@@ -12,22 +12,8 @@
 
 open Wap_php
 
-(** The validation functions recognized as guards (Table I's validation
-    category, plus a few common membership checks). *)
-val guard_fns : string list
-
-val is_guard_fn : string -> bool
-
 (** One parsed source file of an application. *)
 type file_unit = { path : string; program : Ast.program }
-
-(** Top-level [include]/[require] of project files (matched by base
-    name, literal paths only) spliced in place, so taint set up in an
-    included file flows into the includer.  Cycles and chains deeper
-    than 8 are cut. *)
-val splice_includes :
-  units:file_unit list -> depth:int -> visited:string list ->
-  Ast.program -> Ast.program
 
 (** {2 Per-file steps}
 
@@ -95,7 +81,8 @@ val analyze_file_toplevel :
   (int * Trace.candidate) list
 
 (** The base names a program's top-level literal includes resolve
-    against — exactly the matching {!splice_includes} performs.  An
+    against — exactly the matching the include splice of
+    {!analyze_file_toplevel} performs.  An
     incremental caller uses this to find the files that re-splice an
     edited one. *)
 val include_basenames : Ast.program -> string list

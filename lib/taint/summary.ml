@@ -40,9 +40,6 @@ type t = {
 }
 [@@deriving show]
 
-let empty fn_name arity =
-  { fn_name; arity; returns_params = []; param_sinks = []; returns_tainted = None }
-
 let find_param_flow t i = List.find_opt (fun pf -> pf.pf_index = i) t.returns_params
 
 (** All active specs' views of one function, indexed by spec id. *)

@@ -40,7 +40,6 @@ type t = {
 }
 [@@deriving show]
 
-val empty : string -> int -> t
 val find_param_flow : t -> int -> param_flow option
 
 (** All active specs' views of one function, indexed by spec id. *)

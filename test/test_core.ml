@@ -205,6 +205,35 @@ let test_cli_json_fix () =
   Alcotest.(check int) "exit code" 0 code;
   Alcotest.(check bool) "good.php corrected" true (Sys.file_exists (good ^ ".fixed.php"))
 
+(* [--log-level debug] logs one "parsed" and one "analyzed" line per
+   file, with [cached=true] on a rescan over a warm [--cache-dir]. *)
+let test_cli_debug_progress () =
+  with_files [ ("a.php", good_php); ("b.php", "<?php\necho 1;\n") ] @@ fun dir ->
+  let cache = Filename.temp_dir "wap_cli" "cache" in
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; cache ])))
+  @@ fun () ->
+  let files = [ Filename.concat dir "a.php"; Filename.concat dir "b.php" ] in
+  List.iter
+    (fun (run, cached) ->
+      let code, _, stderr =
+        wap ([ "analyze"; "--log-level"; "debug"; "--cache-dir"; cache ] @ files)
+      in
+      Alcotest.(check int) (run ^ ": exit code") 0 code;
+      let lines = String.split_on_char '\n' stderr in
+      List.iter
+        (fun msg ->
+          List.iter
+            (fun file ->
+              let line = Printf.sprintf "] %s (file=%s cached=%b)" msg file cached in
+              Alcotest.(check int)
+                (Printf.sprintf "%s: one %S line for %s" run msg file)
+                1
+                (List.length (List.filter (fun l -> contains l line) lines)))
+            files)
+        [ "parsed"; "analyzed" ])
+    [ ("cold cache", false); ("warm cache", true) ]
+
 (* ------------------------------------------------------------------ *)
 (* Pipeline on corpus packages.                                        *)
 
@@ -380,6 +409,8 @@ let () =
             test_cli_fix_skips_recovered_parse;
           Alcotest.test_case "--json --fix writes corrected source" `Quick
             test_cli_json_fix;
+          Alcotest.test_case "--log-level debug logs per-file progress" `Quick
+            test_cli_debug_progress;
         ] );
       ( "pipeline",
         [

@@ -386,21 +386,42 @@ let test_cache_disk_persistence () =
 (* ------------------------------------------------------------------ *)
 (* Progress and timings.                                               *)
 
+module Log = Wap_obs.Log
+module J = Wap_report.Json
+
+(* Per-file progress is the engine's debug log: one "parsed" and one
+   "analyzed" line per file, with parse workers running. *)
 let test_progress_and_timings () =
   let tool = Lazy.force wape in
   let files = acp_files () in
-  let parsed = ref 0 and file_analyzed = ref 0 in
-  let on_progress (ev : Session.event) =
-    match ev.Session.progress with
-    | Session.File_parsed _ -> incr parsed
-    | Session.File_analyzed _ -> incr file_analyzed
+  let lines = ref [] in
+  let level = Log.level () and format = Log.format () in
+  Log.set_level Log.Debug;
+  Log.set_format Log.Json;
+  Log.set_writer (fun l -> lines := l :: !lines);
+  let o =
+    Fun.protect
+      ~finally:(fun () ->
+        Log.reset_writer ();
+        Log.set_level level;
+        Log.set_format format)
+      (fun () -> Scan.run tool (Scan.request ~jobs:2 files))
   in
-  let o = Scan.run tool (Scan.request ~jobs:2 ~on_progress files) in
-  Alcotest.(check int) "one parse event per file" (List.length files) !parsed;
-  Alcotest.(check int) "one analyze event per file" (List.length files)
-    !file_analyzed;
-  Alcotest.(check int) "one timing per file" (List.length files)
-    (List.length o.Scan.file_timings);
+  let files_logged msg =
+    List.sort compare
+      (List.filter_map
+         (fun l ->
+           match J.of_string (String.trim l) with
+           | Ok doc when J.member "msg" doc = Some (J.Str msg) -> (
+               match J.member "file" doc with Some (J.Str f) -> Some f | _ -> None)
+           | _ -> None)
+         !lines)
+  in
+  let paths = List.sort compare (List.map fst files) in
+  Alcotest.(check (list string)) "one parsed line per file" paths
+    (files_logged "parsed");
+  Alcotest.(check (list string)) "one analyzed line per file" paths
+    (files_logged "analyzed");
   Alcotest.(check int) "one report per spec" (List.length tool.T.specs)
     (List.length o.Scan.spec_timings);
   Alcotest.(check bool) "wall clock recorded" true

@@ -367,6 +367,25 @@ let test_admin_plane () =
       Alcotest.(check bool) "traceEvents array present" true
         (Option.bind (J.member "traceEvents" doc) J.to_list_opt <> None)
 
+(* /status mirrors the session after each message: its generation, its
+   files and its finalized candidates. *)
+let test_status_counts () =
+  let t = server () in
+  let status () =
+    let body = (Admin.handle_path (Server.admin_source t) "/status").Admin.body in
+    match J.of_string body with
+    | Ok doc -> fun k -> Option.value ~default:(-1) (Rpc.int_member k doc)
+    | Error e -> Alcotest.failf "/status does not parse: %s" e
+  in
+  ignore (Server.handle t (req 1 "initialize" (J.Obj [])));
+  ignore (Server.handle t (did_open ~text:vuln_php));
+  let st = status () in
+  Alcotest.(check int) "generation 0 after didOpen" 0 (st "generation");
+  Alcotest.(check int) "one session file" 1 (st "session_files");
+  Alcotest.(check bool) "the flaw is a candidate" true (st "session_candidates" >= 1);
+  ignore (Server.handle t (did_change ~text:safe_php));
+  Alcotest.(check int) "generation 1 after didChange" 1 (status () "generation")
+
 let () =
   Alcotest.run "serve"
     [
@@ -388,5 +407,8 @@ let () =
           Alcotest.test_case "errors" `Quick test_framing_errors;
         ] );
       ( "admin",
-        [ Alcotest.test_case "handle_path endpoints" `Slow test_admin_plane ] );
+        [
+          Alcotest.test_case "handle_path endpoints" `Slow test_admin_plane;
+          Alcotest.test_case "/status counts" `Slow test_status_counts;
+        ] );
     ]

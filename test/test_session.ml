@@ -1,7 +1,7 @@
 (** The session-oriented engine: targeted invalidation on
-    edit/add/remove (observed through generation-tagged progress
-    events), and equivalence of the incremental session with a fresh
-    batch scan over the same sources. *)
+    edit/add/remove (observed through the paths each mutation returns),
+    and equivalence of the incremental session with a fresh batch scan
+    over the same sources. *)
 
 module S = Wap_engine.Session
 module T = Wap_core.Tool
@@ -30,35 +30,16 @@ let project () =
     ("main.php", main_php);
   ]
 
-let request ?(jobs = 1) ?cache ?on_progress files =
-  S.request ~jobs ?cache ?on_progress ~specs:(specs ()) files
-
-(* Record generation-tagged events; [analyzed ~gen] lists the paths
-   whose (re-)analysis the given generation performed, in event
-   order. *)
-let recorder () =
-  let events : S.event list ref = ref [] in
-  ((fun ev -> events := ev :: !events), events)
-
-let analyzed ~gen events =
-  List.rev !events
-  |> List.filter_map (fun (ev : S.event) ->
-         match ev.S.progress with
-         | S.File_analyzed { path; _ } when ev.S.generation = gen -> Some path
-         | _ -> None)
+let request ?(jobs = 1) ?cache files =
+  S.request ~jobs ?cache ~specs:(specs ()) files
 
 let sorted = List.sort compare
 
 (* ------------------------------------------------------------------ *)
 
 let test_open_analyzes_everything () =
-  let on_progress, events = recorder () in
-  let s = S.open_project (request ~on_progress (project ())) in
+  let s = S.open_project (request (project ())) in
   Alcotest.(check int) "generation 0 after open" 0 (S.generation s);
-  Alcotest.(check (list string))
-    "open analyzes every file"
-    (sorted (List.map fst (project ())))
-    (sorted (analyzed ~gen:0 events));
   Alcotest.(check (list string))
     "paths in project order"
     (List.map fst (project ()))
@@ -67,8 +48,7 @@ let test_open_analyzes_everything () =
   Alcotest.(check bool) "mem unknown" false (S.mem s ~path:"nope.php")
 
 let test_summary_preserving_edit_is_local () =
-  let on_progress, events = recorder () in
-  let s = S.open_project (request ~on_progress (project ())) in
+  let s = S.open_project (request (project ())) in
   (* vuln.php defines no functions: its function-summary fingerprint
      cannot change, so only its own top-level pass re-runs *)
   let reran =
@@ -76,14 +56,10 @@ let test_summary_preserving_edit_is_local () =
       "<?php $r = fetch($_GET['id2']); echo $_GET['name']; ?>"
   in
   Alcotest.(check (list string)) "only the edited file" [ "vuln.php" ] reran;
-  Alcotest.(check int) "generation bumped" 1 (S.generation s);
-  Alcotest.(check (list string))
-    "one re-analysis event, tagged generation 1" [ "vuln.php" ]
-    (analyzed ~gen:1 events)
+  Alcotest.(check int) "generation bumped" 1 (S.generation s)
 
 let test_code_after_functions_is_local () =
-  let on_progress, events = recorder () in
-  let s = S.open_project (request ~on_progress (project ())) in
+  let s = S.open_project (request (project ())) in
   (* appending top-level code after the function leaves every declared
      function (bodies and locations) intact: the fingerprint is
      unchanged and the edit stays local despite the file defining a
@@ -93,14 +69,10 @@ let test_code_after_functions_is_local () =
       "<?php function fetch($id) { return mysql_query(\"SELECT * FROM t \
        WHERE id = \" . $id); } $unused = 1; ?>"
   in
-  Alcotest.(check (list string)) "only the edited file" [ "lib.php" ] reran;
-  Alcotest.(check (list string))
-    "one re-analysis event" [ "lib.php" ]
-    (analyzed ~gen:1 events)
+  Alcotest.(check (list string)) "only the edited file" [ "lib.php" ] reran
 
 let test_summary_changing_edit_reanalyzes_project () =
-  let on_progress, events = recorder () in
-  let s = S.open_project (request ~on_progress (project ())) in
+  let s = S.open_project (request (project ())) in
   (* changing [fetch]'s body changes its summary; every caller may be
      affected -> full re-analysis *)
   let reran =
@@ -111,15 +83,10 @@ let test_summary_changing_edit_reanalyzes_project () =
   Alcotest.(check (list string))
     "every file re-analyzed"
     (sorted (List.map fst (project ())))
-    (sorted reran);
-  Alcotest.(check (list string))
-    "events cover the project"
-    (sorted (List.map fst (project ())))
-    (sorted (analyzed ~gen:1 events))
+    (sorted reran)
 
 let test_include_dependents_rerun () =
-  let on_progress, events = recorder () in
-  let s = S.open_project (request ~on_progress (project ())) in
+  let s = S.open_project (request (project ())) in
   (* main.php splices inc.php at top level: editing the includee
      re-runs the includer too (inc.php has no functions, so nothing
      else) *)
@@ -127,20 +94,12 @@ let test_include_dependents_rerun () =
   Alcotest.(check (list string))
     "includee + includer"
     [ "inc.php"; "main.php" ]
-    (sorted reran);
-  Alcotest.(check (list string))
-    "matching events"
-    [ "inc.php"; "main.php" ]
-    (sorted (analyzed ~gen:1 events))
+    (sorted reran)
 
 let test_add_and_remove () =
-  let on_progress, events = recorder () in
-  let s = S.open_project (request ~on_progress (project ())) in
+  let s = S.open_project (request (project ())) in
   let reran = S.add_file s ~path:"extra.php" "<?php echo $_GET['e']; ?>" in
   Alcotest.(check (list string)) "added file analyzed" [ "extra.php" ] reran;
-  Alcotest.(check (list string))
-    "add event at generation 1" [ "extra.php" ]
-    (analyzed ~gen:1 events);
   Alcotest.(check bool) "now a member" true (S.mem s ~path:"extra.php");
   Alcotest.check_raises "duplicate add rejected"
     (Invalid_argument "Session.add_file: file \"extra.php\" already in project")
@@ -162,20 +121,11 @@ let test_update_unknown_raises () =
 let test_warm_cache_edit_replays_state () =
   let cache = Wap_engine.Cache.create () in
   ignore (S.run (request ~cache (project ())));
-  let on_progress, events = recorder () in
-  let s = S.open_project (request ~cache ~on_progress (project ())) in
-  let open_hits =
-    List.filter_map
-      (fun (ev : S.event) ->
-        match ev.S.progress with
-        | S.File_analyzed { cached; _ } -> Some cached
-        | S.File_parsed _ -> None)
-      !events
-  in
-  Alcotest.(check (list bool))
-    "open served every file from the cache"
-    (List.map (fun _ -> true) (project ()))
-    open_hits;
+  let s = S.open_project (request ~cache (project ())) in
+  (* one parse entry per file and the project's analysis entry *)
+  Alcotest.(check int) "open served every entry from the cache"
+    (List.length (project ()) + 1)
+    (S.export s).S.cache_hits;
   (* the all-hit open built no analyzer state: this edit replays passes
      1–2 (the new inc.php calls lib.php's [fetch], so pass 3 needs its
      summary) before re-running pass 3 on the includee and includer *)
@@ -183,9 +133,6 @@ let test_warm_cache_edit_replays_state () =
   let reran = S.update_file s ~path:"inc.php" edited in
   Alcotest.(check (list string))
     "includee + includer" [ "inc.php"; "main.php" ] (sorted reran);
-  Alcotest.(check (list string))
-    "matching events" [ "inc.php"; "main.php" ]
-    (sorted (analyzed ~gen:1 events));
   let final_sources =
     List.map
       (fun (p, src) -> if p = "inc.php" then (p, edited) else (p, src))
@@ -198,23 +145,6 @@ let test_warm_cache_edit_replays_state () =
     "session export = fresh scan"
     (candidates (S.run (request final_sources)))
     (candidates (S.export s))
-
-let test_event_generations_monotonic () =
-  let on_progress, events = recorder () in
-  let s = S.open_project (request ~on_progress (project ())) in
-  ignore (S.update_file s ~path:"vuln.php" vuln_php);
-  ignore (S.add_file s ~path:"extra.php" "<?php echo $_GET['e']; ?>");
-  ignore (S.remove_file s ~path:"extra.php");
-  Alcotest.(check int) "three mutations" 3 (S.generation s);
-  let gens = List.rev_map (fun (ev : S.event) -> ev.S.generation) !events in
-  Alcotest.(check bool) "generations non-decreasing" true
-    (List.for_all2 ( <= ) gens (List.tl gens @ [ max_int ]));
-  (* generation 3 removes a file nothing depends on: no re-analysis,
-     hence no events — only 0..2 must appear *)
-  Alcotest.(check bool) "events span generations 0-2" true
-    (List.for_all (fun g -> List.mem g gens) [ 0; 1; 2 ]);
-  Alcotest.(check bool) "no event exceeds the session generation" true
-    (List.for_all (fun g -> g <= S.generation s) gens)
 
 (* ------------------------------------------------------------------ *)
 (* Session export = fresh batch scan over the final sources.           *)
@@ -277,16 +207,12 @@ let test_add_and_remove_function_file () =
   let show_php = "<?php function show($v) { echo $v; } ?>" in
   let opened = project () @ [ ("page.php", "<?php show($_GET['p']); ?>") ] in
   let with_show = opened @ [ ("show.php", show_php) ] in
-  let on_progress, events = recorder () in
-  let s = S.open_project (request ~on_progress opened) in
+  let s = S.open_project (request opened) in
   let before = List.length (S.all_diagnostics s) in
   let reran = S.add_file s ~path:"show.php" show_php in
   let every sources = sorted (List.map fst sources) in
   Alcotest.(check (list string)) "add re-ran every file" (every with_show)
     (sorted reran);
-  Alcotest.(check (list string)) "add events name every file"
-    (every with_show)
-    (sorted (analyzed ~gen:1 events));
   Alcotest.(check bool) "the declaration adds a finding" true
     (List.length (S.all_diagnostics s) > before);
   Alcotest.(check string) "export after add = fresh scan"
@@ -295,9 +221,6 @@ let test_add_and_remove_function_file () =
   let reran = S.remove_file s ~path:"show.php" in
   Alcotest.(check (list string)) "remove re-ran every file" (every opened)
     (sorted reran);
-  Alcotest.(check (list string)) "remove events name every file"
-    (every opened)
-    (sorted (analyzed ~gen:2 events));
   Alcotest.(check int) "the finding is gone" before
     (List.length (S.all_diagnostics s));
   Alcotest.(check string) "export after remove = fresh scan"
@@ -324,7 +247,7 @@ let test_diagnostics_partition_export () =
             c.Trace.file)
         (S.diagnostics s ~path:p))
     (S.paths s);
-  (* the finalized view is memoized per generation: repeated calls are
+  (* the finalized view is memoized between mutations: repeated calls are
      consistent *)
   Alcotest.(check int) "stable across calls" (List.length all)
     (List.length (S.all_diagnostics s));
@@ -353,8 +276,6 @@ let () =
           Alcotest.test_case "add/remove" `Quick test_add_and_remove;
           Alcotest.test_case "unknown update raises" `Quick
             test_update_unknown_raises;
-          Alcotest.test_case "event generations monotonic" `Quick
-            test_event_generations_monotonic;
           Alcotest.test_case "warm-cache open, then a local edit" `Quick
             test_warm_cache_edit_replays_state;
         ] );
