@@ -994,16 +994,8 @@ let serve_cmd =
              ~doc:"Log a warning for any request slower than $(docv) \
                    milliseconds.")
   in
-  let trace_ring =
-    Arg.(value & opt int 4096
-         & info [ "trace-ring" ] ~docv:"N"
-             ~doc:"Capacity (events per domain) of the bounded trace ring \
-                   GET /trace drains; 0 disables ring tracing.  Only \
-                   consulted when the admin plane is on and --trace-out is \
-                   not (a batch trace file takes precedence).")
-  in
   let run make_tool seed jobs socket port admin_port admin_socket slow_ms
-      trace_ring trace_out log_level log_format =
+      trace_out log_level log_format =
     let finish_obs = setup_obs trace_out log_level log_format in
     match (socket, port, admin_port, admin_socket) with
     | Some _, Some _, _, _ ->
@@ -1023,10 +1015,10 @@ let serve_cmd =
              with scrapes and traces *)
           Wap_obs.Log.set_timestamps true;
           (* without a batch --trace-out, trace into the bounded ring
-             GET /trace drains *)
-          if Wap_obs.Trace.global () = None && trace_ring > 0 then
+             GET /trace drains: 4,096 events per domain *)
+          if Wap_obs.Trace.global () = None then
             Wap_obs.Trace.set_global
-              (Some (Wap_obs.Trace.create ~ring_capacity:trace_ring ()))
+              (Some (Wap_obs.Trace.create ~ring_capacity:4096 ()))
         end;
         let server = Wap_serve.Server.create ~jobs ?slow_ms (make_tool None seed) in
         let admin_cleanup =
@@ -1074,7 +1066,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(ret (const run $ tool_term $ seed_arg $ jobs_arg $ socket $ port $ admin_port
-               $ admin_socket $ slow_ms $ trace_ring $ trace_out_arg
+               $ admin_socket $ slow_ms $ trace_out_arg
                $ log_level_arg $ log_format_arg))
 
 (* ------------------------------------------------------------------ *)

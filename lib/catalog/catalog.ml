@@ -196,8 +196,7 @@ let set_fingerprint (specs : spec list) : string =
     Every table is indexed by {e spec id} — the position of a spec in
     the list given to {!Lookup.of_specs} — so one fused analysis pass can
     ask "for which of the active specs is [name] a source/sink/
-    sanitizer?" in one lookup.  The single-spec boolean API is kept on
-    top for callers that only care about membership. *)
+    sanitizer?" in one lookup. *)
 module Lookup = struct
   type t = {
     nspecs : int;
@@ -207,7 +206,7 @@ module Lookup = struct
         (** per name: (spec id, class, dangerous positions), ids
             ascending; a spec's own entries keep most-recent-first
             order, matching a single-spec [Hashtbl.find_all] *)
-    sink_methods : (string * string, (int * Vuln_class.t) list) Hashtbl.t;
+    sink_methods : (string * string, int list) Hashtbl.t;
     echo_specs : int list;
     include_specs : int list;
     san_fns : (string, int list) Hashtbl.t;
@@ -242,12 +241,9 @@ module Lookup = struct
                   ((id, spec.vclass, args)
                   :: Option.value ~default:[] (Hashtbl.find_opt sink_fns key))
             | Sink_method (o, m) ->
-                let key = (String.lowercase_ascii o, String.lowercase_ascii m) in
-                let cur =
-                  Option.value ~default:[] (Hashtbl.find_opt sink_methods key)
-                in
-                if not (List.exists (fun (i, _) -> i = id) cur) then
-                  Hashtbl.replace sink_methods key (cur @ [ (id, spec.vclass) ])
+                add_id sink_methods
+                  (String.lowercase_ascii o, String.lowercase_ascii m)
+                  id
             | Sink_echo ->
                 if not (List.mem id !echo_specs) then
                   echo_specs := id :: !echo_specs
@@ -295,12 +291,8 @@ module Lookup = struct
     Option.value ~default:[]
       (Hashtbl.find_opt t.sink_fns (String.lowercase_ascii name))
 
-  let sink_method_entries t obj meth =
-    Option.value ~default:[]
-      (Hashtbl.find_opt t.sink_methods
-         (String.lowercase_ascii obj, String.lowercase_ascii meth))
-
-  let sink_method_ids t obj meth = List.map fst (sink_method_entries t obj meth)
+  let sink_method_ids t obj meth =
+    ids t.sink_methods (String.lowercase_ascii obj, String.lowercase_ascii meth)
 
   let echo_ids t = t.echo_specs
   let include_ids t = t.include_specs
@@ -308,24 +300,4 @@ module Lookup = struct
 
   let sanitizer_method_ids t obj meth =
     ids t.san_methods (String.lowercase_ascii obj, String.lowercase_ascii meth)
-
-  (* ---- single-spec boolean view ---------------------------------- *)
-
-  let is_superglobal t name = Hashtbl.mem t.superglobals name
-
-  let is_source_fn t name =
-    Hashtbl.mem t.source_fns (String.lowercase_ascii name)
-
-  let sink_classes_of_fn t name =
-    List.map (fun (_, vc, args) -> (vc, args)) (sink_fn_entries t name)
-
-  let sink_class_of_method t obj meth =
-    List.map snd (sink_method_entries t obj meth)
-
-  let is_sanitizer_fn t name =
-    Hashtbl.mem t.san_fns (String.lowercase_ascii name)
-
-  let is_sanitizer_method t obj meth =
-    Hashtbl.mem t.san_methods
-      (String.lowercase_ascii obj, String.lowercase_ascii meth)
 end

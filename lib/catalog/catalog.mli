@@ -72,7 +72,7 @@ val set_fingerprint : spec list -> string
     list given to {!Lookup.of_specs} — so one fused analysis pass can ask
     "for which of the active specs is [name] a source/sink/sanitizer?"
     in a single lookup.  All [*_ids] results are ascending and
-    duplicate-free.  The boolean single-spec view is kept on top. *)
+    duplicate-free. *)
 module Lookup : sig
   type t
 
@@ -104,20 +104,4 @@ module Lookup : sig
 
   val sanitizer_fn_ids : t -> string -> int list
   val sanitizer_method_ids : t -> string -> string -> int list
-
-  (** {2 Single-spec boolean view} *)
-
-  val is_superglobal : t -> string -> bool
-  val is_source_fn : t -> string -> bool
-
-  (** All (class, dangerous-argument) entries registered for a function
-      name (case-insensitive); [[]] when it is not a sink. *)
-  val sink_classes_of_fn : t -> string -> (Vuln_class.t * int list) list
-
-  (** Classes registered for an [obj->meth] sink; the object ["*"]
-      matches any variable. *)
-  val sink_class_of_method : t -> string -> string -> Vuln_class.t list
-
-  val is_sanitizer_fn : t -> string -> bool
-  val is_sanitizer_method : t -> string -> string -> bool
 end

@@ -1,43 +1,13 @@
-(** Domain-based worker pool over a mutex-protected deque. *)
+(** Domain-based worker pool claiming indices from one atomic counter. *)
 
-(* Queue wait is the time from pool start (every item is enqueued up
-   front) to the moment a worker dequeues the item; run time is the
-   application of [f] itself.  Striped atomics, so recording from every
-   worker domain is lock-free.  Plain values, not [lazy]: forcing one
-   lazy from two domains at once raises [CamlinternalLazy.Undefined]. *)
+(* Queue wait is the time from pool start to the moment a worker
+   claims the item; run time is the application of [f] itself.  Striped
+   atomics, so recording from every worker domain is lock-free.  Plain
+   values, not [lazy]: forcing one lazy from two domains at once raises
+   [CamlinternalLazy.Undefined]. *)
 let m_queue_wait = Wap_obs.Metrics.histogram "engine.pool.queue_wait_seconds"
 let m_task_run = Wap_obs.Metrics.histogram "engine.pool.task_run_seconds"
 let m_tasks = Wap_obs.Metrics.counter "engine.pool.tasks"
-
-(* ------------------------------------------------------------------ *)
-(* Mutex-protected deque of work-item indices.                         *)
-
-type deque = {
-  mutable front : int list;
-  mutable back : int list;  (** reversed *)
-  lock : Mutex.t;
-}
-
-let deque_of_indices n =
-  { front = List.init n Fun.id; back = []; lock = Mutex.create () }
-
-let pop_front (d : deque) : int option =
-  Mutex.lock d.lock;
-  let item =
-    match d.front with
-    | x :: rest ->
-        d.front <- rest;
-        Some x
-    | [] -> (
-        match List.rev d.back with
-        | x :: rest ->
-            d.front <- rest;
-            d.back <- [];
-            Some x
-        | [] -> None)
-  in
-  Mutex.unlock d.lock;
-  item
 
 (* ------------------------------------------------------------------ *)
 (* Parallel map.                                                       *)
@@ -74,18 +44,17 @@ let map ?(jobs = Config.default_jobs ()) (f : 'a -> 'b) (xs : 'a array) :
       in
       retry ()
     in
-    let tasks = deque_of_indices n in
+    let next = Atomic.make 0 in
     (* every task runs even after a failure, so the failure with the
        lowest input index is found deterministically *)
     let rec worker () =
-      match pop_front tasks with
-      | None -> ()
-      | Some i ->
-          (match timed_apply xs.(i) with
-          | y -> results.(i) <- Some y
-          | exception exn ->
-              record_failure i exn (Printexc.get_raw_backtrace ()));
-          worker ()
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        (match timed_apply xs.(i) with
+        | y -> results.(i) <- Some y
+        | exception exn -> record_failure i exn (Printexc.get_raw_backtrace ()));
+        worker ()
+      end
     in
     let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
     worker ();

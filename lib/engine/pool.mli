@@ -1,12 +1,12 @@
 (** A hand-rolled Domain-based worker pool.
 
-    Work items live in a mutex-protected deque; [jobs] domains (the
-    calling one included) pop and execute them until the deque drains.
+    [jobs] domains (the calling one included) claim input indices in
+    order from one atomic counter and run them until none is left.
     Results are written into per-index slots, so the output order is
     that of the input regardless of scheduling — the substrate the scan
     engine builds its deterministic merge on.
 
-    Every work item records its queue wait (pool start to dequeue) and
+    Every work item records its queue wait (pool start to claim) and
     run time into the [engine.pool.*] histograms of
     {!Wap_obs.Metrics.global}, which the CLI's [--stats] summary
     reads. *)

@@ -436,7 +436,7 @@ let open_project (req : request) : t =
 (* ------------------------------------------------------------------ *)
 (* Finalize / merge / export.                                          *)
 
-(* Cross-file dedup + dead-sink filter over the retained per-file pass
+(* De-duplication + dead-sink filter over the retained per-file pass
    results — [Analyzer.finalize] with the dead sets kept per file, so
    an edit rebuilds one file's set, not the whole project's.  Memoized
    until the next mutation: repeated [diagnostics] calls between edits

@@ -38,7 +38,7 @@ let escape_label_value (s : string) : string =
    "the same measurement, partitioned": per-method request counts
    become [wap_serve_requests_total{method="..."}], per-method request
    latencies [wap_serve_request_seconds_bucket{method="...",le="..."}]. *)
-let default_families =
+let families =
   [
     ("serve.request_seconds.", "method");
     ("serve.errors.", "method");
@@ -47,7 +47,7 @@ let default_families =
   ]
 
 (* (metric base name, extra labels) for a raw registry name. *)
-let resolve ~families (raw : string) : string * (string * string) list =
+let resolve (raw : string) : string * (string * string) list =
   let matching =
     List.filter
       (fun (prefix, _) ->
@@ -105,8 +105,7 @@ let render_family buf ~base ~typ (lines : string list) =
   Printf.bprintf buf "# TYPE %s %s\n" base (type_name typ);
   List.iter (Buffer.add_string buf) lines
 
-let prometheus ?(families = default_families) (r : Metrics.registry) : string
-    =
+let prometheus (r : Metrics.registry) : string =
   let snap = Metrics.snapshot r in
   (* group (base, typ) -> sample lines, preserving the registry's
      name-sorted order within and across groups *)
@@ -121,20 +120,20 @@ let prometheus ?(families = default_families) (r : Metrics.registry) : string
   in
   List.iter
     (fun (raw, v) ->
-      let base, labels = resolve ~families raw in
+      let base, labels = resolve raw in
       let base = base ^ "_total" in
       add ~base ~typ:Counter
         (Printf.sprintf "%s%s %d\n" base (render_labels labels) v))
     snap.Metrics.counters;
   List.iter
     (fun (raw, v) ->
-      let base, labels = resolve ~families raw in
+      let base, labels = resolve raw in
       add ~base ~typ:Gauge
         (Printf.sprintf "%s%s %s\n" base (render_labels labels) (fmt_value v)))
     snap.Metrics.gauges;
   List.iter
     (fun (raw, (h : Metrics.hist_snapshot)) ->
-      let base, labels = resolve ~families raw in
+      let base, labels = resolve raw in
       let cum = ref 0 in
       let bucket_lines =
         List.concat

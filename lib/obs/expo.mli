@@ -16,16 +16,10 @@
     rebuilds histogram snapshots from scraped buckets to compute
     quantiles client-side). *)
 
-(** [(prefix, label_name)]: registry names starting with [prefix]
-    (which must end at a ["."] separator) are exposed as one metric
-    named after the prefix, with the remainder of the name as the value
-    of label [label_name]. *)
-val default_families : (string * string) list
-
 (** Render the registry's current state as a Prometheus text document.
     Metric names get a [wap_] namespace prefix.  Ends with a newline;
     empty registries render to the empty string. *)
-val prometheus : ?families:(string * string) list -> Metrics.registry -> string
+val prometheus : Metrics.registry -> string
 
 (** One sample line, unescaped. *)
 type sample = {

@@ -33,7 +33,6 @@ type t = {
   start_time : float;
   mutable session : Session.t option;  (** created at the first [didOpen] *)
   docs : (string, string) Hashtbl.t;  (** open documents: uri -> path *)
-  uris : (string, string) Hashtbl.t;  (** inverse: path -> uri *)
   texts : (string, string) Hashtbl.t;  (** path -> current text *)
   published : (string, string) Hashtbl.t;
       (** uri -> serialized diagnostics last pushed, to skip no-op
@@ -70,7 +69,6 @@ let create ?jobs ?slow_ms (tool : Tool.t) : t =
     start_time = Unix.gettimeofday ();
     session = None;
     docs = Hashtbl.create 16;
-    uris = Hashtbl.create 16;
     texts = Hashtbl.create 16;
     published = Hashtbl.create 16;
     shutdown_requested = false;
@@ -244,7 +242,6 @@ let did_open t params : Json.t list =
   | Some uri, Some text ->
       let path = path_of_uri uri in
       Hashtbl.replace t.docs uri path;
-      Hashtbl.replace t.uris path uri;
       let reran = upsert t ~path text in
       t.m_last_reanalyzed <- List.length reran;
       Log.info
@@ -270,10 +267,7 @@ let did_change t params : Json.t list =
   match (text_document_uri params, text) with
   | Some uri, Some text ->
       let path = path_of_uri uri in
-      if not (Hashtbl.mem t.docs uri) then begin
-        Hashtbl.replace t.docs uri path;
-        Hashtbl.replace t.uris path uri
-      end;
+      Hashtbl.replace t.docs uri path;
       let reran = upsert t ~path text in
       t.m_last_reanalyzed <- List.length reran;
       Log.debug
@@ -294,7 +288,6 @@ let did_close t params : Json.t list =
         | None -> path_of_uri uri
       in
       Hashtbl.remove t.docs uri;
-      Hashtbl.remove t.uris path;
       t.m_last_reanalyzed <- List.length (drop t ~path);
       let clear =
         (* Closing a document always clears its diagnostics on the

@@ -81,54 +81,28 @@ let diff_ids a b = if b = [] then a else List.filter (fun x -> not (List.mem x b
 (* ------------------------------------------------------------------ *)
 (* Analysis context.                                                   *)
 
-type phase =
-  | Summaries_only  (** first pass: only collect summaries *)
-  | Full  (** second pass: emit real candidates too *)
-
+(* One walk's context: a function body, or a file's top level.  A walk
+   emits every candidate it meets, in order, duplicates included;
+   {!finalize_with} is the one place that drops repeats. *)
 type ctx = {
   specs : Cat.spec array;
   all_ids : int list;  (** [0 .. nspecs-1] *)
   lookup : Lookup.t;
   summaries : Summary.table;
-  phase : phase;
-  mutable file : string;
-  mutable candidates : (int * Trace.candidate) list;
-      (** spec-indexed, newest first *)
-  seen : (string, unit) Hashtbl.t;  (** candidate de-duplication *)
+  file : string;
   (* function-analysis state *)
   mutable return_taints : Env.taint list;
   mutable param_sinks : (int * Summary.param_sink) list;
-  mutable current_fn : string option;
   mutable live : int list;
       (** specs still iterating in the innermost loop fixpoint; a spec
           that already stabilized must not record anything more, or the
           fused result would drift from its single-spec run *)
-  (* what a [Summaries_only] walk of one body records for pass 2 *)
+  (* what the walk records *)
   mutable lookups : (string * Summary.fused option) list;
-      (** every summary lookup the body made, with its result *)
-  mutable emits : (string * (int * Trace.candidate)) list;
-      (** the real-source emissions [Full] would make, with their
-          de-duplication keys, newest first *)
+      (** every summary lookup the walk made, with its result *)
+  mutable emits : (int * Trace.candidate) list;
+      (** every real-source emission, spec-indexed, newest first *)
 }
-
-let make_ctx ~specs ~lookup ~phase ~summaries =
-  let all_ids = List.init (Array.length specs) Fun.id in
-  {
-    specs;
-    all_ids;
-    lookup;
-    summaries;
-    phase;
-    file = "<none>";
-    candidates = [];
-    seen = Hashtbl.create 64;
-    return_taints = [];
-    param_sinks = [];
-    current_fn = None;
-    live = all_ids;
-    lookups = [];
-    emits = [];
-  }
 
 let is_live ctx id = ctx.live == ctx.all_ids || List.mem id ctx.live
 
@@ -138,32 +112,6 @@ let render_expr e =
 
 (* ------------------------------------------------------------------ *)
 (* Candidate emission.                                                 *)
-
-(* The de-duplication key of one (spec, sink, origins) emission.  The
-   spec id (not the class acronym) keys the spec so two specs sharing a
-   class de-duplicate independently, like their single-spec runs
-   would.  An origin counts by its source and, for a flow into a sink
-   inside a called function, by its call site: two call sites of one
-   function are two flows, each fixed at its own call. *)
-let candidate_key ~id ~file ~sink_name ~(loc : Loc.t) ~origins =
-  let origin_key (o : Trace.origin) =
-    match Trace.call_site o with
-    | None -> o.Trace.source
-    | Some site -> o.Trace.source ^ "@" ^ Loc.to_string site
-  in
-  Printf.sprintf "%s|%s|%d:%d|#%d|%s" file sink_name loc.Loc.line loc.Loc.col
-    id
-    (String.concat "," (List.map origin_key origins))
-
-let indexed_key (id, (c : Trace.candidate)) =
-  candidate_key ~id ~file:c.Trace.file ~sink_name:c.Trace.sink_name
-    ~loc:c.Trace.sink_loc ~origins:c.Trace.origins
-
-let add_candidate ctx (key, c) =
-  if not (Hashtbl.mem ctx.seen key) then begin
-    Hashtbl.add ctx.seen key ();
-    ctx.candidates <- c :: ctx.candidates
-  end
 
 (* Emit for one spec; [tainted] : (argument position * origin) list,
    every origin being that spec's component. *)
@@ -195,23 +143,18 @@ let emit_one ctx ~id ~sink_name ~loc ~args ~tainted =
         (* the sink's own file, not the analyzed unit: included files keep
            their identity when spliced into an includer *)
         let file = if loc.Loc.file = "<none>" then ctx.file else loc.Loc.file in
-        let origins = List.map snd real in
-        let key = candidate_key ~id ~file ~sink_name ~loc ~origins in
-        let c =
+        ctx.emits <-
           ( id,
             {
               Trace.vclass = ctx.specs.(id).Cat.vclass;
               file;
               sink_name;
               sink_loc = loc;
-              origins;
+              origins = List.map snd real;
               sink_args = args;
               tainted_positions = List.map fst real;
             } )
-        in
-        match ctx.phase with
-        | Full -> add_candidate ctx (key, c)
-        | Summaries_only -> ctx.emits <- (key, c) :: ctx.emits
+          :: ctx.emits
       end
 
 (* Emit for one spec from vector taints: extract that spec's component
@@ -224,11 +167,11 @@ let emit_spec ctx ~id ~sink_name ~loc ~args ~taints =
   in
   emit_one ctx ~id ~sink_name ~loc ~args ~tainted
 
-(* Every summary lookup of a body goes through here, so pass 1 can
-   record what its walk depended on. *)
+(* Every summary lookup of a walk goes through here, so the walk
+   records what it depended on. *)
 let find_summary ctx name =
   let found = Summary.find ctx.summaries name in
-  if ctx.phase = Summaries_only then ctx.lookups <- (name, found) :: ctx.lookups;
+  ctx.lookups <- (name, found) :: ctx.lookups;
   found
 
 (* ------------------------------------------------------------------ *)
@@ -1081,7 +1024,18 @@ and loop_fixpoint ctx env ~enter ~body : Env.t =
 (* ------------------------------------------------------------------ *)
 (* Function / scope analysis.                                          *)
 
-let analyze_function ctx (f : Ast.func) : Summary.fused =
+(* One function body's walk.  It is a pure function of the body, the
+   spec set, the file and the results of its summary lookups, so while
+   every lookup still returns what it returned here, walking the body
+   again would rebuild [w_summary] and make exactly [w_emits]. *)
+type walked = {
+  w_func : Ast.func;
+  w_summary : Summary.fused;
+  w_lookups : (string * Summary.fused option) list;
+  w_emits : (int * Trace.candidate) list;  (** oldest first *)
+}
+
+let analyze_function ctx (f : Ast.func) : walked =
   let env =
     List.fold_left
       (fun (i, env) (p : Ast.param) ->
@@ -1096,7 +1050,6 @@ let analyze_function ctx (f : Ast.func) : Summary.fused =
   ctx.param_sinks <- [];
   ctx.lookups <- [];
   ctx.emits <- [];
-  ctx.current_fn <- Some f.f_name;
   let _ = exec_stmts ctx env f.f_body in
   let fn_name = normalize_fn f.f_name in
   let arity = List.length f.f_params in
@@ -1139,10 +1092,12 @@ let analyze_function ctx (f : Ast.func) : Summary.fused =
         { Summary.fn_name; arity; returns_params; param_sinks; returns_tainted })
       ctx.all_ids
   in
-  ctx.current_fn <- None;
-  ctx.param_sinks <- [];
-  ctx.return_taints <- [];
-  Summary.fused_of_list fn_name arity per_spec
+  {
+    w_func = f;
+    w_summary = Summary.fused_of_list fn_name arity per_spec;
+    w_lookups = ctx.lookups;
+    w_emits = List.rev ctx.emits;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Public API.                                                         *)
@@ -1159,12 +1114,24 @@ let rec literal_path (e : Ast.expr) : string option =
       | _ -> None)
   | _ -> None
 
+(* The units by base name, each name mapped to its first unit in
+   [units] order. *)
+let include_index (units : file_unit list) : (string, file_unit) Hashtbl.t =
+  let index = Hashtbl.create 64 in
+  List.iter
+    (fun u ->
+      let base = Filename.basename u.path in
+      if not (Hashtbl.mem index base) then Hashtbl.add index base u)
+    units;
+  index
+
 (** Top-level [include]/[require] of project files is spliced in place,
     the way PHP assembles pages from headers and configuration files —
     taint set up in an included file flows into the includer.  Matching
-    is by base name; cycles and deep chains are cut at depth 8. *)
-let rec splice_includes ~(units : file_unit list) ~depth ~visited
-    (prog : Ast.program) : Ast.program =
+    is by base name through [index] ({!include_index}); cycles and deep
+    chains are cut at depth 8. *)
+let rec splice_includes ~index ~depth ~visited (prog : Ast.program) :
+    Ast.program =
   if depth > 8 then prog
   else
     List.concat_map
@@ -1173,12 +1140,9 @@ let rec splice_includes ~(units : file_unit list) ~depth ~visited
         | Ast.Expr_stmt { e = Ast.Include (_, arg); _ } -> (
             match literal_path arg with
             | Some p -> (
-                let base = Filename.basename p in
-                match
-                  List.find_opt (fun u -> Filename.basename u.path = base) units
-                with
+                match Hashtbl.find_opt index (Filename.basename p) with
                 | Some u when not (List.mem u.path visited) ->
-                    splice_includes ~units ~depth:(depth + 1)
+                    splice_includes ~index ~depth:(depth + 1)
                       ~visited:(u.path :: visited) u.program
                 | _ -> [ s ])
             | None -> [ s ])
@@ -1187,17 +1151,6 @@ let rec splice_includes ~(units : file_unit list) ~depth ~visited
 
 (* ------------------------------------------------------------------ *)
 (* Per-file steps.                                                     *)
-
-(* Pass 1's walk of one function body.  The walk is a pure function of
-   the body, the spec set, the file and the results of its summary
-   lookups, so while every lookup still returns what it returned here,
-   pass 2's walk would rebuild [w_summary] and make exactly [w_emits]. *)
-type walked = {
-  w_func : Ast.func;
-  w_summary : Summary.fused;
-  w_lookups : (string * Summary.fused option) list;
-  w_emits : (string * (int * Trace.candidate)) list;  (** oldest first *)
-}
 
 (* All mutable analysis state of one (spec set, project) run lives in
    this record; nothing is global, so any number of projects can be
@@ -1208,25 +1161,39 @@ type project_state = {
   st_interprocedural : bool;
   st_summaries : Summary.table;
   st_lookup : Lookup.t;
-  st_ctx : ctx;
-      (** Full-phase context shared by the sequential function sweeps of
-          every file, so cross-file candidate de-duplication matches a
-          whole-project run *)
   st_walked : (string, Ast.program * walked list) Hashtbl.t;
       (** pass 1's walks by path, each dropped when pass 2 consumes it *)
+  st_includes :
+    (file_unit list * (string, file_unit) Hashtbl.t) option Atomic.t;
+      (** the {!include_index} of the last [units] list pass 3 saw,
+          keyed by that list physically; pass 3 runs on several domains,
+          which only read a published index *)
 }
 
 let project_state ?(interprocedural = true) ~(specs : Cat.spec list) () =
-  let specs = Array.of_list specs in
-  let summaries = Summary.create_table () in
-  let lookup = Lookup.of_specs (Array.to_list specs) in
   {
-    st_specs = specs;
+    st_specs = Array.of_list specs;
     st_interprocedural = interprocedural;
-    st_summaries = summaries;
-    st_lookup = lookup;
-    st_ctx = make_ctx ~specs ~lookup ~phase:Full ~summaries;
+    st_summaries = Summary.create_table ();
+    st_lookup = Lookup.of_specs specs;
     st_walked = Hashtbl.create 64;
+    st_includes = Atomic.make None;
+  }
+
+(* A fresh context for the walks of one file. *)
+let file_ctx st file =
+  let all_ids = List.init (Array.length st.st_specs) Fun.id in
+  {
+    specs = st.st_specs;
+    all_ids;
+    lookup = st.st_lookup;
+    summaries = st.st_summaries;
+    file;
+    return_taints = [];
+    param_sinks = [];
+    live = all_ids;
+    lookups = [];
+    emits = [];
   }
 
 let m_reused = Wap_obs.Metrics.counter "taint.functions_reused"
@@ -1239,18 +1206,13 @@ let summarize_file_delta st (u : file_unit) : Summary.fused list =
   Wap_obs.Trace.with_span ~cat:"taint" "summarize_file"
     ~args:[ ("file", u.path) ]
   @@ fun () ->
-  let ctx =
-    make_ctx ~specs:st.st_specs ~lookup:st.st_lookup ~phase:Summaries_only
-      ~summaries:st.st_summaries
-  in
-  ctx.file <- u.path;
+  let ctx = file_ctx st u.path in
   let walked =
     List.map
       (fun f ->
-        let s = analyze_function ctx f in
-        Summary.register st.st_summaries s;
-        { w_func = f; w_summary = s; w_lookups = ctx.lookups;
-          w_emits = List.rev ctx.emits })
+        let w = analyze_function ctx f in
+        Summary.register st.st_summaries w.w_summary;
+        w)
       (Visitor.collect_functions u.program)
   in
   Hashtbl.replace st.st_walked u.path (u.program, walked);
@@ -1273,70 +1235,68 @@ let unchanged st w =
       | _ -> false)
     w.w_lookups
 
-(** Function-body sweep over one file: returns the candidates found
-    inside this file's function bodies (spec-indexed, discovery order)
-    and (interprocedurally) refines their summaries now that callees are
-    known.  A body whose pass-1 walk is still exact ({!unchanged}) is
-    not walked again: its recorded emissions are replayed and its
-    summary re-registered.  Must be driven sequentially, in file order,
-    on one state: the shared context's de-duplication spans files. *)
+(** Function-body sweep over one file: returns what this file's
+    function bodies emit (spec-indexed, in order) and (interprocedurally)
+    refines their summaries now that callees are known.  A body whose
+    pass-1 walk is still exact ({!unchanged}) is not walked again: its
+    recorded walk is kept.  Must be driven sequentially, in file order,
+    on one state: each summary is registered before the next body. *)
 let analyze_file_functions st (u : file_unit) : (int * Trace.candidate) list =
   Wap_obs.Trace.with_span ~cat:"taint" "analyze_functions"
     ~args:[ ("file", u.path) ]
   @@ fun () ->
-  let ctx = st.st_ctx in
-  ctx.file <- u.path;
-  let before = ctx.candidates in
-  let register s =
-    if st.st_interprocedural then Summary.register st.st_summaries s
-  in
+  let ctx = file_ctx st u.path in
   let reused = ref 0 and walks = ref 0 in
+  let settle w =
+    if st.st_interprocedural then Summary.register st.st_summaries w.w_summary;
+    w.w_emits
+  in
   let walk f =
     incr walks;
-    register (analyze_function ctx f)
+    settle (analyze_function ctx f)
   in
-  (match Hashtbl.find_opt st.st_walked u.path with
-  | Some (program, walked) when program == u.program ->
-      Hashtbl.remove st.st_walked u.path;
-      List.iter
-        (fun w ->
-          if unchanged st w then begin
-            incr reused;
-            List.iter (add_candidate ctx) w.w_emits;
-            register w.w_summary
-          end
-          else walk w.w_func)
-        walked
-  | _ -> List.iter walk (Visitor.collect_functions u.program));
+  let emits =
+    match Hashtbl.find_opt st.st_walked u.path with
+    | Some (program, walked) when program == u.program ->
+        Hashtbl.remove st.st_walked u.path;
+        List.concat_map
+          (fun w ->
+            if unchanged st w then begin
+              incr reused;
+              settle w
+            end
+            else walk w.w_func)
+          walked
+    | _ -> List.concat_map walk (Visitor.collect_functions u.program)
+  in
   Wap_obs.Metrics.incr ~by:!reused m_reused;
   Wap_obs.Metrics.incr ~by:!walks m_reanalyzed;
-  (* this file's delta, oldest first ([candidates] is prepend-only) *)
-  let rec delta acc l =
-    if l == before then acc
-    else match l with x :: tl -> delta (x :: acc) tl | [] -> acc
-  in
-  delta [] ctx.candidates
+  emits
 
 (** Top-level sweep over one file, using the final summaries; literal
     includes of project files are spliced so taint crosses file
-    boundaries.  Pure with respect to the state (fresh context per call,
-    read-only summary table), so calls for different files may run
-    concurrently once the function sweeps are done.  Candidates are
-    de-duplicated within the file only; {!finalize} restores the
-    cross-file (and cross-pass) de-duplication. *)
+    boundaries.  Pure with respect to the analysis (fresh context per
+    call, read-only summary table; the include index it memoizes is
+    published atomically), so calls for different files may run
+    concurrently once the function sweeps are done.  Returns every
+    emission, in order; {!finalize} drops the repeats. *)
 let analyze_file_toplevel st ~(units : file_unit list) (u : file_unit) :
     (int * Trace.candidate) list =
   Wap_obs.Trace.with_span ~cat:"taint" "analyze_toplevel"
     ~args:[ ("file", u.path) ]
   @@ fun () ->
-  let ctx =
-    make_ctx ~specs:st.st_specs ~lookup:st.st_lookup ~phase:Full
-      ~summaries:st.st_summaries
+  let index =
+    match Atomic.get st.st_includes with
+    | Some (us, index) when us == units -> index
+    | _ ->
+        let index = include_index units in
+        Atomic.set st.st_includes (Some (units, index));
+        index
   in
-  ctx.file <- u.path;
-  let program = splice_includes ~units ~depth:0 ~visited:[ u.path ] u.program in
+  let ctx = file_ctx st u.path in
+  let program = splice_includes ~index ~depth:0 ~visited:[ u.path ] u.program in
   ignore (exec_stmts ctx Env.empty program);
-  List.rev ctx.candidates
+  List.rev ctx.emits
 
 (* Base names a file's top-level includes resolve against — the exact
    matching [splice_includes] performs, exposed so an incremental
@@ -1351,10 +1311,26 @@ let include_basenames (prog : Ast.program) : string list =
       | _ -> None)
     prog
 
-(** Cross-file/cross-pass de-duplication sweep (first emission wins,
-    exactly like one shared context), then the dead-sink filter:
-    candidates whose sink control flow provably never reaches (after an
-    unconditional exit/die/return/throw) are not vulnerabilities. *)
+(* The de-duplication key of one spec-indexed candidate.  The spec id
+   (not the class acronym) keys the spec so two specs sharing a class
+   de-duplicate independently, like their single-spec runs would.  An
+   origin counts by its source and, for a flow into a sink inside a
+   called function, by its call site: two call sites of one function
+   are two flows, each fixed at its own call. *)
+let indexed_key (id, (c : Trace.candidate)) =
+  let origin_key (o : Trace.origin) =
+    match Trace.call_site o with
+    | None -> o.Trace.source
+    | Some site -> o.Trace.source ^ "@" ^ Loc.to_string site
+  in
+  Printf.sprintf "%s|%s|%d:%d|#%d|%s" c.Trace.file c.Trace.sink_name
+    c.Trace.sink_loc.Loc.line c.Trace.sink_loc.Loc.col id
+    (String.concat "," (List.map origin_key c.Trace.origins))
+
+(** The one de-duplication (first emission wins), then the dead-sink
+    filter: candidates whose sink control flow provably never reaches
+    (after an unconditional exit/die/return/throw) are not
+    vulnerabilities. *)
 let finalize_with ~(is_dead : Loc.t -> bool)
     (cands : (int * Trace.candidate) list) : (int * Trace.candidate) list =
   let seen = Hashtbl.create 64 in
@@ -1394,7 +1370,7 @@ let analyze_project_indexed ?(interprocedural = true)
     (int * Trace.candidate) list =
   let span name f = Wap_obs.Trace.with_span ~cat:"taint" name f in
   let st = project_state ~interprocedural ~specs () in
-  (* pass 1: build summaries without emitting candidates *)
+  (* pass 1: build summaries, keeping each body's walk for pass 2 *)
   if interprocedural then
     span "pass1.summaries" (fun () -> List.iter (summarize_file st) units);
   (* pass 2: refine summaries now that callees are known, and emit

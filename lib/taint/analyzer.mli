@@ -33,11 +33,10 @@ val project_state :
     Sequential, in file order.
 
     The state also keeps, per file (by path, for that exact program),
-    what each function's walk produced: its summary, the result of every
-    summary lookup its body made (the fused summary found, or none), and
-    the real-source candidates a pass-2 walk would emit, with their
-    de-duplication keys, in order.  {!analyze_file_functions} consumes
-    and drops it. *)
+    each function's walk: its summary, the result of every summary
+    lookup its body made (the fused summary found, or none), and every
+    real-source candidate it emitted, in order.
+    {!analyze_file_functions} consumes and drops it. *)
 val summarize_file : project_state -> file_unit -> unit
 
 (** {!summarize_file}, returning the summaries it registered (this
@@ -53,29 +52,29 @@ val summarize_file_delta : project_state -> file_unit -> Summary.fused list
     no pass-1 walks, so pass 2 walks that file's bodies again. *)
 val register_summaries : project_state -> Summary.fused list -> unit
 
-(** Pass-2 step: the candidates found inside one file's function bodies
-    (paired with the finding spec's id, discovery order), refining
-    their summaries now that callees are known.  Sequential, in file
-    order, on the shared state.
+(** Pass-2 step: every candidate one file's function bodies emit
+    (paired with the finding spec's id, in order, repeats included),
+    refining their summaries now that callees are known.  Sequential,
+    in file order, on the shared state: each body's summary is
+    registered before the next body runs.
 
     A body's walk depends only on the body, the spec set, the file and
     what its summary lookups return.  So when pass 1 walked this file
     and every lookup a body made there still returns the physically same
-    summary (or still none), the body is not walked again: its recorded
-    candidates are replayed through the shared de-duplication and its
-    recorded summary is registered, which is exactly what the walk would
-    produce.  Any other body — a callee declared later, re-declared or
-    re-analyzed since, a file with no pass-1 walk — is walked.  The
-    counters [taint.functions_reused] and [taint.functions_reanalyzed]
-    count the two cases. *)
+    summary (or still none), the body is not walked again: pass 1's walk
+    is kept, its summary registered and its emissions returned, which is
+    exactly what walking it again would produce.  Any other body — a
+    callee declared later, re-declared or re-analyzed since, a file with
+    no pass-1 walk — is walked.  The counters [taint.functions_reused]
+    and [taint.functions_reanalyzed] count the two cases. *)
 val analyze_file_functions :
   project_state -> file_unit -> (int * Trace.candidate) list
 
 (** Pass-3 step: top-level flows of one file, with literal includes of
     project files ([units]) spliced in place.  Pure with respect to the
     state (fresh context, read-only summaries), so different files may
-    run concurrently.  Candidates are de-duplicated within the file
-    only; run {!finalize} over the concatenation. *)
+    run concurrently.  Returns every emission, in order, repeats
+    included; run {!finalize} over the concatenation. *)
 val analyze_file_toplevel :
   project_state -> units:file_unit list -> file_unit ->
   (int * Trace.candidate) list
@@ -87,9 +86,11 @@ val analyze_file_toplevel :
     edited one. *)
 val include_basenames : Ast.program -> string list
 
-(** Cross-file/cross-pass de-duplication (first emission wins) followed
-    by the dead-sink filter.  Feed it pass-2 results (in file order)
-    followed by pass-3 results (in file order). *)
+(** The analysis's one de-duplication (first emission wins: a candidate
+    repeating an earlier one's file, sink, position, spec and origins is
+    dropped, whichever walk, file or pass emitted it) followed by the
+    dead-sink filter.  Feed it pass-2 results (in file order) followed
+    by pass-3 results (in file order). *)
 val finalize :
   units:file_unit list ->
   (int * Trace.candidate) list ->

@@ -9,8 +9,9 @@
 #   /metrics  -> well-formed Prometheus text (TYPE lines, request
 #                histogram with +Inf bucket and consistent _count)
 #   /status   -> JSON with ready:true and an open document
-#   /trace    -> well-formed Chrome trace JSON (traceEvents array),
-#                and a second drain succeeds while traffic continues
+#   /trace    -> well-formed Chrome trace JSON (traceEvents array)
+#                holding the didOpen span; a second drain, after a
+#                didChange, holds that span and not didOpen
 #   wap top --once renders the same plane as a terminal view
 #
 # Usage: scripts/admin_smoke.sh  (WAP overrides the binary under test)
@@ -117,11 +118,18 @@ BAD=$(grep -v '^#' "$DIR/metrics" | grep -cEv '^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*
 CODE=$(get /trace "$DIR/trace1")
 [ "$CODE" = 200 ] || fail "/trace answered $CODE"
 grep -q '"traceEvents":\[' "$DIR/trace1" || fail "/trace is not a Chrome trace document"
+grep -q '"name":"textDocument/didOpen"' "$DIR/trace1" \
+  || fail "/trace does not hold the didOpen span"
 frame "{\"jsonrpc\":\"2.0\",\"method\":\"textDocument/didChange\",\"params\":{\"textDocument\":{\"uri\":\"file:///smoke/a.php\"},\"contentChanges\":[{\"text\":\"$VULN\"}]}}" >&3
 sleep 0.5
 CODE=$(get /trace "$DIR/trace2")
 [ "$CODE" = 200 ] || fail "second /trace drain answered $CODE"
 grep -q '"traceEvents":\[' "$DIR/trace2" || fail "second /trace drain is not a Chrome trace document"
+grep -q '"name":"textDocument/didChange"' "$DIR/trace2" \
+  || fail "second /trace drain does not hold the didChange span"
+if grep -q '"name":"textDocument/didOpen"' "$DIR/trace2"; then
+  fail "second /trace drain still holds the drained didOpen span"
+fi
 
 # unknown paths 404
 CODE=$(get /nope "$DIR/nope")

@@ -96,22 +96,25 @@ let test_nosqli_spec () =
 
 let test_lookup () =
   let lookup = Cat.Lookup.of_specs [ Cat.default_spec VC.Sqli ] in
-  Alcotest.(check bool) "superglobal" true (Cat.Lookup.is_superglobal lookup "_GET");
-  Alcotest.(check bool) "not a superglobal" false (Cat.Lookup.is_superglobal lookup "data");
+  Alcotest.(check (list int)) "superglobal" [ 0 ]
+    (Cat.Lookup.superglobal_ids lookup "_GET");
+  Alcotest.(check (list int)) "not a superglobal" []
+    (Cat.Lookup.superglobal_ids lookup "data");
   Alcotest.(check bool) "sink" true
-    (Cat.Lookup.sink_classes_of_fn lookup "mysql_query" <> []);
+    (Cat.Lookup.sink_fn_entries lookup "mysql_query" <> []);
   Alcotest.(check bool) "sink case-insensitive" true
-    (Cat.Lookup.sink_classes_of_fn lookup "MYSQL_QUERY" <> []);
-  Alcotest.(check bool) "sanitizer" true
-    (Cat.Lookup.is_sanitizer_fn lookup "mysql_real_escape_string");
-  Alcotest.(check bool) "not sanitizer" false (Cat.Lookup.is_sanitizer_fn lookup "trim")
+    (Cat.Lookup.sink_fn_entries lookup "MYSQL_QUERY" <> []);
+  Alcotest.(check (list int)) "sanitizer" [ 0 ]
+    (Cat.Lookup.sanitizer_fn_ids lookup "mysql_real_escape_string");
+  Alcotest.(check (list int)) "not sanitizer" []
+    (Cat.Lookup.sanitizer_fn_ids lookup "trim")
 
 let test_wpdb_lookup () =
   let lookup = Cat.Lookup.of_specs [ Cat.default_spec VC.Wp_sqli ] in
-  Alcotest.(check bool) "wpdb->query sink" true
-    (Cat.Lookup.sink_class_of_method lookup "wpdb" "query" <> []);
-  Alcotest.(check bool) "wpdb->prepare sanitizer" true
-    (Cat.Lookup.is_sanitizer_method lookup "wpdb" "prepare")
+  Alcotest.(check (list int)) "wpdb->query sink" [ 0 ]
+    (Cat.Lookup.sink_method_ids lookup "wpdb" "query");
+  Alcotest.(check (list int)) "wpdb->prepare sanitizer" [ 0 ]
+    (Cat.Lookup.sanitizer_method_ids lookup "wpdb" "prepare")
 
 (* ------------------------------------------------------------------ *)
 (* Spec files.                                                         *)

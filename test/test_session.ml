@@ -89,12 +89,25 @@ let test_include_dependents_rerun () =
   let s = S.open_project (request (project ())) in
   (* main.php splices inc.php at top level: editing the includee
      re-runs the includer too (inc.php has no functions, so nothing
-     else) *)
-  let reran = S.update_file s ~path:"inc.php" "<?php $x = $_GET['y']; ?>" in
+     else), and the includer splices the edited program *)
+  let edited = "<?php $x = $_GET['y']; ?>" in
+  let reran = S.update_file s ~path:"inc.php" edited in
   Alcotest.(check (list string))
     "includee + includer"
     [ "inc.php"; "main.php" ]
-    (sorted reran)
+    (sorted reran);
+  let final_sources =
+    List.map
+      (fun (p, src) -> if p = "inc.php" then (p, edited) else (p, src))
+      (project ())
+  in
+  let candidates (o : S.outcome) =
+    List.map Trace.show_candidate o.S.candidates
+  in
+  Alcotest.(check (list string))
+    "session export = fresh scan"
+    (candidates (S.run (request final_sources)))
+    (candidates (S.export s))
 
 let test_add_and_remove () =
   let s = S.open_project (request (project ())) in

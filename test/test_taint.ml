@@ -346,7 +346,16 @@ let test_include_splicing () =
   let cands = An.analyze_project ~spec:(Cat.default_spec VC.Sqli) units in
   Alcotest.(check int) "cross-file flow found" 1 (List.length cands);
   let c = List.hd cands in
-  Alcotest.(check string) "sink attributed to the includer" "index.php" c.Tr.file
+  Alcotest.(check string) "sink attributed to the includer" "index.php" c.Tr.file;
+  (* a base name two files share resolves to the first of them *)
+  let tainted = ("a/config.php", "<?php\n$prefix = $_GET['p'];\n")
+  and clean = ("b/config.php", "<?php\n$prefix = 'c';\n")
+  and index = ("index.php", "<?php\ninclude 'config.php';\nmysql_query($prefix);\n") in
+  let count files =
+    List.length (An.analyze_project ~spec:(Cat.default_spec VC.Sqli) (project files))
+  in
+  Alcotest.(check (pair int int)) "first file of a base name wins" (1, 0)
+    (count [ tainted; clean; index ], count [ clean; tainted; index ])
 
 let test_include_cycle_terminates () =
   let units =
@@ -427,13 +436,38 @@ let test_sink_in_hoisted_function_kept () =
 (* ------------------------------------------------------------------ *)
 (* De-duplication and determinism.                                     *)
 
+(* A loop whose body runs twice, at the top level and in a function. *)
+let loop_twice_src =
+  "<?php\n$x = $_GET['a'];\nwhile ($c) { echo $x; $y = $x; }\n\
+   function f($p) { $q = $_POST['b']; while ($p) { echo $q; $z = $q; } }\n"
+
 let test_candidate_dedup_same_sink () =
   (* one loop analyzed several times must yield one candidate *)
   let cands =
     analyze
       "for ($i = 0; $i < 3; $i++) {\n  mysql_query('SELECT * FROM t WHERE c = ' . $_GET['c']);\n}"
   in
-  Alcotest.(check int) "single candidate" 1 (List.length cands)
+  Alcotest.(check int) "single candidate" 1 (List.length cands);
+  (* every walk returns each emission, one per loop iteration here;
+     finalize keeps the first *)
+  let file = "loop.php" and spec = Cat.default_spec VC.Xss_reflected in
+  let program = Wap_php.Parser.parse_string ~file loop_twice_src in
+  let u = { An.path = file; program } in
+  let st = An.project_state ~specs:[ spec ] () in
+  An.summarize_file st u;
+  let pass2 = An.analyze_file_functions st u in
+  let pass3 = An.analyze_file_toplevel st ~units:[ u ] u in
+  let lines = List.map (fun (_, (c : Tr.candidate)) -> c.Tr.sink_loc.Wap_php.Loc.line) in
+  Alcotest.(check (list int)) "pass 2: the function's echo per iteration" [ 4; 4 ]
+    (lines pass2);
+  Alcotest.(check (list int)) "pass 2 without a pass-1 walk: the same" [ 4; 4 ]
+    (lines (An.analyze_file_functions (An.project_state ~specs:[ spec ] ()) u));
+  Alcotest.(check (list int)) "pass 3: the top-level echo per iteration" [ 3; 3 ]
+    (lines pass3);
+  Alcotest.(check (list int)) "finalize: one per echo" [ 4; 3 ]
+    (lines (An.finalize ~units:[ u ] (pass2 @ pass3)));
+  Alcotest.(check int) "analyze_program: one per echo" 2
+    (List.length (An.analyze_program ~spec ~file program))
 
 let test_dedup_key_groups () =
   let rfi = first ~vclass:VC.Rfi "include($_GET['p']);" in
@@ -454,17 +488,14 @@ let test_determinism () =
 (* ------------------------------------------------------------------ *)
 (* Hostile shapes.                                                     *)
 
-(* A shape of n repetitions must cost O(n).  The source is [first], then
-   [each i] for i = 1..n, then [last n]; [check n] sees its candidates.
-   The minor words the analysis (and [check]) allocates at n = 4,000
-   must stay within 2.5x those at n = 2,000: minor words are
-   deterministic, unlike time. *)
-let shape_allocates_linearly ~first ~each ~last check =
+(* A shape of n repetitions must cost O(n): the minor words [run ()]
+   allocates, for [run = prepare n], must stay within 2.5x at n = 4,000
+   of those at n = 2,000.  Minor words are deterministic, unlike time. *)
+let allocates_linearly prepare =
   let minor_words n =
-    let src = "<?php\n" ^ first ^ String.concat "" (List.init n (fun i -> each (i + 1))) in
-    let program = Wap_php.Parser.parse_string ~file:"shape.php" (src ^ last n) in
+    let run = prepare n in
     let w0 = Gc.minor_words () in
-    check n (An.analyze_program ~spec:(Cat.default_spec VC.Sqli) ~file:"shape.php" program);
+    run ();
     Gc.minor_words () -. w0
   in
   let w2k = minor_words 2000 and w4k = minor_words 4000 in
@@ -472,6 +503,15 @@ let shape_allocates_linearly ~first ~each ~last check =
     (Printf.sprintf "n = 4,000 allocates <= 2.5x n = 2,000 (%.2fx)" (w4k /. w2k))
     true
     (w4k <= 2.5 *. w2k)
+
+(* One file: [first], then [each i] for i = 1..n, then [last n];
+   [check n] sees its candidates, inside the measurement. *)
+let shape_allocates_linearly ~first ~each ~last check =
+  allocates_linearly (fun n ->
+      let src = "<?php\n" ^ first ^ String.concat "" (List.init n (fun i -> each (i + 1))) in
+      let program = Wap_php.Parser.parse_string ~file:"shape.php" (src ^ last n) in
+      fun () ->
+        check n (An.analyze_program ~spec:(Cat.default_spec VC.Sqli) ~file:"shape.php" program))
 
 let one_candidate = function
   | [ c ] -> c
@@ -564,6 +604,21 @@ let test_wide_array_linear () =
     ~last:(fun _ -> ");\nmysql_query($a);\n")
     flows_once
 
+(* n files, file i including file i + 1 and the last echoing [$_GET]:
+   each include resolves by base name in constant time, not by a scan
+   of every file. *)
+let test_include_chain_linear () =
+  allocates_linearly (fun n ->
+      let units =
+        project
+          (List.init n (fun i ->
+               ( Printf.sprintf "f%d.php" i,
+                 if i < n - 1 then Printf.sprintf "<?php\ninclude 'f%d.php';\n" (i + 1)
+                 else "<?php\necho $_GET['x'];\n" )))
+      in
+      fun () ->
+        flows_once n (An.analyze_project ~spec:(Cat.default_spec VC.Xss_reflected) units))
+
 (* ------------------------------------------------------------------ *)
 (* Pass 2 reuses pass 1's walks exactly.                               *)
 
@@ -605,7 +660,8 @@ let test_reuse_corpus_inputs () =
   List.iter
     (fun (name, app) -> ignore (check_reuse_exact name (project app)))
     [ ("blog", Fixtures.blog); ("store", Fixtures.store);
-      ("wp plugin", Fixtures.wp_plugin) ]
+      ("wp plugin", Fixtures.wp_plugin);
+      ("loop twice", [ ("loop.php", loop_twice_src) ]) ]
 
 let test_reuse_forward_call () =
   (* [show] and [page] call [wrap] before pass 1 has seen it: pass 1
@@ -851,7 +907,9 @@ let () =
           Alcotest.test_case "many variables allocate linearly" `Quick
             test_many_variables_linear;
           Alcotest.test_case "wide array literal allocates linearly" `Quick
-            test_wide_array_linear ] );
+            test_wide_array_linear;
+          Alcotest.test_case "include chain allocates linearly" `Quick
+            test_include_chain_linear ] );
       ( "pass-2 reuse",
         [
           Alcotest.test_case "fuzz seeds and fixture apps" `Quick
