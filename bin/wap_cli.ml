@@ -17,7 +17,7 @@
                     socket), re-analyzing only what each edit touches
                     via the session engine;
     - [top]         live terminal view of a running daemon, polling its
-                    admin plane ([/status] + [/metrics]);
+                    admin plane's [/status];
     - [fleet]       shard a directory of projects across spawned worker
                     processes (this binary re-executed in a hidden
                     worker mode) and merge the per-project reports
@@ -188,7 +188,7 @@ let print_scan_stats (outcome : Scan.outcome) =
           (List.fold_left
              (fun acc (_, errs) -> acc + List.length errs)
              0 outcome.Scan.parse_errors) ];
-      [ "detector specs"; string_of_int (List.length outcome.Scan.spec_timings) ];
+      [ "detector specs"; string_of_int (List.length outcome.Scan.spec_reports) ];
       [ "candidates"; string_of_int (List.length r.Wap_core.Tool.candidates) ];
       [ "vulnerabilities"; string_of_int (List.length r.Wap_core.Tool.reported) ];
       [ "predicted false positives";
@@ -208,7 +208,7 @@ let print_scan_stats (outcome : Scan.outcome) =
     List.map
       (fun (s : Session.spec_report) ->
         [ s.Session.sr_spec; string_of_int s.Session.sr_candidates ])
-      outcome.Scan.spec_timings
+      outcome.Scan.spec_reports
   in
   let t3 =
     Tbl.make ~title:"per-detector breakdown"
@@ -568,7 +568,8 @@ let lint_cmd =
         | Some c ->
             let key =
               Wap_engine.Cache.key
-                ("lint" :: path :: Digest.to_hex (Digest.string src) :: rule_ids)
+                (Session.cache_format_version :: "lint" :: path
+                :: Digest.to_hex (Digest.string src) :: rule_ids)
             in
             fst (Wap_engine.Cache.memoize c ~key compute)
       in
@@ -1117,75 +1118,6 @@ let admin_get ~(connect : unit -> Unix.file_descr) (path : string) :
                   Ok (code, Buffer.contents body))
           | _ -> Error ("malformed status line: " ^ status_line)))
 
-(* Rebuild per-method histogram snapshots from scraped
-   wap_serve_request_seconds_* samples, so quantiles are computed
-   client-side from the same buckets Prometheus would use. *)
-let hists_of_samples (samples : Wap_obs.Expo.sample list) ~(base : string) :
-    (string * Wap_obs.Metrics.hist_snapshot) list =
-  let tbl : (string, (float * float) list ref * float ref * int ref) Hashtbl.t
-      =
-    Hashtbl.create 8
-  in
-  let entry m =
-    match Hashtbl.find_opt tbl m with
-    | Some e -> e
-    | None ->
-        let e = (ref [], ref 0., ref 0) in
-        Hashtbl.add tbl m e;
-        e
-  in
-  List.iter
-    (fun (s : Wap_obs.Expo.sample) ->
-      let meth =
-        Option.value
-          (List.assoc_opt "method" s.Wap_obs.Expo.s_labels)
-          ~default:""
-      in
-      let buckets, sum, count = entry meth in
-      if s.Wap_obs.Expo.s_name = base ^ "_bucket" then (
-        match List.assoc_opt "le" s.Wap_obs.Expo.s_labels with
-        | Some "+Inf" | None -> ()
-        | Some le -> (
-            match float_of_string_opt le with
-            | Some b -> buckets := (b, s.Wap_obs.Expo.s_value) :: !buckets
-            | None -> ()))
-      else if s.Wap_obs.Expo.s_name = base ^ "_sum" then
-        sum := s.Wap_obs.Expo.s_value
-      else if s.Wap_obs.Expo.s_name = base ^ "_count" then
-        count := int_of_float s.Wap_obs.Expo.s_value)
-    samples;
-  Hashtbl.fold
-    (fun meth (buckets, sum, count) acc ->
-      if !count = 0 then acc
-      else begin
-        let sorted = List.sort compare !buckets in
-        let bounds = Array.of_list (List.map fst sorted) in
-        (* cumulative scrape counts back to per-bucket counts, plus the
-           overflow slot *)
-        let counts = Array.make (Array.length bounds + 1) 0 in
-        let prev = ref 0 in
-        List.iteri
-          (fun i (_, cum) ->
-            let cum = int_of_float cum in
-            counts.(i) <- max 0 (cum - !prev);
-            prev := cum)
-          sorted;
-        counts.(Array.length bounds) <- max 0 (!count - !prev);
-        ( meth,
-          {
-            Wap_obs.Metrics.h_buckets = bounds;
-            h_counts = counts;
-            h_count = !count;
-            h_sum = !sum;
-            (* the exposition carries no extremes *)
-            h_min = neg_infinity;
-            h_max = infinity;
-          } )
-        :: acc
-      end)
-    tbl []
-  |> List.sort compare
-
 let top_cmd =
   let port =
     Arg.(value & opt (some int) None
@@ -1230,93 +1162,67 @@ let top_cmd =
     | Ok connect ->
         let module Tbl = Wap_report.Table in
         let module Json = Wap_report.Json in
-        (* previous poll's (time, per-method request totals), for rates *)
-        let prev : (float * (string * float) list) option ref = ref None in
+        (* previous poll's (time, request total), for the rate *)
+        let prev : (float * float) option ref = ref None in
         let render () =
-          match (admin_get ~connect "/status", admin_get ~connect "/metrics")
-          with
-          | Error e, _ | _, Error e -> Error e
-          | Ok (sc, _), Ok (mc, _) when sc <> 200 || mc <> 200 ->
-              Error (Printf.sprintf "admin plane answered %d/%d" sc mc)
-          | Ok (_, status_body), Ok (_, metrics_body) -> (
-              match
-                (Json.of_string status_body, Wap_obs.Expo.parse_text metrics_body)
-              with
-              | Error e, _ -> Error ("bad /status JSON: " ^ e)
-              | _, Error e -> Error ("bad /metrics document: " ^ e)
-              | Ok status, Ok parsed ->
+          match admin_get ~connect "/status" with
+          | Error e -> Error e
+          | Ok (code, _) when code <> 200 ->
+              Error (Printf.sprintf "admin plane answered %d" code)
+          | Ok (_, body) -> (
+              match Json.of_string body with
+              | Error e -> Error ("bad /status JSON: " ^ e)
+              | Ok status ->
                   let now = Unix.gettimeofday () in
-                  let samples = parsed.Wap_obs.Expo.p_samples in
-                  let int_field k =
-                    match Json.member k status with
-                    | Some (Json.Int n) -> string_of_int n
-                    | _ -> "n/a"
+                  let num j k =
+                    match Json.member k j with
+                    | Some (Json.Int n) -> Some (float_of_int n)
+                    | Some (Json.Float f) -> Some f
+                    | _ -> None
                   in
-                  let float_field k =
-                    match Json.member k status with
-                    | Some (Json.Float f) -> f
-                    | Some (Json.Int n) -> float_of_int n
-                    | _ -> nan
+                  let show fmt j k =
+                    match num j k with
+                    | Some v -> Printf.sprintf fmt v
+                    | None -> "n/a"
                   in
-                  let requests_by_method =
-                    List.filter_map
-                      (fun (s : Wap_obs.Expo.sample) ->
-                        if s.Wap_obs.Expo.s_name = "wap_serve_requests_total"
-                        then
-                          Some
-                            ( Option.value
-                                (List.assoc_opt "method"
-                                   s.Wap_obs.Expo.s_labels)
-                                ~default:"",
-                              s.Wap_obs.Expo.s_value )
-                        else None)
-                      samples
-                  in
-                  let total l = List.fold_left (fun a (_, v) -> a +. v) 0. l in
+                  let requests = num status "requests" in
                   let rate =
-                    match !prev with
-                    | Some (t0, prev_reqs) when now > t0 ->
-                        Printf.sprintf "%.1f"
-                          ((total requests_by_method -. total prev_reqs)
-                          /. (now -. t0))
+                    match (!prev, requests) with
+                    | Some (t0, n0), Some n when now > t0 ->
+                        Printf.sprintf "%.1f" ((n -. n0) /. (now -. t0))
                     | _ -> "n/a"
                   in
-                  prev := Some (now, requests_by_method);
-                  let uptime =
-                    let u = float_field "uptime_seconds" in
-                    if Float.is_nan u then "n/a"
-                    else Printf.sprintf "%.0fs" u
-                  in
+                  Option.iter (fun n -> prev := Some (now, n)) requests;
+                  let field = show "%.0f" status in
                   let overview =
                     Tbl.make ~title:"wap serve"
                       ~header:[ "fact"; "value" ]
                       [
-                        [ "uptime"; uptime ];
+                        [ "uptime"; show "%.0fs" status "uptime_seconds" ];
                         [ "requests/s"; rate ];
-                        [ "requests"; int_field "requests" ];
-                        [ "errors"; int_field "errors" ];
-                        [ "open documents"; int_field "open_documents" ];
-                        [ "session files"; int_field "session_files" ];
-                        [ "candidates"; int_field "session_candidates" ];
-                        [ "generation"; int_field "generation" ];
-                        [ "last edit reanalyzed"; int_field "last_reanalyzed" ];
-                        [ "rss bytes"; int_field "rss_bytes" ];
+                        [ "requests"; field "requests" ];
+                        [ "errors"; field "errors" ];
+                        [ "open documents"; field "open_documents" ];
+                        [ "session files"; field "session_files" ];
+                        [ "candidates"; field "session_candidates" ];
+                        [ "generation"; field "generation" ];
+                        [ "last edit reanalyzed"; field "last_reanalyzed" ];
+                        [ "rss bytes"; field "rss_bytes" ];
                       ]
                   in
-                  let q_ms h q =
-                    let v = Wap_obs.Metrics.quantile_of_snapshot h q in
-                    if Float.is_nan v then "n/a"
-                    else Printf.sprintf "%.3f" (1e3 *. v)
-                  in
                   let lat_rows =
-                    hists_of_samples samples ~base:"wap_serve_request_seconds"
-                    |> List.map (fun (meth, h) ->
-                           [
-                             (if meth = "" then "(all)" else meth);
-                             string_of_int h.Wap_obs.Metrics.h_count;
-                             q_ms h 0.5;
-                             q_ms h 0.95;
-                           ])
+                    match Json.member "methods" status with
+                    | Some (Json.Obj methods) ->
+                        List.map
+                          (fun (meth, m) ->
+                            [
+                              meth;
+                              show "%.0f" m "requests";
+                              show "%.3f" m "p50_ms";
+                              show "%.3f" m "p95_ms";
+                            ])
+                          methods
+                    | _ -> []
                   in
                   let latency =
                     Tbl.make ~title:"request latency (ms)"
@@ -1346,8 +1252,8 @@ let top_cmd =
   in
   let doc =
     "Live terminal view of a running wap serve daemon: polls its admin \
-     plane (/status and /metrics) and renders requests/s, per-method p50/p95 \
-     latency, session counts and last-edit reanalysis counts.  Point it at \
+     plane's /status and renders requests/s, per-method p50/p95 latency, \
+     session counts and last-edit reanalysis counts.  Point it at \
      the daemon's --admin-port or --admin-socket; --once prints a single \
      frame for scripting."
   in

@@ -131,7 +131,7 @@ module Scan = struct
         (** the ASTs the scan analyzed, input order *)
     parse_errors : (string * Wap_php.Parser.recovered_error list) list;
         (** recovered errors of the files that needed recovery *)
-    spec_timings : Session.spec_report list;  (** spec order *)
+    spec_reports : Session.spec_report list;  (** spec order *)
     jobs_used : int;
     cache_hits : int;
     cache_misses : int;
@@ -213,7 +213,7 @@ module Scan = struct
             | [] -> None
             | errs -> Some (r.Session.fr_path, errs))
           engine.Session.file_reports;
-      spec_timings = engine.Session.spec_reports;
+      spec_reports = engine.Session.spec_reports;
       jobs_used = engine.Session.jobs_used;
       cache_hits = engine.Session.cache_hits;
       cache_misses = engine.Session.cache_misses;

@@ -117,7 +117,7 @@ module Scan : sig
             [parse_errors] only) *)
     parse_errors : (string * Wap_php.Parser.recovered_error list) list;
         (** recovered errors of the files that needed recovery *)
-    spec_timings : Wap_engine.Session.spec_report list;  (** spec order *)
+    spec_reports : Wap_engine.Session.spec_report list;  (** spec order *)
     jobs_used : int;
     cache_hits : int;
     cache_misses : int;

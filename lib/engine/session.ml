@@ -77,27 +77,25 @@ let spec_label (s : Cat.spec) =
   ^ "/"
   ^ Wap_catalog.Vuln_class.acronym s.Cat.vclass
 
-(* Total order of the deterministic merge: sink file, then sink
-   location, then the spec's position in the active set, then discovery
-   order inside that spec.  The location-major order is what users see;
-   the two trailing components pin down ties (e.g. RFI and LFI both
-   firing on one include) so the later de-duplication keeps the same
-   representative as a sequential spec-by-spec run. *)
-let merge_compare (si, qi, (a : Trace.candidate)) (sj, qj, (b : Trace.candidate))
-    =
-  let c = String.compare a.Trace.file b.Trace.file in
-  if c <> 0 then c
-  else
-    let c =
-      compare a.Trace.sink_loc.Loc.line b.Trace.sink_loc.Loc.line
-    in
-    if c <> 0 then c
-    else
-      let c = compare a.Trace.sink_loc.Loc.col b.Trace.sink_loc.Loc.col in
+(* The deterministic merge: a stable sort by sink file, then sink
+   location, then the spec's position in the active set.  The
+   location-major order is what users see; the spec index pins down
+   ties (e.g. RFI and LFI both firing on one include), and stability
+   keeps each spec's candidates at one sink in discovery order, so the
+   later de-duplication keeps the same representative as a sequential
+   spec-by-spec run. *)
+let merge (cands : (int * Trace.candidate) list) =
+  List.stable_sort
+    (fun (si, (a : Trace.candidate)) (sj, (b : Trace.candidate)) ->
+      let c = String.compare a.Trace.file b.Trace.file in
       if c <> 0 then c
       else
-        let c = compare (si : int) sj in
-        if c <> 0 then c else compare (qi : int) qj
+        let c = compare a.Trace.sink_loc.Loc.line b.Trace.sink_loc.Loc.line in
+        if c <> 0 then c
+        else
+          let c = compare a.Trace.sink_loc.Loc.col b.Trace.sink_loc.Loc.col in
+          if c <> 0 then c else compare (si : int) sj)
+    cands
 
 (* [timed name f] runs [f] under a span and returns its result plus the
    wall clock it took — the per-phase breakdown surfaced by [--stats]
@@ -143,7 +141,7 @@ type t = {
          makes the shared summary table stale *)
   mutable s_phases : (string * float) list;  (* parse/digest/analyze of open *)
   mutable s_finalized : (int * Trace.candidate) list option;
-      (* memoized finalize; every mutation drops it *)
+      (* memoized finalize, in merge order; every mutation drops it *)
 }
 
 let generation t = t.s_generation
@@ -438,10 +436,11 @@ let open_project (req : request) : t =
 
 (* De-duplication + dead-sink filter over the retained per-file pass
    results — [Analyzer.finalize] with the dead sets kept per file, so
-   an edit rebuilds one file's set, not the whole project's.  Memoized
-   until the next mutation: repeated [diagnostics] calls between edits
-   are free. *)
-let finalized t =
+   an edit rebuilds one file's set, not the whole project's — in merge
+   order.  The pass lists are in discovery order, so [merge]'s stable
+   sort needs no discovery index.  Memoized until the next mutation:
+   repeated [diagnostics] calls between edits are free. *)
+let all_diagnostics t =
   match t.s_finalized with
   | Some f -> f
   | None ->
@@ -456,27 +455,9 @@ let finalized t =
           (fun d -> Wap_flow.Reach.is_dead (Lazy.force d) loc)
           (Hashtbl.find_all by_path loc.Loc.file)
       in
-      let f = An.finalize_with ~is_dead (pass2 @ pass3) in
+      let f = merge (An.finalize_with ~is_dead (pass2 @ pass3)) in
       t.s_finalized <- Some f;
       f
-
-(* Candidates grouped per spec id (stable, preserving discovery
-   order). *)
-let grouped t : (int * Trace.candidate list) list =
-  let f = finalized t in
-  List.mapi
-    (fun si _ ->
-      (si, List.filter_map (fun (j, c) -> if j = si then Some c else None) f))
-    t.s_specs
-
-let merge groups =
-  groups
-  |> List.concat_map (fun (si, cands) ->
-         List.mapi (fun qi c -> (si, qi, c)) cands)
-  |> List.sort merge_compare
-  |> List.map (fun (si, _, c) -> (si, c))
-
-let all_diagnostics t = merge (grouped t)
 
 let diagnostics t ~path =
   List.filter (fun (_, c) -> c.Trace.file = path) (all_diagnostics t)
@@ -484,14 +465,16 @@ let diagnostics t ~path =
 let export t : outcome =
   let (reports, candidates), t_merge =
     timed "phase.merge" (fun () ->
-        let groups = grouped t in
+        let f = all_diagnostics t in
+        let counts = Array.make (List.length t.s_specs) 0 in
+        List.iter (fun (si, _) -> counts.(si) <- counts.(si) + 1) f;
         let reports =
-          List.map2
-            (fun spec (_, cands) ->
-              { sr_spec = spec_label spec; sr_candidates = List.length cands })
-            t.s_specs groups
+          List.mapi
+            (fun si spec ->
+              { sr_spec = spec_label spec; sr_candidates = counts.(si) })
+            t.s_specs
         in
-        (reports, List.map snd (merge groups)))
+        (reports, List.map snd f))
   in
   {
     units = units_of t;

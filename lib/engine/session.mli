@@ -161,21 +161,22 @@ val add_file : t -> path:string -> string -> string list
     path is a no-op returning [[]]. *)
 val remove_file : t -> path:string -> string list
 
-(** The deterministic merge order of the engine: per-spec groups
-    [(spec index, candidates in discovery order)] flattened and sorted
-    by sink file, then sink location, ties broken by spec index and
-    discovery order.  {!all_diagnostics} is [merge] over the finalized
-    groups; merging one [Wap_taint.Analyzer.analyze_project] run per
-    spec gives the reference it must equal. *)
+(** The deterministic merge order of the engine: [(spec index,
+    candidate)] pairs stably sorted by sink file, then sink location,
+    then spec index, so each spec's candidates at one sink keep their
+    input order.  {!all_diagnostics} is [merge] over the finalized
+    pass lists, which are in discovery order; merging one
+    [Wap_taint.Analyzer.analyze_project] run per spec, flattened in
+    spec order, gives the reference it must equal. *)
 val merge :
-  (int * Wap_taint.Trace.candidate list) list ->
+  (int * Wap_taint.Trace.candidate) list ->
   (int * Wap_taint.Trace.candidate) list
 
 (** Finalized (de-duplicated, dead-sink-filtered) candidates of the
     whole project in the deterministic merge order, each paired with
     the index of the spec that found it (position in {!specs}).  The
-    finalize is memoized until the next mutation, so calling it
-    repeatedly between edits is cheap. *)
+    finalized, merged list is memoized until the next mutation, so
+    calling it repeatedly between edits is cheap. *)
 val all_diagnostics : t -> (int * Wap_taint.Trace.candidate) list
 
 (** {!all_diagnostics} restricted to candidates whose sink file is

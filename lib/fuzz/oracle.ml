@@ -171,10 +171,13 @@ let scan_fused_equiv ctx case =
   let units = (S.export s).units in
   let reference =
     S.merge
-      (List.mapi
-         (fun i spec ->
-           (i, List.map snd (rewalk_reference ~specs:[ spec ] units)))
-         specs)
+      (List.concat
+         (List.mapi
+            (fun i spec ->
+              List.map
+                (fun (_, c) -> (i, c))
+                (rewalk_reference ~specs:[ spec ] units))
+            specs))
   in
   let render = List.map (fun (i, c) -> (i, Wap_taint.Trace.show_candidate c)) in
   if render (S.all_diagnostics s) = render reference then Pass

@@ -1,5 +1,5 @@
 (** Prometheus text-format exposition of a {!Metrics} registry, plus
-    the strict parser the tests and [wap top] read it back with. *)
+    the strict parser the tests read it back with. *)
 
 (* ------------------------------------------------------------------ *)
 (* Name and label plumbing.                                            *)

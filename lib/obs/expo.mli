@@ -12,9 +12,7 @@
 
     {!parse_text} is the deliberately strict reader of that format used
     by the test suite (round-trip proofs: escaping, bucket
-    cumulativity, [_sum]/[_count] consistency) and by [wap top] (which
-    rebuilds histogram snapshots from scraped buckets to compute
-    quantiles client-side). *)
+    cumulativity, [_sum]/[_count] consistency). *)
 
 (** Render the registry's current state as a Prometheus text document.
     Metric names get a [wap_] namespace prefix.  Ends with a newline;

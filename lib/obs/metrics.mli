@@ -79,17 +79,12 @@ val hist_snapshot : histogram -> hist_snapshot
     on an empty histogram. *)
 val quantile : histogram -> float -> float
 
-(** {!quantile} over an already-taken snapshot (used by consumers that
-    only have exposition data, e.g. [wap top]). *)
-val quantile_of_snapshot : hist_snapshot -> float -> float
-
-(** {!quantile_of_snapshot} clamped to [[h_min, h_max]]: with few
-    observations, interpolating inside a wide bucket can land far from
-    every observed value (one 5.3 ms observation in the (5, 25] ms
-    bucket reads p50 = 15 ms); the clamp keeps it within the data.
-    [--stats] renders this one.  A snapshot rebuilt from exposition
-    data has no extremes; giving it [neg_infinity, infinity] leaves it
-    unclamped. *)
+(** {!quantile} over an already-taken snapshot, clamped to
+    [[h_min, h_max]]: with few observations, interpolating inside a
+    wide bucket can land far from every observed value (one 5.3 ms
+    observation in the (5, 25] ms bucket reads p50 = 15 ms); the clamp
+    keeps it within the data.  [--stats] and the daemon's [/status]
+    render this one. *)
 val clamped_quantile : hist_snapshot -> float -> float
 
 (** {2 Registry-wide views} *)

@@ -53,7 +53,15 @@ type buf = {
   b_names : string array;  (** ring: event names *)
   b_cats : string array;  (** ring: event categories *)
   b_args : (string * string) list array;  (** ring: event args *)
-  mutable b_dropped : int;  (** ring: events overwritten on overflow *)
+  mutable b_dropped : int;
+      (** ring: events overwritten on overflow; nothing reads it since
+          {!dropped} counts only what no drain served *)
+  mutable b_drained : int;  (** ring: [b_count] at the last {!drain} *)
+  mutable b_lost : int;
+      (** ring: events below [b_drained] that the ring evicted before a
+          drain returned them *)
+  mutable b_mark : event list;
+      (** unbounded mode: [b_events] at the last {!drain} *)
 }
 
 and t = {
@@ -108,6 +116,9 @@ let dummy_buf =
     b_cats = [||];
     b_args = [||];
     b_dropped = 0;
+    b_drained = 0;
+    b_lost = 0;
+    b_mark = [];
   }
 
 let dls_buf : buf Domain.DLS.key = Domain.DLS.new_key (fun () -> dummy_buf)
@@ -137,6 +148,9 @@ let register (t : t) : buf =
             b_cats = Array.make cap "";
             b_args = Array.make cap [];
             b_dropped = 0;
+            b_drained = 0;
+            b_lost = 0;
+            b_mark = [];
           }
         in
         Hashtbl.add t.bufs tid b;
@@ -198,38 +212,33 @@ let record b ~name ~cat ~ts ~dur ~depth ~args ~instant =
   end;
   b.b_count <- b.b_count + 1
 
-(* The buffer's events, oldest first.  In ring mode the slots are read
-   from [head - stored] forward; a concurrent push may tear the window
-   by one event, which the (single-digit-Hz) admin poller tolerates. *)
-let buf_events (b : buf) : event list =
+(* The ring's events numbered [lo, hi) that it still holds, oldest
+   first.  Event [k] sits in slot [k mod cap]: [record] writes slot
+   [b_head], and nothing else moves the head, so [b_head = b_count mod
+   cap].  Pushes concurrent with the read can only overwrite the oldest
+   slots of a window as long as the ring, which the (single-digit-Hz)
+   admin poller tolerates. *)
+let ring_events (b : buf) ~lo ~hi : event list =
   let cap = b.b_cap in
-  if cap = 0 then List.rev b.b_events
-  else
-    let n = b.b_stored in
-    let start = ((b.b_head - n) mod cap + cap) mod cap in
-    List.init n (fun k ->
-        let i = (start + k) mod cap in
-        let j = 3 * i in
-        let packed = b.b_ints.(j + 2) in
-        {
-          ev_name = b.b_names.(i);
-          ev_cat = b.b_cats.(i);
-          ev_ts_ns = b.b_ints.(j);
-          ev_dur_ns = b.b_ints.(j + 1);
-          ev_tid = b.b_tid;
-          ev_depth = packed lsr 1;
-          ev_args = b.b_args.(i);
-          ev_instant = packed land 1 = 1;
-        })
+  let lo = max lo (hi - cap) in
+  List.init (max 0 (hi - lo)) (fun d ->
+      let i = (lo + d) mod cap in
+      let j = 3 * i in
+      let packed = b.b_ints.(j + 2) in
+      {
+        ev_name = b.b_names.(i);
+        ev_cat = b.b_cats.(i);
+        ev_ts_ns = b.b_ints.(j);
+        ev_dur_ns = b.b_ints.(j + 1);
+        ev_tid = b.b_tid;
+        ev_depth = packed lsr 1;
+        ev_args = b.b_args.(i);
+        ev_instant = packed land 1 = 1;
+      })
 
-let clear_buf (b : buf) =
-  b.b_events <- [];
-  (* drop heap references the ring still holds; the ints can stay *)
-  Array.fill b.b_names 0 b.b_cap "";
-  Array.fill b.b_cats 0 b.b_cap "";
-  Array.fill b.b_args 0 b.b_cap [];
-  b.b_head <- 0;
-  b.b_stored <- 0
+let buf_events (b : buf) : event list =
+  if b.b_cap = 0 then List.rev b.b_events
+  else ring_events b ~lo:0 ~hi:b.b_count
 
 let with_span ?(args = []) ~cat name (f : unit -> 'a) : 'a =
   match Atomic.get global_tracer with
@@ -280,10 +289,40 @@ let all_bufs (t : t) =
 let events (t : t) : event list =
   sort_events (List.concat_map buf_events (all_bufs t))
 
+(* Ring events numbered [b_drained, hi - cap) left the ring before a
+   drain returned them. *)
+let unserved (b : buf) ~hi = max 0 (hi - b.b_cap - b.b_drained)
+
+(* A read: a buffer only moves its cursor, so [events] and [write]
+   still see everything a drain returned.  The cursor is read once and
+   the events are taken up to it — by event number in a ring, up to the
+   cell the last drain started from in a list — so an event recorded
+   during a drain is served by exactly one of two consecutive drains. *)
+let drain_buf (b : buf) : event list =
+  if b.b_cap = 0 then begin
+    let mark = b.b_mark and l = b.b_events in
+    let rec since acc = function
+      | cell when cell == mark -> acc
+      | e :: rest -> since (e :: acc) rest
+      | [] -> acc
+    in
+    b.b_mark <- l;
+    since [] l
+  end
+  else begin
+    let hi = b.b_count in
+    let evs = ring_events b ~lo:b.b_drained ~hi in
+    b.b_lost <- b.b_lost + unserved b ~hi;
+    b.b_drained <- hi;
+    evs
+  end
+
+(* under the registration lock, which also keeps two drains from
+   interleaving their cursor updates *)
 let drain (t : t) : event list =
-  let bufs = all_bufs t in
-  let evs = List.concat_map buf_events bufs in
-  List.iter clear_buf bufs;
+  Mutex.lock t.lock;
+  let evs = Hashtbl.fold (fun _ b acc -> drain_buf b @ acc) t.bufs [] in
+  Mutex.unlock t.lock;
   sort_events evs
 
 let event_count (t : t) : int =
@@ -294,7 +333,13 @@ let event_count (t : t) : int =
 
 let dropped (t : t) : int =
   Mutex.lock t.lock;
-  let n = Hashtbl.fold (fun _ b acc -> acc + b.b_dropped) t.bufs 0 in
+  let n =
+    Hashtbl.fold
+      (fun _ b acc ->
+        if b.b_cap = 0 then acc
+        else acc + b.b_lost + unserved b ~hi:b.b_count)
+      t.bufs 0
+  in
   Mutex.unlock t.lock;
   n
 

@@ -61,18 +61,26 @@ val instant : ?args:(string * string) list -> cat:string -> string -> unit
     domains joined). *)
 val events : t -> event list
 
-(** Remove and return the buffered events (sorted like {!events}),
-    leaving every buffer empty — what [GET /trace] serves from a live
-    daemon, so each poll sees only what happened since the last one.
-    Span depths and the {!dropped} tally are preserved.  Safe to call
-    while other domains trace; an event pushed concurrently with the
-    drain may land in either poll. *)
+(** The events recorded since the previous [drain] (sorted like
+    {!events}) — what [GET /trace] serves from a live daemon, so each
+    poll sees only what happened since the last one.  A read: each
+    buffer only advances a cursor, so {!events} and {!write} still
+    return every drained event (in ring mode, until the ring evicts
+    it).  Safe to call while other domains trace: an event pushed
+    concurrently with a drain is returned by exactly that drain or the
+    next one.  The one tear: when a ring filled up since the last
+    drain, concurrent pushes may overwrite the oldest events of the
+    window being read. *)
 val drain : t -> event list
 
 val event_count : t -> int
 
-(** Events evicted by ring overflow since creation (0 when
-    unbounded). *)
+(** Ring events that left their ring before any {!drain} returned them:
+    events a [/trace] poller missed by falling behind, or, when nothing
+    drains, every overflow eviction (what {!events} and {!write} no
+    longer hold).  An event evicted after a drain returned it is not
+    counted, so a poller that keeps up reads 0.  Always 0 when
+    unbounded. *)
 val dropped : t -> int
 
 (** The trace as a Chrome trace-event JSON document

@@ -39,10 +39,10 @@ let handle_path (src : source) (path : string) : response =
         body = Json.to_string ~indent:true (src.status ()) ^ "\n";
       }
   | "/trace" ->
-      (* Drain: each poll serves only the window since the last one, so
-         a dashboard polling [/trace] sees a live stream and ring memory
-         is reclaimed.  Without a ring tracer the document is a valid,
-         empty trace. *)
+      (* Each poll serves only the window since the last one, so a
+         dashboard polling [/trace] sees a live stream; the drain moves
+         a cursor and erases nothing.  Without a tracer the document is
+         a valid, empty trace. *)
       let events =
         match src.tracer () with Some t -> Trace.drain t | None -> []
       in
@@ -99,8 +99,8 @@ let listen_unix ~path =
 
 (* The admin domain spends its life blocked in [accept]; it is never
    joined — when the serving domain exits the process, the runtime
-   tears it down.  The admin plane only reads (word-sized mirror
-   fields, metric cells, the trace ring), so there is nothing to flush
+   tears it down.  The admin plane only reads (metric cells, the trace
+   buffers, the server's session field), so there is nothing to flush
    on the way out. *)
 let spawn (src : source) sock : unit =
   ignore

@@ -11,13 +11,16 @@
       first [didOpen] arrived), [503] before;
     - [GET /status] — one JSON document of operational facts (uptime,
       generation, open documents, session file/candidate counts,
-      request and error totals, RSS);
-    - [GET /trace] — {e drains} the bounded trace ring as Chrome
-      trace-event JSON: each poll returns the window since the last.
+      request and error totals, per-method request counts and p50/p95
+      latencies, RSS);
+    - [GET /trace] — {e drains} the tracer as Chrome trace-event JSON:
+      each poll returns the events recorded since the last
+      ({!Wap_obs.Trace.drain}, which erases nothing).
 
     The admin plane is read-only by construction: it never mutates the
-    session or the documents, so scan results cannot depend on whether
-    anyone is scraping. *)
+    session, the documents, the metrics or the recorded trace, so scan
+    results and [--trace-out] files cannot depend on whether anyone is
+    scraping. *)
 
 type source = {
   ready : unit -> bool;  (** [/readyz] predicate *)

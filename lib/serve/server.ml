@@ -40,25 +40,26 @@ type t = {
   mutable shutdown_requested : bool;
   mutable finished : bool;
   mutable next_rid : int;  (** request ids, for the ambient log context *)
-  (* Monitoring mirrors: written only by the serving domain (after each
-     message), read by the admin domain.  All word-sized, so the
-     cross-domain reads are tear-free; the admin plane never touches
-     the session itself. *)
-  mutable m_requests : int;
-  mutable m_errors : int;
-  mutable m_ready : bool;
-  mutable m_open_docs : int;
-  mutable m_generation : int;
-  mutable m_files : int;
-  mutable m_candidates : int;
-  mutable m_last_reanalyzed : int;
-      (** files the most recent document mutation re-analyzed *)
 }
+
+(* The daemon's state as the admin plane reads it: [serve.*] gauges of
+   {!Metrics.global}, which the serving domain sets after each document
+   mutation. *)
+let set_gauge name v =
+  Metrics.set (Metrics.gauge ("serve." ^ name)) (float_of_int v)
 
 let create ?jobs ?slow_ms (tool : Tool.t) : t =
   (* registered (at zero) up front so a scrape before the first request
      already sees the serve families *)
-  Metrics.set (Metrics.gauge "serve.open_documents") 0.;
+  List.iter
+    (fun name -> set_gauge name 0)
+    [
+      "open_documents";
+      "session_generation";
+      "session_files";
+      "session_candidates";
+      "last_reanalyzed";
+    ];
   ignore (Metrics.counter "serve.connections");
   ignore (Metrics.counter "serve.rejected_frames");
   {
@@ -74,14 +75,6 @@ let create ?jobs ?slow_ms (tool : Tool.t) : t =
     shutdown_requested = false;
     finished = false;
     next_rid = 0;
-    m_requests = 0;
-    m_errors = 0;
-    m_ready = false;
-    m_open_docs = 0;
-    m_generation = 0;
-    m_files = 0;
-    m_candidates = 0;
-    m_last_reanalyzed = 0;
   }
 
 let finished t = t.finished
@@ -157,6 +150,18 @@ let drop t ~path : string list =
       match t.session with
       | Some s -> Session.remove_file s ~path
       | None -> [])
+
+(* Set the gauges after a didOpen/didChange/didClose, the only messages
+   that change what they count. *)
+let record_mutation t ~(reanalyzed : string list) =
+  set_gauge "open_documents" (Hashtbl.length t.docs);
+  set_gauge "last_reanalyzed" (List.length reanalyzed);
+  match t.session with
+  | None -> ()
+  | Some s ->
+      set_gauge "session_generation" (Session.generation s);
+      set_gauge "session_files" (List.length (Session.paths s));
+      set_gauge "session_candidates" (List.length (Session.all_diagnostics s))
 
 (* ------------------------------------------------------------------ *)
 (* Diagnostics.                                                        *)
@@ -243,7 +248,7 @@ let did_open t params : Json.t list =
       let path = path_of_uri uri in
       Hashtbl.replace t.docs uri path;
       let reran = upsert t ~path text in
-      t.m_last_reanalyzed <- List.length reran;
+      record_mutation t ~reanalyzed:reran;
       Log.info
         ~fields:
           [ ("uri", uri); ("reanalyzed", string_of_int (List.length reran)) ]
@@ -269,7 +274,7 @@ let did_change t params : Json.t list =
       let path = path_of_uri uri in
       Hashtbl.replace t.docs uri path;
       let reran = upsert t ~path text in
-      t.m_last_reanalyzed <- List.length reran;
+      record_mutation t ~reanalyzed:reran;
       Log.debug
         ~fields:
           [ ("uri", uri); ("reanalyzed", string_of_int (List.length reran)) ]
@@ -288,7 +293,7 @@ let did_close t params : Json.t list =
         | None -> path_of_uri uri
       in
       Hashtbl.remove t.docs uri;
-      t.m_last_reanalyzed <- List.length (drop t ~path);
+      record_mutation t ~reanalyzed:(drop t ~path);
       let clear =
         (* Closing a document always clears its diagnostics on the
            client; skip only if we never published any. *)
@@ -493,36 +498,10 @@ let is_error_msg = function
   | Json.Obj fields -> List.mem_assoc "error" fields
   | _ -> false
 
-(* Refresh the admin plane's mirror fields and gauges — called in the
-   serving domain after every message, so the admin domain only ever
-   reads plain word-sized values. *)
-let refresh_mirrors t =
-  t.m_ready <- t.session <> None;
-  t.m_open_docs <- Hashtbl.length t.docs;
-  Metrics.set
-    (Metrics.gauge "serve.open_documents")
-    (float_of_int t.m_open_docs);
-  match t.session with
-  | None -> ()
-  | Some s ->
-      t.m_generation <- Session.generation s;
-      t.m_files <- List.length (Session.paths s);
-      t.m_candidates <- List.length (Session.all_diagnostics s);
-      Metrics.set
-        (Metrics.gauge "serve.session_generation")
-        (float_of_int t.m_generation);
-      Metrics.set
-        (Metrics.gauge "serve.session_files")
-        (float_of_int t.m_files);
-      Metrics.set
-        (Metrics.gauge "serve.session_candidates")
-        (float_of_int t.m_candidates)
-
 let handle (t : t) (msg : Json.t) : Json.t list =
   let meth = Option.value (Rpc.meth msg) ~default:"(none)" in
   let rid = t.next_rid in
   t.next_rid <- rid + 1;
-  t.m_requests <- t.m_requests + 1;
   Log.with_context [ ("rid", string_of_int rid) ] (fun () ->
       let t0 = Unix.gettimeofday () in
       let out =
@@ -534,16 +513,13 @@ let handle (t : t) (msg : Json.t) : Json.t list =
       Metrics.incr (Metrics.counter ("serve.requests." ^ m));
       Metrics.observe (Metrics.histogram ("serve.request_seconds." ^ m)) dt;
       let errors = List.length (List.filter is_error_msg out) in
-      if errors > 0 then begin
-        t.m_errors <- t.m_errors + errors;
-        Metrics.incr ~by:errors (Metrics.counter ("serve.errors." ^ m))
-      end;
+      if errors > 0 then
+        Metrics.incr ~by:errors (Metrics.counter ("serve.errors." ^ m));
       if dt > t.slow_s then
         Log.warn
           ~fields:
             [ ("method", meth); ("ms", Printf.sprintf "%.1f" (dt *. 1000.)) ]
           "slow request";
-      refresh_mirrors t;
       out)
 
 (* ------------------------------------------------------------------ *)
@@ -625,17 +601,51 @@ let run_tcp (t : t) ~port : unit =
     ~finally:(fun () -> try Unix.close sock with _ -> ())
     (fun () -> accept_loop t sock)
 
-(* Introspection for tests. *)
-let session t = t.session
-
 (* ------------------------------------------------------------------ *)
-(* Admin plane surface.  Everything here reads mirror fields the
-   serving domain refreshed after its last message — safe from any
-   domain, never touching the session. *)
+(* Admin plane surface.  Everything here reads the registry, the tracer
+   and the word-sized [session] field — safe from any domain, never
+   touching the session itself. *)
 
-let ready t = t.m_ready
+let ready t = Option.is_some t.session
 
 let status_json t : Json.t =
+  let snap = Metrics.snapshot Metrics.global in
+  let gauge name =
+    match List.assoc_opt ("serve." ^ name) snap.Metrics.gauges with
+    | Some v -> Json.Int (int_of_float v)
+    | None -> Json.Int 0
+  in
+  (* the entries named [prefix ^ tail], as (tail, value) *)
+  let under prefix entries =
+    let n = String.length prefix in
+    List.filter_map
+      (fun (k, v) ->
+        if String.starts_with ~prefix k then
+          Some (String.sub k n (String.length k - n), v)
+        else None)
+      entries
+  in
+  let total prefix =
+    Json.Int
+      (List.fold_left (fun acc (_, n) -> acc + n) 0
+         (under prefix snap.Metrics.counters))
+  in
+  let methods =
+    List.filter_map
+      (fun (meth, (h : Metrics.hist_snapshot)) ->
+        if h.Metrics.h_count = 0 then None
+        else
+          let ms q = Json.Float (1e3 *. Metrics.clamped_quantile h q) in
+          Some
+            ( meth,
+              Json.Obj
+                [
+                  ("requests", Json.Int h.Metrics.h_count);
+                  ("p50_ms", ms 0.5);
+                  ("p95_ms", ms 0.95);
+                ] ))
+      (under "serve.request_seconds." snap.Metrics.histograms)
+  in
   let tracer_fields =
     match Span.global () with
     | Some tr ->
@@ -655,14 +665,15 @@ let status_json t : Json.t =
        ("service", Json.Str "wap serve");
        ("version", Json.Str (Wap_core.Version.name t.tool.Tool.version));
        ("uptime_seconds", Json.Float (Unix.gettimeofday () -. t.start_time));
-       ("ready", Json.Bool t.m_ready);
-       ("generation", Json.Int t.m_generation);
-       ("open_documents", Json.Int t.m_open_docs);
-       ("session_files", Json.Int t.m_files);
-       ("session_candidates", Json.Int t.m_candidates);
-       ("requests", Json.Int t.m_requests);
-       ("errors", Json.Int t.m_errors);
-       ("last_reanalyzed", Json.Int t.m_last_reanalyzed);
+       ("ready", Json.Bool (ready t));
+       ("generation", gauge "session_generation");
+       ("open_documents", gauge "open_documents");
+       ("session_files", gauge "session_files");
+       ("session_candidates", gauge "session_candidates");
+       ("requests", total "serve.requests.");
+       ("errors", total "serve.errors.");
+       ("last_reanalyzed", gauge "last_reanalyzed");
+       ("methods", Json.Obj methods);
      ]
     @ tracer_fields @ rss_fields)
 

@@ -53,21 +53,15 @@ val run_unix_socket : t -> path:string -> unit
     [exit]. *)
 val run_tcp : t -> port:int -> unit
 
-(** The underlying session, once the first document was opened. *)
-val session : t -> Wap_engine.Session.t option
-
-(** Has a session been opened (the first [didOpen] arrived)?  The
-    [/readyz] predicate; reads a mirror field, safe from any domain. *)
-val ready : t -> bool
-
-(** The [/status] document: uptime, readiness, generation, open
-    document / session file / candidate counts, request and error
-    totals, the last edit's re-analyzed file count, trace-ring
-    occupancy and RSS.  Reads only mirror fields the serving domain
-    refreshes after each message, so the admin domain can call it
-    concurrently with LSP traffic. *)
-val status_json : t -> Wap_report.Json.t
-
-(** The {!Admin.source} for this server: {!ready}, {!status_json}, the
-    global metrics registry and the global tracer. *)
+(** The {!Admin.source} for this server, read from any domain without
+    touching the session: [/readyz] is ready once the first [didOpen]
+    opened a session; [/metrics] scrapes {!Wap_obs.Metrics.global};
+    [/trace] drains the global tracer; and [/status] renders a snapshot
+    of {!Wap_obs.Metrics.global}, whose [serve.*] gauges the serving
+    domain sets after each document mutation: uptime, readiness,
+    generation, open document / session file / candidate counts,
+    request and error totals, the last edit's re-analyzed file count, a
+    [methods] object holding each method's request count and p50/p95
+    latency in milliseconds ({!Wap_obs.Metrics.clamped_quantile}),
+    trace event/drop counts and RSS. *)
 val admin_source : t -> Admin.source

@@ -8,11 +8,15 @@
 #   /readyz   -> 503 before the first didOpen, 200 after
 #   /metrics  -> well-formed Prometheus text (TYPE lines, request
 #                histogram with +Inf bucket and consistent _count)
-#   /status   -> JSON with ready:true and an open document
+#   /status   -> JSON with ready:true, an open document and a
+#                per-method object holding the didOpen entry
 #   /trace    -> well-formed Chrome trace JSON (traceEvents array)
 #                holding the didOpen span; a second drain, after a
 #                didChange, holds that span and not didOpen
-#   wap top --once renders the same plane as a terminal view
+#   wap top --once renders the same plane as a terminal view, with
+#                p50 = p95 on the one-request didOpen row
+# A second short daemon run with --trace-out checks that a /trace poll
+# erases nothing: the file written at exit holds the polled didOpen span.
 #
 # Usage: scripts/admin_smoke.sh  (WAP overrides the binary under test)
 set -euo pipefail
@@ -90,9 +94,20 @@ for _ in $(seq 1 50); do
 done
 [ "$READY" = yes ] || fail "/readyz never flipped to 200 after didOpen"
 
-# /status: ready, one open document
-CODE=$(get /status "$DIR/status")
-[ "$CODE" = 200 ] || fail "/status answered $CODE"
+# readiness flips when the session opens, inside the didOpen; /status
+# counts the request under its method once the didOpen is handled
+COUNTED=""
+for _ in $(seq 1 50); do
+  CODE=$(get /status "$DIR/status")
+  [ "$CODE" = 200 ] || fail "/status answered $CODE"
+  grep -q '"methods": *{' "$DIR/status" || fail "/status has no per-method object"
+  if grep -q '"textDocument/didOpen": *{' "$DIR/status"; then
+    COUNTED=yes
+    break
+  fi
+  sleep 0.2
+done
+[ "$COUNTED" = yes ] || fail "/status never counted the didOpen under its method"
 grep -q '"ready": *true' "$DIR/status" || fail "/status does not report ready:true"
 grep -q '"open_documents": *1' "$DIR/status" || fail "/status does not report 1 open document"
 
@@ -139,6 +154,12 @@ CODE=$(get /nope "$DIR/nope")
 "$WAP" top --port "$PORT" --once > "$DIR/top" || fail "wap top --once failed"
 grep -q 'wap serve' "$DIR/top" || fail "wap top output missing the overview table"
 grep -q 'textDocument/didOpen' "$DIR/top" || fail "wap top output missing per-method latency"
+# one didOpen: its p50 and p95 are both that one observation
+ROW=$(grep 'textDocument/didOpen' "$DIR/top")
+P50=$(echo "$ROW" | awk -F'|' '{gsub(/ /, "", $3); print $3}')
+P95=$(echo "$ROW" | awk -F'|' '{gsub(/ /, "", $4); print $4}')
+[ -n "$P50" ] && [ "$P50" = "$P95" ] \
+  || fail "wap top didOpen row reads p50 $P50 and p95 $P95 for one request"
 
 # clean shutdown
 frame '{"jsonrpc":"2.0","id":9,"method":"shutdown","params":{}}' >&3
@@ -147,4 +168,30 @@ exec 3>&-
 wait "$SRV_PID" 2>/dev/null || true
 SRV_PID=""
 
-echo "admin_smoke OK: healthz/readyz transition, Prometheus metrics, trace drain, wap top"
+# a /trace poll erases nothing: with --trace-out, the file written at
+# exit still holds the didOpen span the poll returned
+TRACE_OUT="$DIR/trace-out.json"
+"$WAP" serve --jobs 1 --admin-port "$PORT" --trace-out "$TRACE_OUT" \
+  < "$FIFO" > "$OUT" 2> "$LOG" &
+SRV_PID=$!
+exec 3> "$FIFO"
+frame '{"jsonrpc":"2.0","id":1,"method":"initialize","params":{}}' >&3
+frame "{\"jsonrpc\":\"2.0\",\"method\":\"textDocument/didOpen\",\"params\":{\"textDocument\":{\"uri\":\"file:///smoke/a.php\",\"text\":\"$VULN\"}}}" >&3
+SPAN=""
+for _ in $(seq 1 50); do
+  if CODE=$(get /trace "$DIR/trace3" 2>/dev/null) && [ "$CODE" = 200 ]; then
+    SPAN=$(grep -o '{"name":"textDocument/didOpen",[^}]*}' "$DIR/trace3" || true)
+    [ -n "$SPAN" ] && break
+  fi
+  sleep 0.2
+done
+[ -n "$SPAN" ] || fail "/trace under --trace-out never returned the didOpen span"
+frame '{"jsonrpc":"2.0","id":9,"method":"shutdown","params":{}}' >&3
+frame '{"jsonrpc":"2.0","method":"exit"}' >&3
+exec 3>&-
+wait "$SRV_PID" 2>/dev/null || true
+SRV_PID=""
+[ -s "$TRACE_OUT" ] || fail "--trace-out wrote no file"
+grep -qF "$SPAN" "$TRACE_OUT" || fail "--trace-out file lost the didOpen span a /trace poll returned"
+
+echo "admin_smoke OK: healthz/readyz transition, Prometheus metrics, /status methods, trace drain, wap top, --trace-out after a poll"

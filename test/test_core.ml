@@ -234,6 +234,33 @@ let test_cli_debug_progress () =
         [ "parsed"; "analyzed" ])
     [ ("cold cache", false); ("warm cache", true) ]
 
+(* [wap lint --cache-dir] keys its entries on the engine's cache format
+   version, as every cache key must, so an entry written under another
+   build's key layout is never read back at today's [Rule.diag] type:
+   an empty diagnostics list planted under the version-less key does not
+   hide the undefined variable. *)
+let test_cli_lint_cache_key_versioned () =
+  with_files [ ("u.php", "<?php\necho $undefined;\n") ] @@ fun dir ->
+  let cache = Filename.temp_dir "wap_cli" "cache" in
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; cache ])))
+  @@ fun () ->
+  let php = Filename.concat dir "u.php" in
+  let src = In_channel.with_open_bin php In_channel.input_all in
+  let rule_ids =
+    List.sort String.compare
+      (List.map (fun (r : Wap_lint.Rule.t) -> r.Wap_lint.Rule.id) (Wap_lint.Lint.all_rules ()))
+  in
+  let versionless =
+    Wap_engine.Cache.key ("lint" :: php :: Digest.to_hex (Digest.string src) :: rule_ids)
+  in
+  Wap_engine.Cache.store
+    (Wap_engine.Cache.create ~dir:cache ())
+    ~key:versionless ([] : Wap_lint.Rule.diag list);
+  let code, stdout, _ = wap [ "lint"; "--cache-dir"; cache; php ] in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check bool) "no-undef-var still reported" true (contains stdout "[no-undef-var]")
+
 (* ------------------------------------------------------------------ *)
 (* Pipeline on corpus packages.                                        *)
 
@@ -411,6 +438,8 @@ let () =
             test_cli_json_fix;
           Alcotest.test_case "--log-level debug logs per-file progress" `Quick
             test_cli_debug_progress;
+          Alcotest.test_case "lint cache key carries the format version" `Quick
+            test_cli_lint_cache_key_versioned;
         ] );
       ( "pipeline",
         [

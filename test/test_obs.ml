@@ -316,6 +316,8 @@ let test_trace_multi_domain () =
   in
   Alcotest.(check int) "four distinct tids" 4 (List.length tids)
 
+let names_of evs = List.map (fun (e : Trace.event) -> e.Trace.ev_name) evs
+
 let test_ring_overflow_eviction () =
   let t = Trace.create ~ring_capacity:4 () in
   Trace.set_global (Some t);
@@ -328,17 +330,85 @@ let test_ring_overflow_eviction () =
   Alcotest.(check int) "every record counted, dropped included" 10
     (Trace.event_count t);
   Alcotest.(check int) "overflow counted as drops" 6 (Trace.dropped t);
-  let names = List.map (fun e -> e.Trace.ev_name) (Trace.events t) in
   Alcotest.(check (list string)) "oldest evicted first, order kept"
-    [ "e7"; "e8"; "e9"; "e10" ] names;
-  (* draining resets the window but keeps the drop counter *)
-  ignore (Trace.drain t);
-  Alcotest.(check int) "drained ring is empty" 0
-    (List.length (Trace.events t));
+    [ "e7"; "e8"; "e9"; "e10" ] (names_of (Trace.events t));
+  (* a drain returns the live window and erases nothing *)
+  Alcotest.(check (list string)) "drain returns the window"
+    [ "e7"; "e8"; "e9"; "e10" ] (names_of (Trace.drain t));
+  Alcotest.(check (list string)) "events still hold the drained window"
+    [ "e7"; "e8"; "e9"; "e10" ] (names_of (Trace.events t));
   Trace.instant ~cat:"test" "after";
-  Alcotest.(check (list string)) "ring records again after a drain"
-    [ "after" ]
-    (List.map (fun e -> e.Trace.ev_name) (Trace.events t))
+  Alcotest.(check (list string)) "second drain returns only the new event"
+    [ "after" ] (names_of (Trace.drain t));
+  Alcotest.(check (list string)) "the full ring still evicts after a drain"
+    [ "e8"; "e9"; "e10"; "after" ] (names_of (Trace.events t));
+  Alcotest.(check int) "evicting a served event is no drop" 6
+    (Trace.dropped t)
+
+(* [dropped] counts what no drain served: 0 for a poller that keeps up
+   with the ring, however often the ring wraps; what a poller that
+   falls behind misses. *)
+let test_ring_poller_drops () =
+  let t = Trace.create ~ring_capacity:4 () in
+  Trace.set_global (Some t);
+  Fun.protect ~finally:(fun () -> Trace.set_global None) @@ fun () ->
+  let record names =
+    List.iter (fun n -> Trace.instant ~cat:"test" n) names
+  in
+  for round = 1 to 5 do
+    let names = List.init 3 (fun i -> Printf.sprintf "r%d.%d" round i) in
+    record names;
+    Alcotest.(check (list string)) "each poll returns its round" names
+      (names_of (Trace.drain t))
+  done;
+  Alcotest.(check int) "the ring wrapped" 15 (Trace.event_count t);
+  Alcotest.(check int) "a poller that keeps up drops nothing" 0
+    (Trace.dropped t);
+  record (List.init 6 (fun i -> Printf.sprintf "late%d" i));
+  Alcotest.(check int) "a lagging poller misses two" 2 (Trace.dropped t);
+  Alcotest.(check (list string)) "the poll returns what the ring kept"
+    [ "late2"; "late3"; "late4"; "late5" ] (names_of (Trace.drain t));
+  Alcotest.(check int) "the misses stay counted" 2 (Trace.dropped t)
+
+(* [drain] is a read: each call returns what was recorded since the
+   previous one, and [events] (what --trace-out writes) keeps it all. *)
+let test_drain_keeps_events () =
+  with_tracer @@ fun t ->
+  Trace.instant ~cat:"test" "first";
+  Alcotest.(check (list string)) "first drain" [ "first" ]
+    (names_of (Trace.drain t));
+  Trace.with_span ~cat:"test" "second" ignore;
+  Alcotest.(check (list string)) "second drain holds only its event"
+    [ "second" ] (names_of (Trace.drain t));
+  Alcotest.(check (list string)) "nothing left to drain" []
+    (names_of (Trace.drain t));
+  Alcotest.(check (list string)) "events keep both" [ "first"; "second" ]
+    (names_of (Trace.events t))
+
+(* Drains racing a recording domain serve every event exactly once and
+   in order: a drain reads each buffer's cursor once and takes events up
+   to it, so an event recorded mid-drain goes to this poll or the next,
+   never to both or neither. *)
+let test_drain_races_recording () =
+  with_tracer @@ fun t ->
+  let n = 100_000 in
+  let finished = Atomic.make false in
+  let recorder =
+    Domain.spawn (fun () ->
+        for i = 0 to n - 1 do
+          Trace.instant ~cat:"test" (string_of_int i)
+        done;
+        Atomic.set finished true)
+  in
+  let rec poll acc =
+    if Atomic.get finished then acc
+    else poll (List.rev_append (names_of (Trace.drain t)) acc)
+  in
+  let polled = poll [] in
+  Domain.join recorder;
+  let served = List.rev_append polled (names_of (Trace.drain t)) in
+  Alcotest.(check bool) "every event served once, in order" true
+    (served = List.init n string_of_int)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics.                                                            *)
@@ -455,7 +525,7 @@ let test_quantile_clamped () =
   Alcotest.(check (float 1e-12)) "min recorded" 0.0053 s.Metrics.h_min;
   Alcotest.(check (float 1e-12)) "max recorded" 0.0053 s.Metrics.h_max;
   Alcotest.(check (float 1e-9)) "interpolated p50 leaves the data" 0.015
-    (Metrics.quantile_of_snapshot s 0.5);
+    (Metrics.quantile h 0.5);
   Alcotest.(check (float 1e-12)) "clamped p50 is the observation" 0.0053
     (Metrics.clamped_quantile s 0.5);
   Alcotest.(check (float 1e-12)) "clamped p95 is the observation" 0.0053
@@ -633,6 +703,12 @@ let () =
           Alcotest.test_case "per-domain buffers" `Quick test_trace_multi_domain;
           Alcotest.test_case "ring overflow evicts oldest" `Quick
             test_ring_overflow_eviction;
+          Alcotest.test_case "drain keeps every event" `Quick
+            test_drain_keeps_events;
+          Alcotest.test_case "ring drops count what no poll served" `Quick
+            test_ring_poller_drops;
+          Alcotest.test_case "drains racing a recorder serve each event once"
+            `Quick test_drain_races_recording;
           Alcotest.test_case "predictor trains at first classification"
             `Quick test_predictor_trains_on_first_use;
         ] );

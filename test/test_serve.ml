@@ -367,9 +367,11 @@ let test_admin_plane () =
       Alcotest.(check bool) "traceEvents array present" true
         (Option.bind (J.member "traceEvents" doc) J.to_list_opt <> None)
 
-(* /status mirrors the session after each message: its generation, its
-   files and its finalized candidates. *)
+(* /status reads the registry: the session's generation, files and
+   finalized candidates (gauges set after each document mutation), and
+   the request, error and last-edit counts. *)
 let test_status_counts () =
+  Metrics.reset Metrics.global;
   let t = server () in
   let status () =
     let body = (Admin.handle_path (Server.admin_source t) "/status").Admin.body in
@@ -377,14 +379,60 @@ let test_status_counts () =
     | Ok doc -> fun k -> Option.value ~default:(-1) (Rpc.int_member k doc)
     | Error e -> Alcotest.failf "/status does not parse: %s" e
   in
+  Alcotest.(check int) "no session files before didOpen" 0
+    (status () "session_files");
   ignore (Server.handle t (req 1 "initialize" (J.Obj [])));
   ignore (Server.handle t (did_open ~text:vuln_php));
   let st = status () in
   Alcotest.(check int) "generation 0 after didOpen" 0 (st "generation");
   Alcotest.(check int) "one session file" 1 (st "session_files");
   Alcotest.(check bool) "the flaw is a candidate" true (st "session_candidates" >= 1);
+  Alcotest.(check int) "two requests" 2 (st "requests");
+  Alcotest.(check int) "no errors" 0 (st "errors");
+  Alcotest.(check int) "didOpen re-analyzed one file" 1 (st "last_reanalyzed");
   ignore (Server.handle t (did_change ~text:safe_php));
-  Alcotest.(check int) "generation 1 after didChange" 1 (status () "generation")
+  ignore (Server.handle t (req 2 "no/such/method" (J.Obj [])));
+  let st = status () in
+  Alcotest.(check int) "generation 1 after didChange" 1 (st "generation");
+  Alcotest.(check int) "four requests" 4 (st "requests");
+  Alcotest.(check int) "the unknown method is an error" 1 (st "errors");
+  Alcotest.(check int) "didChange re-analyzed one file" 1 (st "last_reanalyzed")
+
+(* /status reports each method's request count and latency quantiles
+   clamped to the observed range: one didOpen reads p50 = p95 = its own
+   latency, where interpolating inside its bucket would not. *)
+let test_status_methods () =
+  Metrics.reset Metrics.global;
+  let t = server () in
+  ignore (Server.handle t (req 1 "initialize" (J.Obj [])));
+  ignore (Server.handle t (did_open ~text:vuln_php));
+  let observed_ms =
+    1e3
+    *. (Metrics.hist_snapshot
+          (Metrics.histogram "serve.request_seconds.textDocument/didOpen"))
+         .Metrics.h_min
+  in
+  let body = (Admin.handle_path (Server.admin_source t) "/status").Admin.body in
+  match J.of_string body with
+  | Error e -> Alcotest.failf "/status does not parse: %s" e
+  | Ok doc -> (
+      match
+        Option.bind (J.member "methods" doc) (J.member "textDocument/didOpen")
+      with
+      | None -> Alcotest.fail "/status has no didOpen entry under methods"
+      | Some m ->
+          let ms k =
+            match J.member k m with
+            | Some (J.Float f) -> f
+            | Some (J.Int n) -> float_of_int n
+            | _ -> nan
+          in
+          Alcotest.(check (option int)) "one didOpen request" (Some 1)
+            (Rpc.int_member "requests" m);
+          Alcotest.(check (float 1e-6)) "p50 = the observation" observed_ms
+            (ms "p50_ms");
+          Alcotest.(check (float 1e-6)) "p95 = the observation" observed_ms
+            (ms "p95_ms"))
 
 let () =
   Alcotest.run "serve"
@@ -410,5 +458,7 @@ let () =
         [
           Alcotest.test_case "handle_path endpoints" `Slow test_admin_plane;
           Alcotest.test_case "/status counts" `Slow test_status_counts;
+          Alcotest.test_case "/status per-method latency" `Slow
+            test_status_methods;
         ] );
     ]
