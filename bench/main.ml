@@ -596,8 +596,9 @@ let substrate_tests () =
            Wap_mining.Random_forest.train
              ~params:{ Wap_mining.Random_forest.n_trees = 15; max_depth = 10 }
              ~seed dataset));
-    (* what one wap process pays at its first classification: the
-       shipped WAPe ensemble at default parameters *)
+    (* what a tool built from a data set (--training-set, a non-default
+       --seed) pays at its first classification: the WAPe ensemble at
+       default parameters; the stock tool ships it trained *)
     Test.make ~name:"wape-ensemble-train"
       (staged (fun () ->
            List.map

@@ -36,7 +36,8 @@ let write_file path contents =
 
 let seed_arg =
   let doc = "Deterministic seed for training and corpus generation." in
-  Arg.(value & opt int 2016 & info [ "seed" ] ~docv:"N" ~doc)
+  Arg.(
+    value & opt int Wap_core.Training.frozen_seed & info [ "seed" ] ~docv:"N" ~doc)
 
 (* scan-engine flags, shared by analyze / lint / experiments *)
 

@@ -9,7 +9,7 @@ module T = Wap_report.Table
 module D = Wap_mining.Dataset
 module M = Wap_mining.Metrics
 
-let default_seed = 2016
+let default_seed = Training.frozen_seed
 
 (* ------------------------------------------------------------------ *)
 (* Table I: symptoms and attributes.                                   *)

@@ -12,14 +12,15 @@ type t = {
   weapons : Wap_weapon.Weapon.t list;
 }
 
-(** Create a tool instance.  The predictor trains at its first
-    classification, not here.
+(** Create a tool instance.  At the frozen seed without a [dataset],
+    the predictor is the ensemble trained at build time; otherwise it
+    trains at its first classification, not here.
 
     [weapons] adds weapon detectors (and their dynamic symptoms);
     [extra_sanitizers] registers user sanitization functions for
     specific classes, the §V-A "escape" extensibility mechanism —
     [None] as the class applies to every detector. *)
-let create ?(seed = 2016) ?(weapons = []) ?(extra_sanitizers = []) ?dataset
+let create ?(seed = Training.frozen_seed) ?(weapons = []) ?(extra_sanitizers = []) ?dataset
     (version : Version.t) : t =
   let base_specs = Cat.specs_for (Version.classes version) in
   let weapon_specs = List.map (fun w -> w.Wap_weapon.Weapon.spec) weapons in
@@ -44,12 +45,13 @@ let create ?(seed = 2016) ?(weapons = []) ?(extra_sanitizers = []) ?dataset
       (Version.predictor_config version)
       dynamic
   in
-  let dataset =
+  let predictor =
     match dataset with
-    | Some d -> d
-    | None -> Training.dataset_for ~seed version
+    | None when seed = Training.frozen_seed ->
+        Wap_mining.Predictor.of_models config (Training.frozen_models version)
+    | Some d -> Wap_mining.Predictor.train ~seed config d
+    | None -> Wap_mining.Predictor.train ~seed config (Training.dataset_for ~seed version)
   in
-  let predictor = Wap_mining.Predictor.train ~seed config dataset in
   { version; specs; predictor; weapons }
 
 (* ------------------------------------------------------------------ *)

@@ -10,12 +10,17 @@ type t = {
   weapons : Wap_weapon.Weapon.t list;
 }
 
-(** Create a tool instance.  Its false-positive predictor trains,
-    deterministically from the seed, at the first classification —
-    inside the [phase.predict] of the first {!Scan.run} that has
-    candidates — so a scan without candidates never trains it.  The
-    training set is {!Training.dataset_for}[ ~seed], which at the
-    default seed is parsed from the frozen CSV instead of generated.
+(** Create a tool instance.  At the default seed
+    ({!Training.frozen_seed}) and without a [dataset], its
+    false-positive predictor is the stock ensemble trained when the
+    library was built ({!Training.frozen_models}): nothing parses a
+    training set or trains, so no [predictor.train] span or
+    [mining.train_seconds.*] observation appears.  Otherwise the
+    predictor trains, deterministically from the seed, at the first
+    classification — inside the [phase.predict] of the first
+    {!Scan.run} that has candidates — so a scan without candidates
+    never trains it; the training set is [dataset] if given, else
+    {!Training.dataset_for}[ ~seed] (generated at a non-default seed).
 
     [weapons] adds weapon detectors (and their dynamic symptoms);
     [extra_sanitizers] registers user sanitization functions — the §V-A

@@ -36,7 +36,7 @@ let evidence_pairs ?(legacy = false) ~seed ~(classes : VC.t list) ~per_label () 
 
 (** Build the training data set for a tool version: [target] instances,
     balanced, de-duplicated, deterministic in [seed]. *)
-let build_dataset ?(seed = 2016) ?split ~(mode : Wap_mining.Attributes.mode)
+let build_dataset ?(seed = Frozen_models.seed) ?split ~(mode : Wap_mining.Attributes.mode)
     ~(classes : VC.t list) ~target () : Wap_mining.Dataset.t =
   (* over-generate: de-duplication discards most raw instances; the
      Original attribute encoding only ever sees legacy-era snippets, as
@@ -56,7 +56,7 @@ let build_dataset ?(seed = 2016) ?split ~(mode : Wap_mining.Attributes.mode)
   in
   Wap_mining.Dataset.shuffle ~seed selected
 
-let frozen_seed = 2016
+let frozen_seed = Frozen_models.seed
 
 (** The data set of a tool version: 256 balanced instances for WAPe;
     for WAP v2.1 the paper's unbalanced 76-instance split (32 false
@@ -81,3 +81,7 @@ let dataset_for ?(seed = frozen_seed) (v : Version.t) : Wap_mining.Dataset.t =
     with
     | Ok d -> d
     | Error e -> failwith ("frozen training set of " ^ Version.name v ^ ": " ^ e)
+
+(* Trained when the library was built, on the set above. *)
+let frozen_models (v : Version.t) : Wap_mining.Classifier.model list =
+  match v with Version.Wape -> Frozen_models.wape | Version.Wap_v21 -> Frozen_models.v21

@@ -36,8 +36,9 @@ val build_dataset :
   unit ->
   Wap_mining.Dataset.t
 
-(** The seed whose data sets ship frozen with the library: the default
-    of {!dataset_for}, {!Tool.create} and every [wap] subcommand. *)
+(** The seed whose data sets and ensembles ship frozen with the library:
+    the default of {!dataset_for}, {!Tool.create} and every [wap]
+    subcommand. *)
 val frozen_seed : int
 
 (** Generate the data set of a tool version: 256 balanced instances for
@@ -53,3 +54,10 @@ val generate : seed:int -> Version.t -> Wap_mining.Dataset.t
     and [generate] disagree, and [dune promote] refreshes it.  Other
     seeds generate. *)
 val dataset_for : ?seed:int -> Version.t -> Wap_mining.Dataset.t
+
+(** The ensemble {!Wap_mining.Predictor.train}[ ~seed:frozen_seed] would
+    train on [dataset_for v], bit for bit, in the order of
+    {!Version.predictor_config}[ v]: trained when the library is built
+    (the generated [Frozen_models], from the checked-in CSVs), so no
+    process trains it. *)
+val frozen_models : Version.t -> Wap_mining.Classifier.model list

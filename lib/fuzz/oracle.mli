@@ -17,7 +17,7 @@ val case_of_source : string -> case
 type verdict = Pass | Fail of string
 
 (** Shared scan context.  The tool is created lazily and shared across
-    the run, so its FP predictor trains at most once. *)
+    the run. *)
 type ctx = { tool : Wap_core.Tool.t Lazy.t }
 
 type t = {

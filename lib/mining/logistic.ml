@@ -55,11 +55,8 @@ let train ?(params = default_params) (d : Dataset.t) : t =
 let score (m : t) x = Classifier.sigmoid (Classifier.dot m.weights x +. m.bias)
 let predict (m : t) x = score m x >= 0.5
 
+let model m =
+  { Classifier.name = "Logistic Regression"; predict = predict m; score = score m }
+
 let algorithm : Classifier.algorithm =
-  {
-    algo_name = "Logistic Regression";
-    train =
-      (fun ~seed:_ d ->
-        let m = train d in
-        { Classifier.name = "Logistic Regression"; predict = predict m; score = score m });
-  }
+  { algo_name = "Logistic Regression"; train = (fun ~seed:_ d -> model (train d)) }

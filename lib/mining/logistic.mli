@@ -18,5 +18,8 @@ val train : ?params:params -> Dataset.t -> t
 val score : t -> float array -> float
 val predict : t -> float array -> bool
 
+(** A trained model as an ensemble member. *)
+val model : t -> Classifier.model
+
 (** Packaged for {!Evaluation} and {!Predictor}. *)
 val algorithm : Classifier.algorithm

@@ -53,7 +53,7 @@ let train_member ~seed d (a : Classifier.algorithm) =
 
 (** Check the data set's attribute mode now; train the ensemble the
     first time a classification needs it. *)
-let train ?(seed = 42) (config : config) (d : Dataset.t) : t =
+let train ~seed (config : config) (d : Dataset.t) : t =
   if d.Dataset.mode <> config.mode then
     invalid_arg "Predictor.train: dataset attribute mode mismatch";
   let models =
@@ -63,6 +63,15 @@ let train ?(seed = 42) (config : config) (d : Dataset.t) : t =
        @@ fun () -> List.map (train_member ~seed d) config.algorithms)
   in
   { config; models; lock = Mutex.create () }
+
+(** An ensemble trained elsewhere, one model per algorithm of [config],
+    in its order. *)
+let of_models (config : config) (models : Classifier.model list) : t =
+  if
+    List.map (fun (m : Classifier.model) -> m.name) models
+    <> List.map (fun (a : Classifier.algorithm) -> a.algo_name) config.algorithms
+  then invalid_arg "Predictor.of_models: models do not match the config's algorithms";
+  { config; models = Lazy.from_val models; lock = Mutex.create () }
 
 (* OCaml 5 raises [CamlinternalLazy.Undefined] when a second domain
    forces a lazy that another one is still forcing; under the lock the

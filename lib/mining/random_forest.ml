@@ -46,11 +46,8 @@ let score (m : t) x =
 
 let predict (m : t) x = score m x >= 0.5
 
+let model m =
+  { Classifier.name = "Random Forest"; predict = predict m; score = score m }
+
 let algorithm : Classifier.algorithm =
-  {
-    algo_name = "Random Forest";
-    train =
-      (fun ~seed d ->
-        let m = train ~seed d in
-        { Classifier.name = "Random Forest"; predict = predict m; score = score m });
-  }
+  { algo_name = "Random Forest"; train = (fun ~seed d -> model (train ~seed d)) }

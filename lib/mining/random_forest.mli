@@ -19,4 +19,8 @@ val train : ?params:params -> seed:int -> Dataset.t -> t
 val score : t -> float array -> float
 
 val predict : t -> float array -> bool
+
+(** A trained model as an ensemble member. *)
+val model : t -> Classifier.model
+
 val algorithm : Classifier.algorithm

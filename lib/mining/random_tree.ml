@@ -17,15 +17,12 @@ let train ~seed (d : Dataset.t) : Decision_tree.t =
   in
   Decision_tree.train ~params ~seed d
 
-let algorithm : Classifier.algorithm =
+let model m =
   {
-    algo_name = "Random Tree";
-    train =
-      (fun ~seed d ->
-        let m = train ~seed d in
-        {
-          Classifier.name = "Random Tree";
-          predict = Decision_tree.predict m;
-          score = Decision_tree.score m;
-        });
+    Classifier.name = "Random Tree";
+    predict = Decision_tree.predict m;
+    score = Decision_tree.score m;
   }
+
+let algorithm : Classifier.algorithm =
+  { algo_name = "Random Tree"; train = (fun ~seed d -> model (train ~seed d)) }

@@ -9,4 +9,8 @@
 val subset_size : int -> int
 
 val train : seed:int -> Dataset.t -> Decision_tree.t
+
+(** A trained tree as an ensemble member. *)
+val model : Decision_tree.t -> Classifier.model
+
 val algorithm : Classifier.algorithm

@@ -60,11 +60,7 @@ let margin (m : t) x = Classifier.dot m.weights x +. m.bias
 let predict (m : t) x = margin m x >= 0.0
 let score (m : t) x = Classifier.sigmoid (2.0 *. margin m x)
 
+let model m = { Classifier.name = "SVM"; predict = predict m; score = score m }
+
 let algorithm : Classifier.algorithm =
-  {
-    algo_name = "SVM";
-    train =
-      (fun ~seed d ->
-        let m = train ~seed d in
-        { Classifier.name = "SVM"; predict = predict m; score = score m });
-  }
+  { algo_name = "SVM"; train = (fun ~seed d -> model (train ~seed d)) }

@@ -23,4 +23,7 @@ val predict : t -> float array -> bool
 (** Margin squashed to [0,1]. *)
 val score : t -> float array -> float
 
+(** A trained model as an ensemble member. *)
+val model : t -> Classifier.model
+
 val algorithm : Classifier.algorithm

@@ -42,9 +42,10 @@ type buf = {
           readings are clamped to it, so spans nest correctly within
           this domain without touching a shared cache line per event *)
   mutable b_depth : int;  (** current span-stack depth *)
-  mutable b_head : int;  (** ring: next slot to write *)
-  mutable b_stored : int;  (** ring: live entries, at most the capacity *)
-  mutable b_count : int;  (** events recorded, dropped ones included *)
+  mutable b_head : int;
+      (** ring: next slot to write, [b_count mod b_cap] kept in step by
+          {!record} rather than divided out on its hot path *)
+  mutable b_count : int;  (** events recorded, evicted ones included *)
   b_epoch : int;  (** the owning tracer's epoch, cached *)
   b_tid : int;
   mutable b_events : event list;  (** unbounded mode only, reversed *)
@@ -53,9 +54,6 @@ type buf = {
   b_names : string array;  (** ring: event names *)
   b_cats : string array;  (** ring: event categories *)
   b_args : (string * string) list array;  (** ring: event args *)
-  mutable b_dropped : int;
-      (** ring: events overwritten on overflow; nothing reads it since
-          {!dropped} counts only what no drain served *)
   mutable b_drained : int;  (** ring: [b_count] at the last {!drain} *)
   mutable b_lost : int;
       (** ring: events below [b_drained] that the ring evicted before a
@@ -105,7 +103,6 @@ let dummy_buf =
     b_last_ns = 0;
     b_depth = 0;
     b_head = 0;
-    b_stored = 0;
     b_count = 0;
     b_epoch = 0;
     b_tid = 0;
@@ -115,7 +112,6 @@ let dummy_buf =
     b_names = [||];
     b_cats = [||];
     b_args = [||];
-    b_dropped = 0;
     b_drained = 0;
     b_lost = 0;
     b_mark = [];
@@ -137,7 +133,6 @@ let register (t : t) : buf =
             b_last_ns = t.epoch_ns;
             b_depth = 0;
             b_head = 0;
-            b_stored = 0;
             b_count = 0;
             b_epoch = t.epoch_ns;
             b_tid = tid;
@@ -147,7 +142,6 @@ let register (t : t) : buf =
             b_names = Array.make cap "";
             b_cats = Array.make cap "";
             b_args = Array.make cap [];
-            b_dropped = 0;
             b_drained = 0;
             b_lost = 0;
             b_mark = [];
@@ -206,9 +200,7 @@ let record b ~name ~cat ~ts ~dur ~depth ~args ~instant =
     Array.unsafe_set b.b_cats i cat;
     Array.unsafe_set b.b_args i args;
     let h = i + 1 in
-    b.b_head <- (if h = cap then 0 else h);
-    if b.b_stored < cap then b.b_stored <- b.b_stored + 1
-    else b.b_dropped <- b.b_dropped + 1
+    b.b_head <- (if h = cap then 0 else h)
   end;
   b.b_count <- b.b_count + 1
 

@@ -65,6 +65,36 @@ let test_frozen_sets_round_trip () =
         (DS.to_csv (Wap_core.Training.dataset_for ~seed v)))
     [ (V.Wape, Wap_core.Frozen_sets.wape); (V.Wap_v21, Wap_core.Frozen_sets.v21) ]
 
+(* The stock tool's ensemble, trained when the library was built, gives
+   every candidate of the fuzz seeds (one app per file) and the fixture
+   apps the verdict of the ensemble a tool trains on the frozen set. *)
+let test_frozen_models_match_training () =
+  let apps =
+    (Sys.readdir "fuzz_seeds" |> Array.to_list |> List.sort compare
+    |> List.map (fun f ->
+           [ (f, In_channel.with_open_bin (Filename.concat "fuzz_seeds" f) In_channel.input_all) ]))
+    @ [ Fixtures.blog; Fixtures.store; Fixtures.wp_plugin ]
+  in
+  let verdicts tool =
+    List.concat_map
+      (fun files ->
+        (T.Scan.run tool (T.Scan.request ~jobs:1 files)).T.Scan.result.T.findings
+        |> List.map (fun (f : T.finding) -> f.T.predicted_fp))
+      apps
+  in
+  List.iter
+    (fun (name, create) ->
+      let stock = verdicts (create None) in
+      Alcotest.(check (list bool)) name
+        (verdicts (create (Some (Wap_core.Training.dataset_for V.Wape))))
+        stock;
+      Alcotest.(check bool) (name ^ ": both verdicts occur") true
+        (List.mem true stock && List.mem false stock))
+    [ ("WAPe", fun dataset -> T.create ?dataset V.Wape);
+      ( "WAPe -wpsqli",
+        fun dataset ->
+          T.create ?dataset ~weapons:[ Wap_weapon.Generator.wpsqli () ] V.Wape ) ]
+
 (* Run the CLI, built as a dependency of this suite, on no stdin:
    (exit code, stdout, stderr). *)
 let wap args =
@@ -426,6 +456,8 @@ let () =
           Alcotest.test_case "training deterministic" `Slow test_training_deterministic;
           Alcotest.test_case "frozen sets round trip" `Quick
             test_frozen_sets_round_trip;
+          Alcotest.test_case "stock ensemble = trained ensemble" `Quick
+            test_frozen_models_match_training;
           Alcotest.test_case "malformed --training-set exits 124" `Quick
             test_cli_rejects_malformed_training_set;
           Alcotest.test_case "unknown --weapon exits 124" `Quick

@@ -417,6 +417,9 @@ let off_binary_set () =
            label = (i * 7) mod 5 < 2;
          }))
 
+let wape_ensemble_digest = "60f65c801c80b0b2fd1420a769e46e07"
+let v21_ensemble_digest = "d9348a5191f79240997d7a4a2eebb6a1"
+
 let test_pinned_models () =
   let seed = Wap_core.Training.frozen_seed in
   let wape = Wap_core.Training.dataset_for Wap_core.Version.Wape in
@@ -426,15 +429,49 @@ let test_pinned_models () =
   in
   pin "WAPe ensemble (SVM, LR, RF)" wape
     (algo_names Wap_mining.Predictor.extended_config)
-    "60f65c801c80b0b2fd1420a769e46e07";
+    wape_ensemble_digest;
   pin "v2.1 ensemble (LR, Random Tree, SVM)" v21
     (algo_names Wap_mining.Predictor.original_config)
-    "d9348a5191f79240997d7a4a2eebb6a1";
+    v21_ensemble_digest;
   pin "CART on the WAPe set" wape [ "Decision Tree" ]
     "a5520e3f8dfc1c474f7977e07210682b";
   pin "off-binary features" (off_binary_set ())
     [ "Logistic Regression"; "SVM"; "Decision Tree"; "Random Tree"; "Random Forest" ]
     "87d633c69f886257f3949289888d9f00"
+
+(* The ensembles the library ships, trained when it was built, are the
+   pinned ones bit for bit: their parameters, dumped in each config's
+   algorithm order, give the digests above. *)
+let test_frozen_models () =
+  let module F = Wap_core.Frozen_models in
+  let module L = Wap_mining.Logistic in
+  let module S = Wap_mining.Svm in
+  let digest names dumps =
+    let b = Buffer.create 65536 in
+    List.iter
+      (fun name ->
+        match List.assoc_opt name dumps with
+        | Some dump -> dump b
+        | None -> Alcotest.failf "no frozen %s" name)
+      names;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  Alcotest.(check string) "WAPe ensemble (SVM, LR, RF)" wape_ensemble_digest
+    (digest
+       (algo_names Wap_mining.Predictor.extended_config)
+       [ ("SVM", fun b -> dump_linear b F.wape_svm.S.weights F.wape_svm.S.bias);
+         ( "Logistic Regression",
+           fun b -> dump_linear b F.wape_logistic.L.weights F.wape_logistic.L.bias );
+         ( "Random Forest",
+           fun b -> Array.iter (dump_tree b) F.wape_random_forest.Wap_mining.Random_forest.trees
+         ) ]);
+  Alcotest.(check string) "v2.1 ensemble (LR, Random Tree, SVM)" v21_ensemble_digest
+    (digest
+       (algo_names Wap_mining.Predictor.original_config)
+       [ ( "Logistic Regression",
+           fun b -> dump_linear b F.v21_logistic.L.weights F.v21_logistic.L.bias );
+         ("Random Tree", fun b -> dump_tree b F.v21_random_tree);
+         ("SVM", fun b -> dump_linear b F.v21_svm.S.weights F.v21_svm.S.bias) ])
 
 (* ------------------------------------------------------------------ *)
 (* Predictor.                                                          *)
@@ -470,7 +507,10 @@ let test_predictor_concurrent_first_use () =
       candidate_of "$v = $_GET['v'];\nmysql_query(\"SELECT * FROM t WHERE v = '$v'\");" ]
   in
   let d = Wap_core.Training.dataset_for Wap_core.Version.Wape in
-  let fresh () = Wap_mining.Predictor.train Wap_mining.Predictor.extended_config d in
+  let fresh () =
+    Wap_mining.Predictor.train ~seed:Wap_core.Training.frozen_seed
+      Wap_mining.Predictor.extended_config d
+  in
   let verdicts p = List.map (Wap_mining.Predictor.is_false_positive p) cands in
   let expected = verdicts (fresh ()) in
   let shared = fresh () in
@@ -485,7 +525,19 @@ let test_predictor_mode_mismatch () =
   Alcotest.check_raises "mode mismatch"
     (Invalid_argument "Predictor.train: dataset attribute mode mismatch")
     (fun () ->
-      ignore (Wap_mining.Predictor.train Wap_mining.Predictor.extended_config d))
+      ignore
+        (Wap_mining.Predictor.train ~seed:Wap_core.Training.frozen_seed
+           Wap_mining.Predictor.extended_config d))
+
+(* [of_models] takes one model per algorithm of the config, in its
+   order: the v2.1 ensemble is not a WAPe one. *)
+let test_predictor_of_models_mismatch () =
+  Alcotest.check_raises "other ensemble"
+    (Invalid_argument "Predictor.of_models: models do not match the config's algorithms")
+    (fun () ->
+      ignore
+        (Wap_mining.Predictor.of_models Wap_mining.Predictor.extended_config
+           Wap_core.Frozen_models.v21))
 
 (* ------------------------------------------------------------------ *)
 (* Properties.                                                         *)
@@ -575,6 +627,8 @@ let () =
             test_cross_validation_covers_all;
           Alcotest.test_case "top-3 selection" `Quick test_top3_selection;
           Alcotest.test_case "pinned models" `Quick test_pinned_models;
+          Alcotest.test_case "frozen models are the pinned ones" `Quick
+            test_frozen_models;
         ] );
       ( "predictor",
         [
@@ -582,6 +636,8 @@ let () =
           Alcotest.test_case "concurrent first classification" `Quick
             test_predictor_concurrent_first_use;
           Alcotest.test_case "mode mismatch" `Quick test_predictor_mode_mismatch;
+          Alcotest.test_case "of_models mismatch" `Quick
+            test_predictor_of_models_mismatch;
         ] );
       ( "properties",
         [ qt qcheck_dedup_idempotent; qt qcheck_folds_partition; qt qcheck_metrics_bounded ] );

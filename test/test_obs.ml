@@ -181,24 +181,62 @@ let test_tracing_disabled_is_noop () =
   Alcotest.(check int) "thunk result returned" 42 r;
   Trace.instant ~cat:"test" "ambient-instant"
 
-(* The predictor trains at its first classification, inside a scan's
-   [phase.predict]: a scan without candidates never trains it, and two
-   scans with candidates train it once, one [classifier.train] child
-   span per ensemble member. *)
-let test_predictor_trains_on_first_use () =
-  let named name t =
-    List.filter (fun (e : Trace.event) -> e.Trace.ev_name = name) (Trace.events t)
+let named name t =
+  List.filter (fun (e : Trace.event) -> e.Trace.ev_name = name) (Trace.events t)
+
+let trainings t = List.length (named "predictor.train" t)
+
+(* the number of candidates a one-file scan of [src] finds *)
+let scan_candidates tool src =
+  let o =
+    Wap_core.Tool.Scan.run tool
+      (Wap_core.Tool.Scan.request ~jobs:1 [ ("t.php", "<?php\n" ^ src) ])
   in
-  let trainings t = List.length (named "predictor.train" t) in
+  List.length o.Wap_core.Tool.Scan.result.Wap_core.Tool.candidates
+
+let stock_algos =
+  List.map
+    (fun (a : Wap_mining.Classifier.algorithm) -> a.Wap_mining.Classifier.algo_name)
+    Wap_mining.Predictor.extended_config.Wap_mining.Predictor.algorithms
+
+let train_counts () =
+  let hists = (Metrics.snapshot Metrics.global).Metrics.histograms in
+  List.map
+    (fun algo ->
+      match List.assoc_opt ("mining.train_seconds." ^ algo) hists with
+      | Some h -> h.Metrics.h_count
+      | None -> 0)
+    stock_algos
+
+(* The stock tool ships its ensemble trained: scans with candidates
+   classify them without a [predictor.train] span, and the
+   [mining.train_seconds.*] counts do not move (the registry is
+   process-global, so they are compared before and after). *)
+let test_stock_predictor_never_trains () =
   with_tracer (fun t ->
+      let before = train_counts () in
       let tool = Wap_core.Tool.create Wap_core.Version.Wape in
-      let scan src =
-        let o =
-          Wap_core.Tool.Scan.run tool
-            (Wap_core.Tool.Scan.request ~jobs:1 [ ("t.php", "<?php\n" ^ src) ])
-        in
-        List.length o.Wap_core.Tool.Scan.result.Wap_core.Tool.candidates
+      Alcotest.(check int) "XSS: one candidate" 1
+        (scan_candidates tool "echo $_GET['q'];\n");
+      Alcotest.(check int) "SQLI: one candidate" 1
+        (scan_candidates tool "mysql_query($_GET['q']);\n");
+      Alcotest.(check int) "classified" 2 (List.length (named "predictor.classify" t));
+      Alcotest.(check int) "no training" 0 (trainings t);
+      Alcotest.(check (list int)) "no train_seconds observation" before (train_counts ()))
+
+(* A predictor built from a data set trains at its first classification,
+   inside a scan's [phase.predict]: a scan without candidates never
+   trains it, and two scans with candidates train it once, one
+   [classifier.train] child span per ensemble member. *)
+let test_predictor_trains_on_first_use () =
+  with_tracer (fun t ->
+      let before = train_counts () in
+      let tool =
+        Wap_core.Tool.create
+          ~dataset:(Wap_core.Training.dataset_for Wap_core.Version.Wape)
+          Wap_core.Version.Wape
       in
+      let scan = scan_candidates tool in
       Alcotest.(check int) "clean file: no candidate" 0 (scan "echo 'hello';\n");
       Alcotest.(check int) "no candidate: no training" 0 (trainings t);
       Alcotest.(check int) "XSS: one candidate" 1 (scan "echo $_GET['q'];\n");
@@ -215,27 +253,16 @@ let test_predictor_trains_on_first_use () =
            <= parent.Trace.ev_ts_ns + parent.Trace.ev_dur_ns
       in
       let children = List.filter within (Trace.events t) in
-      let algos =
-        List.map
-          (fun (a : Wap_mining.Classifier.algorithm) -> a.Wap_mining.Classifier.algo_name)
-          Wap_mining.Predictor.extended_config.Wap_mining.Predictor.algorithms
-      in
-      Alcotest.(check (list string)) "one child span per ensemble member" algos
+      Alcotest.(check (list string)) "one child span per ensemble member" stock_algos
         (List.map
            (fun (e : Trace.event) ->
              if e.Trace.ev_name <> "classifier.train" then
                Alcotest.failf "unexpected child span %s" e.Trace.ev_name;
              Option.value ~default:"" (List.assoc_opt "algo" e.Trace.ev_args))
            children);
-      (* and the histograms --stats lists *)
-      let hists = (Metrics.snapshot Metrics.global).Metrics.histograms in
-      List.iter
-        (fun algo ->
-          let name = "mining.train_seconds." ^ algo in
-          match List.assoc_opt name hists with
-          | Some h when h.Metrics.h_count >= 1 -> ()
-          | _ -> Alcotest.failf "no %s observation" name)
-        algos)
+      (* and one observation each in the histograms --stats lists *)
+      Alcotest.(check (list int)) "one train_seconds observation per member"
+        (List.map succ before) (train_counts ()))
 
 let test_chrome_json_well_formed () =
   let json =
@@ -709,6 +736,8 @@ let () =
             test_ring_poller_drops;
           Alcotest.test_case "drains racing a recorder serve each event once"
             `Quick test_drain_races_recording;
+          Alcotest.test_case "stock predictor never trains" `Quick
+            test_stock_predictor_never_trains;
           Alcotest.test_case "predictor trains at first classification"
             `Quick test_predictor_trains_on_first_use;
         ] );
