@@ -199,6 +199,8 @@ let print_scan_stats (outcome : Scan.outcome) =
       [ "cache misses"; string_of_int outcome.Scan.cache_misses ];
       [ "functions reused from pass 1"; counter "taint.functions_reused" ];
       [ "functions re-analyzed in pass 2"; counter "taint.functions_reanalyzed" ];
+      [ "loop fixpoint iterations"; counter "taint.loop_iterations" ];
+      [ "specs retired early from loops"; counter "taint.loop_specs_retired" ];
       [ "pool queue-wait mean (ms)";
         mean_ms (hist "engine.pool.queue_wait_seconds") ];
       [ "pool task-run mean (ms)"; mean_ms (hist "engine.pool.task_run_seconds") ];

@@ -177,12 +177,10 @@ module Scan = struct
           let findings =
             List.map
               (fun c ->
-                {
-                  candidate = c;
-                  predicted_fp =
-                    Wap_mining.Predictor.is_false_positive t.predictor c;
-                  symptoms = Wap_mining.Predictor.justification t.predictor c;
-                })
+                let predicted_fp, symptoms =
+                  Wap_mining.Predictor.classify t.predictor c
+                in
+                { candidate = c; predicted_fp; symptoms })
               candidates
           in
           (candidates, findings))

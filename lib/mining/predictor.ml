@@ -78,9 +78,9 @@ let of_models (config : config) (models : Classifier.model list) : t =
    second one waits for the first training instead. *)
 let models (p : t) = Mutex.protect p.lock (fun () -> Lazy.force p.models)
 
-(** Majority vote of the top-3 ensemble: is the candidate a false
-    positive? *)
-let is_false_positive (p : t) (c : Wap_taint.Trace.candidate) : bool =
+(* The candidate's evidence and the top-3 ensemble's majority vote on
+   it, under the [predictor.classify] span. *)
+let vote (p : t) (c : Wap_taint.Trace.candidate) : Evidence.t * bool =
   let models = models p in
   Wap_obs.Trace.with_span ~cat:"mining" "predictor.classify" @@ fun () ->
   let ev = Evidence.collect ~dynamic:p.config.dynamic_symptoms c in
@@ -88,7 +88,18 @@ let is_false_positive (p : t) (c : Wap_taint.Trace.candidate) : bool =
   let votes =
     List.length (List.filter (fun m -> Classifier.predict m x) models)
   in
-  votes * 2 > List.length models
+  (ev, votes * 2 > List.length models)
+
+(** Majority vote of the top-3 ensemble: is the candidate a false
+    positive? *)
+let is_false_positive (p : t) (c : Wap_taint.Trace.candidate) : bool =
+  snd (vote p c)
+
+(** The verdict of {!is_false_positive} and the symptoms of
+    {!justification}, from one collection of the candidate's evidence. *)
+let classify (p : t) (c : Wap_taint.Trace.candidate) : bool * string list =
+  let ev, fp = vote p c in
+  (fp, Evidence.to_list ev)
 
 (** The symptoms the predictor saw for a candidate — used to justify FP
     verdicts to the user (the "justifying false positives" box of

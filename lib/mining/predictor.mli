@@ -45,6 +45,11 @@ val of_models : config -> Classifier.model list -> t
 (** Majority vote of the ensemble: is the candidate a false positive? *)
 val is_false_positive : t -> Wap_taint.Trace.candidate -> bool
 
+(** [is_false_positive] and {!justification} together, collecting the
+    candidate's evidence once; the vote runs under the same
+    [predictor.classify] span. *)
+val classify : t -> Wap_taint.Trace.candidate -> bool * string list
+
 (** The symptoms the predictor saw for a candidate — used to justify FP
     verdicts to the user (the "justifying false positives" box of
     Fig. 3). *)

@@ -32,8 +32,9 @@ type state = {
   mutable pos : int;
   mutable line : int;
   mutable col : int;
-  (* Per-tokenize interning pool: fixed buckets of already-materialized
-     strings, looked up by hashing a source slice in place. *)
+  (* Per-tokenize interning pool: buckets of already-materialized
+     strings, looked up by hashing a source slice in place; a power of
+     two of them, sized from the source ({!intern_buckets}). *)
   intern : string list array;
   (* Hashconsed boxed tokens, keyed by their (interned) payload. *)
   var_toks : (string, Token.t) Hashtbl.t;
@@ -41,20 +42,30 @@ type state = {
   str_toks : (string, Token.t) Hashtbl.t;
 }
 
-let intern_buckets = 512
+(* Pool buckets for a source of [len] bytes: the smallest power of two
+   that is at least [len / 64], within [16, 512].  Most files are a few
+   hundred bytes, and an array of more than 256 words skips the minor
+   heap, so a fixed 512 buckets would cost every file a major-heap
+   allocation; from 32 KB up the pool has its 512 buckets. *)
+let intern_buckets len =
+  let rec size n = if n >= 512 || n * 64 >= len then n else size (2 * n) in
+  size 16
 
 let make_state ~file src =
+  let len = String.length src in
+  let buckets = intern_buckets len in
+  let table () = Hashtbl.create (min buckets 64) in
   {
     src;
     file;
-    len = String.length src;
+    len;
     pos = 0;
     line = 1;
     col = 0;
-    intern = Array.make intern_buckets [];
-    var_toks = Hashtbl.create 64;
-    ident_toks = Hashtbl.create 64;
-    str_toks = Hashtbl.create 64;
+    intern = Array.make buckets [];
+    var_toks = table ();
+    ident_toks = table ();
+    str_toks = table ();
   }
 
 let loc st = Loc.make ~file:st.file ~line:st.line ~col:st.col
@@ -138,7 +149,7 @@ let slice_equal data off len s =
   go 0
 
 let intern_bytes st data off len =
-  let b = hash_bytes data off len land (intern_buckets - 1) in
+  let b = hash_bytes data off len land (Array.length st.intern - 1) in
   let rec find = function
     | [] ->
         let s = String.sub data off len in

@@ -76,7 +76,15 @@ let union_ids a b =
 
 (* [b = []] returns [a] itself: downstream fast paths test physical
    equality against [ctx.all_ids]. *)
-let diff_ids a b = if b = [] then a else List.filter (fun x -> not (List.mem x b)) a
+let diff_ids a b =
+  let rec go a b =
+    match (a, b) with
+    | [], _ -> []
+    | l, [] -> l
+    | x :: ta, y :: tb ->
+        if x < y then x :: go ta b else if y < x then go a tb else go ta tb
+  in
+  if b = [] then a else go a b
 
 (* ------------------------------------------------------------------ *)
 (* Analysis context.                                                   *)
@@ -102,6 +110,9 @@ type ctx = {
       (** every summary lookup the walk made, with its result *)
   mutable emits : (int * Trace.candidate) list;
       (** every real-source emission, spec-indexed, newest first *)
+  mutable loop_iterations : int;  (** loop-body runs of the fixpoints *)
+  mutable loop_retired : int;
+      (** specs that settled while others kept iterating *)
 }
 
 let is_live ctx id = ctx.live == ctx.all_ids || List.mem id ctx.live
@@ -202,25 +213,17 @@ let add_guard_to ctx env keys gname =
            every spec (superglobal membership does not matter here — the
            pseudo-var is only read back by the specs it is one for) *)
         let prev = Env.get env k in
-        let v =
-          List.map
-            (fun id ->
-              ( id,
-                match Env.find prev id with
-                | Some o -> Trace.add_guard o gname
-                | None ->
-                    Trace.add_guard
-                      (Trace.origin ~source:k ~source_loc:Loc.dummy)
-                      gname ))
-            ctx.all_ids
+        let fresh =
+          Trace.add_guard (Trace.origin ~source:k ~source_loc:Loc.dummy) gname
         in
-        Env.set env k v
+        Env.set env k
+          (Env.overlay
+             (Env.map_origins (fun o -> Trace.add_guard o gname) prev)
+             (Env.of_origin ~ids:ctx.all_ids fresh))
       else
-        match Env.get env k with
-        | [] -> env
-        | t ->
-            Env.set env k
-              (Env.map_origins (fun o -> Trace.add_guard o gname) t))
+        let t = Env.get env k in
+        if Env.is_clean t then env
+        else Env.set env k (Env.map_origins (fun o -> Trace.add_guard o gname) t))
     env keys
 
 (* guard calls appearing syntactically inside an expression *)
@@ -434,15 +437,11 @@ let rec eval ctx env (e : Ast.expr) : Env.taint * Env.t =
       let rendered = render_expr e in
       (* pick up guards previously recorded for this superglobal access *)
       let base = Trace.origin ~source:rendered ~source_loc:e.eloc in
-      let prev = Env.get env ("@sg:" ^ rendered) in
+      let prev = Env.restrict (Env.get env ("@sg:" ^ rendered)) sg_ids in
       let sg_taint =
-        List.map
-          (fun id ->
-            ( id,
-              match Env.find prev id with
-              | Some p -> { base with Trace.guards = p.Trace.guards }
-              | None -> base ))
-          sg_ids
+        Env.overlay
+          (Env.map_origins (fun p -> { base with Trace.guards = p.Trace.guards }) prev)
+          (Env.of_origin ~ids:sg_ids base)
       in
       (Env.overlay sg_taint rest, env)
   | Ast.Index (base, idx) ->
@@ -658,15 +657,15 @@ and eval_call ctx env loc (callee : Ast.callee) (args : Ast.arg list) :
         else if lf = "sprintf" || lf = "vsprintf" then begin
           (* format-string building: taint flows from the arguments into
              the result, and the format literal gives the query structure *)
-          match join_all ctx ~through:lf ~ids:rest taints with
-          | [] -> Env.clean
-          | t ->
-              let rev_parts =
-                match arg_exprs with
-                | { e = Ast.String fmt; _ } :: _ -> rev_split_format fmt
-                | _ -> [ Trace.Qdyn ]
-              in
-              Env.map_origins (fun o -> { o with Trace.rev_parts }) t
+          let t = join_all ctx ~through:lf ~ids:rest taints in
+          if Env.is_clean t then Env.clean
+          else
+            let rev_parts =
+              match arg_exprs with
+              | { e = Ast.String fmt; _ } :: _ -> rev_split_format fmt
+              | _ -> [ Trace.Qdyn ]
+            in
+            Env.map_origins (fun o -> { o with Trace.rev_parts }) t
         end
         else begin
           (* sink check, then propagation *)
@@ -747,6 +746,7 @@ and apply_summary ctx _env loc (fs : Summary.fused) taints arg_exprs ~ids :
       in
       Option.map (fun o -> (id, o)) ret)
     ids
+  |> Env.of_list
 
 (* ------------------------------------------------------------------ *)
 (* Assignment.                                                         *)
@@ -767,31 +767,30 @@ and eval_assign ctx env loc op (lhs : Ast.expr) (rhs : Ast.expr) :
     | _ -> t
   in
   let t =
-    match t with
-    | [] -> Env.clean
-    | _ ->
-        let step =
-          { Trace.step_loc = loc;
-            step_desc = render_expr lhs ^ " = " ^ render_expr rhs }
-        in
-        let rhs_parts = Trace.flatten_onto rhs [] in
-        Env.map_origins
-          (fun o ->
-            let o = Trace.add_step o step in
-            (* remember the string structure being built; `.=` extends
-               it, in time proportional to the right-hand side; an opaque
-               right-hand side (e.g. a sprintf call that already recorded
-               its format) keeps the structure gathered so far *)
-            let rev_parts =
-              match op with
-              | Ast.A_concat -> rhs_parts @ o.Trace.rev_parts
-              | _ -> (
-                  match rhs_parts with
-                  | [ Trace.Qdyn ] when o.Trace.rev_parts <> [] -> o.Trace.rev_parts
-                  | p -> p)
-            in
-            { o with Trace.rev_parts })
-          t
+    if Env.is_clean t then Env.clean
+    else
+      let step =
+        { Trace.step_loc = loc;
+          step_desc = render_expr lhs ^ " = " ^ render_expr rhs }
+      in
+      let rhs_parts = Trace.flatten_onto rhs [] in
+      Env.map_origins
+        (fun o ->
+          let o = Trace.add_step o step in
+          (* remember the string structure being built; `.=` extends
+             it, in time proportional to the right-hand side; an opaque
+             right-hand side (e.g. a sprintf call that already recorded
+             its format) keeps the structure gathered so far *)
+          let rev_parts =
+            match op with
+            | Ast.A_concat -> rhs_parts @ o.Trace.rev_parts
+            | _ -> (
+                match rhs_parts with
+                | [ Trace.Qdyn ] when o.Trace.rev_parts <> [] -> o.Trace.rev_parts
+                | p -> p)
+          in
+          { o with Trace.rev_parts })
+        t
   in
   let env = assign_to ctx env lhs t in
   (t, env)
@@ -862,14 +861,13 @@ and exec_stmt ctx env (s : Ast.stmt) : Env.t =
   | Ast.Foreach (subject, binding, body) ->
       let t_subj, env = eval ctx env subject in
       let t_subj =
-        match t_subj with
-        | [] -> Env.clean
-        | _ ->
-            let step =
-              { Trace.step_loc = s.sloc;
-                step_desc = "foreach over " ^ render_expr subject }
-            in
-            Env.map_origins (fun o -> Trace.add_step o step) t_subj
+        if Env.is_clean t_subj then Env.clean
+        else
+          let step =
+            { Trace.step_loc = s.sloc;
+              step_desc = "foreach over " ^ render_expr subject }
+          in
+          Env.map_origins (fun o -> Trace.add_step o step) t_subj
       in
       let env = assign_to ctx env binding.fe_value t_subj in
       let env =
@@ -1004,21 +1002,23 @@ and loop_fixpoint ctx env ~enter ~body : Env.t =
     if live = [] || n = 0 then (env, frozen)
     else begin
       ctx.live <- live;
+      ctx.loop_iterations <- ctx.loop_iterations + 1;
       let env' = Env.merge env (exec_stmts ctx (enter env) body) in
-      let stable, unstable =
-        List.partition (fun id -> Env.equal_shallow_for id env env') live
-      in
-      let frozen = List.map (fun id -> (id, env')) stable @ frozen in
-      if unstable = [] then (env', frozen)
-      else iterate env' frozen unstable (n - 1)
+      match Env.changed live env env' with
+      | [] -> (env', frozen)
+      | unstable ->
+          let stable = diff_ids live unstable in
+          ctx.loop_retired <- ctx.loop_retired + List.length stable;
+          let frozen = if stable = [] then frozen else (stable, env') :: frozen in
+          iterate env' frozen unstable (n - 1)
     end
   in
   let env_final, frozen = iterate env [] saved 3 in
   ctx.live <- saved;
-  (* a spec frozen at the final environment needs no blending: each
-     blend touches only its own component *)
+  (* specs frozen at the final environment need no blending: each blend
+     touches only its own components *)
   List.fold_left
-    (fun acc (id, e) -> if e == env_final then acc else Env.blend acc ~from:e id)
+    (fun acc (ids, e) -> if e == env_final then acc else Env.blend acc ~from:e ids)
     env_final frozen
 
 (* ------------------------------------------------------------------ *)
@@ -1053,48 +1053,57 @@ let analyze_function ctx (f : Ast.func) : walked =
   let _ = exec_stmts ctx env f.f_body in
   let fn_name = normalize_fn f.f_name in
   let arity = List.length f.f_params in
-  let per_spec =
-    List.map
-      (fun id ->
-        let returns_params =
-          List.fold_left
-            (fun acc t ->
-              match Env.find t id with
-              | Some o -> (
-                  match Trace.param_index_of_source o.Trace.source with
-                  | Some i
-                    when not
-                           (List.exists
-                              (fun pf -> pf.Summary.pf_index = i)
-                              acc) ->
-                      { Summary.pf_index = i; pf_through = o.Trace.through;
-                        pf_guards = o.Trace.guards }
-                      :: acc
-                  | _ -> acc)
-              | None -> acc)
-            [] ctx.return_taints
-        in
-        let returns_tainted =
-          List.find_map
-            (fun t ->
-              match Env.find t id with
-              | Some o when Trace.param_index_of_source o.Trace.source = None ->
-                  Some o
-              | _ -> None)
-            ctx.return_taints
-        in
-        let param_sinks =
-          List.rev
-            (List.filter_map
-               (fun (i, ps) -> if i = id then Some ps else None)
-               ctx.param_sinks)
-        in
-        { Summary.fn_name; arity; returns_params; param_sinks; returns_tainted })
-      ctx.all_ids
-  in
+  (* every spec's summary in one pass over the recorded returns, newest
+     first (the first flow of each parameter index wins, and the first
+     real return), and over the parameter sinks, consed back to oldest
+     first; the ids of one entry share what they build from it *)
+  let n = Array.length ctx.specs in
+  let returns_params = Array.make n [] and returns_tainted = Array.make n None in
+  let param_sinks = Array.make n [] in
+  List.iter
+    (Env.iter (fun lo hi (o : Trace.origin) ->
+         match Trace.param_index_of_source o.Trace.source with
+         | Some i ->
+             let pf =
+               { Summary.pf_index = i; pf_through = o.Trace.through;
+                 pf_guards = o.Trace.guards }
+             in
+             let last = ref None in
+             for id = lo to hi do
+               let acc = returns_params.(id) in
+               if not (List.exists (fun pf -> pf.Summary.pf_index = i) acc) then
+                 returns_params.(id) <-
+                   (match !last with
+                   | Some (before, after) when before == acc -> after
+                   | _ ->
+                       let after = pf :: acc in
+                       last := Some (acc, after);
+                       after)
+             done
+         | None ->
+             let some_o = Some o in
+             for id = lo to hi do
+               if Option.is_none returns_tainted.(id) then returns_tainted.(id) <- some_o
+             done))
+    ctx.return_taints;
+  List.iter (fun (id, ps) -> param_sinks.(id) <- ps :: param_sinks.(id)) ctx.param_sinks;
+  let per_spec = ref [] in
+  for id = n - 1 downto 0 do
+    let returns_params = returns_params.(id) and param_sinks = param_sinks.(id) in
+    let returns_tainted = returns_tainted.(id) in
+    per_spec :=
+      (match !per_spec with
+      | (s : Summary.t) :: _
+        when s.returns_params == returns_params && s.param_sinks == param_sinks
+             && s.returns_tainted == returns_tainted ->
+          s
+      | _ -> { Summary.fn_name; arity; returns_params; param_sinks; returns_tainted })
+      :: !per_spec
+  done;
   {
     w_func = f;
-    w_summary = Summary.fused_of_list fn_name arity per_spec;
+    w_summary =
+      { Summary.fs_name = fn_name; fs_arity = arity; fs_specs = Array.of_list !per_spec };
     w_lookups = ctx.lookups;
     w_emits = List.rev ctx.emits;
   }
@@ -1194,10 +1203,19 @@ let file_ctx st file =
     live = all_ids;
     lookups = [];
     emits = [];
+    loop_iterations = 0;
+    loop_retired = 0;
   }
 
 let m_reused = Wap_obs.Metrics.counter "taint.functions_reused"
 let m_reanalyzed = Wap_obs.Metrics.counter "taint.functions_reanalyzed"
+let m_loop_iterations = Wap_obs.Metrics.counter "taint.loop_iterations"
+let m_loop_retired = Wap_obs.Metrics.counter "taint.loop_specs_retired"
+
+(* A file's loop counts go to the registry once, after its walks. *)
+let count_loops ctx =
+  Wap_obs.Metrics.incr ~by:ctx.loop_iterations m_loop_iterations;
+  Wap_obs.Metrics.incr ~by:ctx.loop_retired m_loop_retired
 
 (** Summary sweep over one file: each function's summary is registered
     as soon as it is computed, so later functions (and later files) see
@@ -1215,6 +1233,7 @@ let summarize_file_delta st (u : file_unit) : Summary.fused list =
         w)
       (Visitor.collect_functions u.program)
   in
+  count_loops ctx;
   Hashtbl.replace st.st_walked u.path (u.program, walked);
   List.map (fun w -> w.w_summary) walked
 
@@ -1271,6 +1290,7 @@ let analyze_file_functions st (u : file_unit) : (int * Trace.candidate) list =
   in
   Wap_obs.Metrics.incr ~by:!reused m_reused;
   Wap_obs.Metrics.incr ~by:!walks m_reanalyzed;
+  count_loops ctx;
   emits
 
 (** Top-level sweep over one file, using the final summaries; literal
@@ -1296,6 +1316,7 @@ let analyze_file_toplevel st ~(units : file_unit list) (u : file_unit) :
   let ctx = file_ctx st u.path in
   let program = splice_includes ~index ~depth:0 ~visited:[ u.path ] u.program in
   ignore (exec_stmts ctx Env.empty program);
+  count_loops ctx;
   List.rev ctx.emits
 
 (* Base names a file's top-level includes resolve against — the exact

@@ -20,7 +20,11 @@ type file_unit = { path : string; program : Ast.program }
     The analysis of a (spec set, project) pair decomposes into per-file
     sweeps over a {!project_state} that owns every piece of mutable
     state — no globals, so any number of states can be driven
-    concurrently (the parallel scan engine runs one per project). *)
+    concurrently (the parallel scan engine runs one per project).  Each
+    step adds its walks' loop counts to the [taint.loop_iterations]
+    (loop-body runs of the fixpoints) and [taint.loop_specs_retired]
+    (specs that settled while others kept iterating) counters, once
+    per file. *)
 
 type project_state
 

@@ -9,24 +9,39 @@
     [i] present means "tainted for spec [i], with this origin"; the
     empty vector is clean for every spec.  Components never interact
     across ids, so one fused pass over N specs computes, component by
-    component, exactly what N independent single-spec runs would. *)
+    component, exactly what N independent single-spec runs would.
 
-type taint = (int * Trace.origin) list [@@deriving show]
+    The vector is abstract.  It groups the ids that share one physical
+    origin: a value tainted the same way for all N specs is one entry,
+    and each operation costs time in its entries, so it pays for what
+    differs between specs rather than N times.  Every operation below is
+    specified per id, and no caller can tell the grouping apart from a
+    plain [(id, origin)] list.  Id lists given to it must be ascending. *)
+
+type taint
 
 val clean : taint
+val is_clean : taint -> bool
 
 (** Component for one spec id. *)
 val find : taint -> int -> Trace.origin option
 
-(** The same origin for every given id (ids must be ascending). *)
+(** [iter f t] calls [f lo hi o] for each entry of [t], in id order:
+    the ids [lo..hi] all hold [o].  An id no entry covers is clean. *)
+val iter : (int -> int -> Trace.origin -> unit) -> taint -> unit
+
+(** The same origin for every given id. *)
 val of_origin : ids:int list -> Trace.origin -> taint
+
+(** The vector of the given components, ids ascending. *)
+val of_list : (int * Trace.origin) list -> taint
 
 (** Keep / drop the components of the given ids. *)
 val restrict : taint -> int list -> taint
 
 val without : taint -> int list -> taint
 
-(** Apply [f] to every present component. *)
+(** Apply [f] to every present component: once per entry. *)
 val map_origins : (Trace.origin -> Trace.origin) -> taint -> taint
 
 (** Union of two vectors; where both have a component, the left wins.
@@ -52,12 +67,13 @@ val remove : t -> string -> t
 (** Pointwise join of two environments (after an if/else, loop, ...). *)
 val merge : t -> t -> t
 
-(** Cheap stabilization test for loop fixpoints: same key set tainted
-    for the given spec id.  Per-spec, so a fused loop stops iterating
-    each spec exactly when a single-spec run would. *)
-val equal_shallow_for : int -> t -> t -> bool
+(** [changed ids a b]: the ids of [ids] whose set of tainted variables
+    differs between [a] and [b], ascending — the loop fixpoint's
+    stabilization test for every live spec at once, in one walk over
+    both environments. *)
+val changed : int list -> t -> t -> int list
 
-(** [blend base ~from id]: environment whose component [id] comes from
-    [from] for every variable and whose other components come from
-    [base]. *)
-val blend : t -> from:t -> int -> t
+(** [blend base ~from ids]: environment whose components [ids] come
+    from [from] for every variable and whose other components come
+    from [base]. *)
+val blend : t -> from:t -> int list -> t

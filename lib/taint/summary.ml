@@ -49,9 +49,6 @@ type fused = {
   fs_specs : t array;
 }
 
-let fused_of_list name arity per_spec =
-  { fs_name = name; fs_arity = arity; fs_specs = Array.of_list per_spec }
-
 let for_spec (f : fused) id = f.fs_specs.(id)
 
 (** Summaries table keyed by lowercase function name.  Methods are

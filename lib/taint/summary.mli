@@ -49,7 +49,6 @@ type fused = {
   fs_specs : t array;
 }
 
-val fused_of_list : string -> int -> t list -> fused
 val for_spec : fused -> int -> t
 
 (** Summary table keyed by lowercase function name; methods are

@@ -130,9 +130,15 @@ let inter_names a b =
 let param_source i = Printf.sprintf "param:%d" i
 
 let param_index_of_source s =
-  if String.length s > 6 && String.sub s 0 6 = "param:" then
-    int_of_string_opt (String.sub s 6 (String.length s - 6))
-  else None
+  let n = String.length s in
+  let rec digits i acc =
+    if i = n then Some acc
+    else
+      match s.[i] with
+      | '0' .. '9' as c -> digits (i + 1) ((10 * acc) + Char.code c - Char.code '0')
+      | _ -> None
+  in
+  if n > 6 && String.starts_with ~prefix:"param:" s then digits 6 0 else None
 
 type candidate = {
   vclass : Wap_catalog.Vuln_class.t;

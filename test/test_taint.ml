@@ -745,6 +745,256 @@ let test_reuse_chain_leaf_last () =
   Alcotest.(check (pair int int)) "both callers of the leaf walked" (1, 2)
     (check_reuse_exact "leaf declared last" units)
 
+(* ------------------------------------------------------------------ *)
+(* Taint vectors keep their per-id meaning.                            *)
+
+module Env = Wap_taint.Env
+
+let nids = 7
+
+(* Origins shared physically by every id that draws them, so consecutive
+   ids group into one entry, and origins made for one id alone. *)
+let shared_origins =
+  Array.init 3 (fun i ->
+      { (Tr.origin ~source:(Printf.sprintf "$_GET['%d']" i) ~source_loc:Wap_php.Loc.dummy)
+        with
+        Tr.through = [ Printf.sprintf "f%d" i ];
+        guards = List.filteri (fun j _ -> j <= i) [ "isset"; "is_numeric"; "preg_match" ] })
+
+(* A per-id reference vector: one component per id. *)
+let random_components rs =
+  Array.init nids (fun id ->
+      match Random.State.int rs 6 with
+      | 0 | 1 -> None
+      | 2 | 3 -> Some shared_origins.(0)
+      | 4 -> Some shared_origins.(1 + Random.State.int rs 2)
+      | _ ->
+          Some
+            { shared_origins.(Random.State.int rs 3) with
+              Tr.source = Printf.sprintf "own %d" id;
+              guards = [ "is_int" ] })
+
+(* Two ways in: one id at a time, or one [of_origin] per shared origin
+   overlaid. *)
+let vector_of ~grouped (r : Tr.origin option array) =
+  if not grouped then
+    Env.of_list
+      (List.filter_map (fun id -> Option.map (fun o -> (id, o)) r.(id)) (List.init nids Fun.id))
+  else
+    Array.fold_left
+      (fun (acc, seen) o ->
+        match o with
+        | Some o when not (List.memq o seen) ->
+            let ids =
+              List.filter
+                (fun id -> match r.(id) with Some o' -> o' == o | None -> false)
+                (List.init nids Fun.id)
+            in
+            (Env.overlay acc (Env.of_origin ~ids o), o :: seen)
+        | _ -> (acc, seen))
+      (Env.clean, []) r
+    |> fst
+
+let random_ids rs = List.filter (fun _ -> Random.State.bool rs) (List.init nids Fun.id)
+
+let show_component = function None -> "-" | Some o -> Tr.show_origin o
+
+let check_vector name (expected : Tr.origin option array) t =
+  Array.iteri
+    (fun id o ->
+      Alcotest.(check string) (Printf.sprintf "%s, id %d" name id) (show_component o)
+        (show_component (Env.find t id)))
+    expected;
+  let seen = Array.make nids None in
+  Env.iter (fun lo hi o -> for id = lo to hi do seen.(id) <- Some o done) t;
+  Array.iteri
+    (fun id o ->
+      Alcotest.(check string) (Printf.sprintf "%s, iter at id %d" name id) (show_component o)
+        (show_component seen.(id)))
+    expected
+
+let pointwise f a b = Array.init nids (fun id -> f a.(id) b.(id))
+
+let join_ref o1 o2 =
+  if o1 == o2 then o1 else { o1 with Tr.guards = Tr.inter_names o1.Tr.guards o2.Tr.guards }
+
+let join_operands_ref o1 o2 =
+  if o1 == o2 then o1
+  else
+    { o1 with
+      Tr.through = Tr.union_names o1.Tr.through o2.Tr.through;
+      guards = Tr.union_names o1.Tr.guards o2.Tr.guards }
+
+let either both a b =
+  match (a, b) with
+  | Some x, Some y -> Some (both x y)
+  | Some x, None | None, Some x -> Some x
+  | None, None -> None
+
+let test_env_vector_ops () =
+  let rs = Random.State.make [| 2016 |] in
+  for round = 1 to 300 do
+    let ra = random_components rs and rb = random_components rs in
+    let a = vector_of ~grouped:(round land 1 = 0) ra in
+    let b = vector_of ~grouped:(round land 2 = 0) rb in
+    let name op = Printf.sprintf "round %d: %s" round op in
+    check_vector (name "build") ra a;
+    let ids = random_ids rs in
+    let within id = List.mem id ids in
+    check_vector (name "restrict")
+      (Array.mapi (fun id o -> if within id then o else None) ra)
+      (Env.restrict a ids);
+    check_vector (name "without")
+      (Array.mapi (fun id o -> if within id then None else o) ra)
+      (Env.without a ids);
+    let o = shared_origins.(round mod 3) in
+    check_vector (name "of_origin")
+      (Array.init nids (fun id -> if within id then Some o else None))
+      (Env.of_origin ~ids o);
+    let calls = ref 0 and entries = ref 0 in
+    Env.iter (fun _ _ _ -> incr entries) a;
+    let f o =
+      incr calls;
+      Tr.add_through o "m"
+    in
+    check_vector (name "map_origins")
+      (Array.map (Option.map (fun o -> Tr.add_through o "m")) ra)
+      (Env.map_origins f a);
+    Alcotest.(check bool) (name "map_origins: f at most once per entry") true
+      (!calls <= !entries);
+    check_vector (name "overlay")
+      (pointwise (fun x y -> if x = None then y else x) ra rb)
+      (Env.overlay a b);
+    check_vector (name "join") (pointwise (either join_ref) ra rb) (Env.join a b);
+    check_vector (name "join_operands")
+      (pointwise (either join_operands_ref) ra rb)
+      (Env.join_operands a b)
+  done
+
+(* Environments over three variables: a variable may be unbound, bound
+   clean, or bound to a vector. *)
+let env_keys = [ "a"; "b"; "c" ]
+
+let random_env rs =
+  List.map
+    (fun k ->
+      ( k,
+        match Random.State.int rs 4 with
+        | 0 -> None
+        | 1 -> Some (Array.make nids None)
+        | _ -> Some (random_components rs) ))
+    env_keys
+
+let env_of rs (r : (string * Tr.origin option array option) list) =
+  List.fold_left
+    (fun env (k, v) ->
+      match v with
+      | None -> env
+      | Some c -> Env.set env k (vector_of ~grouped:(Random.State.bool rs) c))
+    Env.empty r
+
+let component (r : (string * Tr.origin option array option) list) k id =
+  match List.assoc k r with None -> None | Some c -> c.(id)
+
+let test_env_environment_ops () =
+  let rs = Random.State.make [| 2016 |] in
+  for round = 1 to 300 do
+    let ra = random_env rs and rb = random_env rs in
+    (* a later iteration usually keeps some bindings of the earlier one *)
+    let rb =
+      List.map2 (fun (k, x) (_, y) -> (k, if Random.State.bool rs then x else y)) ra rb
+    in
+    let a = env_of rs ra and b = env_of rs rb in
+    let name op k = Printf.sprintf "round %d: %s $%s" round op k in
+    let ids = random_ids rs in
+    let merged = Env.merge a b and blended = Env.blend a ~from:b ids in
+    List.iter
+      (fun k ->
+        check_vector (name "merge" k)
+          (Array.init nids (fun id -> either join_ref (component ra k id) (component rb k id)))
+          (Env.get merged k);
+        check_vector (name "blend" k)
+          (Array.init nids (fun id -> component (if List.mem id ids then rb else ra) k id))
+          (Env.get blended k))
+      env_keys;
+    let keys r id = List.filter (fun k -> component r k id <> None) env_keys in
+    Alcotest.(check (list int))
+      (Printf.sprintf "round %d: changed" round)
+      (List.filter (fun id -> keys ra id <> keys rb id) ids)
+      (Env.changed ids a b)
+  done
+
+(* A loop where the specs settle after different numbers of
+   iterations: SQLI's variables stop changing after one (its [$d] is
+   sanitized), XSS-R's after three ([$d], then [$e], become tainted).
+   The iterations SQLI sits out still move [$a]'s guards ([$a = $b]
+   after [$b = $c]), so the fused run is right only if SQLI's settled
+   environment is blended back. *)
+let staggered_src =
+  "<?php
+$a = $_GET['a'];
+$b = $_GET['b'];
+   if (!is_numeric($a)) { die(); }
+if (!is_numeric($b)) { die(); }
+   $c = $_GET['c'];
+   while ($i) {
+  $e = $d;
+  $d = mysql_real_escape_string($a);
+  $a = $b;
+  $b = $c;
+}
+   mysql_query($a);
+echo $a;
+echo $e;
+"
+
+let test_staggered_retirement () =
+  let units = project [ ("loop.php", staggered_src) ] in
+  let specs = [ Cat.default_spec VC.Sqli; Cat.default_spec VC.Xss_reflected ] in
+  let r0 = counter "taint.loop_specs_retired" in
+  let fused = An.analyze_project_indexed ~specs units in
+  Alcotest.(check int) "SQLI retired while XSS-R iterated" 1
+    (counter "taint.loop_specs_retired" - r0);
+  List.iteri
+    (fun id spec ->
+      let single = An.analyze_project ~spec units in
+      Alcotest.(check (list string))
+        (Printf.sprintf "spec %d: fused = single-spec run" id)
+        (List.map Tr.show_candidate single)
+        (List.filter_map (fun (i, c) -> if i = id then Some (Tr.show_candidate c) else None) fused))
+    specs;
+  let sqli = Tr.primary (one_candidate (An.analyze_project ~spec:(List.hd specs) units)) in
+  Alcotest.(check bool) "SQLI keeps the guard of its settled iteration" true
+    (List.mem "is_numeric" sqli.Tr.guards)
+
+(* Pass 1 must cost what differs between specs, not once per spec: on a
+   function-heavy tree (two generated Table V packages), the full WAPe
+   set may allocate at most 2.5x the minor words of one spec. *)
+let test_pass1_allocation_per_spec () =
+  let units =
+    List.concat_map
+      (fun profile ->
+        let pkg = Wap_corpus.Appgen.of_webapp_profile ~seed:1 profile in
+        project
+          (List.map
+             (fun (f : Wap_corpus.Appgen.file) ->
+               (f.Wap_corpus.Appgen.f_name, f.Wap_corpus.Appgen.f_source))
+             pkg.Wap_corpus.Appgen.pkg_files))
+      (List.filteri (fun i _ -> i < 2) Wap_corpus.Profiles.vulnerable_webapps)
+  in
+  let pass1_words specs =
+    let st = An.project_state ~specs () in
+    let w0 = Gc.minor_words () in
+    List.iter (An.summarize_file st) units;
+    Gc.minor_words () -. w0
+  in
+  let one = pass1_words [ Cat.default_spec VC.Sqli ] and all = pass1_words wape_specs in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d specs allocate <= 2.5x one spec (%.2fx)" (List.length wape_specs)
+       (all /. one))
+    true
+    (all <= 2.5 *. one)
+
 let qcheck_sanitizer_monotone =
   (* registering an extra sanitizer never increases the candidate count *)
   QCheck.Test.make ~name:"extra sanitizer is monotone" ~count:50
@@ -922,6 +1172,16 @@ let () =
             test_reuse_recursion;
           Alcotest.test_case "chain with the leaf last" `Quick
             test_reuse_chain_leaf_last;
+        ] );
+      ( "taint vectors",
+        [
+          Alcotest.test_case "vector operations per id" `Quick test_env_vector_ops;
+          Alcotest.test_case "environment operations per id" `Quick
+            test_env_environment_ops;
+          Alcotest.test_case "staggered loop retirement" `Quick
+            test_staggered_retirement;
+          Alcotest.test_case "pass 1 allocation per spec" `Quick
+            test_pass1_allocation_per_spec;
         ] );
       ( "properties",
         [ qt qcheck_sanitizer_monotone; qt qcheck_seeded_real_detected;
