@@ -1,63 +1,16 @@
-(** Benchmark and experiment harness.
+(** The scan-engine and fleet kernels.
 
-    [dune exec bench/main.exe] regenerates every table and figure of the
-    paper's evaluation (printed to stdout, suitable for [tee]) and then
-    runs the Bechamel micro-benchmarks: one kernel per table/figure plus
-    the substrate benchmarks (lexer, parser, taint analysis, symptom
-    collection, classifiers, weapon generation, fix insertion).
+    [dune exec bench/main.exe] times the scan engine (parallel
+    speedup, warm-cache rescan, incremental edits, telemetry overhead)
+    and a 2-worker fleet against one process, and writes the numbers
+    to [BENCH_scan.json].  [--check-obs] fails the run when the
+    telemetry overhead exceeds 5%; [--check-fleet] when a fleet
+    project fails, the fleet shares no work or two workers are slower
+    than one.  The paper's evaluation is [wap experiments]. *)
 
-    Flags: [--tables-only] skips Bechamel; [--bench-only] skips the
-    tables; [--quick] limits the corpus runs to the vulnerable packages. *)
-
-open Bechamel
-module E = Wap_core.Experiments
 module Scan = Wap_core.Tool.Scan
 
 let seed = 2016
-
-(* ------------------------------------------------------------------ *)
-(* Experiment regeneration.                                            *)
-
-let print_tables ~quick () =
-  let t_total = Sys.time () in
-  print_string (E.table1 ());
-  print_newline ();
-  let dataset = Wap_core.Training.dataset_for ~seed Wap_core.Version.Wape in
-  print_string (E.table2 ~seed ~dataset ());
-  print_newline ();
-  print_string (E.table3 ~seed ~dataset ());
-  print_newline ();
-  print_string (E.classifier_ranking ~seed ());
-  print_newline ();
-  print_string (E.ablation_attributes ~seed ());
-  print_newline ();
-  print_string (E.ablation_interprocedural ~seed ());
-  print_newline ();
-  print_string (E.ablation_vote ~seed ());
-  print_newline ();
-  print_string (E.table4 ());
-  print_newline ();
-  let webapps = E.run_webapps ~seed ~only_vulnerable:quick () in
-  print_string (E.table5 webapps);
-  print_newline ();
-  print_string (E.table6 webapps);
-  print_newline ();
-  let plugins = E.run_plugins ~seed ~only_vulnerable:quick () in
-  print_string (E.table7 plugins);
-  print_newline ();
-  print_string (E.fig4 plugins);
-  print_newline ();
-  print_string (E.fig5 webapps plugins);
-  print_newline ();
-  print_string (E.confirmation_table ~seed ~packages:6 ());
-  print_newline ();
-  let before, after = E.escape_experiment ~seed () in
-  Printf.printf
-    "Extensibility experiment (Section V-A): a vfront-like module reports %d\n\
-     candidate(s); after feeding the application's own escape() function as a\n\
-     sanitizer, %d remain (the custom-sanitized flows are no longer reported).\n"
-    before after;
-  Printf.printf "\n[experiments regenerated in %.1fs cpu]\n%!" (Sys.time () -. t_total)
 
 (* ------------------------------------------------------------------ *)
 (* Scan-engine kernel: parallel speedup and warm-cache rescan.         *)
@@ -526,196 +479,18 @@ let run_fleet ?(check_fleet = false) () =
     | Some _ | None -> ()
   end
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks.                                          *)
-
-let sample_php =
-  {php|<?php
-$user = $_GET['user'];
-$pass = trim($_POST['pass']);
-if (!preg_match('/^[a-z0-9]+$/', $user)) { die('bad'); }
-$q = "SELECT * FROM users WHERE u = '$user' AND p = '$pass' LIMIT 1";
-$r = mysql_query($q);
-while ($row = mysql_fetch_assoc($r)) {
-    echo "<td>" . $row['u'] . "</td>";
-}
-function helper($x) { return "[" . substr($x, 0, 8) . "]"; }
-header("Location: " . $_GET['next']);
-|php}
-
-let small_pkg =
-  Wap_corpus.Appgen.of_webapp_profile ~seed
-    (List.nth Wap_corpus.Profiles.vulnerable_webapps 5 (* divine: 5 files *))
-
-let staged = Staged.stage
-
-let substrate_tests () =
-  let tokens () = Wap_php.Lexer.tokenize_buf ~file:"bench.php" sample_php in
-  let program = Wap_php.Parser.parse_string ~file:"bench.php" sample_php in
-  let unit_ = [ { Wap_taint.Analyzer.path = "bench.php"; program } ] in
-  let sqli_spec = Wap_catalog.Catalog.default_spec Wap_catalog.Vuln_class.Sqli in
-  let xss_spec =
-    Wap_catalog.Catalog.default_spec Wap_catalog.Vuln_class.Xss_reflected
-  in
-  let catalog_specs =
-    (Wap_core.Tool.create ~seed Wap_core.Version.Wape).Wap_core.Tool.specs
-  in
-  let candidates = Wap_taint.Analyzer.analyze_project ~spec:sqli_spec unit_ in
-  let dataset = Wap_core.Training.dataset_for ~seed Wap_core.Version.Wape in
-  let svm = Wap_mining.Svm.train ~seed dataset in
-  let sample_vec =
-    match dataset.Wap_mining.Dataset.instances with
-    | i :: _ -> i.Wap_mining.Dataset.features
-    | [] -> [||]
-  in
-  [
-    Test.make ~name:"lexer" (staged tokens);
-    Test.make ~name:"parser"
-      (staged (fun () -> Wap_php.Parser.parse_string ~file:"bench.php" sample_php));
-    Test.make ~name:"printer"
-      (staged (fun () -> Wap_php.Printer.program_to_string program));
-    Test.make ~name:"taint-query-submodule"
-      (staged (fun () -> Wap_taint.Analyzer.analyze_project ~spec:sqli_spec unit_));
-    Test.make ~name:"taint-clientside-submodule"
-      (staged (fun () -> Wap_taint.Analyzer.analyze_project ~spec:xss_spec unit_));
-    (* fused_vs_per_spec: the same full-catalog analysis, one fused pass
-       vs the analyzer reference of one single-spec pass per spec *)
-    Test.make ~name:"taint-full-catalog-fused"
-      (staged (fun () ->
-           Wap_taint.Analyzer.analyze_with_specs ~specs:catalog_specs unit_));
-    Test.make ~name:"taint-full-catalog-per-spec"
-      (staged (fun () ->
-           List.concat_map
-             (fun spec -> Wap_taint.Analyzer.analyze_project ~spec unit_)
-             catalog_specs));
-    Test.make ~name:"symptom-collection"
-      (staged (fun () -> List.map Wap_mining.Evidence.collect candidates));
-    Test.make ~name:"svm-train"
-      (staged (fun () -> Wap_mining.Svm.train ~seed dataset));
-    Test.make ~name:"logistic-train"
-      (staged (fun () -> Wap_mining.Logistic.train dataset));
-    Test.make ~name:"random-forest-train"
-      (staged (fun () ->
-           Wap_mining.Random_forest.train
-             ~params:{ Wap_mining.Random_forest.n_trees = 15; max_depth = 10 }
-             ~seed dataset));
-    (* what a tool built from a data set (--training-set, a non-default
-       --seed) pays at its first classification: the WAPe ensemble at
-       default parameters; the stock tool ships it trained *)
-    Test.make ~name:"wape-ensemble-train"
-      (staged (fun () ->
-           List.map
-             (fun (a : Wap_mining.Classifier.algorithm) ->
-               a.Wap_mining.Classifier.train ~seed dataset)
-             Wap_mining.Predictor.extended_config.Wap_mining.Predictor.algorithms));
-    Test.make ~name:"svm-predict" (staged (fun () -> Wap_mining.Svm.predict svm sample_vec));
-    Test.make ~name:"weapon-generation"
-      (staged (fun () -> Wap_weapon.Generator.wpsqli ()));
-    Test.make ~name:"fix-insertion"
-      (staged (fun () ->
-           Wap_fixer.Corrector.correct program candidates));
-    Test.make ~name:"dynamic-confirmation"
-      (staged (fun () ->
-           List.map
-             (fun c -> Wap_confirm.Confirm.confirm_candidate ~program c)
-             candidates));
-  ]
-
-(* one kernel per paper table/figure: the computation that regenerates
-   it, at a size small enough to sample *)
-let experiment_tests () =
-  let dataset = Wap_core.Training.dataset_for ~seed Wap_core.Version.Wape in
-  let tool = Wap_core.Tool.create ~seed Wap_core.Version.Wape in
-  [
-    Test.make ~name:"table1-symptom-catalog" (staged (fun () -> E.table1 ()));
-    Test.make ~name:"table2-crossval-svm"
-      (staged (fun () ->
-           Wap_mining.Evaluation.cross_validate ~k:10 ~seed
-             Wap_mining.Svm.algorithm dataset));
-    Test.make ~name:"table3-confusion"
-      (staged (fun () ->
-           Wap_mining.Evaluation.resubstitution ~seed
-             Wap_mining.Logistic.algorithm dataset));
-    Test.make ~name:"table4-sink-catalog" (staged (fun () -> E.table4 ()));
-    Test.make ~name:"table5-6-pipeline-per-app"
-      (staged (fun () ->
-           (Scan.run tool
-              (Scan.request_of_package small_pkg))
-             .Scan.result));
-    Test.make ~name:"table7-plugin-pipeline"
-      (staged (fun () ->
-           let _, pkg = List.hd (Wap_corpus.Corpus.vulnerable_plugins ~seed ()) in
-           (Scan.run tool (Scan.request_of_package pkg))
-             .Scan.result));
-    Test.make ~name:"fig4-histogram"
-      (staged (fun () ->
-           List.map
-             (fun (p : Wap_corpus.Profiles.plugin_profile) ->
-               p.Wap_corpus.Profiles.pp_downloads)
-             Wap_corpus.Profiles.all_plugins));
-    Test.make ~name:"fig5-aggregation"
-      (staged (fun () -> Wap_corpus.Profiles.webapp_class_totals ()));
-  ]
-
-let run_bechamel () =
-  let tests =
-    Test.make_grouped ~name:"wap"
-      [ Test.make_grouped ~name:"substrate" (substrate_tests ());
-        Test.make_grouped ~name:"experiments" (experiment_tests ()) ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (est :: _) -> est
-        | _ -> nan
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) !rows in
-  print_newline ();
-  print_string "== Bechamel micro-benchmarks (monotonic clock) ==\n";
-  Printf.printf "%-42s %16s\n" "benchmark" "time/run";
-  List.iter
-    (fun (name, ns) ->
-      let human =
-        if Float.is_nan ns then "n/a"
-        else if ns > 1e9 then Printf.sprintf "%8.2f s " (ns /. 1e9)
-        else if ns > 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
-        else if ns > 1e3 then Printf.sprintf "%8.2f us" (ns /. 1e3)
-        else Printf.sprintf "%8.0f ns" ns
-      in
-      Printf.printf "%-42s %16s\n" name human)
-    rows;
-  print_newline ()
-
 (* the bench binary doubles as the fleet worker when the fleet kernel
    spawns it — must run before cmdline parsing *)
 let () = Wap_fleet.Worker.maybe_main ()
 
 let () =
-  let args = Array.to_list Sys.argv in
-  let quick = List.mem "--quick" args in
-  let tables_only = List.mem "--tables-only" args in
-  let bench_only = List.mem "--bench-only" args in
-  let engine_only = List.mem "--engine-only" args in
-  let check_obs = List.mem "--check-obs" args in
-  let check_fleet = List.mem "--check-fleet" args in
-  if engine_only then begin
-    run_scan_engine ~check_obs ();
-    run_fleet ~check_fleet ()
-  end
-  else begin
-    if not bench_only then print_tables ~quick ();
-    run_scan_engine ~check_obs ();
-    run_fleet ~check_fleet ();
-    if not tables_only then run_bechamel ()
-  end
+  let flags = [ "--check-obs"; "--check-fleet" ] in
+  let args = List.tl (Array.to_list Sys.argv) in
+  match List.filter (fun a -> not (List.mem a flags)) args with
+  | [] ->
+      run_scan_engine ~check_obs:(List.mem "--check-obs" args) ();
+      run_fleet ~check_fleet:(List.mem "--check-fleet" args) ()
+  | arg :: _ ->
+      Printf.eprintf "bench: unknown argument %s (accepted: %s)\n" arg
+        (String.concat ", " flags);
+      exit 2

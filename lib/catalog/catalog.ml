@@ -182,9 +182,15 @@ let specs_for classes = List.map default_spec classes
 (* ------------------------------------------------------------------ *)
 (* Stable spec identity.                                               *)
 
-(** Content-derived identity of one spec: stable across processes (no
-    marshalling, no hash-function drift), used as cache-key material. *)
-let spec_id (s : spec) : string = Digest.to_hex (Digest.string (show_spec s))
+(** Content-derived identity of one spec, used as cache-key material:
+    the digest of its marshalled form.  Without sharing, the bytes
+    depend only on the value's structure, so equal specs built apart
+    get one id; and a cache entry is itself a marshalled value, so the
+    key adds no dependence the cache does not already have.  Every scan
+    computes it for every active spec, and [show_spec] would render each
+    through [Format]. *)
+let spec_id (s : spec) : string =
+  Digest.to_hex (Digest.string (Marshal.to_string s [ Marshal.No_sharing ]))
 
 (** Identity of an ordered spec set.  The order is part of the identity:
     it determines the deterministic merge order of scan results. *)

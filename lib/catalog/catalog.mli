@@ -57,8 +57,9 @@ val default_spec : Vuln_class.t -> spec
 (** [specs_for classes] = [List.map default_spec classes]. *)
 val specs_for : Vuln_class.t list -> spec list
 
-(** Content-derived identity of one spec: stable across processes, used
-    as cache-key material. *)
+(** Content-derived identity of one spec: the digest of its marshalled
+    form without sharing, so equal specs get equal ids however they
+    were built; used as cache-key material. *)
 val spec_id : spec -> string
 
 (** Identity of an ordered spec set; the order is part of it (it

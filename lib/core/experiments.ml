@@ -279,15 +279,12 @@ type webapp_runs = {
   wr_v21 : app_run list;  (** the same packages under WAP v2.1 *)
 }
 
-let run_packages ?jobs ?cache tool packages =
-  List.map
-    (fun (profile, pkg) ->
-      let result =
-        (Tool.Scan.run tool (Tool.Scan.request_of_package ?jobs ?cache pkg))
-          .Tool.Scan.result
-      in
-      { ar_profile = profile; ar_result = result; ar_score = Aggregate.score_package result })
-    packages
+let scan_package ?jobs ?cache tool pkg =
+  (Tool.Scan.run tool (Tool.Scan.request_of_package ?jobs ?cache pkg))
+    .Tool.Scan.result
+
+let app_run profile result =
+  { ar_profile = profile; ar_result = result; ar_score = Aggregate.score_package result }
 
 let run_webapps ?(seed = default_seed) ?(only_vulnerable = false) ?jobs ?cache
     () : webapp_runs =
@@ -297,8 +294,14 @@ let run_webapps ?(seed = default_seed) ?(only_vulnerable = false) ?jobs ?cache
   in
   let wape = Tool.create ~seed Version.Wape in
   let v21 = Tool.create ~seed Version.Wap_v21 in
-  { wr_wape = run_packages ?jobs ?cache wape packages;
-    wr_v21 = run_packages ?jobs ?cache v21 packages }
+  let wr_wape =
+    List.map
+      (fun (profile, pkg) -> app_run profile (scan_package ?jobs ?cache wape pkg))
+      packages
+  in
+  { wr_wape;
+    wr_v21 =
+      List.map (fun r -> app_run r.ar_profile (Tool.restrict v21 r.ar_result)) wr_wape }
 
 let table5 (runs : webapp_runs) : string =
   let vulnerable =
@@ -399,10 +402,7 @@ let run_plugins ?(seed = default_seed) ?(only_vulnerable = false) ?jobs ?cache
   let tool = Tool.create ~seed ~weapons Version.Wape in
   List.map
     (fun (profile, pkg) ->
-      let result =
-        (Tool.Scan.run tool (Tool.Scan.request_of_package ?jobs ?cache pkg))
-          .Tool.Scan.result
-      in
+      let result = scan_package ?jobs ?cache tool pkg in
       { pr_profile = profile; pr_result = result; pr_score = Aggregate.score_package result })
     packages
 

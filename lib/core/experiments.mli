@@ -55,9 +55,12 @@ type webapp_runs = {
   wr_v21 : app_run list;  (** the same packages under WAP v2.1 *)
 }
 
-(** Run the web-application corpus under both tool versions.
-    [only_vulnerable] restricts to the 17 Table V rows.  [jobs] and
-    [cache] are forwarded to the scan engine for every package. *)
+(** Run the web-application corpus under both tool versions.  Each
+    package is scanned once, by WAPe; its WAP v2.1 run is that scan
+    restricted to v2.1's classes ({!Tool.restrict}), which equals a
+    v2.1 scan.  [only_vulnerable] restricts to the 17 Table V rows.
+    [jobs] and [cache] are forwarded to the scan engine for every
+    package. *)
 val run_webapps :
   ?seed:int ->
   ?only_vulnerable:bool ->

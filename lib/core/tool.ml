@@ -96,6 +96,55 @@ let dedup_candidates (cands : Wap_taint.Trace.candidate list) :
       end)
     cands
 
+(* The predict phase and the result around it: de-duplicate the
+   candidates, classify each with the tool's predictor and split the
+   findings into reported and predicted false positives.  [started] is
+   the (wall, cpu) start of the whole analysis, [phases] the phases
+   before this one. *)
+let predict (t : t) ~package ~loc ~started:(t0_wall, t0_cpu) ~phases raw :
+    package_result =
+  let t0_predict = Unix.gettimeofday () in
+  let candidates, findings =
+    Wap_obs.Trace.with_span ~cat:"core" "phase.predict" (fun () ->
+        let candidates = dedup_candidates raw in
+        let findings =
+          List.map
+            (fun c ->
+              let predicted_fp, symptoms =
+                Wap_mining.Predictor.classify t.predictor c
+              in
+              { candidate = c; predicted_fp; symptoms })
+            candidates
+        in
+        (candidates, findings))
+  in
+  let t_predict = Unix.gettimeofday () -. t0_predict in
+  let predicted_fps, reported =
+    List.partition (fun f -> f.predicted_fp) findings
+  in
+  {
+    package;
+    files_analyzed = List.length package.Wap_corpus.Appgen.pkg_files;
+    loc;
+    analysis_seconds = Unix.gettimeofday () -. t0_wall;
+    analysis_cpu_seconds = Sys.time () -. t0_cpu;
+    phase_seconds = phases @ [ ("predict", t_predict) ];
+    candidates;
+    findings;
+    reported = List.map (fun f -> f.candidate) reported;
+    predicted_fps = List.map (fun f -> f.candidate) predicted_fps;
+  }
+
+let restrict (t : t) (r : package_result) : package_result =
+  let classes = List.map (fun (s : Cat.spec) -> s.Cat.vclass) t.specs in
+  predict t ~package:r.package ~loc:r.loc
+    ~started:(Unix.gettimeofday (), Sys.time ())
+    ~phases:[]
+    (List.filter
+       (fun (c : Wap_taint.Trace.candidate) ->
+         List.exists (VC.equal c.Wap_taint.Trace.vclass) classes)
+       r.candidates)
+
 (* ------------------------------------------------------------------ *)
 (* The unified Scan API: every batch entry point (CLI, experiments,     *)
 (* bench, fleet workers, fuzz oracles) routes through one               *)
@@ -144,7 +193,7 @@ module Scan = struct
       sanitizers — so added weapons or extra sanitizers invalidate). *)
   let fingerprint (t : t) : string =
     Wap_engine.Cache.key
-      (Version.name t.version :: List.map Cat.show_spec t.specs)
+      [ Version.name t.version; Cat.set_fingerprint t.specs ]
 
   let run (t : t) (req : request) : outcome =
     let t0_wall = Unix.gettimeofday () and t0_cpu = Sys.time () in
@@ -170,38 +219,11 @@ module Scan = struct
            ~fingerprint:(fingerprint t) ~summary_store:req.summary_store
            ~specs:t.specs req.files)
     in
-    let t0_predict = Unix.gettimeofday () in
-    let candidates, findings =
-      Wap_obs.Trace.with_span ~cat:"core" "phase.predict" (fun () ->
-          let candidates = dedup_candidates engine.Session.candidates in
-          let findings =
-            List.map
-              (fun c ->
-                let predicted_fp, symptoms =
-                  Wap_mining.Predictor.classify t.predictor c
-                in
-                { candidate = c; predicted_fp; symptoms })
-              candidates
-          in
-          (candidates, findings))
-    in
-    let t_predict = Unix.gettimeofday () -. t0_predict in
-    let predicted_fps, reported =
-      List.partition (fun f -> f.predicted_fp) findings
-    in
     let result =
-      {
-        package = pkg;
-        files_analyzed = List.length pkg.Wap_corpus.Appgen.pkg_files;
-        loc = Wap_corpus.Appgen.loc_of_package pkg;
-        analysis_seconds = Unix.gettimeofday () -. t0_wall;
-        analysis_cpu_seconds = Sys.time () -. t0_cpu;
-        phase_seconds = engine.Session.phases @ [ ("predict", t_predict) ];
-        candidates;
-        findings;
-        reported = List.map (fun f -> f.candidate) reported;
-        predicted_fps = List.map (fun f -> f.candidate) predicted_fps;
-      }
+      predict t ~package:pkg
+        ~loc:(Wap_corpus.Appgen.loc_of_package pkg)
+        ~started:(t0_wall, t0_cpu) ~phases:engine.Session.phases
+        engine.Session.candidates
     in
     {
       result;

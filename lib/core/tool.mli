@@ -66,6 +66,20 @@ type package_result = {
 val dedup_candidates :
   Wap_taint.Trace.candidate list -> Wap_taint.Trace.candidate list
 
+(** [restrict t r] is [t]'s result on the package of [r], derived from
+    [r] without scanning again: [r]'s candidates of [t]'s classes,
+    de-duplicated and classified by [t]'s predictor as {!Scan.run}
+    would.  Its [phase_seconds] is the one [predict] phase, and its
+    times are that phase's.  It equals a scan with [t] when [r] came
+    from a tool whose specs start with [t]'s and none of whose other
+    classes shares a report group with one of [t]'s — WAPe's result
+    restricted to WAP v2.1, say: the fused analysis computes each
+    spec's candidates independently and merges them by sink, then
+    spec, so the other tool's extra specs only add candidates, which
+    the class filter drops and which never displace one of [t]'s in
+    {!dedup_candidates}. *)
+val restrict : t -> package_result -> package_result
+
 (** The unified scan API.  Every batch entry point — CLI, experiments,
     bench, fleet workers and fuzz oracles — routes through one
     request/outcome pair executed on the parallel engine (a one-shot

@@ -19,19 +19,6 @@ let cross_validate ?(k = 10) ~seed (algo : Classifier.algorithm) (d : Dataset.t)
         acc test.Dataset.instances)
     Metrics.empty folds
 
-(** Train on the full set and evaluate on it (resubstitution): used for
-    the confusion matrices of Table III, which the paper reports over
-    the whole 256-instance data set. *)
-let resubstitution ~seed (algo : Classifier.algorithm) (d : Dataset.t) :
-    Metrics.confusion =
-  let model = algo.Classifier.train ~seed d in
-  List.fold_left
-    (fun acc (inst : Dataset.instance) ->
-      Metrics.observe acc
-        ~predicted:(Classifier.predict model inst.features)
-        ~actual:inst.label)
-    Metrics.empty d.Dataset.instances
-
 type ranked = {
   algo : Classifier.algorithm;
   confusion : Metrics.confusion;

@@ -8,10 +8,6 @@
 val cross_validate :
   ?k:int -> seed:int -> Classifier.algorithm -> Dataset.t -> Metrics.confusion
 
-(** Train on the full set and evaluate on it (resubstitution). *)
-val resubstitution :
-  seed:int -> Classifier.algorithm -> Dataset.t -> Metrics.confusion
-
 type ranked = {
   algo : Classifier.algorithm;
   confusion : Metrics.confusion;

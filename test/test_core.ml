@@ -375,6 +375,88 @@ let test_dedup_across_specs () =
   let result = scan_source tool ~file:"i.php" "<?php\ninclude($_GET['p']);\n" in
   Alcotest.(check int) "deduplicated" 1 (List.length result.T.candidates)
 
+(* The analysis cache key of a tool: equal for equal spec sets however
+   they were built, different for any change to the set or its order. *)
+let test_fingerprints () =
+  let fp = T.Scan.fingerprint in
+  let tool = T.create ~seed V.Wape in
+  Alcotest.(check string) "two WAPe tools" (fp tool) (fp (T.create ~seed V.Wape));
+  let dir = Filename.temp_dir "wap_core" "weapons" in
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ])))
+  @@ fun () ->
+  List.iter
+    (fun (w : Wap_weapon.Weapon.t) ->
+      Wap_weapon.Store.save ~dir w;
+      let back = Wap_weapon.Store.load ~dir ~name:w.Wap_weapon.Weapon.name in
+      Alcotest.(check string)
+        (w.Wap_weapon.Weapon.name ^ " saved and reloaded")
+        (fp (T.create ~seed ~weapons:[ w ] V.Wape))
+        (fp (T.create ~seed ~weapons:[ back ] V.Wape)))
+    Wap_weapon.Generator.[ nosqli (); hei (); wpsqli () ];
+  let differs what other =
+    Alcotest.(check bool) what false (String.equal (fp tool) (fp other))
+  in
+  differs "one extra sanitizer"
+    (T.create ~seed ~extra_sanitizers:[ (Some VC.Sqli, "escape") ] V.Wape);
+  differs "two specs swapped"
+    { tool with
+      T.specs = (match tool.T.specs with a :: b :: rest -> b :: a :: rest | l -> l) }
+
+(* [Experiments.run_webapps] derives WAP v2.1's results from WAPe's
+   scans ([Tool.restrict]); that is exact only while v2.1's specs open
+   WAPe's and no WAPe-only class reports in a v2.1 group, where
+   [dedup_candidates] could let it displace a v2.1 candidate. *)
+let test_v21_restriction_precondition () =
+  let wape_specs = (Lazy.force wape).T.specs and v21_specs = (Lazy.force v21).T.specs in
+  Alcotest.(check bool) "v2.1's specs are the first of WAPe's" true
+    (List.equal Wap_catalog.Catalog.equal_spec v21_specs
+       (List.filteri (fun i _ -> i < List.length v21_specs) wape_specs));
+  let v21_groups = List.map VC.report_group VC.wap_v21 in
+  List.iter
+    (fun c ->
+      Alcotest.(check bool)
+        (VC.acronym c ^ " reports apart from v2.1's classes")
+        false
+        (List.mem (VC.report_group c) v21_groups))
+    VC.new_in_wape
+
+(* what a v2.1 result must agree on with a v2.1 scan: every candidate,
+   with its verdict and symptoms *)
+let verdicts (r : T.package_result) =
+  List.map
+    (fun (f : T.finding) ->
+      (Wap_taint.Trace.show_candidate f.T.candidate, f.T.predicted_fp, f.T.symptoms))
+    r.T.findings
+
+let check_v21 name ~derived ~direct =
+  Alcotest.(check (list (triple string bool (list string)))) name (verdicts direct)
+    (verdicts derived)
+
+let test_restrict_equals_v21_scan () =
+  let runs = Wap_core.Experiments.run_webapps ~seed ~only_vulnerable:true () in
+  Alcotest.(check bool) "a WAPe scan reports a WAPe-only class" true
+    (List.exists
+       (fun (r : Wap_core.Experiments.app_run) ->
+         List.exists
+           (fun (c : Wap_taint.Trace.candidate) ->
+             List.mem c.Wap_taint.Trace.vclass VC.new_in_wape)
+           r.Wap_core.Experiments.ar_result.T.candidates)
+       runs.Wap_core.Experiments.wr_wape);
+  List.iter
+    (fun (r : Wap_core.Experiments.app_run) ->
+      let derived = r.Wap_core.Experiments.ar_result in
+      check_v21 derived.T.package.Wap_corpus.Appgen.pkg_name ~derived
+        ~direct:(scan_package (Lazy.force v21) derived.T.package))
+    runs.Wap_core.Experiments.wr_v21;
+  List.iter
+    (fun (name, files) ->
+      let scan tool = (T.Scan.run tool (T.Scan.request files)).T.Scan.result in
+      check_v21 name
+        ~derived:(T.restrict (Lazy.force v21) (scan (Lazy.force wape)))
+        ~direct:(scan (Lazy.force v21)))
+    [ ("blog", Fixtures.blog); ("store", Fixtures.store); ("wp plugin", Fixtures.wp_plugin) ]
+
 (* ------------------------------------------------------------------ *)
 (* Experiments (quick versions).                                       *)
 
@@ -429,6 +511,19 @@ let test_quick_plugin_run () =
       0 runs
   in
   Alcotest.(check int) "169 vulnerabilities (Table VII)" 169 total
+
+(* one WAPe scan serves both versions, so each file is parsed once *)
+let test_run_webapps_parses_once () =
+  let files =
+    List.fold_left
+      (fun n (_, pkg) -> n + List.length pkg.Wap_corpus.Appgen.pkg_files)
+      0
+      (Wap_corpus.Corpus.vulnerable_webapps ~seed ())
+  in
+  Wap_obs.Metrics.reset Wap_obs.Metrics.global;
+  ignore (Wap_core.Experiments.run_webapps ~seed ~only_vulnerable:true ());
+  Alcotest.(check int) "engine.files_parsed" files
+    (Wap_obs.Metrics.value (Wap_obs.Metrics.counter "engine.files_parsed"))
 
 let test_score_sum () =
   let s1 =
@@ -485,6 +580,11 @@ let () =
           Alcotest.test_case "analyze + correct source" `Slow
             test_analyze_source_and_correct;
           Alcotest.test_case "dedup across detectors" `Slow test_dedup_across_specs;
+          Alcotest.test_case "spec-set fingerprints" `Quick test_fingerprints;
+          Alcotest.test_case "v2.1 restriction precondition" `Quick
+            test_v21_restriction_precondition;
+          Alcotest.test_case "restricted WAPe = v2.1 scan" `Slow
+            test_restrict_equals_v21_scan;
         ] );
       ( "experiments",
         [
@@ -492,6 +592,7 @@ let () =
           Alcotest.test_case "Tables II/III shape" `Slow test_table2_and_3;
           Alcotest.test_case "Table IV sinks" `Quick test_table4_lists_paper_sinks;
           Alcotest.test_case "Table VII quick run" `Slow test_quick_plugin_run;
+          Alcotest.test_case "webapps parsed once" `Slow test_run_webapps_parses_once;
           Alcotest.test_case "score summation" `Quick test_score_sum;
         ] );
     ]
