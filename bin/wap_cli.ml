@@ -59,16 +59,27 @@ let no_cache_arg =
 let cache_dir_arg =
   Arg.(value & opt (some string) None
        & info [ "cache-dir" ] ~docv:"DIR"
-           ~doc:"Persist cached scan results under $(docv) between runs.  \
-                 $(b,analyze), $(b,lint) and $(b,experiments) use a cache \
-                 only when this is given.")
+           ~doc:"Persist cached scan results under $(docv) between runs \
+                 (created if missing; its parent must exist).  Every \
+                 command uses a cache only when this is given.")
+
+(* The cache directory, with --no-cache folded in.  A --cache-dir that
+   cannot be made a directory is a usage error: caching in memory
+   instead would read like a fresh persistent cache on every run. *)
+let cache_dir_term =
+  let check no_cache = function
+    | Some dir when not no_cache -> (
+        (* creates the directory the scan will fill *)
+        match Wap_engine.Cache.create ~dir () with
+        | _ -> `Ok (Some dir)
+        | exception Sys_error e -> `Error (true, "option '--cache-dir': " ^ e))
+    | _ -> `Ok None
+  in
+  Term.(ret (const check $ no_cache_arg $ cache_dir_arg))
 
 (* One-shot commands never read back within a run what they store, so
    they cache only when the cache persists. *)
-let disk_cache ~no_cache ~cache_dir =
-  match cache_dir with
-  | Some dir when not no_cache -> Some (Wap_engine.Cache.create ~dir ())
-  | _ -> None
+let disk_cache = Option.map (fun dir -> Wap_engine.Cache.create ~dir ())
 
 (* observability flags (Wap_obs), shared by analyze / lint / experiments *)
 
@@ -363,12 +374,12 @@ let analyze_cmd =
     in
     Term.(ret (const load $ tool_version_arg $ training_set))
   in
-  let run files fix make_tool seed verbose confirm json dataset html_out jobs no_cache cache_dir trace_out stats log_level log_format =
+  let run files fix make_tool seed verbose confirm json dataset html_out jobs cache_dir trace_out stats log_level log_format =
     let finish_obs = setup_obs trace_out log_level log_format in
     let tool = make_tool dataset seed in
     let paths = expand_php_paths files in
     let sources = List.map (fun p -> (p, read_file p)) paths in
-    let cache = disk_cache ~no_cache ~cache_dir in
+    let cache = disk_cache cache_dir in
     let outcome = Scan.run tool (Scan.request ~jobs ?cache sources) in
     let result = outcome.Scan.result in
     let parse_errors = outcome.Scan.parse_errors in
@@ -378,8 +389,8 @@ let analyze_cmd =
           [ ("workers", string_of_int outcome.Scan.jobs_used);
             ( "cache",
               match cache_dir with
-              | Some dir when Option.is_some cache -> "on (" ^ dir ^ ")"
-              | _ -> "off" );
+              | Some dir -> "on (" ^ dir ^ ")"
+              | None -> "off" );
             ("hits", string_of_int outcome.Scan.cache_hits);
             ("misses", string_of_int outcome.Scan.cache_misses) ]
         "scan finished";
@@ -484,8 +495,8 @@ let analyze_cmd =
   let doc = "Detect (and optionally correct) vulnerabilities in PHP files." in
   Cmd.v (Cmd.info "analyze" ~doc)
     Term.(ret (const run $ files $ fix $ tool_term $ seed_arg $ verbose
-               $ confirm $ json $ dataset $ html_out $ jobs_arg $ no_cache_arg
-               $ cache_dir_arg $ trace_out_arg $ stats_arg $ log_level_arg
+               $ confirm $ json $ dataset $ html_out $ jobs_arg
+               $ cache_dir_term $ trace_out_arg $ stats_arg $ log_level_arg
                $ log_format_arg))
 
 (* ------------------------------------------------------------------ *)
@@ -507,7 +518,7 @@ let lint_cmd =
   let list_rules =
     Arg.(value & flag & info [ "list-rules" ] ~doc:"List the available rules and exit.")
   in
-  let run files json only_rules list_rules jobs no_cache cache_dir trace_out log_level log_format =
+  let run files json only_rules list_rules jobs cache_dir trace_out log_level log_format =
     let finish_obs = setup_obs trace_out log_level log_format in
     Fun.protect ~finally:finish_obs @@ fun () ->
     if list_rules then begin
@@ -541,7 +552,7 @@ let lint_cmd =
                  (fun (r : Wap_lint.Rule.t) -> List.mem r.Wap_lint.Rule.id ids)
                  all)
       in
-      let cache = disk_cache ~no_cache ~cache_dir in
+      let cache = disk_cache cache_dir in
       (* lint is per-file, so its diagnostics cache honestly keys on the
          file digest plus the active rule set alone *)
       let rule_ids =
@@ -601,7 +612,7 @@ let lint_cmd =
   let doc = "Run the control-flow lint rules over PHP files." in
   Cmd.v (Cmd.info "lint" ~doc)
     Term.(ret (const run $ files $ json $ only_rules $ list_rules $ jobs_arg
-               $ no_cache_arg $ cache_dir_arg $ trace_out_arg $ log_level_arg
+               $ cache_dir_term $ trace_out_arg $ log_level_arg
                $ log_format_arg))
 
 (* ------------------------------------------------------------------ *)
@@ -788,15 +799,16 @@ let fleet_cmd =
          & info [ "no-summary-store" ]
              ~doc:"Disable the content-addressed cross-project summary \
                    store (files shared between projects are then \
-                   re-summarized per project).")
+                   re-summarized per project).  The store lives in the \
+                   $(b,--cache-dir), so without one it is off anyway.")
   in
   let quiet =
     Arg.(value & flag
          & info [ "quiet" ]
              ~doc:"Silence the periodic progress/ETA line on stderr.")
   in
-  let run roots workers worker_jobs out summary no_cache cache_dir
-      no_summary_store quiet log_level log_format =
+  let run roots workers worker_jobs out summary cache_dir no_summary_store
+      quiet log_level log_format =
     Wap_obs.Log.set_level log_level;
     Wap_obs.Log.set_format log_format;
     let dirs = Wap_fleet.Coordinator.discover roots in
@@ -804,8 +816,8 @@ let fleet_cmd =
       {
         Wap_fleet.Coordinator.fc_workers = workers;
         fc_worker_jobs = worker_jobs;
-        fc_cache_dir = (if no_cache then None else cache_dir);
-        fc_summary_store = (not no_summary_store) && not no_cache;
+        fc_cache_dir = cache_dir;
+        fc_summary_store = not no_summary_store;
         fc_progress = not quiet;
       }
     in
@@ -872,7 +884,7 @@ let fleet_cmd =
   in
   Cmd.v (Cmd.info "fleet" ~doc)
     Term.(ret (const run $ roots $ workers $ worker_jobs $ out $ summary
-               $ no_cache_arg $ cache_dir_arg $ no_summary_store $ quiet
+               $ cache_dir_term $ no_summary_store $ quiet
                $ log_level_arg $ log_format_arg))
 
 (* ------------------------------------------------------------------ *)
@@ -882,19 +894,22 @@ let experiments_cmd =
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Only the vulnerable packages.")
   in
-  let run quick seed jobs no_cache cache_dir trace_out log_level log_format =
+  let run quick seed jobs cache_dir trace_out log_level log_format =
     let finish_obs = setup_obs trace_out log_level log_format in
     Fun.protect ~finally:finish_obs @@ fun () ->
     let module E = Wap_core.Experiments in
-    let cache = disk_cache ~no_cache ~cache_dir in
+    let cache = disk_cache cache_dir in
     let section s =
       print_string s;
       print_newline ()
     in
     section (E.table1 ());
     let dataset = Wap_core.Training.dataset_for ~seed Wap_core.Version.Wape in
-    section (E.table2 ~seed ~dataset ());
-    section (E.table3 ~seed ~dataset ());
+    (* each classifier is cross-validated once: Tables II and III, the
+       ranking and the attribute ablation share these *)
+    let evals = E.evaluate_models ~seed ~dataset () in
+    section (E.table2 ~dataset evals);
+    section (E.table3 evals);
     section (E.table4 ());
     let webapps = E.run_webapps ~seed ~only_vulnerable:quick ~jobs ?cache () in
     section (E.table5 webapps);
@@ -904,8 +919,8 @@ let experiments_cmd =
     section (E.fig4 plugins);
     section (E.fig5 webapps plugins);
     section (E.confirmation_table ~seed ~packages:(if quick then 3 else 6) ());
-    section (E.classifier_ranking ~seed ());
-    section (E.ablation_attributes ~seed ());
+    section (E.classifier_ranking ~seed ~dataset evals);
+    section (E.ablation_attributes ~seed ~dataset evals);
     section (E.ablation_interprocedural ~seed ());
     section (E.ablation_vote ~seed ());
     let before, after = E.escape_experiment ~seed () in
@@ -922,8 +937,8 @@ let experiments_cmd =
      extensibility experiment."
   in
   Cmd.v (Cmd.info "experiments" ~doc)
-    Term.(ret (const run $ quick $ seed_arg $ jobs_arg $ no_cache_arg
-               $ cache_dir_arg $ trace_out_arg $ log_level_arg
+    Term.(ret (const run $ quick $ seed_arg $ jobs_arg $ cache_dir_term
+               $ trace_out_arg $ log_level_arg
                $ log_format_arg))
 
 (* ------------------------------------------------------------------ *)

@@ -71,25 +71,20 @@ let table2_rows (evals : model_eval list) =
       :: List.map (fun e -> T.pctf (M.get e.me_confusion metric)) evals)
     M.metric_names
 
-let table2 ?(seed = default_seed) ?dataset () : string =
-  let evals = evaluate_models ~seed ?dataset () in
-  let d =
-    match dataset with Some d -> d | None -> Training.dataset_for ~seed Version.Wape
-  in
+let table2 ~(dataset : D.t) (evals : model_eval list) : string =
   let t =
     T.make
       ~title:
         (Printf.sprintf
            "Table II: 10-fold cross-validation of the top-3 classifiers (%d instances, %d attributes)"
-           (D.size d)
-           (Wap_mining.Attributes.paper_count d.D.mode))
+           (D.size dataset)
+           (Wap_mining.Attributes.paper_count dataset.D.mode))
       ~header:("Metric" :: List.map (fun e -> e.me_name) evals)
-      (table2_rows (evaluate_models ~seed ~dataset:d ()))
+      (table2_rows evals)
   in
   T.render t
 
-let table3 ?(seed = default_seed) ?dataset () : string =
-  let evals = evaluate_models ~seed ?dataset () in
+let table3 (evals : model_eval list) : string =
   let row_of e =
     [ e.me_name;
       string_of_int e.me_confusion.M.tp; string_of_int e.me_confusion.M.fp;
@@ -102,10 +97,22 @@ let table3 ?(seed = default_seed) ?dataset () : string =
   in
   T.render t
 
+(* The confusion matrix of [algo] in [evals], else a fresh
+   cross-validation on [dataset]. *)
+let confusion_of ~seed ~dataset evals (algo : Wap_mining.Classifier.algorithm) =
+  match List.find_opt (fun e -> e.me_name = algo.Wap_mining.Classifier.algo_name) evals with
+  | Some e -> e.me_confusion
+  | None -> Wap_mining.Evaluation.cross_validate ~k:10 ~seed algo dataset
+
 (** The wider model-selection ranking behind the top-3 choice. *)
-let classifier_ranking ?(seed = default_seed) () : string =
-  let d = Training.dataset_for ~seed Version.Wape in
-  let ranked = Wap_mining.Evaluation.rank_classifiers ~k:10 ~seed Wap_mining.Evaluation.default_pool d in
+let classifier_ranking ?(seed = default_seed) ~dataset (evals : model_eval list) : string =
+  let ranked =
+    Wap_mining.Evaluation.rank
+      (List.map
+         (fun algo ->
+           { Wap_mining.Evaluation.algo; confusion = confusion_of ~seed ~dataset evals algo })
+         Wap_mining.Evaluation.default_pool)
+  in
   let rows =
     List.map
       (fun (r : Wap_mining.Evaluation.ranked) ->
@@ -120,26 +127,25 @@ let classifier_ranking ?(seed = default_seed) () : string =
 
 (** Ablation: the original 16-attribute encoding vs the new 61-attribute
     encoding, on the same instances (the paper's central data-mining
-    claim). *)
-let ablation_attributes ?(seed = default_seed) () : string =
-  let rows =
-    List.map
-      (fun (label, mode) ->
-        let d =
-          Training.build_dataset ~seed ~mode ~classes:VC.wape ~target:256 ()
-        in
-        let conf =
-          Wap_mining.Evaluation.cross_validate ~k:10 ~seed
-            Wap_mining.Svm.algorithm d
-        in
-        [ label; string_of_int (D.size d); T.pctf (M.acc conf); T.pctf (M.tpp conf);
-          T.pctf (M.pfp conf) ])
-      [ ("16 attributes (original)", Wap_mining.Attributes.Original);
-        ("61 attributes (new)", Wap_mining.Attributes.Extended) ]
+    claim).  The 61-attribute row is the WAPe data set's SVM
+    evaluation. *)
+let ablation_attributes ?(seed = default_seed) ~dataset (evals : model_eval list) :
+    string =
+  let svm = Wap_mining.Svm.algorithm in
+  let original =
+    Training.build_dataset ~seed ~mode:Wap_mining.Attributes.Original ~classes:VC.wape
+      ~target:256 ()
+  in
+  let row label d conf =
+    [ label; string_of_int (D.size d); T.pctf (M.acc conf); T.pctf (M.tpp conf);
+      T.pctf (M.pfp conf) ]
   in
   T.render
     (T.make ~title:"Ablation: predictor granularity (SVM, 10-fold CV)"
-       ~header:[ "Encoding"; "instances"; "acc"; "tpp"; "pfp" ] rows)
+       ~header:[ "Encoding"; "instances"; "acc"; "tpp"; "pfp" ]
+       [ row "16 attributes (original)" original
+           (Wap_mining.Evaluation.cross_validate ~k:10 ~seed svm original);
+         row "61 attributes (new)" dataset (confusion_of ~seed ~dataset evals svm) ])
 
 (* The two ablations below analyze outside the engine on purpose: each
    corpus file parsed strictly, straight into the analyzer. *)

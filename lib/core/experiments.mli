@@ -23,17 +23,24 @@ type model_eval = {
 val evaluate_models :
   ?seed:int -> ?dataset:Wap_mining.Dataset.t -> unit -> model_eval list
 
-(** Table II: the nine metrics per classifier. *)
-val table2 : ?seed:int -> ?dataset:Wap_mining.Dataset.t -> unit -> string
+(** Table II: the nine metrics per classifier of {!evaluate_models}'
+    result on [dataset]. *)
+val table2 : dataset:Wap_mining.Dataset.t -> model_eval list -> string
 
 (** Table III: confusion matrices. *)
-val table3 : ?seed:int -> ?dataset:Wap_mining.Dataset.t -> unit -> string
+val table3 : model_eval list -> string
 
-(** The wider model-selection ranking behind the top-3 choice. *)
-val classifier_ranking : ?seed:int -> unit -> string
+(** The wider model-selection ranking behind the top-3 choice.  The
+    classifiers in the given evaluations are not cross-validated again;
+    the rest of the pool is, on [dataset] (the WAPe data set). *)
+val classifier_ranking :
+  ?seed:int -> dataset:Wap_mining.Dataset.t -> model_eval list -> string
 
-(** Ablation: 16 vs 61 attributes on the same instances. *)
-val ablation_attributes : ?seed:int -> unit -> string
+(** Ablation: 16 vs 61 attributes on the same instances.  The
+    61-attribute row is SVM on [dataset] (the WAPe data set), taken
+    from the given evaluations when they hold it. *)
+val ablation_attributes :
+  ?seed:int -> dataset:Wap_mining.Dataset.t -> model_eval list -> string
 
 (** Ablation: interprocedural summaries on/off (DESIGN.md §6). *)
 val ablation_interprocedural : ?seed:int -> unit -> string

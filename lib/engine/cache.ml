@@ -17,15 +17,12 @@ let m_hits = Wap_obs.Metrics.counter "engine.cache.hits"
 let m_misses = Wap_obs.Metrics.counter "engine.cache.misses"
 
 let create ?dir () =
-  let dir =
-    match dir with
-    | None -> None
-    | Some d -> (
-        try
-          if not (Sys.file_exists d) then Sys.mkdir d 0o755;
-          if Sys.is_directory d then Some d else None
-        with Sys_error _ -> None)
-  in
+  Option.iter
+    (fun d ->
+      (* a concurrent creator (another fleet worker) may win the mkdir *)
+      (try Sys.mkdir d 0o755 with Sys_error _ when Sys.file_exists d -> ());
+      if not (Sys.is_directory d) then raise (Sys_error (d ^ ": Not a directory")))
+    dir;
   {
     cache_dir = dir;
     mem = Hashtbl.create 64;

@@ -33,8 +33,9 @@
 type t
 
 (** [create ?dir ()] makes an empty cache.  With [dir] the directory is
-    created if missing and entries are persisted there; on any disk
-    error the cache silently degrades to in-memory only. *)
+    created if missing and entries are persisted there.  Raises
+    [Sys_error] when [dir] is not a directory and cannot be made one
+    (a file, or a path under a missing directory). *)
 val create : ?dir:string -> unit -> t
 
 (** [key parts] combines the given key material into one hex digest. *)

@@ -5,9 +5,10 @@
     from a shared queue — a worker that finishes a small project early
     immediately takes the next one, so the shard boundaries are
     dynamic.  A worker that dies mid-project (crash, OOM kill) is
-    detected as [EOF] on its result pipe; the coordinator respawns a
-    fresh worker and retries the project {e once}, and only a project
-    whose retry also fails is recorded as a failure.
+    detected as end of input, or a result cut short, on its result
+    pipe; the coordinator respawns a fresh worker and retries the
+    project {e once}, and only a project whose retry also fails is
+    recorded as a failure.
 
     The merged output is deterministic: per-project payloads carry no
     timings or cache state, and {!merged_lines} orders them by project
@@ -95,10 +96,7 @@ let spawn (cfg : config) : wproc =
   let w = { w_pid = pid; w_send = Unix.out_channel_of_descr job_w;
             w_recv = Unix.in_channel_of_descr res_r }
   in
-  (try
-     output_string w.w_send (Proto.config_line (worker_config cfg));
-     output_char w.w_send '\n';
-     flush w.w_send
+  (try Proto.send_config w.w_send (worker_config cfg)
    with Sys_error _ -> ()  (* died instantly: detected at first job *));
   w
 
@@ -107,18 +105,16 @@ let dispose (w : wproc) =
   close_in_noerr w.w_recv;
   try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ()
 
-(* One job round-trip.  [None] means the worker is gone (EOF, broken
-   pipe, or an unparseable — torn — line): the caller respawns. *)
+(* One job round-trip.  [None] means the worker is gone (end of
+   input, a broken pipe, or a value cut short by its death): the
+   caller respawns. *)
 let attempt (w : wproc) (job : Proto.job) : Proto.result option =
   match
-    output_string w.w_send (Proto.job_line job);
-    output_char w.w_send '\n';
-    flush w.w_send;
-    input_line w.w_recv
+    Proto.send_job w.w_send job;
+    Proto.recv_result w.w_recv
   with
-  | exception (End_of_file | Sys_error _) -> None
-  | line -> (
-      match Proto.result_of_line line with Ok r -> Some r | Error _ -> None)
+  | exception (End_of_file | Failure _ | Sys_error _) -> None
+  | r -> Some r
 
 (* ------------------------------------------------------------------ *)
 (* The shard loop.                                                     *)

@@ -1,11 +1,13 @@
-(** The fleet wire protocol: newline-delimited JSON between the
+(** The fleet wire protocol: marshalled OCaml values between the
     coordinator and its worker processes.
 
-    Three line shapes flow over the pipes: one [config] line (first
-    thing on a worker's stdin), then [job] lines down and [result]
-    lines back, one per project.  Everything is a single line of
-    compact JSON, so a dead worker is detected as a plain [EOF] and a
-    torn line never parses. *)
+    Three messages flow over the pipes: one [config] (first thing on a
+    worker's stdin), then [job]s down and [result]s back, one per
+    project.  Both ends are the same executable (the coordinator
+    re-executes its own binary), so the values cross as they are.  A
+    marshalled value carries its length in its header, so a dead worker
+    reads as [End_of_file] and a torn write as [End_of_file] or
+    [Failure]. *)
 
 module Json = Wap_report.Json
 
@@ -35,109 +37,15 @@ type result = {
   res_cache_misses : int;
 }
 
-let line j = Json.to_string ~indent:false j
+let send oc v =
+  Marshal.to_channel oc v [];
+  flush oc
 
-(* -- accessors with typed errors ----------------------------------- *)
+let recv ic = Marshal.from_channel ic
 
-let str_member k j =
-  match Json.member k j with
-  | Some (Json.Str s) -> Ok s
-  | _ -> Error (Printf.sprintf "missing string field %S" k)
-
-let int_member k j =
-  match Json.member k j with
-  | Some (Json.Int i) -> Ok i
-  | _ -> Error (Printf.sprintf "missing int field %S" k)
-
-let bool_member k j =
-  match Json.member k j with
-  | Some (Json.Bool b) -> Ok b
-  | _ -> Error (Printf.sprintf "missing bool field %S" k)
-
-let float_member k j =
-  match Json.member k j with
-  | Some (Json.Float f) -> Ok f
-  | Some (Json.Int i) -> Ok (float_of_int i)
-  | _ -> Error (Printf.sprintf "missing float field %S" k)
-
-let ( let* ) = Result.bind
-
-let parse s =
-  match Json.of_string s with
-  | Ok j -> Ok j
-  | Error e -> Error ("malformed protocol line: " ^ e)
-
-(* -- config -------------------------------------------------------- *)
-
-let config_line (c : config) : string =
-  line
-    (Json.Obj
-       [ ("jobs", Json.Int c.cfg_jobs);
-         ( "cache_dir",
-           match c.cfg_cache_dir with
-           | Some d -> Json.Str d
-           | None -> Json.Null );
-         ("summary_store", Json.Bool c.cfg_summary_store) ])
-
-let config_of_line s : (config, string) Stdlib.result =
-  let* j = parse s in
-  let* cfg_jobs = int_member "jobs" j in
-  let* cfg_summary_store = bool_member "summary_store" j in
-  let cfg_cache_dir =
-    match Json.member "cache_dir" j with Some (Json.Str d) -> Some d | _ -> None
-  in
-  Ok { cfg_jobs; cfg_cache_dir; cfg_summary_store }
-
-(* -- job ----------------------------------------------------------- *)
-
-let job_line (j : job) : string =
-  line
-    (Json.Obj
-       [ ("dir", Json.Str j.job_dir); ("attempt", Json.Int j.job_attempt) ])
-
-let job_of_line s : (job, string) Stdlib.result =
-  let* j = parse s in
-  let* job_dir = str_member "dir" j in
-  let* job_attempt = int_member "attempt" j in
-  Ok { job_dir; job_attempt }
-
-(* -- result -------------------------------------------------------- *)
-
-let result_line (r : result) : string =
-  line
-    (Json.Obj
-       [ ("project", Json.Str r.res_project);
-         ("dir", Json.Str r.res_dir);
-         ("attempt", Json.Int r.res_attempt);
-         ("ok", Json.Bool r.res_ok);
-         ("error", Json.Str r.res_error);
-         ("payload", r.res_payload);
-         ("files", Json.Int r.res_files);
-         ("loc", Json.Int r.res_loc);
-         ("candidates", Json.Int r.res_candidates);
-         ("reported", Json.Int r.res_reported);
-         ("seconds", Json.Float r.res_seconds);
-         ("cache_hits", Json.Int r.res_cache_hits);
-         ("cache_misses", Json.Int r.res_cache_misses) ])
-
-let result_of_line s : (result, string) Stdlib.result =
-  let* j = parse s in
-  let* res_project = str_member "project" j in
-  let* res_dir = str_member "dir" j in
-  let* res_attempt = int_member "attempt" j in
-  let* res_ok = bool_member "ok" j in
-  let* res_error = str_member "error" j in
-  let res_payload =
-    match Json.member "payload" j with Some p -> p | None -> Json.Null
-  in
-  let* res_files = int_member "files" j in
-  let* res_loc = int_member "loc" j in
-  let* res_candidates = int_member "candidates" j in
-  let* res_reported = int_member "reported" j in
-  let* res_seconds = float_member "seconds" j in
-  let* res_cache_hits = int_member "cache_hits" j in
-  let* res_cache_misses = int_member "cache_misses" j in
-  Ok
-    { res_project; res_dir; res_attempt; res_ok; res_error; res_payload;
-      res_files; res_loc; res_candidates; res_reported; res_seconds;
-      res_cache_hits; res_cache_misses }
+let send_config : out_channel -> config -> unit = send
+let recv_config : in_channel -> config = recv
+let send_job : out_channel -> job -> unit = send
+let recv_job : in_channel -> job = recv
+let send_result : out_channel -> result -> unit = send
+let recv_result : in_channel -> result = recv

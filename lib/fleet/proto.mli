@@ -1,14 +1,21 @@
-(** The fleet wire protocol: newline-delimited JSON between the
-    coordinator and its worker processes — one [config] line down at
-    startup, then [job] lines down and [result] lines back.  A dead
-    worker is detected as plain [EOF]; a torn line never parses. *)
+(** The fleet wire protocol: marshalled OCaml values between the
+    coordinator and its worker processes — one [config] down at
+    startup, then [job]s down and [result]s back.  Both ends are one
+    executable, so nothing is encoded field by field.
+
+    Each [send_*] writes one value and flushes.  Each [recv_*] reads
+    one value; it raises [End_of_file] at end of input before the
+    value starts, and [End_of_file] or [Failure] on a value cut short
+    (a worker killed mid-write). *)
 
 module Json = Wap_report.Json
 
 type config = {
   cfg_jobs : int;  (** analysis domains inside each worker *)
-  cfg_cache_dir : string option;  (** shared disk cache, fleet-wide *)
-  cfg_summary_store : bool;  (** cross-project summary store *)
+  cfg_cache_dir : string option;
+      (** shared disk cache, fleet-wide; a worker caches only here *)
+  cfg_summary_store : bool;
+      (** cross-project summary store; runs only through [cfg_cache_dir] *)
 }
 
 type job = { job_dir : string; job_attempt : int  (** 1, then 2 on retry *) }
@@ -31,9 +38,9 @@ type result = {
   res_cache_misses : int;
 }
 
-val config_line : config -> string
-val config_of_line : string -> (config, string) Stdlib.result
-val job_line : job -> string
-val job_of_line : string -> (job, string) Stdlib.result
-val result_line : result -> string
-val result_of_line : string -> (result, string) Stdlib.result
+val send_config : out_channel -> config -> unit
+val recv_config : in_channel -> config
+val send_job : out_channel -> job -> unit
+val recv_job : in_channel -> job
+val send_result : out_channel -> result -> unit
+val recv_result : in_channel -> result

@@ -5,15 +5,15 @@
     [argv(1) = "__fleet-worker"]; {!maybe_main}, called first thing by
     each host executable's entry point, intercepts that and never
     returns.  The worker then speaks {!Proto} over stdin/stdout: one
-    config line in, then one scan per job line, one result line out
-    per project, exit 0 on EOF.
+    config in, then one scan and one result out per job, exit 0 at end
+    of input.
 
-    Each worker holds one tool instance and one cache handle for its
-    whole life, so consecutive projects share the in-memory cache and
-    — through a [cache_dir]-backed cache plus the engine's
-    [summary_store] — the fleet shares parses and pass-1 summaries of
-    identical files (the vendored framework layer) across projects
-    {e and} across workers. *)
+    Each worker holds one tool instance for its whole life, and one
+    cache handle when the fleet has a [cache_dir]: through that
+    directory and the engine's [summary_store] the fleet shares parses
+    and pass-1 summaries of identical files (the vendored framework
+    layer) across projects {e and} across workers.  Without a
+    directory the worker scans uncached. *)
 
 module Json = Wap_report.Json
 
@@ -127,46 +127,35 @@ let error_result (job : Proto.job) msg : Proto.result =
   }
 
 let main () : int =
-  match input_line stdin with
+  let malformed e =
+    prerr_endline ("wap fleet worker: unreadable message: " ^ e);
+    2
+  in
+  match Proto.recv_config stdin with
   | exception End_of_file -> 0
-  | cfg_line -> (
-      match Proto.config_of_line cfg_line with
-      | Error e ->
-          prerr_endline ("wap fleet worker: " ^ e);
-          2
-      | Ok cfg ->
-          let tool = Wap_core.Tool.create Wap_core.Version.Wape in
-          (* always scan through a cache: without a fleet-wide
-             directory it is worker-local, which still shares parses
-             and summaries between this worker's own projects *)
-          let cache =
-            Some
-              (match cfg.Proto.cfg_cache_dir with
-              | Some d -> Wap_engine.Cache.create ~dir:d ()
-              | None -> Wap_engine.Cache.create ())
-          in
-          let crash_target = Sys.getenv_opt crash_env in
-          let rec loop () =
-            match input_line stdin with
-            | exception End_of_file -> 0
-            | line -> (
-                match Proto.job_of_line line with
-                | Error e ->
-                    prerr_endline ("wap fleet worker: " ^ e);
-                    2
-                | Ok job ->
-                    if should_crash ~spec:crash_target job then
-                      exit crash_exit_code;
-                    let res =
-                      try scan_project ~tool ~cache ~cfg job
-                      with e -> error_result job (Printexc.to_string e)
-                    in
-                    output_string stdout (Proto.result_line res);
-                    output_char stdout '\n';
-                    flush stdout;
-                    loop ())
-          in
-          loop ())
+  | exception Failure e -> malformed e
+  | cfg ->
+      let tool = Wap_core.Tool.create Wap_core.Version.Wape in
+      let cache =
+        Option.map
+          (fun dir -> Wap_engine.Cache.create ~dir ())
+          cfg.Proto.cfg_cache_dir
+      in
+      let crash_target = Sys.getenv_opt crash_env in
+      let rec loop () =
+        match Proto.recv_job stdin with
+        | exception End_of_file -> 0
+        | exception Failure e -> malformed e
+        | job ->
+            if should_crash ~spec:crash_target job then exit crash_exit_code;
+            let res =
+              try scan_project ~tool ~cache ~cfg job
+              with e -> error_result job (Printexc.to_string e)
+            in
+            Proto.send_result stdout res;
+            loop ()
+      in
+      loop ()
 
 let maybe_main () =
   if Array.length Sys.argv >= 2 && Sys.argv.(1) = dispatch_argv then

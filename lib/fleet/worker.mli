@@ -2,11 +2,13 @@
     executable carries, entered when the coordinator re-executes its
     own binary with [argv(1) = {!dispatch_argv}].
 
-    Protocol (over stdin/stdout, see {!Proto}): one config line in,
-    then one result line out per job line, exit 0 on EOF.  The worker
-    keeps one tool instance and one cache handle for its whole life,
-    so projects share parses and — with the summary store on — pass-1
-    summaries of identical files across projects and workers. *)
+    Protocol (over stdin/stdout, see {!Proto}): one config in, then
+    one result out per job, exit 0 at end of input; a value it cannot
+    read goes to stderr with exit 2.  The worker keeps one tool
+    instance for its whole life, and caches only in the config's
+    [cfg_cache_dir]: through that directory projects share parses and
+    — with the summary store on — pass-1 summaries of identical files
+    across projects and workers.  Without one it scans uncached. *)
 
 (** ["__fleet-worker"]. *)
 val dispatch_argv : string

@@ -24,14 +24,11 @@ type ranked = {
   confusion : Metrics.confusion;
 }
 
-(** Evaluate a pool of classifiers and rank them by the paper's goals:
-    primarily high tpp (catch false positives), secondarily low pfp
-    (don't dismiss real vulnerabilities), then accuracy. *)
-let rank_classifiers ?(k = 10) ~seed (pool : Classifier.algorithm list)
-    (d : Dataset.t) : ranked list =
-  let scored =
-    List.map (fun algo -> { algo; confusion = cross_validate ~k ~seed algo d }) pool
-  in
+(** Rank evaluated classifiers by the paper's goals: primarily high tpp
+    (catch false positives), secondarily low pfp (don't dismiss real
+    vulnerabilities), then accuracy.  The sort is stable, so ties keep
+    their input order. *)
+let rank (scored : ranked list) : ranked list =
   List.sort
     (fun a b ->
       let key c =
@@ -40,6 +37,11 @@ let rank_classifiers ?(k = 10) ~seed (pool : Classifier.algorithm list)
       in
       compare (key b) (key a))
     scored
+
+(** Evaluate a pool of classifiers and {!rank} them. *)
+let rank_classifiers ?(k = 10) ~seed (pool : Classifier.algorithm list)
+    (d : Dataset.t) : ranked list =
+  rank (List.map (fun algo -> { algo; confusion = cross_validate ~k ~seed algo d }) pool)
 
 (** The default classifier pool, echoing the paper's re-evaluation. *)
 let default_pool =

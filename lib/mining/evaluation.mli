@@ -13,8 +13,12 @@ type ranked = {
   confusion : Metrics.confusion;
 }
 
-(** Evaluate a pool and rank by the paper's goals: primarily high tpp
-    with low pfp (informedness), secondarily accuracy. *)
+(** Rank evaluated classifiers by the paper's goals: primarily high tpp
+    with low pfp (informedness), secondarily accuracy.  Stable: ties
+    keep their input order. *)
+val rank : ranked list -> ranked list
+
+(** Cross-validate each classifier of a pool and {!rank} them. *)
 val rank_classifiers :
   ?k:int -> seed:int -> Classifier.algorithm list -> Dataset.t -> ranked list
 

@@ -10,6 +10,11 @@ let strip_cr s =
   let n = String.length s in
   if n > 0 && s.[n - 1] = '\r' then String.sub s 0 (n - 1) else s
 
+(* The largest body a frame may announce.  The body is allocated
+   before it is read, so a larger [Content-Length] is refused unread:
+   trusting it would let one header line exhaust memory. *)
+let max_body = 64 * 1024 * 1024
+
 (* Returns [None] at a clean end of stream (EOF before any header
    byte); a framing or JSON error inside a message is an [Error] so
    the caller can log it and keep the connection alive. *)
@@ -42,6 +47,11 @@ let read_message (ic : in_channel) : (Json.t, string) result option =
       match headers None first with
       | Error e -> Some (Error e)
       | Ok None -> Some (Error "missing Content-Length header")
+      | Ok (Some n) when n > max_body ->
+          Some
+            (Error
+               (Printf.sprintf "Content-Length %d exceeds the %d-byte limit" n
+                  max_body))
       | Ok (Some n) -> (
           match really_input_string ic n with
           | exception End_of_file ->

@@ -6,7 +6,8 @@ module Json = Wap_report.Json
 (** Read one framed message.  [None] at a clean end of stream;
     [Some (Error _)] on a framing or JSON syntax error (the stream
     stays usable — the next header line is resynchronized by the
-    caller reading on). *)
+    caller reading on).  A [Content-Length] above 64 MiB is such an
+    error, returned before any of its body is allocated or read. *)
 val read_message : in_channel -> (Json.t, string) result option
 
 (** Write one framed message and flush. *)

@@ -5,6 +5,8 @@
 # corpus sharing one framework layer:
 #   corpus-gen --projects               -> materialize the corpus
 #   fleet --workers 1 / --workers 2     -> merged NDJSON must be byte-identical
+#   fleet --no-cache                    -> the same merge, and no cache traffic
+#                                          (a worker caches only in --cache-dir)
 #   WAP_FLEET_TEST_CRASH=<proj>         -> a killed worker is retried, output
 #                                          unchanged, exit 0
 #   WAP_FLEET_TEST_CRASH=<proj>:always  -> the retry dies too: nonzero exit
@@ -40,11 +42,21 @@ cmp "$WORK/w1.ndjson" "$WORK/w2.ndjson" \
 [ "$(wc -l < "$WORK/w1.ndjson")" -eq 6 ] \
   || fail "expected 6 merged lines, got $(wc -l < "$WORK/w1.ndjson")"
 
-# 2. the summary store deduplicates the shared framework layer
+# 2. without a cache directory nothing is cached, and the merge is the same
+"$WAP" fleet "$ROOT" --workers 2 --no-cache \
+  --out "$WORK/nocache.ndjson" --summary "$WORK/nocache-summary.json" \
+  --log-level warn
+cmp "$WORK/w1.ndjson" "$WORK/nocache.ndjson" \
+  || fail "--no-cache merged NDJSON differs from the cached runs'"
+grep -q '"cache_hits": 0,' "$WORK/nocache-summary.json" \
+  && grep -q '"cache_misses": 0,' "$WORK/nocache-summary.json" \
+  || fail "--no-cache run reports cache traffic: $(cat "$WORK/nocache-summary.json")"
+
+# 3. the summary store deduplicates the shared framework layer
 grep -q '"fleet_dedup_hit_ratio": 0\.0*[1-9]' "$WORK/summary.json" \
   || fail "dedup hit ratio is 0 — shared layer not deduplicated: $(cat "$WORK/summary.json")"
 
-# 3. a worker killed on its first attempt is retried; output unchanged
+# 4. a worker killed on its first attempt is retried; output unchanged
 WAP_FLEET_TEST_CRASH=proj_001-1.0 \
   "$WAP" fleet "$ROOT" --workers 2 --cache-dir "$WORK/cache3" \
   --out "$WORK/crash.ndjson" --summary "$WORK/crash-summary.json" \
@@ -55,7 +67,7 @@ cmp "$WORK/w1.ndjson" "$WORK/crash.ndjson" \
 grep -q '"retried": 1' "$WORK/crash-summary.json" \
   || fail "retry not recorded: $(cat "$WORK/crash-summary.json")"
 
-# 4. a worker that dies on the retry too fails only its project, loudly
+# 5. a worker that dies on the retry too fails only its project, loudly
 if WAP_FLEET_TEST_CRASH=proj_001-1.0:always \
   "$WAP" fleet "$ROOT" --workers 2 --cache-dir "$WORK/cache4" \
   --out "$WORK/doomed.ndjson" --log-level quiet 2> "$WORK/doomed.err"; then
@@ -66,4 +78,4 @@ grep -q 'proj_001-1.0' "$WORK/doomed.err" \
 [ "$(wc -l < "$WORK/doomed.ndjson")" -eq 5 ] \
   || fail "expected the 5 surviving projects in the merge"
 
-echo "fleet_smoke: OK (6 projects; determinism, dedup, retry, hard failure)"
+echo "fleet_smoke: OK (6 projects; determinism, no-cache, dedup, retry, hard failure)"

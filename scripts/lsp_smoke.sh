@@ -2,6 +2,7 @@
 # End-to-end smoke test for the `wap serve` LSP daemon over stdio.
 #
 # Drives the documented editor flow with framed JSON-RPC messages:
+#   an oversized header, no body    -> refused unread; the daemon reads on
 #   initialize
 #   didOpen  (a vulnerable file)     -> expect publishDiagnostics with >=1 SQLI
 #   didChange (sanitized contents)   -> expect publishDiagnostics clearing it
@@ -32,6 +33,7 @@ SAFE='<?php $id = mysql_real_escape_string($_GET["id"]); $r = mysql_query("SELEC
 URI='file:///smoke/a.php'
 
 {
+  printf 'Content-Length: 1000000000000\r\n\r\n'
   frame '{"jsonrpc":"2.0","id":1,"method":"initialize","params":{}}'
   frame "{\"jsonrpc\":\"2.0\",\"method\":\"textDocument/didOpen\",\"params\":{\"textDocument\":{\"uri\":\"$URI\",\"text\":\"$(esc "$VULN")\"}}}"
   frame "{\"jsonrpc\":\"2.0\",\"method\":\"textDocument/didChange\",\"params\":{\"textDocument\":{\"uri\":\"$URI\"},\"contentChanges\":[{\"text\":\"$(esc "$SAFE")\"}]}}"

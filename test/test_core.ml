@@ -169,6 +169,29 @@ let test_cli_rejects_unknown_weapon () =
       ("serve, no --weapon-dir", [ "serve"; "--weapon"; "nope" ]);
       ("serve, not in --weapon-dir", [ "serve"; "--weapon"; "nope"; "--weapon-dir"; dir ]) ]
 
+(* A [--cache-dir] that cannot be made a directory (a file, or a path
+   under a missing directory) is a command-line error in every command
+   that caches, not a silent in-memory cache; [--no-cache] still wins. *)
+let test_cli_rejects_unusable_cache_dir () =
+  with_files [ ("q.php", "<?php\nmysql_query($_GET['q']);\n") ] @@ fun dir ->
+  let php = Filename.concat dir "q.php" in
+  List.iter
+    (fun (what, cache_dir) ->
+      List.iter
+        (fun (cmd, args) ->
+          let code, _, stderr = wap ((cmd :: args) @ [ "--cache-dir"; cache_dir ]) in
+          let name = Printf.sprintf "%s, %s" cmd what in
+          Alcotest.(check int) (name ^ ": exit code") 124 code;
+          Alcotest.(check bool)
+            (name ^ ": stderr names the option")
+            true
+            (String.starts_with ~prefix:"wap: option '--cache-dir': " stderr))
+        [ ("analyze", [ php ]); ("lint", [ php ]); ("experiments", [ "--quick" ]);
+          ("fleet", [ dir ]) ])
+    [ ("a file", php); ("under a missing directory", Filename.concat php "sub") ];
+  let code, _, _ = wap [ "analyze"; "--no-cache"; "--cache-dir"; php; php ] in
+  Alcotest.(check int) "--no-cache wins" 0 code
+
 (* Two flows around a statement that does not parse: the scan recovers
    it, and every step after the scan works on that recovered AST. *)
 let bad_php =
@@ -557,6 +580,8 @@ let () =
             test_cli_rejects_malformed_training_set;
           Alcotest.test_case "unknown --weapon exits 124" `Quick
             test_cli_rejects_unknown_weapon;
+          Alcotest.test_case "unusable --cache-dir exits 124" `Quick
+            test_cli_rejects_unusable_cache_dir;
           Alcotest.test_case "--json --confirm on a recovered parse" `Quick
             test_cli_confirm_recovered_parse;
           Alcotest.test_case "--fix skips a recovered parse" `Quick

@@ -1,5 +1,6 @@
-(** The fleet: wire protocol round-trips, project discovery, merged
-    NDJSON byte-determinism across worker counts, worker-death retry,
+(** The fleet: wire protocol round-trips and truncation, project
+    discovery, merged NDJSON byte-determinism across worker counts,
+    worker-death retry (a killed worker and a torn result),
     the cross-project summary store, the hardened shared disk cache it
     rides on, the admin plane's short-write loop, and the fuzz
     driver's sorted seed replay. *)
@@ -9,6 +10,38 @@ module Worker = Wap_fleet.Worker
 module Coordinator = Wap_fleet.Coordinator
 module Cache = Wap_engine.Cache
 module Json = Wap_report.Json
+
+(* A worker that dies mid-write: with [torn_env] naming a project,
+   this binary's worker mode answers every job with a canned result,
+   but of that project's first attempt it writes half the marshalled
+   value and exits. *)
+let torn_env = "WAP_FLEET_TEST_TORN"
+
+let () =
+  match Sys.getenv_opt torn_env with
+  | Some project
+    when project <> ""
+         && Array.length Sys.argv >= 2
+         && Sys.argv.(1) = Worker.dispatch_argv ->
+      ignore (Proto.recv_config stdin);
+      let rec loop () =
+        match Proto.recv_job stdin with
+        | exception End_of_file -> exit 0
+        | job ->
+            let r = { (Worker.error_result job "") with Proto.res_ok = true } in
+            if
+              Filename.basename job.Proto.job_dir = project
+              && job.Proto.job_attempt = 1
+            then begin
+              let whole = Marshal.to_string r [] in
+              print_string (String.sub whole 0 (String.length whole / 2));
+              exit 0
+            end;
+            Proto.send_result stdout r;
+            loop ()
+      in
+      loop ()
+  | _ -> ()
 
 (* The coordinator re-executes this very binary as its workers: enter
    worker mode before Alcotest sees argv. *)
@@ -91,21 +124,20 @@ let run_fleet ?cache_dir ?summary_store workers =
 (* ------------------------------------------------------------------ *)
 (* Protocol.                                                           *)
 
+(* The reading end of a pipe that holds what [write] wrote (a few
+   messages: far below the pipe's buffer). *)
+let via_pipe write =
+  let r, w = Unix.pipe () in
+  let oc = Unix.out_channel_of_descr w in
+  write oc;
+  close_out oc;
+  Unix.in_channel_of_descr r
+
 let test_proto_roundtrip () =
   let cfg =
     { Proto.cfg_jobs = 3; cfg_cache_dir = Some "/tmp/c"; cfg_summary_store = true }
   in
-  (match Proto.config_of_line (Proto.config_line cfg) with
-  | Ok c -> Alcotest.(check bool) "config round-trips" true (c = cfg)
-  | Error e -> Alcotest.failf "config: %s" e);
-  let cfg2 = { Proto.cfg_jobs = 1; cfg_cache_dir = None; cfg_summary_store = false } in
-  (match Proto.config_of_line (Proto.config_line cfg2) with
-  | Ok c -> Alcotest.(check bool) "no-cache config round-trips" true (c = cfg2)
-  | Error e -> Alcotest.failf "config2: %s" e);
   let job = { Proto.job_dir = "corpus/proj \"x\""; job_attempt = 2 } in
-  (match Proto.job_of_line (Proto.job_line job) with
-  | Ok j -> Alcotest.(check bool) "job round-trips (quoting)" true (j = job)
-  | Error e -> Alcotest.failf "job: %s" e);
   let res =
     {
       (Worker.error_result job "worker died twice") with
@@ -115,19 +147,32 @@ let test_proto_roundtrip () =
       res_cache_hits = 7;
     }
   in
-  match Proto.result_of_line (Proto.result_line res) with
-  | Ok r -> Alcotest.(check bool) "result round-trips" true (r = res)
-  | Error e -> Alcotest.failf "result: %s" e
+  let ic =
+    via_pipe (fun oc ->
+        Proto.send_config oc cfg;
+        Proto.send_job oc job;
+        Proto.send_result oc res)
+  in
+  Alcotest.(check bool) "config round-trips" true (Proto.recv_config ic = cfg);
+  Alcotest.(check bool) "job round-trips" true (Proto.recv_job ic = job);
+  Alcotest.(check bool) "result round-trips" true (Proto.recv_result ic = res);
+  (match Proto.recv_job ic with
+  | exception End_of_file -> ()
+  | _ -> Alcotest.fail "end of input must raise End_of_file");
+  close_in ic
 
-let test_proto_torn_line () =
-  let line = Proto.result_line (Worker.error_result { Proto.job_dir = "d"; job_attempt = 1 } "x") in
-  let torn = String.sub line 0 (String.length line / 2) in
-  (match Proto.result_of_line torn with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "a torn result line must not parse");
-  match Proto.job_of_line "{\"dir\": 3}" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "a mistyped job line must not parse"
+let test_proto_truncated_value () =
+  let res = Worker.error_result { Proto.job_dir = "d"; job_attempt = 1 } "x" in
+  let ic = via_pipe (fun oc -> Proto.send_result oc res) in
+  let whole = In_channel.input_all ic in
+  close_in ic;
+  for n = 0 to String.length whole - 1 do
+    let ic = via_pipe (fun oc -> output_string oc (String.sub whole 0 n)) in
+    (match Proto.recv_result ic with
+    | exception (End_of_file | Failure _) -> ()
+    | _ -> Alcotest.failf "a %d-byte prefix of a result must not read" n);
+    close_in ic
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Discovery and the walk order.                                       *)
@@ -169,13 +214,17 @@ let test_php_files_sorted_relative () =
 let test_merge_determinism () =
   let o1 = run_fleet ~cache_dir:(scratch_dir "det1") ~summary_store:true 1 in
   let o2 = run_fleet ~cache_dir:(scratch_dir "det2") ~summary_store:true 2 in
-  let o2b = run_fleet 2 (* in-memory caches only *) in
+  let o2b = run_fleet 2 (* no cache directory *) in
   Alcotest.(check (list string))
     "1 worker and 2 workers merge byte-identically"
     (Coordinator.merged_lines o1) (Coordinator.merged_lines o2);
   Alcotest.(check (list string))
     "cache temperature does not leak into the merge"
     (Coordinator.merged_lines o1) (Coordinator.merged_lines o2b);
+  Alcotest.(check (pair int int))
+    "without a cache directory no worker caches" (0, 0)
+    ( o2b.Coordinator.report.Coordinator.rp_cache_hits,
+      o2b.Coordinator.report.Coordinator.rp_cache_misses );
   Alcotest.(check int) "every project scanned" 4
     o2.Coordinator.report.Coordinator.rp_projects;
   Alcotest.(check (list string)) "none failed" []
@@ -229,6 +278,22 @@ let test_worker_death_after_retry () =
   in
   Alcotest.(check string) "failure is attributed" "proj_001"
     failed.Proto.res_project
+
+(* A worker killed mid-write leaves the first part of a result on the
+   pipe; the coordinator must read it as a death and retry. *)
+let test_torn_result () =
+  Unix.putenv torn_env "proj_001";
+  let o =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv torn_env "")
+      (fun () -> run_fleet 2)
+  in
+  let rp = o.Coordinator.report in
+  Alcotest.(check int) "the torn result counts as one death" 1
+    rp.Coordinator.rp_retried;
+  Alcotest.(check (list string)) "its retry succeeds" []
+    rp.Coordinator.rp_failed;
+  Alcotest.(check int) "every project answered" 4 rp.Coordinator.rp_projects
 
 (* ------------------------------------------------------------------ *)
 (* The hardened shared disk cache.                                     *)
@@ -397,8 +462,8 @@ let () =
       ( "proto",
         [
           Alcotest.test_case "round-trips" `Quick test_proto_roundtrip;
-          Alcotest.test_case "torn lines never parse" `Quick
-            test_proto_torn_line;
+          Alcotest.test_case "truncated values never read" `Quick
+            test_proto_truncated_value;
         ] );
       ( "discovery",
         [
@@ -417,6 +482,8 @@ let () =
             test_worker_death_retry;
           Alcotest.test_case "a twice-killed worker fails its project" `Slow
             test_worker_death_after_retry;
+          Alcotest.test_case "a truncated result reads as a dead worker" `Slow
+            test_torn_result;
         ] );
       ( "cache",
         [

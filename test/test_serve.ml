@@ -280,17 +280,22 @@ let test_framing_roundtrip () =
       close_in ic)
 
 let test_framing_errors () =
-  let read_of s =
+  (* every message read from [s], up to the end of input *)
+  let reads_of s =
     let path = Filename.temp_file "wap_serve" ".bin" in
     let oc = open_out_bin path in
     output_string oc s;
     close_out oc;
     let ic = open_in_bin path in
-    let r = Rpc.read_message ic in
+    let rec all acc =
+      match Rpc.read_message ic with None -> List.rev acc | Some r -> all (r :: acc)
+    in
+    let rs = all [] in
     close_in ic;
     (try Sys.remove path with _ -> ());
-    r
+    rs
   in
+  let read_of s = match reads_of s with r :: _ -> Some r | [] -> None in
   (match read_of "X-Other: 1\r\n\r\n{}" with
   | Some (Error e) ->
       Alcotest.(check bool) "missing Content-Length reported" true
@@ -302,6 +307,11 @@ let test_framing_errors () =
   (match read_of "Content-Length: 50\r\n\r\n{}" with
   | Some (Error _) -> ()
   | _ -> Alcotest.fail "expected a truncated-body error");
+  (* an oversized length is refused before its body is allocated, and
+     the frame after it still parses *)
+  (match reads_of "Content-Length: 1000000000000\r\n\r\nContent-Length: 2\r\n\r\n{}" with
+  | [ Error _; Ok (J.Obj []) ] -> ()
+  | _ -> Alcotest.fail "expected an oversized-frame error, then the next frame");
   match read_of "" with
   | None -> ()
   | _ -> Alcotest.fail "expected clean EOF"
