@@ -358,7 +358,7 @@ let run_fleet ?(check_fleet = false) () =
          Wap_fleet.Coordinator.fc_workers = workers;
          fc_worker_jobs = 1;
          fc_cache_dir = Some cache_dir;
-         fc_summary_store = true;
+         fc_summary_store = false;
          (* progress lines would pollute the timed runs' stderr *)
          fc_progress = false;
        }
@@ -463,7 +463,8 @@ let run_fleet ?(check_fleet = false) () =
            fleets)
     then begin
       Printf.eprintf
-        "FAIL: fleet dedup hit ratio is 0 on the shared-layer corpus\n";
+        "FAIL: fleet dedup hit ratio is 0: no shared-layer parse entry was \
+         reused\n";
       exit 1
     end;
     (* a 2-worker fleet can only beat one process when there are at

@@ -794,21 +794,13 @@ let fleet_cmd =
              ~doc:"Also write the fleet summary (throughput, cache traffic, \
                    retries) as JSON to $(docv).")
   in
-  let no_summary_store =
-    Arg.(value & flag
-         & info [ "no-summary-store" ]
-             ~doc:"Disable the content-addressed cross-project summary \
-                   store (files shared between projects are then \
-                   re-summarized per project).  The store lives in the \
-                   $(b,--cache-dir), so without one it is off anyway.")
-  in
   let quiet =
     Arg.(value & flag
          & info [ "quiet" ]
              ~doc:"Silence the periodic progress/ETA line on stderr.")
   in
-  let run roots workers worker_jobs out summary cache_dir no_summary_store
-      quiet log_level log_format =
+  let run roots workers worker_jobs out summary cache_dir quiet log_level
+      log_format =
     Wap_obs.Log.set_level log_level;
     Wap_obs.Log.set_format log_format;
     let dirs = Wap_fleet.Coordinator.discover roots in
@@ -817,7 +809,7 @@ let fleet_cmd =
         Wap_fleet.Coordinator.fc_workers = workers;
         fc_worker_jobs = worker_jobs;
         fc_cache_dir = cache_dir;
-        fc_summary_store = not no_summary_store;
+        fc_summary_store = false;
         fc_progress = not quiet;
       }
     in
@@ -884,7 +876,7 @@ let fleet_cmd =
   in
   Cmd.v (Cmd.info "fleet" ~doc)
     Term.(ret (const run $ roots $ workers $ worker_jobs $ out $ summary
-               $ cache_dir_term $ no_summary_store $ quiet
+               $ cache_dir_term $ quiet
                $ log_level_arg $ log_format_arg))
 
 (* ------------------------------------------------------------------ *)
@@ -911,14 +903,17 @@ let experiments_cmd =
     section (E.table2 ~dataset evals);
     section (E.table3 evals);
     section (E.table4 ());
-    let webapps = E.run_webapps ~seed ~only_vulnerable:quick ~jobs ?cache () in
+    let webapps =
+      E.run_webapps ~seed ~only_vulnerable:quick
+        ~confirm:(if quick then 3 else 6) ~jobs ?cache ()
+    in
     section (E.table5 webapps);
     section (E.table6 webapps);
     let plugins = E.run_plugins ~seed ~only_vulnerable:quick ~jobs ?cache () in
     section (E.table7 plugins);
     section (E.fig4 plugins);
     section (E.fig5 webapps plugins);
-    section (E.confirmation_table ~seed ~packages:(if quick then 3 else 6) ());
+    section (E.confirmation_table webapps);
     section (E.classifier_ranking ~seed ~dataset evals);
     section (E.ablation_attributes ~seed ~dataset evals);
     section (E.ablation_interprocedural ~seed ());

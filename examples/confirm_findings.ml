@@ -57,13 +57,7 @@ let () =
   print_newline ();
   (* the same machinery at corpus scale *)
   print_endline "--- corpus-scale confirmation (3 packages) ---";
-  let c = Wap_core.Experiments.run_confirmation ~seed:2016 ~packages:3 () in
-  Printf.printf
-    "reported vulnerabilities: %d confirmed, %d refuted, %d not replayable\n"
-    c.Wap_core.Experiments.cf_reported_confirmed
-    c.Wap_core.Experiments.cf_reported_refuted
-    c.Wap_core.Experiments.cf_reported_unsupported;
-  Printf.printf
-    "predicted false positives: %d confirmed (should be 0), %d refuted, %d not replayable\n"
-    c.Wap_core.Experiments.cf_fps_confirmed c.Wap_core.Experiments.cf_fps_refuted
-    c.Wap_core.Experiments.cf_fps_unsupported
+  print_string
+    (Wap_core.Experiments.confirmation_table
+       (Wap_core.Experiments.run_webapps ~seed:2016 ~only_vulnerable:true
+          ~confirm:3 ()))

@@ -280,34 +280,62 @@ type app_run = {
   ar_score : Aggregate.score;
 }
 
+(* Dynamic confirmation: the paper's "all were confirmed by us
+   manually", mechanized. *)
+type confirmation = {
+  cf_reported_confirmed : int;  (** reported vulns whose exploit replays *)
+  cf_reported_refuted : int;  (** reported but the payload never lands *)
+  cf_reported_unsupported : int;  (** not replayable (e.g. stored XSS) *)
+  cf_fps_confirmed : int;  (** predicted FPs that are in fact exploitable *)
+  cf_fps_refuted : int;
+  cf_fps_unsupported : int;
+}
+
+(* Replay a scan's findings with attack payloads, on the ASTs the scan
+   analyzed: the confirmation rate of reported vulnerabilities, and the
+   exploit rate of predicted false positives (ideally 0). *)
+let confirm_scan (o : Tool.Scan.outcome) : confirmation =
+  let result = o.Tool.Scan.result and units = o.Tool.Scan.units in
+  let rc, rr, ru = Wap_confirm.Confirm.confirm_batch units result.Tool.reported in
+  let fc, fr, fu = Wap_confirm.Confirm.confirm_batch units result.Tool.predicted_fps in
+  { cf_reported_confirmed = rc; cf_reported_refuted = rr; cf_reported_unsupported = ru;
+    cf_fps_confirmed = fc; cf_fps_refuted = fr; cf_fps_unsupported = fu }
+
 type webapp_runs = {
   wr_wape : app_run list;  (** all 54 packages under WAPe *)
   wr_v21 : app_run list;  (** the same packages under WAP v2.1 *)
+  wr_confirmed : confirmation list;  (** the replayed packages, in order *)
 }
 
 let scan_package ?jobs ?cache tool pkg =
-  (Tool.Scan.run tool (Tool.Scan.request_of_package ?jobs ?cache pkg))
-    .Tool.Scan.result
+  Tool.Scan.run tool (Tool.Scan.request_of_package ?jobs ?cache pkg)
 
 let app_run profile result =
   { ar_profile = profile; ar_result = result; ar_score = Aggregate.score_package result }
 
-let run_webapps ?(seed = default_seed) ?(only_vulnerable = false) ?jobs ?cache
-    () : webapp_runs =
+(* Each package's units live only through its own iteration: the
+   replay runs on them there, so no package's ASTs outlive its scan. *)
+let run_webapps ?(seed = default_seed) ?(only_vulnerable = false) ?(confirm = 0)
+    ?jobs ?cache () : webapp_runs =
   let packages =
     if only_vulnerable then Wap_corpus.Corpus.vulnerable_webapps ~seed ()
     else Wap_corpus.Corpus.webapps ~seed ()
   in
   let wape = Tool.create ~seed Version.Wape in
   let v21 = Tool.create ~seed Version.Wap_v21 in
-  let wr_wape =
-    List.map
-      (fun (profile, pkg) -> app_run profile (scan_package ?jobs ?cache wape pkg))
-      packages
+  let wr_wape, confirmed =
+    List.split
+      (List.mapi
+         (fun i (profile, pkg) ->
+           let o = scan_package ?jobs ?cache wape pkg in
+           ( app_run profile o.Tool.Scan.result,
+             if i < confirm then Some (confirm_scan o) else None ))
+         packages)
   in
   { wr_wape;
     wr_v21 =
-      List.map (fun r -> app_run r.ar_profile (Tool.restrict v21 r.ar_result)) wr_wape }
+      List.map (fun r -> app_run r.ar_profile (Tool.restrict v21 r.ar_result)) wr_wape;
+    wr_confirmed = List.filter_map Fun.id confirmed }
 
 let table5 (runs : webapp_runs) : string =
   let vulnerable =
@@ -408,7 +436,7 @@ let run_plugins ?(seed = default_seed) ?(only_vulnerable = false) ?jobs ?cache
   let tool = Tool.create ~seed ~weapons Version.Wape in
   List.map
     (fun (profile, pkg) ->
-      let result = scan_package ?jobs ?cache tool pkg in
+      let result = (scan_package ?jobs ?cache tool pkg).Tool.Scan.result in
       { pr_profile = profile; pr_result = result; pr_score = Aggregate.score_package result })
     packages
 
@@ -489,67 +517,23 @@ let fig5 (webapps : webapp_runs) (plugins : plugin_run list) : string =
       { Wap_report.Histogram.label = "plugins";
         values = List.map (fun g -> (g, Aggregate.group_count total_plug g)) groups } ]
 
-(* ------------------------------------------------------------------ *)
-(* Dynamic confirmation (the paper's "all were confirmed by us          *)
-(* manually", mechanized).                                               *)
-
-type confirmation = {
-  cf_reported_confirmed : int;  (** reported vulns whose exploit replays *)
-  cf_reported_refuted : int;  (** reported but the payload never lands *)
-  cf_reported_unsupported : int;  (** not replayable (e.g. stored XSS) *)
-  cf_fps_confirmed : int;  (** predicted FPs that are in fact exploitable *)
-  cf_fps_refuted : int;
-  cf_fps_unsupported : int;
-}
-
-(** Replay every finding of a few packages with attack payloads: the
-    confirmation rate of reported vulnerabilities, and the exploit rate
-    of predicted false positives (ideally 0). *)
-let run_confirmation ?(seed = default_seed) ?(packages = 5) () : confirmation =
-  let profiles =
-    List.filteri (fun i _ -> i < packages) Wap_corpus.Profiles.vulnerable_webapps
-  in
-  let tool = Tool.create ~seed Version.Wape in
-  List.fold_left
-    (fun acc profile ->
-      let pkg = Wap_corpus.Appgen.of_webapp_profile ~seed profile in
-      let o = Tool.Scan.run tool (Tool.Scan.request_of_package pkg) in
-      let result = o.Tool.Scan.result and units = o.Tool.Scan.units in
-      let rc, rr, ru =
-        Wap_confirm.Confirm.confirm_batch units result.Tool.reported
-      in
-      let fc, fr, fu =
-        Wap_confirm.Confirm.confirm_batch units result.Tool.predicted_fps
-      in
-      {
-        cf_reported_confirmed = acc.cf_reported_confirmed + rc;
-        cf_reported_refuted = acc.cf_reported_refuted + rr;
-        cf_reported_unsupported = acc.cf_reported_unsupported + ru;
-        cf_fps_confirmed = acc.cf_fps_confirmed + fc;
-        cf_fps_refuted = acc.cf_fps_refuted + fr;
-        cf_fps_unsupported = acc.cf_fps_unsupported + fu;
-      })
-    { cf_reported_confirmed = 0; cf_reported_refuted = 0; cf_reported_unsupported = 0;
-      cf_fps_confirmed = 0; cf_fps_refuted = 0; cf_fps_unsupported = 0 }
-    profiles
-
-let confirmation_table ?(seed = default_seed) ?(packages = 5) () : string =
-  let c = run_confirmation ~seed ~packages () in
+let confirmation_table (runs : webapp_runs) : string =
+  let sum f = string_of_int (List.fold_left (fun n c -> n + f c) 0 runs.wr_confirmed) in
   T.render
     (T.make
        ~title:
          (Printf.sprintf
             "Dynamic confirmation (%d packages): replaying findings with attack payloads"
-            packages)
+            (List.length runs.wr_confirmed))
        ~header:[ "Findings"; "confirmed exploitable"; "not exploitable"; "not replayable" ]
        [ [ "reported vulnerabilities";
-           string_of_int c.cf_reported_confirmed;
-           string_of_int c.cf_reported_refuted;
-           string_of_int c.cf_reported_unsupported ];
+           sum (fun c -> c.cf_reported_confirmed);
+           sum (fun c -> c.cf_reported_refuted);
+           sum (fun c -> c.cf_reported_unsupported) ];
          [ "predicted false positives";
-           string_of_int c.cf_fps_confirmed;
-           string_of_int c.cf_fps_refuted;
-           string_of_int c.cf_fps_unsupported ] ])
+           sum (fun c -> c.cf_fps_confirmed);
+           sum (fun c -> c.cf_fps_refuted);
+           sum (fun c -> c.cf_fps_unsupported) ] ])
 
 (* ------------------------------------------------------------------ *)
 (* The §V-A extensibility experiment: feeding a user sanitization        *)

@@ -57,20 +57,37 @@ type app_run = {
   ar_score : Aggregate.score;
 }
 
+(** Dynamic confirmation totals (see {!Wap_confirm}). *)
+type confirmation = {
+  cf_reported_confirmed : int;  (** reported vulns whose exploit replays *)
+  cf_reported_refuted : int;  (** reported but the payload never lands *)
+  cf_reported_unsupported : int;  (** not replayable (e.g. stored XSS) *)
+  cf_fps_confirmed : int;  (** predicted FPs that are in fact exploitable *)
+  cf_fps_refuted : int;
+  cf_fps_unsupported : int;
+}
+
 type webapp_runs = {
   wr_wape : app_run list;  (** all packages under WAPe *)
   wr_v21 : app_run list;  (** the same packages under WAP v2.1 *)
+  wr_confirmed : confirmation list;
+      (** one per replayed package, in package order *)
 }
 
 (** Run the web-application corpus under both tool versions.  Each
     package is scanned once, by WAPe; its WAP v2.1 run is that scan
     restricted to v2.1's classes ({!Tool.restrict}), which equals a
     v2.1 scan.  [only_vulnerable] restricts to the 17 Table V rows.
-    [jobs] and [cache] are forwarded to the scan engine for every
-    package. *)
+    The findings of the first [confirm] packages (default 0; the
+    corpus lists the vulnerable ones first) are replayed with attack
+    payloads on the ASTs their scan analyzed, before the next package
+    is scanned — the mechanized version of the paper's "all were
+    confirmed by us manually".  [jobs] and [cache] are forwarded to
+    the scan engine for every package. *)
 val run_webapps :
   ?seed:int ->
   ?only_vulnerable:bool ->
+  ?confirm:int ->
   ?jobs:int ->
   ?cache:Wap_engine.Cache.t ->
   unit ->
@@ -108,22 +125,9 @@ val fig4 : plugin_run list -> string
 (** Fig. 5: vulnerabilities by class, web applications vs plugins. *)
 val fig5 : webapp_runs -> plugin_run list -> string
 
-(** Dynamic confirmation totals (see {!Wap_confirm}). *)
-type confirmation = {
-  cf_reported_confirmed : int;  (** reported vulns whose exploit replays *)
-  cf_reported_refuted : int;  (** reported but the payload never lands *)
-  cf_reported_unsupported : int;  (** not replayable (e.g. stored XSS) *)
-  cf_fps_confirmed : int;  (** predicted FPs that are in fact exploitable *)
-  cf_fps_refuted : int;
-  cf_fps_unsupported : int;
-}
-
-(** Replay every finding of the first [packages] vulnerable web
-    applications with attack payloads — the mechanized version of the
-    paper's "all were confirmed by us manually". *)
-val run_confirmation : ?seed:int -> ?packages:int -> unit -> confirmation
-
-val confirmation_table : ?seed:int -> ?packages:int -> unit -> string
+(** The dynamic confirmation table: the sum of the runs'
+    [wr_confirmed]. *)
+val confirmation_table : webapp_runs -> string
 
 (** The §V-A extensibility experiment: (reports before, reports after)
     feeding the application's own [escape] sanitizer to the tool. *)

@@ -157,20 +157,16 @@ module Scan = struct
     files : (string * string) list;  (** [(path, source)], one app *)
     jobs : int;  (** worker domains *)
     cache : Wap_engine.Cache.t option;
-    summary_store : bool;
-        (** content-addressed cross-project summary store (fleet
-            workers); see {!Wap_engine.Session.request} *)
     package : Wap_corpus.Appgen.package option;
         (** corpus package the files came from (ground truth, LoC);
             synthesized from [files] when absent *)
   }
 
-  let request ?jobs ?cache ?(summary_store = false) ?package files =
-    { files; jobs = Wap_engine.Config.jobs jobs; cache; summary_store; package }
+  let request ?jobs ?cache ?package files =
+    { files; jobs = Wap_engine.Config.jobs jobs; cache; package }
 
-  let request_of_package ?jobs ?cache ?summary_store
-      (pkg : Wap_corpus.Appgen.package) =
-    request ?jobs ?cache ?summary_store ~package:pkg
+  let request_of_package ?jobs ?cache (pkg : Wap_corpus.Appgen.package) =
+    request ?jobs ?cache ~package:pkg
       (List.map
          (fun (f : Wap_corpus.Appgen.file) ->
            (f.Wap_corpus.Appgen.f_name, f.Wap_corpus.Appgen.f_source))
@@ -216,8 +212,7 @@ module Scan = struct
     let engine =
       Session.run
         (Session.request ~jobs:req.jobs ?cache:req.cache
-           ~fingerprint:(fingerprint t) ~summary_store:req.summary_store
-           ~specs:t.specs req.files)
+           ~fingerprint:(fingerprint t) ~specs:t.specs req.files)
     in
     let result =
       predict t ~package:pkg

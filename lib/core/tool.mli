@@ -95,12 +95,6 @@ module Scan : sig
     files : (string * string) list;  (** [(path, source)], one app *)
     jobs : int;  (** worker domains *)
     cache : Wap_engine.Cache.t option;
-    summary_store : bool;
-        (** persist pass-1 summary deltas in the cache under
-            content-addressed chained prefix keys, shared across
-            projects through a common cache directory; off by default,
-            enabled by the fleet workers — see
-            {!Wap_engine.Session.request} *)
     package : Wap_corpus.Appgen.package option;
         (** corpus package the files came from (ground truth, LoC);
             synthesized from [files] when absent *)
@@ -108,11 +102,10 @@ module Scan : sig
 
   (** Build a request.  [jobs] resolves through {!Wap_engine.Config}
       (environment gate [WAP_JOBS], flag-beats-env); omitting [cache]
-      disables caching; [summary_store] defaults to off. *)
+      disables caching. *)
   val request :
     ?jobs:int ->
     ?cache:Wap_engine.Cache.t ->
-    ?summary_store:bool ->
     ?package:Wap_corpus.Appgen.package ->
     (string * string) list ->
     request
@@ -121,7 +114,6 @@ module Scan : sig
   val request_of_package :
     ?jobs:int ->
     ?cache:Wap_engine.Cache.t ->
-    ?summary_store:bool ->
     Wap_corpus.Appgen.package ->
     request
 

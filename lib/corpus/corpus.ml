@@ -40,10 +40,9 @@ let vulnerable_plugins ?(seed = default_seed) () =
 (* The WordPress-core stand-in: a benign, function-heavy layer shipped
    verbatim inside every generated project, under [_shared/] so it
    sorts (and is therefore scanned) before the project's own files —
-   '_' orders before every lowercase stem.  That prefix position is
-   what lets the engine's content-addressed summary store recognise
-   the layer as identical across projects and summarize it once
-   fleet-wide. *)
+   '_' orders before every lowercase stem.  Its files have the same
+   relative paths and sources in every project, so a fleet sharing a
+   cache directory parses the layer once fleet-wide. *)
 let shared_layer ?(seed = default_seed) () : Appgen.file list =
   let core =
     Appgen.generate ~seed:(seed * 127 + 13) ~kind:Appgen.Plugin

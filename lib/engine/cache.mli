@@ -27,8 +27,8 @@
     foreign file — is deleted and read as a miss; a verified frame whose
     marshalled payload still cannot be decoded is likewise invalidated
     and read as a miss instead of raising.  Several processes may
-    therefore share one cache directory (the fleet's cross-project
-    summary store does exactly this). *)
+    therefore share one cache directory (the fleet's workers do
+    exactly this). *)
 
 type t
 

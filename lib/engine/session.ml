@@ -41,14 +41,11 @@ type request = {
   jobs : int;
   cache : Cache.t option;
   fingerprint : string;
-  summary_store : bool;
-      (** persist pass-1 summary deltas under content-addressed chained
-          keys, shared across projects through the cache *)
 }
 
-let request ?(jobs = Config.default_jobs ()) ?cache ?(fingerprint = "")
-    ?(summary_store = false) ~specs files =
-  { files; specs; jobs; cache; fingerprint; summary_store }
+let request ?(jobs = Config.default_jobs ()) ?cache ?(fingerprint = "") ~specs
+    files =
+  { files; specs; jobs; cache; fingerprint }
 
 type file_report = {
   fr_path : string;
@@ -113,7 +110,8 @@ let timed name f =
    [run] never mutates the session and so never pays for them. *)
 type entry = {
   ent_path : string;
-  mutable ent_src_digest : string;  (* hex digest of the source text *)
+  mutable ent_src_digest : string;
+      (* hex digest of the source text; [""] without a cache *)
   mutable ent_unit : An.file_unit;
   mutable ent_report : file_report;
   mutable ent_decl : (bool * string) Lazy.t;
@@ -130,7 +128,6 @@ type t = {
   s_jobs : int;
   s_cache : Cache.t option;
   s_fingerprint : string;
-  s_summary_store : bool;
   s_hits0 : int;
   s_misses0 : int;
   mutable s_entries : entry list;  (* project order *)
@@ -187,31 +184,29 @@ let dead_of (program : Ast.program) =
      Wap_flow.Reach.add_program d program;
      d)
 
-let src_digest src = Digest.to_hex (Digest.string src)
-
-(* [digest] is [src_digest src], computed once by the caller, which also
-   keeps it as the entry's [ent_src_digest] *)
-let parse_file t path ~digest src =
+(* Only cache keys read a source digest, so a session without a cache
+   computes none and leaves [ent_src_digest] empty.  Parsing depends
+   only on the file itself, not on the active spec set, so the parse
+   key deliberately omits the fingerprint. *)
+let parse_file t path src =
   (* no span of its own: the nested php "parse" span already covers this
      per-file work at the same granularity *)
   let compute () = Parser.parse_string_tolerant ~file:path src in
-  let (program, errs), cached =
+  let digest, ((program, errs), cached) =
     match t.s_cache with
     | Some c ->
-        (* parsing depends only on the file itself, not on the active
-           spec set, so the key deliberately omits the fingerprint *)
+        let digest = Digest.to_hex (Digest.string src) in
         let k = Cache.key [ cache_format_version; "parse"; path; digest ] in
-        Cache.memoize c ~key:k compute
-    | None -> (compute (), false)
+        (digest, Cache.memoize c ~key:k compute)
+    | None -> ("", (compute (), false))
   in
   Wap_obs.Metrics.incr m_files_parsed;
   if errs <> [] then
     Wap_obs.Metrics.incr ~by:(List.length errs) m_parse_recoveries;
-  (program, { fr_path = path; fr_cached = cached; fr_errors = errs })
+  (digest, program, { fr_path = path; fr_cached = cached; fr_errors = errs })
 
 let make_entry t path src =
-  let digest = src_digest src in
-  let program, report = parse_file t path ~digest src in
+  let digest, program, report = parse_file t path src in
   {
     ent_path = path;
     ent_src_digest = digest;
@@ -225,8 +220,7 @@ let make_entry t path src =
   }
 
 let refresh_entry t e src =
-  let digest = src_digest src in
-  let program, report = parse_file t e.ent_path ~digest src in
+  let digest, program, report = parse_file t e.ent_path src in
   e.ent_src_digest <- digest;
   e.ent_unit <- { An.path = e.ent_path; program };
   e.ent_report <- report;
@@ -253,41 +247,6 @@ let analysis_key t =
     :: List.map (fun e -> e.ent_path ^ "\x01" ^ e.ent_src_digest) t.s_entries)
 
 (* ------------------------------------------------------------------ *)
-(* Pass-1 summary store.                                               *)
-
-(* Content-addressed chained keys for pass-1 summary deltas.  The
-   delta of file i depends only on the file's own source, the active
-   specs and the summaries registered by files 0..i-1 — so its key is
-   the running hash of the (path, digest) prefix up to and including
-   file i.  Identical prefixes (a framework layer shared by many
-   projects, ordered first) therefore share entries {e across}
-   projects through a shared cache directory, unlike the analysis
-   entry, whose key is the whole project.  Opt-in
-   ([summary_store], enabled by the fleet workers): it changes the
-   cache hit/miss profile that batch callers observe.  A delta served
-   from the store carries no pass-1 walks, so pass 2 walks that file's
-   function bodies again. *)
-let summary_chain_seed t =
-  Cache.key
-    [ cache_format_version; "summary-chain"; t.s_fingerprint;
-      Cat.set_fingerprint t.s_specs ]
-
-let summarize_entries t st =
-  match t.s_cache with
-  | Some c when t.s_summary_store ->
-      let chain = ref (summary_chain_seed t) in
-      List.iter
-        (fun e ->
-          chain := Cache.key [ !chain; e.ent_path; e.ent_src_digest ];
-          let fs, hit =
-            Cache.memoize c ~key:!chain (fun () ->
-                An.summarize_file_delta st e.ent_unit)
-          in
-          if hit then An.register_summaries st fs)
-        t.s_entries
-  | _ -> List.iter (fun e -> An.summarize_file st e.ent_unit) t.s_entries
-
-(* ------------------------------------------------------------------ *)
 (* The pass runner.                                                    *)
 
 (* Re-run pass 3 over [es] (project order) and report them analyzed.
@@ -306,7 +265,7 @@ let run_passes t (es : entry list) =
           let st = An.project_state ~specs:t.s_specs () in
           t.s_state <- Some st;
           Obs.with_span ~cat:"engine" "fused.summaries" (fun () ->
-              summarize_entries t st);
+              List.iter (fun e -> An.summarize_file st e.ent_unit) t.s_entries);
           Obs.with_span ~cat:"engine" "fused.functions" (fun () ->
               List.iter
                 (fun e -> e.ent_pass2 <- An.analyze_file_functions st e.ent_unit)
@@ -365,11 +324,12 @@ let dependents t ~base ~excluding =
 (* The analyze stage of an open.                                       *)
 
 (* One cache entry holds every file's (pass 2, pass 3) lists, in entry
-   order.  A hit retains no analyzer state; the first edit that needs
-   it replays passes 1–2.  An empty project makes no cache traffic. *)
+   order, under [key] ([None] exactly when the session has no cache).
+   A hit retains no analyzer state; the first edit that needs it
+   replays passes 1–2.  An empty project makes no cache traffic. *)
 let analyze_stage t ~key =
-  match t.s_cache with
-  | Some c when t.s_entries <> [] ->
+  match (t.s_cache, key) with
+  | Some c, Some key when t.s_entries <> [] ->
       let results, cached =
         Cache.memoize c ~key (fun () ->
             ignore (run_passes t t.s_entries);
@@ -401,7 +361,6 @@ let open_project (req : request) : t =
       s_jobs = jobs;
       s_cache = req.cache;
       s_fingerprint = req.fingerprint;
-      s_summary_store = req.summary_store;
       s_hits0 = (match req.cache with Some c -> Cache.hits c | None -> 0);
       s_misses0 = (match req.cache with Some c -> Cache.misses c | None -> 0);
       s_entries = [];
@@ -424,7 +383,11 @@ let open_project (req : request) : t =
         entries)
   in
   t.s_entries <- entries;
-  let key, t_digest = timed "phase.digest" (fun () -> analysis_key t) in
+  let key, t_digest =
+    match t.s_cache with
+    | Some _ -> timed "phase.digest" (fun () -> Some (analysis_key t))
+    | None -> (None, 0.)
+  in
   (* ---- stage 2: fused multi-spec analysis ---------------------------- *)
   let (), t_analyze = timed "phase.analyze" (fun () -> analyze_stage t ~key) in
   t.s_phases <-

@@ -61,25 +61,15 @@ type request = {
       (** tool-level cache-key material: version name plus the full
           active spec set, so changing either invalidates the analysis
           entry *)
-  summary_store : bool;
-      (** persist pass-1 summary deltas in the cache under
-          content-addressed {e chained} keys — the key of file [i] is
-          the running hash of the [(path, source digest)] prefix up to
-          it, plus the spec-set fingerprint — so projects sharing a
-          common file prefix (a vendored framework layer, ordered
-          first) summarize it once {e across} projects.  Off by
-          default (it changes the observable cache hit/miss profile);
-          the fleet workers turn it on. *)
 }
 
 (** [request ~specs files] with defaults: [jobs] resolved through
     {!Config} (environment gate [WAP_JOBS]), no cache, empty
-    fingerprint, no summary store. *)
+    fingerprint. *)
 val request :
   ?jobs:int ->
   ?cache:Cache.t ->
   ?fingerprint:string ->
-  ?summary_store:bool ->
   specs:Wap_catalog.Catalog.spec list ->
   (string * string) list ->
   request
@@ -104,7 +94,8 @@ type outcome = {
   spec_reports : spec_report list;  (** spec order *)
   phases : (string * float) list;
       (** per-phase wall clock, in pipeline order: [parse] (stage-1 pool
-          fan-out), [digest] (project cache-key digest), [analyze]
+          fan-out), [digest] (project cache-key digest; [0.] without a
+          cache, where no key is computed and no source digested), [analyze]
           (stage-2 pool fan-out), [merge] (finalize + deterministic
           sort, measured at the latest export) *)
   jobs_used : int;

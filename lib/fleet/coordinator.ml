@@ -22,7 +22,7 @@ type config = {
   fc_workers : int;  (** worker processes; clamped to at least 1 *)
   fc_worker_jobs : int;  (** analysis domains inside each worker *)
   fc_cache_dir : string option;  (** shared disk cache, fleet-wide *)
-  fc_summary_store : bool;  (** cross-project summary store *)
+  fc_summary_store : bool;  (** ignored; see the interface *)
   fc_progress : bool;
       (** emit periodic [done/total, files/s, ETA] lines on stderr *)
 }
@@ -42,7 +42,7 @@ type report = {
   rp_cache_misses : int;
   rp_dedup_hit_ratio : float;
       (** hits / (hits + misses) across all workers; > 0 means some
-          file was parsed or summarized once and reused *)
+          entry was reused *)
 }
 
 type outcome = { results : Proto.result list; report : report }
@@ -71,11 +71,7 @@ let discover roots : string list =
 type wproc = { w_pid : int; w_send : out_channel; w_recv : in_channel }
 
 let worker_config (cfg : config) : Proto.config =
-  {
-    Proto.cfg_jobs = cfg.fc_worker_jobs;
-    cfg_cache_dir = cfg.fc_cache_dir;
-    cfg_summary_store = cfg.fc_summary_store;
-  }
+  { Proto.cfg_jobs = cfg.fc_worker_jobs; cfg_cache_dir = cfg.fc_cache_dir }
 
 (* Self-exec: the worker is this very binary in its hidden mode, so
    the fleet works from the CLI, the bench harness and the test

@@ -14,8 +14,13 @@ module Json = Wap_report.Json
 type config = {
   fc_workers : int;  (** worker processes; clamped to at least 1 *)
   fc_worker_jobs : int;  (** analysis domains inside each worker *)
-  fc_cache_dir : string option;  (** shared disk cache, fleet-wide *)
-  fc_summary_store : bool;  (** cross-project summary store *)
+  fc_cache_dir : string option;
+      (** shared disk cache, fleet-wide: projects and workers share the
+          parse entries of identical files through it *)
+  fc_summary_store : bool;
+      (** ignored.  The cross-project summary store it switched is
+          gone; the field stays only because the benchmark probe still
+          sets it, and goes when the probe stops. *)
   fc_progress : bool;
       (** emit a [fleet: done/total projects, files/s, ETA] line on
           stderr about once a second (and at completion); stdout and
@@ -37,7 +42,8 @@ type report = {
   rp_cache_misses : int;
   rp_dedup_hit_ratio : float;
       (** hits / (hits + misses) across all workers; > 0 means some
-          file was parsed or summarized once and reused *)
+          entry was reused: a shared file's parse entry by another
+          project, or any entry by a rerun *)
 }
 
 type outcome = {

@@ -14,7 +14,6 @@ module Json = Wap_report.Json
 type config = {
   cfg_jobs : int;  (** analysis domains inside each worker *)
   cfg_cache_dir : string option;  (** shared disk cache, fleet-wide *)
-  cfg_summary_store : bool;  (** cross-project summary store *)
 }
 
 type job = { job_dir : string; job_attempt : int  (** 1, then 2 on retry *) }

@@ -14,8 +14,6 @@ type config = {
   cfg_jobs : int;  (** analysis domains inside each worker *)
   cfg_cache_dir : string option;
       (** shared disk cache, fleet-wide; a worker caches only here *)
-  cfg_summary_store : bool;
-      (** cross-project summary store; runs only through [cfg_cache_dir] *)
 }
 
 type job = { job_dir : string; job_attempt : int  (** 1, then 2 on retry *) }

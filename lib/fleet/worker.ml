@@ -10,10 +10,10 @@
 
     Each worker holds one tool instance for its whole life, and one
     cache handle when the fleet has a [cache_dir]: through that
-    directory and the engine's [summary_store] the fleet shares parses
-    and pass-1 summaries of identical files (the vendored framework
-    layer) across projects {e and} across workers.  Without a
-    directory the worker scans uncached. *)
+    directory the fleet shares the parse entries of identical files
+    (the vendored framework layer: same relative path, same source)
+    across projects {e and} across workers.  Without a directory the
+    worker scans uncached. *)
 
 module Json = Wap_report.Json
 
@@ -39,9 +39,8 @@ let should_crash ~spec (job : Proto.job) =
 let read_file = Wap_php.Io.read_file
 
 (* Project-relative .php paths, sorted at every level — the same walk
-   order on every worker, and relative so cache keys (parse entries,
-   summary-chain links) are identical for identical files living in
-   different project roots. *)
+   order on every worker, and relative so the parse-entry keys of
+   identical files living in different project roots are identical. *)
 let php_files dir : string list =
   let rec go rel acc =
     let abs = if rel = "" then dir else Filename.concat dir rel in
@@ -89,8 +88,7 @@ let scan_project ~tool ~cache ~(cfg : Proto.config) (job : Proto.job) :
   in
   let outcome =
     Wap_core.Tool.Scan.run tool
-      (Wap_core.Tool.Scan.request ~jobs:cfg.Proto.cfg_jobs ?cache
-         ~summary_store:cfg.Proto.cfg_summary_store sources)
+      (Wap_core.Tool.Scan.request ~jobs:cfg.Proto.cfg_jobs ?cache sources)
   in
   let r = outcome.Wap_core.Tool.Scan.result in
   {

@@ -6,9 +6,9 @@
     one result out per job, exit 0 at end of input; a value it cannot
     read goes to stderr with exit 2.  The worker keeps one tool
     instance for its whole life, and caches only in the config's
-    [cfg_cache_dir]: through that directory projects share parses and
-    — with the summary store on — pass-1 summaries of identical files
-    across projects and workers.  Without one it scans uncached. *)
+    [cfg_cache_dir]: through that directory projects and workers share
+    the parse entries of identical files (same relative path, same
+    source).  Without one it scans uncached. *)
 
 (** ["__fleet-worker"]. *)
 val dispatch_argv : string

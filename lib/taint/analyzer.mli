@@ -44,16 +44,16 @@ val project_state :
 val summarize_file : project_state -> file_unit -> unit
 
 (** {!summarize_file}, returning the summaries it registered (this
-    file's pass-1 delta, function order).  A pass-1 delta depends only
-    on the file's own source, the active specs and the summaries
-    registered before it, so a caller that replays the same file order
-    can persist deltas and {!register_summaries} them instead of
-    re-analyzing — the engine's cross-project summary store. *)
+    file's pass-1 delta, function order).  With {!register_summaries},
+    it builds the fuzz oracle's re-walk reference
+    ([Wap_fuzz.Oracle.rewalk_reference]): deltas computed on a scratch
+    state, registered on a fresh one. *)
 val summarize_file_delta : project_state -> file_unit -> Summary.fused list
 
-(** Register previously computed pass-1 summaries (a persisted delta)
-    exactly as {!summarize_file} would have.  A registered delta carries
-    no pass-1 walks, so pass 2 walks that file's bodies again. *)
+(** Register pass-1 summaries computed on another state exactly as
+    {!summarize_file} would have.  A registered delta carries no pass-1
+    walks, so pass 2 walks that file's bodies again — which is what the
+    re-walk reference needs. *)
 val register_summaries : project_state -> Summary.fused list -> unit
 
 (** Pass-2 step: every candidate one file's function bodies emit

@@ -12,7 +12,7 @@
 #   WAP_FLEET_TEST_CRASH=<proj>:always  -> the retry dies too: nonzero exit
 #                                          naming the failed project
 #   summary JSON                        -> dedup hit ratio > 0 (the shared
-#                                          layer was scanned once fleet-wide)
+#                                          layer was parsed once fleet-wide)
 #
 # Usage: scripts/fleet_smoke.sh  (WAP overrides the binary under test)
 set -euo pipefail
@@ -52,9 +52,9 @@ grep -q '"cache_hits": 0,' "$WORK/nocache-summary.json" \
   && grep -q '"cache_misses": 0,' "$WORK/nocache-summary.json" \
   || fail "--no-cache run reports cache traffic: $(cat "$WORK/nocache-summary.json")"
 
-# 3. the summary store deduplicates the shared framework layer
+# 3. the shared framework layer's parse entries are reused across projects
 grep -q '"fleet_dedup_hit_ratio": 0\.0*[1-9]' "$WORK/summary.json" \
-  || fail "dedup hit ratio is 0 — shared layer not deduplicated: $(cat "$WORK/summary.json")"
+  || fail "dedup hit ratio is 0 — no shared-layer parse entry was reused: $(cat "$WORK/summary.json")"
 
 # 4. a worker killed on its first attempt is retried; output unchanged
 WAP_FLEET_TEST_CRASH=proj_001-1.0 \

@@ -3,6 +3,7 @@
 #
 # Drives the documented editor flow with framed JSON-RPC messages:
 #   an oversized header, no body    -> refused unread; the daemon reads on
+#   a 1 MB header line               -> refused, dropped up to its newline
 #   initialize
 #   didOpen  (a vulnerable file)     -> expect publishDiagnostics with >=1 SQLI
 #   didChange (sanitized contents)   -> expect publishDiagnostics clearing it
@@ -34,6 +35,8 @@ URI='file:///smoke/a.php'
 
 {
   printf 'Content-Length: 1000000000000\r\n\r\n'
+  head -c 1048576 /dev/zero | tr '\0' X
+  printf '\r\n'
   frame '{"jsonrpc":"2.0","id":1,"method":"initialize","params":{}}'
   frame "{\"jsonrpc\":\"2.0\",\"method\":\"textDocument/didOpen\",\"params\":{\"textDocument\":{\"uri\":\"$URI\",\"text\":\"$(esc "$VULN")\"}}}"
   frame "{\"jsonrpc\":\"2.0\",\"method\":\"textDocument/didChange\",\"params\":{\"textDocument\":{\"uri\":\"$URI\"},\"contentChanges\":[{\"text\":\"$(esc "$SAFE")\"}]}}"

@@ -440,6 +440,8 @@ let test_phase_breakdown () =
   Alcotest.(check (list string)) "phases in pipeline order"
     [ "parse"; "digest"; "analyze"; "merge"; "predict" ]
     (List.map fst phases);
+  Alcotest.(check (float 0.)) "without a cache nothing is digested" 0.
+    (List.assoc "digest" phases);
   List.iter
     (fun (k, s) ->
       Alcotest.(check bool) (k ^ " is non-negative") true (s >= 0.0))

@@ -1,8 +1,8 @@
 (** The fleet: wire protocol round-trips and truncation, project
     discovery, merged NDJSON byte-determinism across worker counts,
-    worker-death retry (a killed worker and a torn result),
-    the cross-project summary store, the hardened shared disk cache it
-    rides on, the admin plane's short-write loop, and the fuzz
+    worker-death retry (a killed worker and a torn result), parse
+    entries shared across projects, the hardened shared disk cache
+    they live in, the admin plane's short-write loop, and the fuzz
     driver's sorted seed replay. *)
 
 module Proto = Wap_fleet.Proto
@@ -107,19 +107,19 @@ let corpus_root =
        (Wap_corpus.Corpus.generated_projects ~seed:2016 ~count:4 ());
      root)
 
-let fleet_config ?cache_dir ?(summary_store = false) workers =
+let fleet_config ?cache_dir workers =
   {
     Coordinator.fc_workers = workers;
     fc_worker_jobs = 1;
     fc_cache_dir = cache_dir;
-    fc_summary_store = summary_store;
+    fc_summary_store = false;
     fc_progress = false;
   }
 
-let run_fleet ?cache_dir ?summary_store workers =
-  Coordinator.run
-    (fleet_config ?cache_dir ?summary_store workers)
-    ~dirs:(Coordinator.discover [ Lazy.force corpus_root ])
+let corpus_dirs () = Coordinator.discover [ Lazy.force corpus_root ]
+
+let run_fleet ?cache_dir workers =
+  Coordinator.run (fleet_config ?cache_dir workers) ~dirs:(corpus_dirs ())
 
 (* ------------------------------------------------------------------ *)
 (* Protocol.                                                           *)
@@ -135,7 +135,7 @@ let via_pipe write =
 
 let test_proto_roundtrip () =
   let cfg =
-    { Proto.cfg_jobs = 3; cfg_cache_dir = Some "/tmp/c"; cfg_summary_store = true }
+    { Proto.cfg_jobs = 3; cfg_cache_dir = Some "/tmp/c" }
   in
   let job = { Proto.job_dir = "corpus/proj \"x\""; job_attempt = 2 } in
   let res =
@@ -209,11 +209,11 @@ let test_php_files_sorted_relative () =
     (Worker.php_files dir)
 
 (* ------------------------------------------------------------------ *)
-(* Merge determinism and the summary store.                            *)
+(* Merge determinism and the shared parse entries.                     *)
 
 let test_merge_determinism () =
-  let o1 = run_fleet ~cache_dir:(scratch_dir "det1") ~summary_store:true 1 in
-  let o2 = run_fleet ~cache_dir:(scratch_dir "det2") ~summary_store:true 2 in
+  let o1 = run_fleet ~cache_dir:(scratch_dir "det1") 1 in
+  let o2 = run_fleet ~cache_dir:(scratch_dir "det2") 2 in
   let o2b = run_fleet 2 (* no cache directory *) in
   Alcotest.(check (list string))
     "1 worker and 2 workers merge byte-identically"
@@ -230,13 +230,44 @@ let test_merge_determinism () =
   Alcotest.(check (list string)) "none failed" []
     o2.Coordinator.report.Coordinator.rp_failed
 
-let test_summary_store_dedup () =
-  let o = run_fleet ~cache_dir:(scratch_dir "dedup") ~summary_store:true 2 in
+let test_shared_parse_entries () =
+  let o = run_fleet ~cache_dir:(scratch_dir "dedup") 2 in
   let rp = o.Coordinator.report in
   Alcotest.(check bool) "shared framework layer deduplicates" true
     (rp.Coordinator.rp_cache_hits > 0);
   Alcotest.(check bool) "dedup hit ratio > 0" true
     (rp.Coordinator.rp_dedup_hit_ratio > 0.)
+
+(* A fresh cache directory ends up holding one parse entry per distinct
+   (relative path, source) and one analysis entry per project, and
+   nothing else, even with [fc_summary_store = true], which the
+   benchmark probe still sets. *)
+let test_cache_holds_parse_and_analysis_entries () =
+  let cache_dir = scratch_dir "entries" in
+  let dirs = corpus_dirs () in
+  let o =
+    Coordinator.run
+      { (fleet_config ~cache_dir 2) with Coordinator.fc_summary_store = true }
+      ~dirs
+  in
+  Alcotest.(check (list string)) "none failed" []
+    o.Coordinator.report.Coordinator.rp_failed;
+  let distinct = Hashtbl.create 64 in
+  List.iter
+    (fun dir ->
+      List.iter
+        (fun rel ->
+          Hashtbl.replace distinct (rel, read_file (Filename.concat dir rel)) ())
+        (Worker.php_files dir))
+    dirs;
+  let entries =
+    List.filter
+      (fun f -> Filename.check_suffix f ".wapc")
+      (Array.to_list (Sys.readdir cache_dir))
+  in
+  Alcotest.(check int) "parse entries plus one analysis entry per project"
+    (Hashtbl.length distinct + List.length dirs)
+    (List.length entries)
 
 let test_worker_death_retry () =
   let clean = run_fleet 2 in
@@ -476,8 +507,11 @@ let () =
         [
           Alcotest.test_case "merge is byte-deterministic" `Slow
             test_merge_determinism;
-          Alcotest.test_case "summary store dedups the shared layer" `Slow
-            test_summary_store_dedup;
+          Alcotest.test_case
+            "shared-layer parse entries are reused across projects" `Slow
+            test_shared_parse_entries;
+          Alcotest.test_case "a fresh cache holds parse and analysis entries"
+            `Slow test_cache_holds_parse_and_analysis_entries;
           Alcotest.test_case "a killed worker is retried" `Slow
             test_worker_death_retry;
           Alcotest.test_case "a twice-killed worker fails its project" `Slow

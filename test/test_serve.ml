@@ -312,6 +312,11 @@ let test_framing_errors () =
   (match reads_of "Content-Length: 1000000000000\r\n\r\nContent-Length: 2\r\n\r\n{}" with
   | [ Error _; Ok (J.Obj []) ] -> ()
   | _ -> Alcotest.fail "expected an oversized-frame error, then the next frame");
+  (* a header line far past the 4 KiB cap is refused, and the frame
+     after it still parses *)
+  (match reads_of (String.make 100_000 'X' ^ "\r\nContent-Length: 2\r\n\r\n{}") with
+  | [ Error _; Ok (J.Obj []) ] -> ()
+  | _ -> Alcotest.fail "expected an over-long-header error, then the next frame");
   match read_of "" with
   | None -> ()
   | _ -> Alcotest.fail "expected clean EOF"
