@@ -341,7 +341,7 @@ let run_fleet ?(check_fleet = false) () =
   let dirs = Wap_fleet.Coordinator.discover [ root ] in
   let total_files =
     List.fold_left
-      (fun n dir -> n + List.length (Wap_fleet.Worker.php_files dir))
+      (fun n dir -> n + List.length (Wap_php.Io.php_files dir))
       0 dirs
   in
   print_string "== Fleet (lib/fleet) ==\n";

@@ -257,16 +257,11 @@ let print_scan_stats (outcome : Scan.outcome) =
 
 (* expand directories to their .php files, recursively; explicitly named
    files pass through regardless of extension *)
-let expand_php_paths files =
-  let rec expand path =
-    if Sys.is_directory path then
-      Sys.readdir path |> Array.to_list |> List.sort String.compare
-      |> List.concat_map (fun entry -> expand (Filename.concat path entry))
-    else if Filename.check_suffix path ".php" || List.mem path files then
-      [ path ]
-    else []
-  in
-  List.concat_map expand files
+let expand_php_paths =
+  List.concat_map (fun path ->
+      if Sys.is_directory path then
+        List.map (Filename.concat path) (Wap_php.Io.php_files path)
+      else [ path ])
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
@@ -983,28 +978,35 @@ let symptoms_cmd =
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
 
+(* The admin plane's one endpoint, from a port flag and a socket flag
+   of which at most one may be given. *)
+let endpoint_term ~port ~port_doc ~socket ~socket_doc =
+  let port_arg =
+    Arg.(value & opt (some int) None & info [ port ] ~docv:"N" ~doc:port_doc)
+  in
+  let socket_arg =
+    Arg.(value & opt (some string) None
+         & info [ socket ] ~docv:"PATH" ~doc:socket_doc)
+  in
+  let pick p s =
+    match (p, s) with
+    | Some _, Some _ ->
+        `Error
+          (false, Printf.sprintf "--%s and --%s are mutually exclusive" port socket)
+    | Some n, None -> `Ok (Some (Wap_serve.Http.Port n))
+    | None, Some path -> `Ok (Some (Wap_serve.Http.Socket path))
+    | None, None -> `Ok None
+  in
+  Term.(ret (const pick $ port_arg $ socket_arg))
+
 let serve_cmd =
-  let socket =
-    Arg.(value & opt (some string) None
-         & info [ "socket" ] ~docv:"PATH"
-             ~doc:"Listen on a Unix-domain socket at $(docv) instead of stdio.")
-  in
-  let port =
-    Arg.(value & opt (some int) None
-         & info [ "port" ] ~docv:"N"
-             ~doc:"Listen on localhost TCP port $(docv) instead of stdio.")
-  in
-  let admin_port =
-    Arg.(value & opt (some int) None
-         & info [ "admin-port" ] ~docv:"N"
-             ~doc:"Serve the admin plane (GET /metrics, /healthz, /readyz, \
-                   /status, /trace) on localhost TCP port $(docv), from a \
-                   dedicated domain so scrapes never wait on LSP traffic.")
-  in
-  let admin_socket =
-    Arg.(value & opt (some string) None
-         & info [ "admin-socket" ] ~docv:"PATH"
-             ~doc:"Serve the admin plane on a Unix-domain socket at $(docv).")
+  let admin =
+    endpoint_term ~port:"admin-port"
+      ~port_doc:"Serve the admin plane (GET /metrics, /healthz, /readyz, \
+                 /status, /trace) on localhost TCP port $(docv), from a \
+                 dedicated domain so scrapes never wait on LSP traffic."
+      ~socket:"admin-socket"
+      ~socket_doc:"Serve the admin plane on a Unix-domain socket at $(docv)."
   in
   let slow_ms =
     Arg.(value & opt (some float) None
@@ -1012,139 +1014,57 @@ let serve_cmd =
              ~doc:"Log a warning for any request slower than $(docv) \
                    milliseconds.")
   in
-  let run make_tool seed jobs socket port admin_port admin_socket slow_ms
-      trace_out log_level log_format =
+  let run make_tool seed jobs admin slow_ms trace_out log_level log_format =
     let finish_obs = setup_obs trace_out log_level log_format in
-    match (socket, port, admin_port, admin_socket) with
-    | Some _, Some _, _, _ ->
-        finish_obs ();
-        `Error (false, "--socket and --port are mutually exclusive")
-    | _, _, Some _, Some _ ->
-        finish_obs ();
-        `Error (false, "--admin-port and --admin-socket are mutually exclusive")
-    | _ ->
-        (* a peer (LSP client or admin scraper) dropping its connection
-           mid-write must surface as EPIPE, not kill the daemon *)
-        (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-         with Invalid_argument _ -> ());
-        let admin_on = admin_port <> None || admin_socket <> None in
-        if admin_on then begin
-          (* daemon logs carry wall-clock timestamps so they correlate
-             with scrapes and traces *)
-          Wap_obs.Log.set_timestamps true;
-          (* without a batch --trace-out, trace into the bounded ring
-             GET /trace drains: 4,096 events per domain *)
-          if Wap_obs.Trace.global () = None then
-            Wap_obs.Trace.set_global
-              (Some (Wap_obs.Trace.create ~ring_capacity:4096 ()))
-        end;
-        let server = Wap_serve.Server.create ~jobs ?slow_ms (make_tool None seed) in
-        let admin_cleanup =
-          if not admin_on then fun () -> ()
-          else begin
-            let src = Wap_serve.Server.admin_source server in
-            match (admin_port, admin_socket) with
-            | Some p, None ->
-                let sock = Wap_serve.Admin.listen_tcp ~port:p in
-                Wap_serve.Admin.spawn src sock;
-                Wap_obs.Log.info
-                  ~fields:[ ("admin_port", string_of_int p) ]
-                  "admin plane listening";
-                fun () -> (try Unix.close sock with _ -> ())
-            | None, Some path ->
-                let sock = Wap_serve.Admin.listen_unix ~path in
-                Wap_serve.Admin.spawn src sock;
-                Wap_obs.Log.info
-                  ~fields:[ ("admin_socket", path) ]
-                  "admin plane listening";
-                fun () ->
-                  (try Unix.close sock with _ -> ());
-                  (try Unix.unlink path with _ -> ())
-            | _ -> fun () -> ()
-          end
-        in
-        (match (socket, port) with
-        | Some path, None -> Wap_serve.Server.run_unix_socket server ~path
-        | None, Some port -> Wap_serve.Server.run_tcp server ~port
-        | _ -> Wap_serve.Server.run_stdio server);
-        admin_cleanup ();
-        finish_obs ();
-        `Ok ()
+    (* a peer (LSP client or admin scraper) dropping its connection
+       mid-write must surface as EPIPE, not kill the daemon *)
+    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+     with Invalid_argument _ -> ());
+    if admin <> None then begin
+      (* daemon logs carry wall-clock timestamps so they correlate
+         with scrapes and traces *)
+      Wap_obs.Log.set_timestamps true;
+      (* without a batch --trace-out, trace into the bounded ring
+         GET /trace drains: 4,096 events per domain *)
+      if Wap_obs.Trace.global () = None then
+        Wap_obs.Trace.set_global
+          (Some (Wap_obs.Trace.create ~ring_capacity:4096 ()))
+    end;
+    let server = Wap_serve.Server.create ~jobs ?slow_ms (make_tool None seed) in
+    let close_admin =
+      Option.fold admin ~none:ignore
+        ~some:(Wap_serve.Admin.listen (Wap_serve.Server.admin_source server))
+    in
+    Wap_serve.Server.run_stdio server;
+    close_admin ();
+    finish_obs ();
+    match Wap_serve.Server.exit_code server with 0 -> `Ok () | code -> exit code
   in
   let doc =
     "Run the LSP diagnostics daemon: analyzes the documents an editor opens \
      with the session engine, publishes findings as diagnostics after every \
      change (re-analyzing only the edited file), and offers the fixer's \
      sanitization/validation templates as quick fixes.  Speaks the Language \
-     Server Protocol over stdio by default (logs go to stderr); --socket or \
-     --port select a socket transport.  --admin-port/--admin-socket add an \
-     HTTP admin plane (Prometheus /metrics, /healthz, /readyz, /status and a \
-     draining Chrome-trace /trace) served from a dedicated domain; wap top \
-     renders it as a live terminal view."
+     Server Protocol over stdio (logs go to stderr) and exits 1 on an exit \
+     notification that no shutdown request preceded.  \
+     --admin-port/--admin-socket add an HTTP admin plane (Prometheus \
+     /metrics, /healthz, /readyz, /status and a draining Chrome-trace \
+     /trace) served from a dedicated domain; wap top renders it as a live \
+     terminal view."
   in
   Cmd.v (Cmd.info "serve" ~doc)
-    Term.(ret (const run $ tool_term $ seed_arg $ jobs_arg $ socket $ port $ admin_port
-               $ admin_socket $ slow_ms $ trace_out_arg
-               $ log_level_arg $ log_format_arg))
+    Term.(ret (const run $ tool_term $ seed_arg $ jobs_arg $ admin $ slow_ms
+               $ trace_out_arg $ log_level_arg $ log_format_arg))
 
 (* ------------------------------------------------------------------ *)
 (* top                                                                 *)
 
-(* A one-shot HTTP GET against the daemon's admin plane (loopback TCP
-   or Unix socket).  Hand-rolled on purpose: the admin server speaks
-   Connection: close, so "read to EOF after the blank line" is the
-   whole client. *)
-let admin_get ~(connect : unit -> Unix.file_descr) (path : string) :
-    (int * string, string) result =
-  match connect () with
-  | exception e -> Error (Printexc.to_string e)
-  | fd -> (
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      let finally () =
-        (try close_out_noerr oc with _ -> ());
-        (try close_in_noerr ic with _ -> ());
-        try Unix.close fd with _ -> ()
-      in
-      Fun.protect ~finally @@ fun () ->
-      Printf.fprintf oc "GET %s HTTP/1.1\r\nHost: wap\r\nConnection: close\r\n\r\n"
-        path;
-      flush oc;
-      match input_line ic with
-      | exception End_of_file -> Error "empty response"
-      | status_line -> (
-          match String.split_on_char ' ' (String.trim status_line) with
-          | _http :: code :: _ -> (
-              match int_of_string_opt code with
-              | None -> Error ("malformed status line: " ^ status_line)
-              | Some code ->
-                  (* skip headers *)
-                  let rec headers () =
-                    match input_line ic with
-                    | exception End_of_file -> ()
-                    | "" | "\r" -> ()
-                    | _ -> headers ()
-                  in
-                  headers ();
-                  let body = Buffer.create 4096 in
-                  (try
-                     while true do
-                       Buffer.add_channel body ic 1
-                     done
-                   with End_of_file -> ());
-                  Ok (code, Buffer.contents body))
-          | _ -> Error ("malformed status line: " ^ status_line)))
-
 let top_cmd =
-  let port =
-    Arg.(value & opt (some int) None
-         & info [ "port" ] ~docv:"N"
-             ~doc:"Admin port of the daemon (its --admin-port).")
-  in
-  let socket =
-    Arg.(value & opt (some string) None
-         & info [ "socket" ] ~docv:"PATH"
-             ~doc:"Admin Unix socket of the daemon (its --admin-socket).")
+  let admin =
+    endpoint_term ~port:"port"
+      ~port_doc:"Admin port of the daemon (its --admin-port)."
+      ~socket:"socket"
+      ~socket_doc:"Admin Unix socket of the daemon (its --admin-socket)."
   in
   let interval =
     Arg.(value & opt float 2.0
@@ -1157,32 +1077,16 @@ let top_cmd =
              ~doc:"Poll once, print the view without clearing the screen, \
                    and exit (what the smoke test runs).")
   in
-  let run port socket interval once =
-    let connect =
-      match (port, socket) with
-      | Some n, None ->
-          Ok
-            (fun () ->
-              let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-              Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, n));
-              fd)
-      | None, Some path ->
-          Ok
-            (fun () ->
-              let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-              Unix.connect fd (Unix.ADDR_UNIX path);
-              fd)
-      | _ -> Error "exactly one of --port or --socket is required"
-    in
-    match connect with
-    | Error e -> `Error (false, e)
-    | Ok connect ->
+  let run admin interval once =
+    match admin with
+    | None -> `Error (false, "exactly one of --port or --socket is required")
+    | Some endpoint ->
         let module Tbl = Wap_report.Table in
         let module Json = Wap_report.Json in
         (* previous poll's (time, request total), for the rate *)
         let prev : (float * float) option ref = ref None in
         let render () =
-          match admin_get ~connect "/status" with
+          match Wap_serve.Http.get endpoint "/status" with
           | Error e -> Error e
           | Ok (code, _) when code <> 200 ->
               Error (Printf.sprintf "admin plane answered %d" code)
@@ -1275,7 +1179,7 @@ let top_cmd =
      frame for scripting."
   in
   Cmd.v (Cmd.info "top" ~doc)
-    Term.(ret (const run $ port $ socket $ interval $ once))
+    Term.(ret (const run $ admin $ interval $ once))
 
 (* ------------------------------------------------------------------ *)
 (* fuzz                                                                *)

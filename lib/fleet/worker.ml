@@ -38,23 +38,6 @@ let should_crash ~spec (job : Proto.job) =
 
 let read_file = Wap_php.Io.read_file
 
-(* Project-relative .php paths, sorted at every level — the same walk
-   order on every worker, and relative so the parse-entry keys of
-   identical files living in different project roots are identical. *)
-let php_files dir : string list =
-  let rec go rel acc =
-    let abs = if rel = "" then dir else Filename.concat dir rel in
-    if Sys.is_directory abs then
-      Sys.readdir abs |> Array.to_list |> List.sort String.compare
-      |> List.fold_left
-           (fun acc entry ->
-             go (if rel = "" then entry else Filename.concat rel entry) acc)
-           acc
-    else if Filename.check_suffix rel ".php" then rel :: acc
-    else acc
-  in
-  List.rev (go "" [])
-
 let finding_json (f : Wap_core.Tool.finding) : Json.t =
   let c = f.Wap_core.Tool.candidate in
   Json.Obj
@@ -80,7 +63,7 @@ let scan_project ~tool ~cache ~(cfg : Proto.config) (job : Proto.job) :
     Proto.result =
   let t0 = Unix.gettimeofday () in
   let project = Filename.basename job.Proto.job_dir in
-  let rels = php_files job.Proto.job_dir in
+  let rels = Wap_php.Io.php_files job.Proto.job_dir in
   let sources =
     List.map
       (fun rel -> (rel, read_file (Filename.concat job.Proto.job_dir rel)))

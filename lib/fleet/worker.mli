@@ -23,10 +23,6 @@ val crash_env : string
 
 val crash_exit_code : int
 
-(** Project-relative [.php] paths under a directory, sorted at every
-    level (the canonical fleet walk order). *)
-val php_files : string -> string list
-
 (** A failure result for a job (also used by the coordinator to record
     a project whose worker died on both attempts). *)
 val error_result : Proto.job -> string -> Proto.result

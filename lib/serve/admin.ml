@@ -53,60 +53,60 @@ let handle_path (src : source) (path : string) : response =
       }
   | _ -> text 404 "not found\n"
 
+(* One request per connection.  The descriptor is closed on every
+   path, a client that resets mid-request included, and no read or
+   write blocks past [Http.io_timeout], so an idle client holds the
+   plane for at most that long. *)
 let serve_client (src : source) fd =
-  let ic = Unix.in_channel_of_descr fd in
-  (match Http.read_request ic with
-  | None -> ()
-  | Some (Error e) -> Http.write_response fd ~code:400 ~content_type:"text/plain" (e ^ "\n")
-  | Some (Ok rq) ->
-      if rq.Http.rq_meth <> "GET" then
-        Http.write_response fd ~code:405 ~content_type:"text/plain"
-          "admin endpoints are GET-only\n"
-      else begin
-        let r = handle_path src (Http.strip_query rq.Http.rq_path) in
-        Http.write_response fd ~code:r.code ~content_type:r.content_type r.body
-      end);
-  try Unix.close fd with _ -> ()
-
-let accept_loop (src : source) sock =
-  let rec loop () =
-    match Unix.accept sock with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-    | exception _ -> ()  (* socket closed: stop *)
-    | fd, _ ->
-        (try serve_client src fd
-         with e ->
-           Log.debug
-             ~fields:[ ("error", Printexc.to_string e) ]
-             "admin client error");
-        loop ()
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO Http.io_timeout;
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO Http.io_timeout;
+  let respond (r : response) =
+    Http.write_response fd ~code:r.code ~content_type:r.content_type r.body
   in
-  loop ()
+  match Http.read_request (Unix.in_channel_of_descr fd) with
+  | None -> ()
+  | Some (Error e) -> respond (text 400 (e ^ "\n"))
+  | Some (Ok rq) when rq.Http.rq_meth <> "GET" ->
+      respond (text 405 "admin endpoints are GET-only\n")
+  | Some (Ok rq) -> respond (handle_path src (Http.strip_query rq.Http.rq_path))
 
-let listen_tcp ~port =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen sock 16;
-  sock
-
-let listen_unix ~path =
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.unlink path with _ -> ());
-  Unix.bind sock (Unix.ADDR_UNIX path);
-  Unix.listen sock 16;
-  sock
+(* Accepts until [accept] itself fails; a client's failure is only
+   logged. *)
+let rec accept_loop (src : source) sock =
+  match Unix.accept sock with
+  | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
+      accept_loop src sock
+  | fd, _ ->
+      (try serve_client src fd
+       with e ->
+         Log.debug
+           ~fields:[ ("error", Printexc.to_string e) ]
+           "admin client error");
+      accept_loop src sock
 
 (* The admin domain spends its life blocked in [accept]; it is never
    joined — when the serving domain exits the process, the runtime
    tears it down.  The admin plane only reads (metric cells, the trace
    buffers, the server's session field), so there is nothing to flush
    on the way out. *)
-let spawn (src : source) sock : unit =
+let listen (src : source) (e : Http.endpoint) : unit -> unit =
+  let sock = Http.listen e in
   ignore
     (Domain.spawn (fun () ->
          try accept_loop src sock
-         with e ->
+         with ex ->
            Log.error
-             ~fields:[ ("error", Printexc.to_string e) ]
-             "admin listener died"))
+             ~fields:[ ("error", Printexc.to_string ex) ]
+             "admin plane stopped accepting"));
+  Log.info
+    ~fields:
+      [
+        (match e with
+        | Http.Port n -> ("admin_port", string_of_int n)
+        | Http.Socket path -> ("admin_socket", path));
+      ]
+    "admin plane listening";
+  fun () -> Http.close e sock

@@ -1,7 +1,8 @@
 (** The daemon's admin plane.
 
-    A tiny HTTP/1.1 listener ([--admin-port]/[--admin-socket]) served
-    from its own domain, so scrapes never contend with LSP traffic:
+    A tiny HTTP/1.1 listener on one {!Http.endpoint}
+    ([--admin-port]/[--admin-socket]) served from its own domain, so
+    scrapes never contend with LSP traffic:
 
     - [GET /metrics] — the metrics registry in Prometheus text format
       ({!Wap_obs.Expo.prometheus});
@@ -35,16 +36,13 @@ type response = { code : int; content_type : string; body : string }
     endpoint without a socket.  Unknown paths get [404]. *)
 val handle_path : source -> string -> response
 
-(** Bound + listening admin sockets (loopback TCP / Unix domain). *)
-val listen_tcp : port:int -> Unix.file_descr
-
-val listen_unix : path:string -> Unix.file_descr
-
-(** Serve requests on an accepted-socket loop until the socket errors
-    (i.e. is closed); one request per connection. *)
-val accept_loop : source -> Unix.file_descr -> unit
-
-(** {!accept_loop} in a fresh background domain.  The domain is never
-    joined: it blocks in [accept] until process exit tears it down,
-    which is safe because the admin plane only reads. *)
-val spawn : source -> Unix.file_descr -> unit
+(** [listen src e] binds [e] and serves it from a fresh domain, one
+    request per connection, returning the function that closes the
+    listening socket and removes a socket file.  Each accepted
+    connection reads and writes with a timeout of {!Http.io_timeout},
+    its head goes through {!Http.read_head} (a refused head answers
+    [400]), and its descriptor is closed on every path.  The domain is
+    never joined: it blocks in [accept] until process exit tears it
+    down, which is safe because the admin plane only reads.  If
+    [accept] itself fails, the domain logs an error and stops. *)
+val listen : source -> Http.endpoint -> unit -> unit

@@ -5,13 +5,14 @@ module Json = Wap_report.Json
 
 (** Read one framed message.  [None] at a clean end of stream;
     [Some (Error _)] on a framing or JSON syntax error (the stream
-    stays usable — the next header line is resynchronized by the
-    caller reading on).  A [Content-Length] above 64 MiB is such an
-    error, returned before any of its body is allocated or read.  So
-    is a header line longer than 4 KiB: it is never held whole, but
-    read up to its newline in bounded steps and dropped.  That also
-    bounds what a refused oversized frame's body costs when it does
-    follow, since the reader then takes it for header lines. *)
+    stays usable — the caller reads on from the next line).  The head
+    goes through {!Http.read_head}: a header line longer than 4 KiB is
+    never held whole, but read up to its newline in bounded steps and
+    dropped, and a head of more than {!Http.max_headers} lines is
+    refused once its line past the cap is read.  A [Content-Length]
+    above 64 MiB is refused before any of its body is allocated or
+    read.  That also bounds what a refused frame's body costs when it
+    does follow, since the reader then takes it for header lines. *)
 val read_message : in_channel -> (Json.t, string) result option
 
 (** Write one framed message and flush. *)

@@ -13,8 +13,8 @@
     validation) as whole-document workspace edits.
 
     {!handle} is a pure-ish message-in/messages-out step so tests can
-    drive the protocol in-process; {!serve_channels} and the
-    stdio/socket/TCP runners wrap it in a read loop. *)
+    drive the protocol in-process; {!serve_channels} wraps it in a
+    read loop, which {!run_stdio} runs over stdin/stdout. *)
 
 module Json = Wap_report.Json
 module Session = Wap_engine.Session
@@ -60,7 +60,6 @@ let create ?jobs ?slow_ms (tool : Tool.t) : t =
       "session_candidates";
       "last_reanalyzed";
     ];
-  ignore (Metrics.counter "serve.connections");
   ignore (Metrics.counter "serve.rejected_frames");
   {
     tool;
@@ -78,6 +77,10 @@ let create ?jobs ?slow_ms (tool : Tool.t) : t =
   }
 
 let finished t = t.finished
+
+(* LSP's [exit] notification: status 0 after a [shutdown] request, 1
+   without one.  End of input is no [exit], and leaves 0. *)
+let exit_code t = if t.finished && not t.shutdown_requested then 1 else 0
 
 (* ------------------------------------------------------------------ *)
 (* URIs.  Editors send file:// URIs with percent-encoding; the session
@@ -523,7 +526,7 @@ let handle (t : t) (msg : Json.t) : Json.t list =
       out)
 
 (* ------------------------------------------------------------------ *)
-(* Transports.                                                         *)
+(* Transport.                                                          *)
 
 let serve_channels (t : t) (ic : in_channel) (oc : out_channel) : unit =
   let rec loop () =
@@ -543,63 +546,6 @@ let serve_channels (t : t) (ic : in_channel) (oc : out_channel) : unit =
   loop ()
 
 let run_stdio (t : t) : unit = serve_channels t stdin stdout
-
-let peer_string fd =
-  match Unix.getpeername fd with
-  | Unix.ADDR_UNIX _ -> "unix"
-  | Unix.ADDR_INET (a, p) ->
-      Unix.string_of_inet_addr a ^ ":" ^ string_of_int p
-  | exception _ -> "unknown"
-
-let accept_loop t sock =
-  let rec loop () =
-    if not t.finished then begin
-      let fd, _ = Unix.accept sock in
-      let peer = peer_string fd in
-      Metrics.incr (Metrics.counter "serve.connections");
-      Log.info ~fields:[ ("peer", peer) ] "client connected";
-      let t0 = Unix.gettimeofday () in
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      (try serve_channels t ic oc
-       with e ->
-         Log.warn ~fields:[ ("error", Printexc.to_string e) ] "client error");
-      Metrics.incr (Metrics.counter "serve.disconnects");
-      Log.info
-        ~fields:
-          [
-            ("peer", peer);
-            ("seconds", Printf.sprintf "%.3f" (Unix.gettimeofday () -. t0));
-          ]
-        "client disconnected";
-      (try close_out oc with _ -> ());
-      (try close_in ic with _ -> ());
-      loop ()
-    end
-  in
-  loop ()
-
-let run_unix_socket (t : t) ~path : unit =
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.unlink path with _ -> ());
-  Unix.bind sock (Unix.ADDR_UNIX path);
-  Unix.listen sock 1;
-  Log.info ~fields:[ ("socket", path) ] "listening";
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close sock with _ -> ());
-      try Unix.unlink path with _ -> ())
-    (fun () -> accept_loop t sock)
-
-let run_tcp (t : t) ~port : unit =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen sock 1;
-  Log.info ~fields:[ ("port", string_of_int port) ] "listening";
-  Fun.protect
-    ~finally:(fun () -> try Unix.close sock with _ -> ())
-    (fun () -> accept_loop t sock)
 
 (* ------------------------------------------------------------------ *)
 (* Admin plane surface.  Everything here reads the registry, the tracer

@@ -38,20 +38,18 @@ val handle : t -> Wap_report.Json.t -> Wap_report.Json.t list
 (** True once the [exit] notification was received. *)
 val finished : t -> bool
 
+(** The process exit status LSP asks for: [1] once [exit] arrived
+    without a [shutdown] request before it, else [0] — an [exit] after
+    [shutdown], or end of input with no [exit] at all. *)
+val exit_code : t -> int
+
 (** Read framed messages from the channel, {!handle} them, write the
     output messages back, until [exit] or end of input. *)
 val serve_channels : t -> in_channel -> out_channel -> unit
 
-(** Serve one client over stdin/stdout (logs go to stderr). *)
+(** Serve one client over stdin/stdout (logs go to stderr).  Stdio is
+    the daemon's only LSP transport. *)
 val run_stdio : t -> unit
-
-(** Listen on a Unix-domain socket at [path] (created, removed on
-    shutdown), serving clients sequentially until [exit]. *)
-val run_unix_socket : t -> path:string -> unit
-
-(** Listen on localhost TCP [port], serving clients sequentially until
-    [exit]. *)
-val run_tcp : t -> port:int -> unit
 
 (** The {!Admin.source} for this server, read from any domain without
     touching the session: [/readyz] is ready once the first [didOpen]

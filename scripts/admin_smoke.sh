@@ -15,8 +15,14 @@
 #                didChange, holds that span and not didOpen
 #   wap top --once renders the same plane as a terminal view, with
 #                p50 = p95 on the one-request didOpen row
+# and that no client can bloat, leak or block the plane:
+#   a 64 MB header line leaves VmRSS within 8 MiB and /healthz at 200
+#   50 connections reset mid-request leave the descriptor count no higher
+#   one idle connection does not keep /healthz from answering
 # A second short daemon run with --trace-out checks that a /trace poll
 # erases nothing: the file written at exit holds the polled didOpen span.
+# A third serves the plane on --admin-socket for wap top --socket --once,
+# exits 0 after shutdown + exit, and removes its socket file.
 #
 # Usage: scripts/admin_smoke.sh  (WAP overrides the binary under test)
 set -euo pipefail
@@ -28,8 +34,10 @@ FIFO="$DIR/lsp.in"
 OUT="$DIR/lsp.out"
 LOG="$DIR/serve.log"
 SRV_PID=""
+IDLE_PID=""
 cleanup() {
   [ -n "$SRV_PID" ] && kill "$SRV_PID" 2>/dev/null || true
+  [ -n "$IDLE_PID" ] && kill "$IDLE_PID" 2>/dev/null || true
   rm -rf "$DIR"
 }
 trap cleanup EXIT
@@ -161,6 +169,67 @@ P95=$(echo "$ROW" | awk -F'|' '{gsub(/ /, "", $4); print $4}')
 [ -n "$P50" ] && [ "$P50" = "$P95" ] \
   || fail "wap top didOpen row reads p50 $P50 and p95 $P95 for one request"
 
+# a 64 MB header line is refused at 4 KiB, never held
+rss_kb() { awk '/^VmRSS:/ {print $2}' "/proc/$SRV_PID/status"; }
+RSS0=$(rss_kb)
+python3 - "$PORT" <<'PY' || fail "could not send the 64 MB header line"
+import socket, sys
+s = socket.create_connection(("127.0.0.1", int(sys.argv[1])))
+try:
+    s.sendall(b"GET /healthz HTTP/1.1\r\nX-Big: ")
+    chunk = b"a" * (1 << 20)
+    for _ in range(64):
+        s.sendall(chunk)
+    s.sendall(b"\r\n\r\n")
+    s.recv(4096)
+except OSError:
+    pass  # the daemon answers 400 and closes long before the line ends
+s.close()
+PY
+CODE=$(get /healthz "$DIR/healthz") || true
+[ "$CODE" = 200 ] || fail "/healthz answered ${CODE:-nothing} after a 64 MB header line"
+RSS1=$(rss_kb)
+[ $((RSS1 - RSS0)) -le 8192 ] \
+  || fail "a 64 MB header line took VmRSS from ${RSS0} to ${RSS1} kB"
+
+# clients that reset mid-request leave no descriptor behind
+fds() { ls "/proc/$SRV_PID/fd" | wc -l; }
+FDS0=$(fds)
+python3 - "$PORT" <<'PY' || fail "could not reset 50 connections"
+import socket, struct, sys
+for _ in range(50):
+    s = socket.create_connection(("127.0.0.1", int(sys.argv[1])))
+    s.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+    s.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    s.close()
+PY
+for _ in $(seq 1 50); do
+  [ "$(fds)" -le "$FDS0" ] && break
+  sleep 0.2
+done
+[ "$(fds)" -le "$FDS0" ] \
+  || fail "50 reset connections took the daemon from $FDS0 to $(fds) descriptors"
+
+# an idle connection holds the plane for one read timeout, not for good
+python3 - "$PORT" > "$DIR/idle" <<'PY' &
+import socket, sys, time
+s = socket.create_connection(("127.0.0.1", int(sys.argv[1])))
+print("connected", flush=True)
+time.sleep(60)
+PY
+IDLE_PID=$!
+for _ in $(seq 1 50); do
+  grep -q connected "$DIR/idle" && break
+  sleep 0.1
+done
+grep -q connected "$DIR/idle" || fail "the idle client never connected"
+sleep 0.2
+CODE=$(get /healthz "$DIR/healthz") || true
+[ "$CODE" = 200 ] || fail "/healthz did not answer within 10 s behind an idle connection"
+kill "$IDLE_PID" 2>/dev/null || true
+wait "$IDLE_PID" 2>/dev/null || true
+IDLE_PID=""
+
 # clean shutdown
 frame '{"jsonrpc":"2.0","id":9,"method":"shutdown","params":{}}' >&3
 frame '{"jsonrpc":"2.0","method":"exit"}' >&3
@@ -194,4 +263,31 @@ SRV_PID=""
 [ -s "$TRACE_OUT" ] || fail "--trace-out wrote no file"
 grep -qF "$SPAN" "$TRACE_OUT" || fail "--trace-out file lost the didOpen span a /trace poll returned"
 
-echo "admin_smoke OK: healthz/readyz transition, Prometheus metrics, /status methods, trace drain, wap top, --trace-out after a poll"
+# the same plane on a Unix-domain socket, read by wap top --socket
+SOCK="$DIR/admin.sock"
+"$WAP" serve --jobs 1 --admin-socket "$SOCK" < "$FIFO" > "$OUT" 2> "$LOG" &
+SRV_PID=$!
+exec 3> "$FIFO"
+frame '{"jsonrpc":"2.0","id":1,"method":"initialize","params":{}}' >&3
+frame "{\"jsonrpc\":\"2.0\",\"method\":\"textDocument/didOpen\",\"params\":{\"textDocument\":{\"uri\":\"file:///smoke/a.php\",\"text\":\"$VULN\"}}}" >&3
+TOP=""
+for _ in $(seq 1 50); do
+  if "$WAP" top --socket "$SOCK" --once > "$DIR/top-sock" 2>/dev/null \
+    && grep -q 'textDocument/didOpen' "$DIR/top-sock"; then
+    TOP=yes
+    break
+  fi
+  sleep 0.2
+done
+[ "$TOP" = yes ] || fail "wap top --socket --once never showed the didOpen"
+grep -q 'wap serve' "$DIR/top-sock" || fail "wap top --socket output missing the overview table"
+frame '{"jsonrpc":"2.0","id":9,"method":"shutdown","params":{}}' >&3
+frame '{"jsonrpc":"2.0","method":"exit"}' >&3
+exec 3>&-
+STATUS=0
+wait "$SRV_PID" || STATUS=$?
+SRV_PID=""
+[ "$STATUS" = 0 ] || fail "the daemon exited $STATUS after shutdown + exit"
+[ ! -e "$SOCK" ] || fail "the daemon left its admin socket file behind"
+
+echo "admin_smoke OK: healthz/readyz transition, Prometheus metrics, /status methods, trace drain, wap top, 64 MB header, reset clients, idle client, --trace-out after a poll, --admin-socket with wap top --socket"

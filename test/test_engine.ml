@@ -433,9 +433,25 @@ let test_progress_and_timings () =
   Alcotest.(check bool) "cpu clock recorded" true
     (o.Scan.result.T.analysis_cpu_seconds > 0.0)
 
+(* The four packages [bench/main.ml] merges into one application: a
+   scan long enough (1,220 files) that a few ms of descheduling
+   under a parallel [dune runtest] cannot move the phase share past
+   the bound, as it could on one small package. *)
+let merged_files () =
+  List.concat_map
+    (fun profile ->
+      let pkg = Wap_corpus.Appgen.of_webapp_profile ~seed profile in
+      List.map
+        (fun (f : Wap_corpus.Appgen.file) ->
+          ( Filename.concat pkg.Wap_corpus.Appgen.pkg_name
+              f.Wap_corpus.Appgen.f_name,
+            f.Wap_corpus.Appgen.f_source ))
+        pkg.Wap_corpus.Appgen.pkg_files)
+    (List.filteri (fun i _ -> i < 4) Wap_corpus.Profiles.vulnerable_webapps)
+
 let test_phase_breakdown () =
   let tool = Lazy.force wape in
-  let o = Scan.run tool (Scan.request ~jobs:2 (acp_files ())) in
+  let o = Scan.run tool (Scan.request ~jobs:2 (merged_files ())) in
   let phases = o.Scan.result.T.phase_seconds in
   Alcotest.(check (list string)) "phases in pipeline order"
     [ "parse"; "digest"; "analyze"; "merge"; "predict" ]

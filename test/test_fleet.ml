@@ -56,13 +56,15 @@ let rec mkdir_p d =
     Sys.mkdir d 0o755
   end
 
+(* never follows a symlink, so a scratch tree that links into itself
+   or elsewhere is removed, not traversed *)
 let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
+  match (Unix.lstat path).Unix.st_kind with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | Unix.S_DIR ->
       Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
       Sys.rmdir path
-    end
-    else Sys.remove path
+  | _ -> Sys.remove path
 
 let scratch_counter = ref 0
 
@@ -206,7 +208,24 @@ let test_php_files_sorted_relative () =
   Alcotest.(check (list string))
     "relative, sorted at every level, underscore prefix first"
     [ "_shared/core.php"; "lib/a.php"; "lib/b.php"; "zz.php" ]
-    (Worker.php_files dir)
+    (Wap_php.Io.php_files dir)
+
+(* A symlink back into an ancestor ends the descent; a symlinked
+   directory that is no cycle is scanned. *)
+let test_php_files_symlinks () =
+  let dir = scratch_dir "links" and outside = scratch_dir "linked" in
+  List.iter
+    (fun p -> write_file p "<?php\n")
+    [ Filename.concat dir "a.php"; Filename.concat dir "sub/b.php";
+      Filename.concat outside "c.php" ];
+  Unix.symlink "." (Filename.concat dir "loop");
+  Unix.symlink ".." (Filename.concat dir "sub/up");
+  Unix.symlink outside (Filename.concat dir "vendor");
+  Alcotest.(check (list string))
+    "each directory entered once"
+    [ "a.php"; "sub/b.php"; "vendor/c.php" ]
+    (Wap_php.Io.php_files dir);
+  List.iter rm_rf [ dir; outside ]
 
 (* ------------------------------------------------------------------ *)
 (* Merge determinism and the shared parse entries.                     *)
@@ -258,7 +277,7 @@ let test_cache_holds_parse_and_analysis_entries () =
       List.iter
         (fun rel ->
           Hashtbl.replace distinct (rel, read_file (Filename.concat dir rel)) ())
-        (Worker.php_files dir))
+        (Wap_php.Io.php_files dir))
     dirs;
   let entries =
     List.filter
@@ -502,6 +521,8 @@ let () =
             test_discover;
           Alcotest.test_case "walk is sorted and relative" `Quick
             test_php_files_sorted_relative;
+          Alcotest.test_case "walk enters each directory once" `Quick
+            test_php_files_symlinks;
         ] );
       ( "fleet",
         [

@@ -248,12 +248,43 @@ let test_unknown_method_and_exit () =
         (J.member "result" resp = Some J.Null)
   | _ -> Alcotest.fail "expected one shutdown response");
   Alcotest.(check bool) "not finished before exit" false (Server.finished t);
+  (* end of input, with no exit at all, exits 0 *)
+  Alcotest.(check int) "status 0 before exit" 0 (Server.exit_code t);
   Alcotest.(check int) "exit is silent" 0
     (List.length (Server.handle t (notif "exit" J.Null)));
-  Alcotest.(check bool) "finished after exit" true (Server.finished t)
+  Alcotest.(check bool) "finished after exit" true (Server.finished t);
+  Alcotest.(check int) "status 0 on exit after shutdown" 0 (Server.exit_code t);
+  let t = server () in
+  ignore (Server.handle t (notif "exit" J.Null));
+  Alcotest.(check int) "status 1 on exit without shutdown" 1 (Server.exit_code t)
 
 (* ------------------------------------------------------------------ *)
 (* Framing.                                                            *)
+
+module Http = Wap_serve.Http
+
+(* [f ic] over the read end of a pipe that a domain fills with [s].  The
+   read end is closed once [f] returns, so a writer still blocked on
+   what [f] left unread fails with EPIPE instead of hanging. *)
+let over_pipe s f =
+  let previous = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let r, w = Unix.pipe () in
+  let writer =
+    Domain.spawn (fun () ->
+        (try Http.write_all w s with Unix.Unix_error _ -> ());
+        Unix.close w)
+  in
+  let ic = Unix.in_channel_of_descr r in
+  Fun.protect
+    ~finally:(fun () ->
+      close_in_noerr ic;
+      Domain.join writer;
+      ignore (Sys.signal Sys.sigpipe previous))
+    (fun () -> f ic)
+
+let frame m =
+  let body = J.to_string ~indent:false m in
+  Printf.sprintf "Content-Length: %d\r\n\r\n%s" (String.length body) body
 
 let test_framing_roundtrip () =
   let path = Filename.temp_file "wap_serve" ".bin" in
@@ -317,9 +348,46 @@ let test_framing_errors () =
   (match reads_of (String.make 100_000 'X' ^ "\r\nContent-Length: 2\r\n\r\n{}") with
   | [ Error _; Ok (J.Obj []) ] -> ()
   | _ -> Alcotest.fail "expected an over-long-header error, then the next frame");
+  (* a head of more than [max_headers] lines is refused once the line
+     past the cap is read, and the frame after it still parses *)
+  (match
+     reads_of
+       (String.concat ""
+          (List.init (Http.max_headers + 1) (Printf.sprintf "X-Pad-%d: 1\r\n"))
+       ^ "Content-Length: 2\r\n\r\n{}")
+   with
+  | [ Error _; Ok (J.Obj []) ] -> ()
+  | _ -> Alcotest.fail "expected a too-many-headers error, then the next frame");
   match read_of "" with
   | None -> ()
   | _ -> Alcotest.fail "expected clean EOF"
+
+(* The daemon's read loop over a pipe: a refused frame is skipped, and
+   the initialize after it is answered. *)
+let test_serve_channels_after_refusal () =
+  let t = server () in
+  let out_r, out_w = Unix.pipe () in
+  over_pipe
+    (String.make 5_000 'X' ^ "\r\n"
+    ^ frame (req 1 "initialize" (J.Obj []))
+    ^ frame (req 2 "shutdown" J.Null)
+    ^ frame (notif "exit" J.Null))
+    (fun ic ->
+      let oc = Unix.out_channel_of_descr out_w in
+      Server.serve_channels t ic oc;
+      close_out oc);
+  let ic = Unix.in_channel_of_descr out_r in
+  let first = Rpc.read_message ic in
+  close_in ic;
+  (match first with
+  | Some (Ok init) ->
+      Alcotest.(check (option int)) "initialize answered" (Some 1)
+        (Rpc.int_member "id" init);
+      Alcotest.(check bool) "with capabilities" true
+        (Option.bind (J.member "result" init) (J.member "capabilities") <> None)
+  | _ -> Alcotest.fail "expected the initialize response");
+  Alcotest.(check bool) "exit ends the loop" true (Server.finished t);
+  Alcotest.(check int) "exit status 0 after shutdown" 0 (Server.exit_code t)
 
 (* ------------------------------------------------------------------ *)
 (* Admin plane: routed through {!Admin.handle_path} directly, so every
@@ -449,6 +517,48 @@ let test_status_methods () =
           Alcotest.(check (float 1e-6)) "p95 = the observation" observed_ms
             (ms "p95_ms"))
 
+(* The admin plane's head goes through the bounded reader: a
+   100,000-byte header line is refused, not held. *)
+let test_request_line_cap () =
+  (match
+     over_pipe
+       ("GET /healthz HTTP/1.1\r\nX-Big: " ^ String.make 100_000 'a'
+      ^ "\r\n\r\n")
+       Http.read_request
+   with
+  | Some (Error _) -> ()
+  | Some (Ok _) -> Alcotest.fail "a 100,000-byte header line was accepted"
+  | None -> Alcotest.fail "expected a refusal, not end of input");
+  match
+    over_pipe "GET /status?x=1 HTTP/1.1\r\nHost: wap\r\n\r\n" Http.read_request
+  with
+  | Some (Ok rq) ->
+      Alcotest.(check (pair string string))
+        "method and path" ("GET", "/status?x=1")
+        (rq.Http.rq_meth, rq.Http.rq_path);
+      Alcotest.(check (list (pair string string)))
+        "headers" [ ("host", "wap") ] rq.Http.rq_headers
+  | _ -> Alcotest.fail "a well-formed request was refused"
+
+(* One endpoint end to end: [Admin.listen] serves a Unix socket that
+   [Http.get] reads, a malformed request line answers 400, and the
+   close function removes the socket file. *)
+let test_endpoint_round_trip () =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "wap_admin_%d.sock" (Unix.getpid ()))
+  in
+  let e = Http.Socket path in
+  let close = Admin.listen (Server.admin_source (server ())) e in
+  Fun.protect ~finally:close (fun () ->
+      Alcotest.(check (result (pair int string) string))
+        "/healthz" (Ok (200, "ok\n")) (Http.get e "/healthz");
+      match Http.get e "/a b" with
+      | Ok (code, _) -> Alcotest.(check int) "malformed request line" 400 code
+      | Error err -> Alcotest.failf "GET failed: %s" err);
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
+
 let () =
   Alcotest.run "serve"
     [
@@ -468,6 +578,8 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick test_framing_roundtrip;
           Alcotest.test_case "errors" `Quick test_framing_errors;
+          Alcotest.test_case "serve_channels skips a refused frame" `Quick
+            test_serve_channels_after_refusal;
         ] );
       ( "admin",
         [
@@ -475,5 +587,9 @@ let () =
           Alcotest.test_case "/status counts" `Slow test_status_counts;
           Alcotest.test_case "/status per-method latency" `Slow
             test_status_methods;
+          Alcotest.test_case "read_request refuses a long header line" `Quick
+            test_request_line_cap;
+          Alcotest.test_case "endpoint round trip" `Quick
+            test_endpoint_round_trip;
         ] );
     ]
