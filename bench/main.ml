@@ -3,12 +3,14 @@
     [dune exec bench/main.exe] times the scan engine (parallel
     speedup, warm-cache rescan, incremental edits, telemetry overhead)
     and a 2-worker fleet against one process, and writes the numbers
-    to [BENCH_scan.json].  [--check-obs] fails the run when the
-    telemetry overhead exceeds 5%; [--check-fleet] when a fleet
-    project fails, the fleet shares no work or two workers are slower
-    than one.  The paper's evaluation is [wap experiments]. *)
+    of both to one document, [BENCH_scan.json].  Then [--check-obs]
+    fails the run when the telemetry overhead exceeds 5%, and
+    [--check-fleet] when a fleet project fails, the fleet shares no
+    work or two workers are slower than one; every failed check is
+    named.  The paper's evaluation is [wap experiments]. *)
 
 module Scan = Wap_core.Tool.Scan
+module J = Wap_report.Json
 
 let seed = 2016
 
@@ -36,7 +38,9 @@ let median_by key xs =
     (List.sort (fun a b -> compare (key a) (key b)) xs)
     (List.length xs / 2)
 
-let run_scan_engine ?(check_obs = false) () =
+(* Each kernel returns its fields of the document and the failures of
+   its gate. *)
+let run_scan_engine () =
   let calibration = calibration_ms () in
   (* merge several packages into one large application so the scan has
      enough files and spec-tasks to spread over the workers *)
@@ -236,67 +240,57 @@ let run_scan_engine ?(check_obs = false) () =
   (* machine-readable companion for CI trend tracking *)
   let wc1 = oc1.Scan.result.Wap_core.Tool.analysis_seconds in
   let wc2 = oc2.Scan.result.Wap_core.Tool.analysis_seconds in
-  let module J = Wap_report.Json in
   let phase_obj (o : Scan.outcome) =
     J.Obj
       (List.map
          (fun (k, s) -> (k, J.Float s))
          o.Scan.result.Wap_core.Tool.phase_seconds)
   in
-  let doc =
-    J.Obj
-      [
-        ("kernel", J.Str "scan");
-        ("files", J.Int (List.length files));
-        ("packages", J.Int (List.length profiles));
-        ("specs", J.Int (List.length tool.Wap_core.Tool.specs));
-        ("cores", J.Int cores);
-        ("ocaml_version", J.Str Sys.ocaml_version);
-        ("calibration_ms", J.Float calibration);
-        ("jobs_parallel", J.Int par_jobs);
-        ("cold_jobs1_wall_seconds", J.Float w1);
-        ( "cold_jobs1_cpu_seconds",
-          J.Float o1.Scan.result.Wap_core.Tool.analysis_cpu_seconds );
-        ("cold_parallel_wall_seconds", J.Float wp);
-        ( "cold_parallel_cpu_seconds",
-          J.Float opar.Scan.result.Wap_core.Tool.analysis_cpu_seconds );
-        ( "speedup",
-          match par_speedup with Some s -> J.Float s | None -> J.Null );
-        ("phases_fused_jobs1", phase_obj o1);
-        ("deterministic", J.Bool same);
-        ( "candidates",
-          J.Int (List.length o4.Scan.result.Wap_core.Tool.candidates) );
-        ("cache_fill_wall_seconds", J.Float wc1);
-        ("warm_rescan_wall_seconds", J.Float wc2);
-        ( "cache_rescan_ratio",
-          J.Float (if wc1 > 0. then wc2 /. wc1 else 0.) );
-        ("warm_cache_hits", J.Int oc2.Scan.cache_hits);
-        ("warm_cache_misses", J.Int oc2.Scan.cache_misses);
-        ("incremental_project_files", J.Int (List.length inc_files));
-        ("incremental_edit_reanalyzed", J.Int !inc_reran);
-        ("incremental_edit_wall_seconds", J.Float !inc_best);
-        ("incremental_edit_mean_wall_seconds", J.Float inc_mean);
-        ("incremental_full_rescan_wall_seconds", J.Float inc_full);
-        ("incremental_speedup", J.Float inc_speedup);
-        ("obs_plain_cpu_seconds", J.Float w_plain);
-        ("obs_on_cpu_seconds", J.Float w_obs);
-        ("obs_min_ratio", J.Float min_ratio);
-        ("obs_overhead_ratio", J.Float obs_ratio);
-        ("obs_overhead_pairs", J.List (List.map (fun r -> J.Float r) pair_ratios));
-      ]
-  in
-  let oc = open_out "BENCH_scan.json" in
-  output_string oc (J.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  print_string "wrote BENCH_scan.json\n";
   print_newline ();
-  if check_obs && obs_ratio > 1.05 then begin
-    Printf.eprintf
-      "FAIL: telemetry overhead above the 5%% budget (ratio %.3fx > 1.05)\n"
-      obs_ratio;
-    exit 1
-  end
+  ( [
+      ("kernel", J.Str "scan");
+      ("files", J.Int (List.length files));
+      ("packages", J.Int (List.length profiles));
+      ("specs", J.Int (List.length tool.Wap_core.Tool.specs));
+      ("cores", J.Int cores);
+      ("ocaml_version", J.Str Sys.ocaml_version);
+      ("calibration_ms", J.Float calibration);
+      ("jobs_parallel", J.Int par_jobs);
+      ("cold_jobs1_wall_seconds", J.Float w1);
+      ( "cold_jobs1_cpu_seconds",
+        J.Float o1.Scan.result.Wap_core.Tool.analysis_cpu_seconds );
+      ("cold_parallel_wall_seconds", J.Float wp);
+      ( "cold_parallel_cpu_seconds",
+        J.Float opar.Scan.result.Wap_core.Tool.analysis_cpu_seconds );
+      ( "speedup",
+        match par_speedup with Some s -> J.Float s | None -> J.Null );
+      ("phases_fused_jobs1", phase_obj o1);
+      ("deterministic", J.Bool same);
+      ( "candidates",
+        J.Int (List.length o4.Scan.result.Wap_core.Tool.candidates) );
+      ("cache_fill_wall_seconds", J.Float wc1);
+      ("warm_rescan_wall_seconds", J.Float wc2);
+      ( "cache_rescan_ratio",
+        J.Float (if wc1 > 0. then wc2 /. wc1 else 0.) );
+      ("warm_cache_hits", J.Int oc2.Scan.cache_hits);
+      ("warm_cache_misses", J.Int oc2.Scan.cache_misses);
+      ("incremental_project_files", J.Int (List.length inc_files));
+      ("incremental_edit_reanalyzed", J.Int !inc_reran);
+      ("incremental_edit_wall_seconds", J.Float !inc_best);
+      ("incremental_edit_mean_wall_seconds", J.Float inc_mean);
+      ("incremental_full_rescan_wall_seconds", J.Float inc_full);
+      ("incremental_speedup", J.Float inc_speedup);
+      ("obs_plain_cpu_seconds", J.Float w_plain);
+      ("obs_on_cpu_seconds", J.Float w_obs);
+      ("obs_min_ratio", J.Float min_ratio);
+      ("obs_overhead_ratio", J.Float obs_ratio);
+      ("obs_overhead_pairs", J.List (List.map (fun r -> J.Float r) pair_ratios));
+    ],
+    if obs_ratio > 1.05 then
+      [ Printf.sprintf
+          "telemetry overhead above the 5%% budget (ratio %.3fx > 1.05)"
+          obs_ratio ]
+    else [] )
 
 (* ------------------------------------------------------------------ *)
 (* Fleet kernel: multi-project sharding vs a single process.           *)
@@ -330,7 +324,7 @@ let write_projects dir projects =
         pkg.Wap_corpus.Appgen.pkg_files)
     projects
 
-let run_fleet ?(check_fleet = false) () =
+let run_fleet () =
   let n_projects = 10 and project_files = 240 and pairs = 5 in
   let root = "_bench_fleet_corpus" and cache_dir = "_bench_fleet_cache" in
   let scratch = [ root; cache_dir ] in
@@ -416,10 +410,39 @@ let run_fleet ?(check_fleet = false) () =
     w_fleet speedup_str rp.Wap_fleet.Coordinator.rp_projects_per_second
     rp.Wap_fleet.Coordinator.rp_files_per_second
     rp.Wap_fleet.Coordinator.rp_dedup_hit_ratio;
-  (* fold the fleet numbers into the engine kernel's CI document *)
-  let module J = Wap_report.Json in
-  let fleet_fields =
-    [ ("fleet_projects", J.Int rp.Wap_fleet.Coordinator.rp_projects);
+  print_newline ();
+  List.iter (fun d -> if Sys.file_exists d then rm_rf d) scratch;
+  let failed =
+    List.concat_map
+      (fun (single, fleet) ->
+        single.Wap_fleet.Coordinator.rp_failed
+        @ fleet.Wap_fleet.Coordinator.rp_failed)
+      runs
+  in
+  let failures =
+    (if failed = [] then []
+     else [ "fleet projects failed: " ^ String.concat ", " failed ])
+    @ (if
+         List.for_all
+           (fun fleet -> fleet.Wap_fleet.Coordinator.rp_dedup_hit_ratio > 0.)
+           fleets
+       then []
+       else
+         [ "fleet dedup hit ratio is 0: no shared-layer parse entry was \
+            reused" ])
+    (* a 2-worker fleet can only beat one process when there are at
+       least two cores to run the workers on; on a 1-core host the
+       speedup is null and the gate skips *)
+    @
+    match fleet_speedup with
+    | Some s when s < 1.0 ->
+        [ Printf.sprintf
+            "2-worker fleet slower than a single process (median speedup \
+             %.2fx < 1.0 over %d pairs)"
+            s pairs ]
+    | Some _ | None -> []
+  in
+  ( [ ("fleet_projects", J.Int rp.Wap_fleet.Coordinator.rp_projects);
       ("fleet_single_process_wall_seconds", J.Float w_single);
       ("fleet_wall_seconds", J.Float w_fleet);
       ( "fleet_speedup",
@@ -430,67 +453,33 @@ let run_fleet ?(check_fleet = false) () =
       ( "fleet_files_per_second",
         J.Float rp.Wap_fleet.Coordinator.rp_files_per_second );
       ( "fleet_dedup_hit_ratio",
-        J.Float rp.Wap_fleet.Coordinator.rp_dedup_hit_ratio ) ]
-  in
-  (match J.of_string (Wap_php.Io.read_file "BENCH_scan.json") with
-  | Ok (J.Obj fields) ->
-      let oc = open_out "BENCH_scan.json" in
-      output_string oc (J.to_string (J.Obj (fields @ fleet_fields)));
-      output_char oc '\n';
-      close_out oc;
-      print_string "updated BENCH_scan.json with fleet metrics\n"
-  | Ok _ | Error _ | (exception Sys_error _) ->
-      print_string "BENCH_scan.json not found; fleet metrics not recorded\n");
-  print_newline ();
-  List.iter (fun d -> if Sys.file_exists d then rm_rf d) scratch;
-  if check_fleet then begin
-    let failed =
-      List.concat_map
-        (fun (single, fleet) ->
-          single.Wap_fleet.Coordinator.rp_failed
-          @ fleet.Wap_fleet.Coordinator.rp_failed)
-        runs
-    in
-    if failed <> [] then begin
-      Printf.eprintf "FAIL: fleet projects failed: %s\n"
-        (String.concat ", " failed);
-      exit 1
-    end;
-    if
-      not
-        (List.for_all
-           (fun fleet -> fleet.Wap_fleet.Coordinator.rp_dedup_hit_ratio > 0.)
-           fleets)
-    then begin
-      Printf.eprintf
-        "FAIL: fleet dedup hit ratio is 0: no shared-layer parse entry was \
-         reused\n";
-      exit 1
-    end;
-    (* a 2-worker fleet can only beat one process when there are at
-       least two cores to run the workers on; on a 1-core host the
-       speedup is null and the gate skips *)
-    match fleet_speedup with
-    | Some s when s < 1.0 ->
-        Printf.eprintf
-          "FAIL: 2-worker fleet slower than a single process (median \
-           speedup %.2fx < 1.0 over %d pairs)\n"
-          s pairs;
-        exit 1
-    | Some _ | None -> ()
-  end
+        J.Float rp.Wap_fleet.Coordinator.rp_dedup_hit_ratio ) ],
+    failures )
 
 (* the bench binary doubles as the fleet worker when the fleet kernel
    spawns it — must run before cmdline parsing *)
 let () = Wap_fleet.Worker.maybe_main ()
 
+(* Both kernels run before any gate is applied, so one failing gate
+   never hides the other's result. *)
 let () =
   let flags = [ "--check-obs"; "--check-fleet" ] in
   let args = List.tl (Array.to_list Sys.argv) in
   match List.filter (fun a -> not (List.mem a flags)) args with
   | [] ->
-      run_scan_engine ~check_obs:(List.mem "--check-obs" args) ();
-      run_fleet ~check_fleet:(List.mem "--check-fleet" args) ()
+      let scan_fields, obs_failures = run_scan_engine () in
+      let fleet_fields, fleet_failures = run_fleet () in
+      let oc = open_out "BENCH_scan.json" in
+      output_string oc (J.to_string (J.Obj (scan_fields @ fleet_fields)));
+      output_char oc '\n';
+      close_out oc;
+      print_string "wrote BENCH_scan.json\n";
+      let gate flag failures = if List.mem flag args then failures else [] in
+      let failures =
+        gate "--check-obs" obs_failures @ gate "--check-fleet" fleet_failures
+      in
+      List.iter (Printf.eprintf "FAIL: %s\n") failures;
+      if failures <> [] then exit 1
   | arg :: _ ->
       Printf.eprintf "bench: unknown argument %s (accepted: %s)\n" arg
         (String.concat ", " flags);

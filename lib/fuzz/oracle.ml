@@ -94,8 +94,7 @@ let printer_fixpoint _ctx case =
 
 (* ------------------------------------------------------------------ *)
 (* 3. Scan determinism: the exported JSON is byte-identical across
-   worker counts and across cold/warm cache, well-formed, and stable
-   under the ASCII-escaping serializer. *)
+   worker counts and across cold/warm cache, and well-formed. *)
 
 let zero_timings (r : Wap_core.Tool.package_result) =
   {
@@ -127,21 +126,10 @@ let scan_determinism ctx case =
     else if not (String.equal cold warm) then
       Fail "export differs between cold and warm cache"
     else
-      (* the export must be JSON a consumer can actually parse, and the
-         ASCII serializer must describe the same document *)
+      (* the export must be JSON a consumer can actually parse *)
       match Wap_report.Json.of_string e1 with
       | Error m -> failf "exported JSON is malformed: %s" m
-      | Ok j -> (
-          let ascii = Wap_report.Json.to_string_ascii j in
-          match Wap_report.Json.of_string ascii with
-          | Error m -> failf "ASCII-escaped export does not re-parse: %s" m
-          | Ok j2 ->
-              if
-                String.equal
-                  (Wap_report.Json.to_string j)
-                  (Wap_report.Json.to_string j2)
-              then Pass
-              else Fail "ASCII-escaping the export changed its contents")
+      | Ok _ -> Pass
 
 (* ------------------------------------------------------------------ *)
 (* 4. Fused/per-spec equivalence: the engine's fused multi-spec pass

@@ -106,9 +106,3 @@ let classify (p : t) (c : Wap_taint.Trace.candidate) : bool * string list =
     Fig. 3). *)
 let justification (p : t) (c : Wap_taint.Trace.candidate) : string list =
   Evidence.to_list (Evidence.collect ~dynamic:p.config.dynamic_symptoms c)
-
-(** Split candidates into predicted false positives and predicted real
-    vulnerabilities (the latter are handed to the code corrector). *)
-let triage (p : t) (candidates : Wap_taint.Trace.candidate list) :
-    Wap_taint.Trace.candidate list * Wap_taint.Trace.candidate list =
-  List.partition (is_false_positive p) candidates

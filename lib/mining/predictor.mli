@@ -54,10 +54,3 @@ val classify : t -> Wap_taint.Trace.candidate -> bool * string list
     verdicts to the user (the "justifying false positives" box of
     Fig. 3). *)
 val justification : t -> Wap_taint.Trace.candidate -> string list
-
-(** Split candidates into (predicted false positives, predicted real
-    vulnerabilities); the latter go to the code corrector. *)
-val triage :
-  t ->
-  Wap_taint.Trace.candidate list ->
-  Wap_taint.Trace.candidate list * Wap_taint.Trace.candidate list

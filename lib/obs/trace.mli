@@ -27,13 +27,14 @@ type event = {
 type t
 
 (** A fresh tracer; its epoch (trace time zero) is the creation
-    instant.  Without [ring_capacity] every event is retained until the
-    tracer is dropped (the batch [--trace-out] mode).  With
-    [ring_capacity] each domain keeps a bounded circular buffer of that
-    many events and overwrites its {e oldest} event on overflow — the
-    daemon mode, where {!drain} serves the recent window on demand and
-    memory stays constant however long the process runs.  A
-    non-positive capacity means unbounded. *)
+    instant.  Each domain records into its own buffer of flat arrays,
+    event [k] in slot [k] modulo the capacity.  Without [ring_capacity]
+    a full buffer doubles, so every event is retained until the tracer
+    is dropped (the batch [--trace-out] mode).  With [ring_capacity]
+    each domain keeps that many slots and overwrites its {e oldest}
+    event when they are full — the daemon mode, where {!drain} serves
+    the recent window on demand and a domain's buffer stays that size
+    however long it runs.  A non-positive capacity means unbounded. *)
 val create : ?ring_capacity:int -> unit -> t
 
 (** The per-domain ring capacity, if the tracer is bounded. *)
@@ -61,16 +62,17 @@ val instant : ?args:(string * string) list -> cat:string -> string -> unit
     domains joined). *)
 val events : t -> event list
 
-(** The events recorded since the previous [drain] (sorted like
-    {!events}) — what [GET /trace] serves from a live daemon, so each
-    poll sees only what happened since the last one.  A read: each
-    buffer only advances a cursor, so {!events} and {!write} still
-    return every drained event (in ring mode, until the ring evicts
-    it).  Safe to call while other domains trace: an event pushed
-    concurrently with a drain is returned by exactly that drain or the
-    next one.  The one tear: when a ring filled up since the last
-    drain, concurrent pushes may overwrite the oldest events of the
-    window being read. *)
+(** The events recorded since the previous drain (sorted like
+    {!events}) — so each [GET /trace] poll sees only what happened since
+    the last one.  A read: each buffer's one cursor is an event number,
+    which the drain reads once and moves to the buffer's count, so
+    {!events} and {!write} still return every drained event (in ring
+    mode, until the ring evicts it).  Safe to call while other domains
+    trace: an event pushed concurrently with a drain is returned by
+    exactly that drain or the next one, and a buffer that grows waits
+    for the drain to finish.  The one tear: when a ring filled up since
+    the last drain, concurrent pushes may overwrite the oldest events
+    of the window being read. *)
 val drain : t -> event list
 
 val event_count : t -> int
@@ -85,12 +87,13 @@ val dropped : t -> int
 
 (** The trace as a Chrome trace-event JSON document
     ([{"traceEvents": [...]}]); timestamps in microseconds.  [pid]
-    defaults to the current process id. *)
-val to_chrome_json : ?pid:int -> t -> string
+    defaults to the current process id.  The one writer: it reads the
+    buffers' slots in place, building no record per event.  With
+    [~drain:true] (default [false]) the document holds what {!drain}
+    would return and moves the cursors as {!drain} does — what
+    [GET /trace] serves. *)
+val to_chrome_json : ?pid:int -> ?drain:bool -> t -> string
 
-(** Render an explicit event list (e.g. a {!drain} batch) as Chrome
-    trace-event JSON. *)
-val events_to_chrome_json : ?pid:int -> event list -> string
-
-(** Write {!to_chrome_json} to [file]. *)
+(** Write the whole trace, as {!to_chrome_json} renders it, to
+    [file]. *)
 val write : ?pid:int -> t -> file:string -> unit

@@ -12,6 +12,8 @@ val read_file : string -> string
     [String.compare] order; [[]] when [dir] is not a directory.
     Symlinks are followed, but no directory is entered twice (same
     device and inode), so the walk ends on a tree that links back into
-    itself.  Relative paths keep the cache keys of identical files in
-    different project roots identical. *)
+    itself.  Only regular files are listed: a [.php] entry that is
+    anything else (a FIFO, a socket, a dangling link) is skipped with
+    one [warn] log line naming it.  Relative paths keep the cache keys
+    of identical files in different project roots identical. *)
 val php_files : string -> string list

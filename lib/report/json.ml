@@ -25,67 +25,7 @@ let escape_string s =
     s;
   Buffer.contents b
 
-(* ASCII-only escaping: non-ASCII bytes are decoded as UTF-8 and written
-   as \uXXXX escapes, astral-plane code points as UTF-16 surrogate
-   pairs.  Malformed UTF-8 degrades to U+FFFD per offending byte so the
-   output is always valid JSON. *)
-let escape_string_ascii s =
-  let b = Buffer.create (String.length s + 2) in
-  let emit_u code =
-    if code < 0x10000 then Buffer.add_string b (Printf.sprintf "\\u%04x" code)
-    else begin
-      let u = code - 0x10000 in
-      Buffer.add_string b (Printf.sprintf "\\u%04x" (0xD800 lor (u lsr 10)));
-      Buffer.add_string b (Printf.sprintf "\\u%04x" (0xDC00 lor (u land 0x3FF)))
-    end
-  in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    let c = s.[!i] in
-    (match c with
-    | '"' -> Buffer.add_string b "\\\""
-    | '\\' -> Buffer.add_string b "\\\\"
-    | '\n' -> Buffer.add_string b "\\n"
-    | '\r' -> Buffer.add_string b "\\r"
-    | '\t' -> Buffer.add_string b "\\t"
-    | c when Char.code c < 32 -> emit_u (Char.code c)
-    | c when Char.code c < 0x80 -> Buffer.add_char b c
-    | c ->
-        (* multi-byte UTF-8 sequence *)
-        let c0 = Char.code c in
-        let len, min_code =
-          if c0 land 0xE0 = 0xC0 then (2, 0x80)
-          else if c0 land 0xF0 = 0xE0 then (3, 0x800)
-          else if c0 land 0xF8 = 0xF0 then (4, 0x10000)
-          else (0, 0)
-        in
-        let cont j =
-          !i + j < n && Char.code s.[!i + j] land 0xC0 = 0x80
-        in
-        let ok = len > 0 && (len < 2 || cont 1) && (len < 3 || cont 2)
-                 && (len < 4 || cont 3)
-        in
-        if not ok then emit_u 0xFFFD
-        else begin
-          let code = ref (c0 land (0xFF lsr (len + 1))) in
-          for j = 1 to len - 1 do
-            code := (!code lsl 6) lor (Char.code s.[!i + j] land 0x3F)
-          done;
-          (* reject overlong forms, encoded surrogates, out-of-range *)
-          if !code < min_code || (!code >= 0xD800 && !code <= 0xDFFF)
-             || !code > 0x10FFFF
-          then emit_u 0xFFFD
-          else begin
-            emit_u !code;
-            i := !i + len - 1
-          end
-        end);
-    incr i
-  done;
-  Buffer.contents b
-
-let rec write ~escape ~indent buf (v : t) (level : int) =
+let rec write ~indent buf (v : t) (level : int) =
   let pad n = if indent then String.make (2 * n) ' ' else "" in
   let nl = if indent then "\n" else "" in
   match v with
@@ -98,7 +38,7 @@ let rec write ~escape ~indent buf (v : t) (level : int) =
       else Buffer.add_string buf (Printf.sprintf "%.12g" f)
   | Str s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      Buffer.add_string buf (escape_string s);
       Buffer.add_char buf '"'
   | List [] -> Buffer.add_string buf "[]"
   | List items ->
@@ -107,7 +47,7 @@ let rec write ~escape ~indent buf (v : t) (level : int) =
         (fun i item ->
           if i > 0 then Buffer.add_string buf ("," ^ nl);
           Buffer.add_string buf (pad (level + 1));
-          write ~escape ~indent buf item (level + 1))
+          write ~indent buf item (level + 1))
         items;
       Buffer.add_string buf (nl ^ pad level ^ "]")
   | Obj [] -> Buffer.add_string buf "{}"
@@ -117,23 +57,16 @@ let rec write ~escape ~indent buf (v : t) (level : int) =
         (fun i (k, v) ->
           if i > 0 then Buffer.add_string buf ("," ^ nl);
           Buffer.add_string buf (pad (level + 1));
-          Buffer.add_string buf ("\"" ^ escape k ^ "\":");
+          Buffer.add_string buf ("\"" ^ escape_string k ^ "\":");
           if indent then Buffer.add_char buf ' ';
-          write ~escape ~indent buf v (level + 1))
+          write ~indent buf v (level + 1))
         fields;
       Buffer.add_string buf (nl ^ pad level ^ "}")
 
 (** Serialize; [indent] pretty-prints with two-space indentation. *)
 let to_string ?(indent = true) (v : t) : string =
   let buf = Buffer.create 256 in
-  write ~escape:escape_string ~indent buf v 0;
-  Buffer.contents buf
-
-(** Serialize to 7-bit ASCII: non-ASCII text becomes [\uXXXX] escapes
-    (surrogate pairs above U+FFFF). *)
-let to_string_ascii ?(indent = true) (v : t) : string =
-  let buf = Buffer.create 256 in
-  write ~escape:escape_string_ascii ~indent buf v 0;
+  write ~indent buf v 0;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

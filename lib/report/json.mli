@@ -15,15 +15,6 @@ type t =
     through verbatim (the exporters emit UTF-8). *)
 val to_string : ?indent:bool -> t -> string
 
-(** Like {!to_string}, but the output is 7-bit ASCII: string contents
-    are decoded as UTF-8 and every non-ASCII code point is written as a
-    [\uXXXX] escape (a UTF-16 surrogate pair above U+FFFF, per
-    RFC 8259 §7).  Malformed UTF-8 degrades to U+FFFD.  Safe for
-    consumers with broken charset handling;
-    [of_string (to_string_ascii v)] round-trips to [of_string
-    (to_string v)]. *)
-val to_string_ascii : ?indent:bool -> t -> string
-
 (** Parse a complete JSON document (full RFC 8259 value syntax; [\uXXXX]
     escapes are decoded to UTF-8, surrogate pairs combined into one code
     point; lone surrogates are rejected).  Used by the tests to check

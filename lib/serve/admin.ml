@@ -19,6 +19,10 @@ type response = { code : int; content_type : string; body : string }
 
 let text code body = { code; content_type = "text/plain; charset=utf-8"; body }
 
+(* never installed, so it holds no buffer: what [/trace] renders when
+   the daemon has no tracer *)
+let untraced = Trace.create ()
+
 (* Routing is a pure function of (source, path) so the tests can hit
    every endpoint in-process, without sockets. *)
 let handle_path (src : source) (path : string) : response =
@@ -43,13 +47,12 @@ let handle_path (src : source) (path : string) : response =
          dashboard polling [/trace] sees a live stream; the drain moves
          a cursor and erases nothing.  Without a tracer the document is
          a valid, empty trace. *)
-      let events =
-        match src.tracer () with Some t -> Trace.drain t | None -> []
-      in
       {
         code = 200;
         content_type = "application/json";
-        body = Trace.events_to_chrome_json events;
+        body =
+          Trace.to_chrome_json ~drain:true
+            (Option.value (src.tracer ()) ~default:untraced);
       }
   | _ -> text 404 "not found\n"
 

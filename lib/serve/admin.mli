@@ -16,7 +16,8 @@
       latencies, RSS);
     - [GET /trace] — {e drains} the tracer as Chrome trace-event JSON:
       each poll returns the events recorded since the last
-      ({!Wap_obs.Trace.drain}, which erases nothing).
+      ({!Wap_obs.Trace.to_chrome_json} [~drain:true], which erases
+      nothing).
 
     The admin plane is read-only by construction: it never mutates the
     session, the documents, the metrics or the recorded trace, so scan

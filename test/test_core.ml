@@ -96,13 +96,16 @@ let test_frozen_models_match_training () =
           T.create ?dataset ~weapons:[ Wap_weapon.Generator.wpsqli () ] V.Wape ) ]
 
 (* Run the CLI, built as a dependency of this suite, on no stdin:
-   (exit code, stdout, stderr). *)
+   (exit code, stdout, stderr).  The child runs without WAP_TRACE_OUT:
+   under it the suite's trace is test_engine's, which a CLI child
+   writing the same file at its exit would replace. *)
 let wap args =
   let out = Filename.temp_file "wap_cli" ".out" and err = Filename.temp_file "wap_cli" ".err" in
   let code =
     Sys.command
-      (Filename.quote_command "../bin/wap_cli.exe" args ~stdin:Filename.null ~stdout:out
-         ~stderr:err)
+      (Filename.quote_command "env"
+         ("-u" :: "WAP_TRACE_OUT" :: "../bin/wap_cli.exe" :: args)
+         ~stdin:Filename.null ~stdout:out ~stderr:err)
   in
   let read f =
     let s = In_channel.with_open_bin f In_channel.input_all in

@@ -211,7 +211,8 @@ let test_php_files_sorted_relative () =
     (Wap_php.Io.php_files dir)
 
 (* A symlink back into an ancestor ends the descent; a symlinked
-   directory that is no cycle is scanned. *)
+   directory that is no cycle is scanned; a dangling link and a FIFO
+   are no files to read. *)
 let test_php_files_symlinks () =
   let dir = scratch_dir "links" and outside = scratch_dir "linked" in
   List.iter
@@ -221,6 +222,8 @@ let test_php_files_symlinks () =
   Unix.symlink "." (Filename.concat dir "loop");
   Unix.symlink ".." (Filename.concat dir "sub/up");
   Unix.symlink outside (Filename.concat dir "vendor");
+  Unix.symlink "nowhere.php" (Filename.concat dir "dangling.php");
+  Unix.mkfifo (Filename.concat dir "sub/fifo.php") 0o644;
   Alcotest.(check (list string))
     "each directory entered once"
     [ "a.php"; "sub/b.php"; "vendor/c.php" ]

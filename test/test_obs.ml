@@ -307,10 +307,17 @@ let test_chrome_json_well_formed () =
                 [ "name"; "ph"; "pid"; "tid" ])
             evs)
 
+(* The written file parses; from an unbounded tracer whose buffers grew
+   many times over, it holds every span once, in start order. *)
 let test_trace_write_file () =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "wap-trace-test-%d.json" (Unix.getpid ()))
+  in
+  let written () =
+    match Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok doc -> doc
+    | Error e -> Alcotest.failf "written file does not parse: %s" e
   in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
@@ -318,11 +325,45 @@ let test_trace_write_file () =
       with_tracer (fun t ->
           Trace.with_span ~cat:"test" "s" (fun () -> ());
           Trace.write t ~file:path);
-      let ic = open_in_bin path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Alcotest.(check bool) "written file parses" true
-        (match Json.of_string s with Ok _ -> true | Error _ -> false))
+      ignore (written ());
+      let n = 6_000 in
+      with_tracer (fun t ->
+          let spans d =
+            for i = 0 to n - 1 do
+              Trace.with_span ~cat:"test" (Printf.sprintf "%d.%d" d i) ignore
+            done
+          in
+          let other = Domain.spawn (fun () -> spans 1) in
+          spans 0;
+          Domain.join other;
+          Trace.write t ~file:path;
+          Alcotest.(check int) "an unbounded tracer drops nothing" 0
+            (Trace.dropped t));
+      let spans =
+        Option.bind (Json.member "traceEvents" (written ())) Json.to_list_opt
+        |> Option.value ~default:[]
+        |> List.filter_map (fun e ->
+               match (Json.member "ph" e, Json.member "name" e, Json.member "ts" e) with
+               | Some (Json.Str "X"), Some (Json.Str name), Some (Json.Float ts) ->
+                   Some (name, ts)
+               | _ -> None)
+      in
+      let rec in_start_order = function
+        | (_, a) :: ((_, b) :: _ as rest) -> a <= b && in_start_order rest
+        | _ -> true
+      in
+      Alcotest.(check bool) "spans in start order" true (in_start_order spans);
+      List.iter
+        (fun d ->
+          let prefix = string_of_int d ^ "." in
+          Alcotest.(check (list string))
+            (Printf.sprintf "domain %d's spans, each once, in order" d)
+            (List.init n (Printf.sprintf "%d.%d" d))
+            (List.filter_map
+               (fun (name, _) ->
+                 if String.starts_with ~prefix name then Some name else None)
+               spans))
+        [ 0; 1 ])
 
 let test_trace_multi_domain () =
   let evs =
